@@ -13,7 +13,8 @@ A single JSON config file (--config) can hold a "generate" section, a
 top-level "seed", "out", "data", "n" defaults; command-line flags win
 over the file. Exit codes: 0 success, 1 usage or configuration, 2 data
 problems, 3 runtime failures. EPC_PINN_THREADS caps how many folds train
-in parallel (default 1).
+in parallel (default 1); while parallel folds train, OpenBLAS runs
+single-threaded, and its previous thread count is restored afterwards.
 """
 
 from __future__ import annotations
@@ -199,22 +200,12 @@ def _checkpoint_bundle(path: str | Path):
 def cmd_predict(args) -> int:
     model, input_scaler, target_scaler, constants = _checkpoint_bundle(args.checkpoint)
     building = _load_json(args.building, "building")
-    for key in ("useful_area", "total_area", "floors", "apartments",
-                "building_type", "serie"):
-        if key not in building:
-            raise DataError(f"{args.building}: missing field {key!r}")
-    features = data.encode_features(
-        useful_area=float(building["useful_area"]),
-        total_area=float(building["total_area"]),
-        floors=int(building["floors"]),
-        apartments=int(building["apartments"]),
-        building_type=str(building["building_type"]),
-        serie=str(building["serie"]),
-    )
+    fields = data.parse_building(building, args.building)
+    features = data.encode_features(**fields)
     state_row = predict_physical(model, input_scaler, target_scaler, features)[0]
     state = EnvelopeState.from_vector(state_row)
     breakdown = energy_consumption(
-        state, float(building["useful_area"]), str(building["building_type"]), constants
+        state, fields["useful_area"], fields["building_type"], constants
     )
     output = {
         "cadastre_number": building.get("cadastre_number"),

@@ -441,6 +441,23 @@ def encode_features(
     return vec
 
 
+def parse_building(payload: dict, source: str | Path) -> dict:
+    """The encode_features arguments of one building given as a JSON
+    object, each parsed with its land.csv cell rule. Raises DataError
+    naming a missing, non-numeric or non-finite field."""
+    parsers = {column.name: column.parse for column in LAND_SCHEMA.columns}
+    fields = {}
+    for name in ("useful_area", "total_area", "floors", "apartments",
+                 "building_type", "serie"):
+        if name not in payload:
+            raise DataError(f"{source}: missing field {name!r}")
+        try:
+            fields[name] = parsers[name](str(payload[name]))
+        except ValueError as exc:
+            raise DataError(f"{source}, field {name!r}: {exc}") from None
+    return fields
+
+
 def join_on_cadastre(
     land: list[LandRecord],
     audit_buildings: list[AuditBuildingRecord],

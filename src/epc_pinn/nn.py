@@ -351,24 +351,35 @@ def load_checkpoint(path: str | Path) -> tuple[MlpModel, dict]:
         )
     if payload["dtype"] != CHECKPOINT_DTYPE:
         raise DataError(f"unsupported checkpoint dtype {payload['dtype']!r}")
-    dims = tuple(int(d) for d in payload["layer_dims"])
-    model = init_model(dims, seed=0, activation=payload["activation"])
+    dims, activation = payload["layer_dims"], payload["activation"]
+    if not (
+        isinstance(dims, list)
+        and len(dims) >= 2
+        and all(type(d) is int and d >= 1 for d in dims)
+    ):
+        raise DataError(f"checkpoint {path} has invalid layer_dims {dims!r}")
+    if activation not in ACTIVATIONS:
+        raise DataError(f"checkpoint {path} has unknown activation {activation!r}")
     try:
         raw = base64.b64decode(payload["parameters_b64"], validate=True)
     except (ValueError, TypeError) as exc:
         raise DataError(f"checkpoint {path} has corrupt parameter encoding") from exc
     flat = np.frombuffer(raw, dtype=CHECKPOINT_DTYPE).astype(float)
-    if flat.size != model.parameter_count():
+    shapes = list(zip(dims[:-1], dims[1:]))
+    sizes = [n for fan_in, fan_out in shapes for n in (fan_in * fan_out, fan_out)]
+    if flat.size != sum(sizes):
         raise DataError(
             f"checkpoint {path} holds {flat.size} parameters, "
-            f"model needs {model.parameter_count()}"
+            f"model needs {sum(sizes)}"
         )
-    offset = 0
-    restored = []
-    for p in model.parameters():
-        restored.append(flat[offset : offset + p.size].reshape(p.shape))
-        offset += p.size
-    model.set_parameters(restored)
+    # (W0, b0, W1, b1, ...) as views into the one decoded vector.
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    model = MlpModel(
+        layer_dims=tuple(dims),
+        weights=[w.reshape(shape) for w, shape in zip(parts[0::2], shapes)],
+        biases=parts[1::2],
+        activation=activation,
+    )
     extra = payload.get("extra", {})
     if not isinstance(extra, dict):
         raise DataError(f"checkpoint {path} extra payload must be a JSON object")

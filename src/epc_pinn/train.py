@@ -16,8 +16,14 @@ seeds from (seed, fold index, stream index).
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import json
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -324,6 +330,57 @@ def train_fold(
     )
 
 
+@functools.cache
+def _openblas_thread_api():
+    """(get, set) for the thread count of numpy's bundled OpenBLAS, or
+    None where that library or its symbols are not found."""
+    pattern = os.path.join(
+        os.path.dirname(np.__file__), "..", "numpy.libs", "libscipy_openblas*.so*"
+    )
+    for path in sorted(glob.glob(pattern)):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.restype, get.argtypes = ctypes.c_int, []
+        set_.restype, set_.argtypes = None, [ctypes.c_int]
+        return get, set_
+    return None
+
+
+# The OpenBLAS pool is process-wide, so the count of open caps is too.
+_blas_cap_lock = threading.Lock()
+_blas_cap_users = 0
+_blas_cap_saved = 0
+
+
+@contextmanager
+def _single_threaded_blas():
+    """Run OpenBLAS on one thread inside the block, so fold threads do not
+    each fan out over its pool; the previous count comes back on exit.
+    Overlapping blocks share one cap, lifted when the last one exits."""
+    global _blas_cap_users, _blas_cap_saved
+    api = _openblas_thread_api()
+    if api is None:
+        yield
+        return
+    get, set_ = api
+    with _blas_cap_lock:
+        if _blas_cap_users == 0:
+            _blas_cap_saved = get()
+            set_(1)
+        _blas_cap_users += 1
+    try:
+        yield
+    finally:
+        with _blas_cap_lock:
+            _blas_cap_users -= 1
+            if _blas_cap_users == 0:
+                set_(_blas_cap_saved)
+
+
 @dataclass(eq=False)
 class CrossValidationResult:
     folds: list[FoldResult]
@@ -339,21 +396,25 @@ def cross_validate(
 ) -> CrossValidationResult:
     """Run all folds (optionally in parallel threads) and aggregate.
 
-    The fold partition, and therefore every result, depends only on the
-    data and the config seed, never on max_workers.
+    Parallel folds run OpenBLAS single-threaded, since fold threads are
+    the one source of parallelism. The fold partition, and therefore
+    every result, depends only on the data and the config seed, never on
+    max_workers.
     """
-    if arrays.n < config.k_folds:
+    # Each test fold needs two rows, or its R^2 is undefined.
+    if arrays.n < 2 * config.k_folds:
         raise ConfigError(
-            f"need at least k_folds={config.k_folds} samples, got {arrays.n}"
+            f"need at least 2 * k_folds = {2 * config.k_folds} samples, got {arrays.n}"
         )
     folds = kfold_split(arrays.n, config.k_folds, seed=config.seed)
     if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [
-                pool.submit(train_fold, arrays, test_indices, config, i)
-                for i, test_indices in enumerate(folds)
-            ]
-            results = [f.result() for f in futures]
+        with _single_threaded_blas():
+            with ThreadPoolExecutor(max_workers=max_workers) as pool:
+                futures = [
+                    pool.submit(train_fold, arrays, test_indices, config, i)
+                    for i, test_indices in enumerate(folds)
+                ]
+                results = [f.result() for f in futures]
     else:
         results = [
             train_fold(arrays, test_indices, config, i)

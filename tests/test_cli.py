@@ -11,6 +11,7 @@ import shutil
 import numpy as np
 import pytest
 
+from epc_pinn import cli
 from epc_pinn.cli import main
 from epc_pinn.physics import COMPONENTS, EnvelopeState, PhysicsConstants, energy_consumption
 
@@ -289,6 +290,30 @@ class TestPredict:
         )
         assert code == 2
         assert "floors" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [
+            ("useful_area", "abc", "not a number"),
+            ("total_area", float("nan"), "not finite"),
+            ("useful_area", float("inf"), "not finite"),
+            ("floors", "two", "not an integer"),
+        ],
+    )
+    def test_malformed_numeric_field_is_exit_two(
+        self, trained_run, tmp_path, capsys, monkeypatch, field, value, problem
+    ):
+        """Rejected as data, naming the field, before the network runs."""
+        building = tmp_path / "building.json"
+        building.write_text(json.dumps(building_payload(**{field: value})))
+        monkeypatch.setattr(cli, "predict_physical", None)
+        code = main(
+            ["predict", "--checkpoint", str(trained_run / "fold_00.json"),
+             "--building", str(building)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert repr(field) in err and problem in err
 
     def test_unknown_serie_is_exit_one(self, trained_run, tmp_path):
         building = tmp_path / "building.json"

@@ -470,6 +470,27 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="version"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("layer_dims", [2], "layer_dims"),
+            ("layer_dims", [2, 0], "layer_dims"),
+            ("layer_dims", [2, "2"], "layer_dims"),
+            ("layer_dims", "2,2", "layer_dims"),
+            ("activation", "tanh", "activation"),
+        ],
+    )
+    def test_invalid_architecture_is_data_error(self, tmp_path, field, value, message):
+        import json
+
+        path = tmp_path / "model.json"
+        save_checkpoint(init_model((2, 2), seed=0), path)
+        payload = json.loads(path.read_text())
+        payload[field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=message):
+            load_checkpoint(path)
+
     def test_truncated_parameters_is_data_error(self, tmp_path):
         import base64
         import json

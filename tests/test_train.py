@@ -7,6 +7,9 @@ snapshot being restored, and byte-identical serialized results.
 """
 
 import json
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from epc_pinn.metrics import REPORT_VARIABLES
 from epc_pinn.nn import load_checkpoint
 from epc_pinn.physics import PhysicsConstants, energy_consumption, EnvelopeState
 from epc_pinn.synth import GeneratorConfig, generate_cohort
+from epc_pinn import train
 from epc_pinn.train import (
     FULL_BATCH_LIMIT,
     TrainConfig,
@@ -40,6 +44,18 @@ def quick_config(**overrides):
     settings = dict(hidden_dims=(16, 16), max_epochs=5, seed=0)
     settings.update(overrides)
     return TrainConfig(**settings)
+
+
+def subset(arrays, n):
+    """The first n samples of arrays."""
+    return TrainingArrays(
+        cadastre_numbers=arrays.cadastre_numbers[:n],
+        features=arrays.features[:n],
+        targets=arrays.targets[:n],
+        measured_energy=arrays.measured_energy[:n],
+        useful_area=arrays.useful_area[:n],
+        building_types=arrays.building_types[:n],
+    )
 
 
 class TestTrainConfig:
@@ -250,16 +266,109 @@ class TestCrossValidate:
         assert json.dumps(serial, sort_keys=True) == json.dumps(threaded, sort_keys=True)
 
     def test_too_few_samples_is_config_error(self, arrays):
-        small = TrainingArrays(
-            cadastre_numbers=arrays.cadastre_numbers[:5],
-            features=arrays.features[:5],
-            targets=arrays.targets[:5],
-            measured_energy=arrays.measured_energy[:5],
-            useful_area=arrays.useful_area[:5],
-            building_types=arrays.building_types[:5],
-        )
         with pytest.raises(ConfigError):
-            cross_validate(small, quick_config())
+            cross_validate(subset(arrays, 5), quick_config())
+
+    def test_fewer_than_two_rows_per_fold_fails_before_training(
+        self, arrays, monkeypatch
+    ):
+        """n=15 with 10 folds leaves single-row test folds, whose R^2 is
+        undefined; the run must stop before any fold trains."""
+        calls = []
+        monkeypatch.setattr(train, "train_fold", lambda *a: calls.append(a))
+        with pytest.raises(ConfigError, match="2 \\* k_folds"):
+            cross_validate(subset(arrays, 15), quick_config(), max_workers=2)
+        assert calls == []
+        # 2 * k_folds rows are enough.
+        monkeypatch.undo()
+        assert len(cross_validate(subset(arrays, 20), quick_config(max_epochs=1)).folds) == 10
+
+
+BLAS_API = train._openblas_thread_api()
+
+
+@pytest.mark.skipif(BLAS_API is None, reason="numpy's OpenBLAS thread control not found")
+class TestBlasThreadCap:
+    """Parallel folds run OpenBLAS on one thread; the serial path leaves
+    the pool alone, and the previous count always comes back."""
+
+    @pytest.fixture
+    def blas_threads(self):
+        get, set_ = BLAS_API
+        before = get()
+        set_(2)  # a pool wider than the cap, also on one-core machines
+        yield get
+        set_(before)
+
+    @pytest.fixture
+    def seen(self, monkeypatch, blas_threads):
+        """Thread counts observed by each fold as it starts."""
+        counts = []
+        real = train.train_fold
+
+        def recording(*args):
+            counts.append(blas_threads())
+            return real(*args)
+
+        monkeypatch.setattr(train, "train_fold", recording)
+        return counts
+
+    def test_parallel_folds_see_one_thread(self, arrays, seen, blas_threads):
+        cross_validate(arrays, quick_config(max_epochs=1), max_workers=2)
+        assert seen == [1] * 10
+        assert blas_threads() == 2
+
+    def test_count_is_restored_when_a_fold_raises(
+        self, arrays, monkeypatch, blas_threads
+    ):
+        def failing(arrays, test_indices, config, fold_index):
+            assert blas_threads() == 1
+            raise TrainingError(f"fold {fold_index}: non-finite gradient")
+
+        monkeypatch.setattr(train, "train_fold", failing)
+        with pytest.raises(TrainingError, match="fold 0"):
+            cross_validate(arrays, quick_config(), max_workers=2)
+        assert blas_threads() == 2
+
+    def test_serial_folds_leave_the_pool_alone(self, arrays, seen, blas_threads):
+        cross_validate(arrays, quick_config(max_epochs=1), max_workers=1)
+        assert seen == [2] * 10
+        assert blas_threads() == 2
+
+    def test_concurrent_caps_keep_the_count(self, blas_threads):
+        """Threads entering and leaving the cap at random interleavings
+        always see one thread inside, and leave the pool as it was."""
+        inside = []
+        start = threading.Barrier(8)
+
+        def worker():
+            start.wait(timeout=30)
+            for _ in range(500):
+                with train._single_threaded_blas():
+                    time.sleep(0)  # let the other threads enter and leave
+                    inside.append(blas_threads())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=worker) for _ in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert inside == [1] * 4000
+        assert blas_threads() == 2
+
+    def test_missing_thread_control_is_a_no_op(self, arrays, monkeypatch, blas_threads):
+        monkeypatch.setattr(train, "_openblas_thread_api", lambda: None)
+        config = quick_config(max_epochs=1)
+        threaded = results_payload(cross_validate(arrays, config, max_workers=2), config)
+        serial = results_payload(cross_validate(arrays, config), config)
+        assert threaded == serial
+        assert blas_threads() == 2
 
 
 class TestSaveRunOutputs:
