@@ -80,13 +80,17 @@ class LandRecord:
     def __post_init__(self) -> None:
         if not self.cadastre_number:
             raise DataError("cadastre_number must be nonempty")
-        if self.floors < 1:
-            raise DataError(f"floors must be >= 1, got {self.floors}")
-        if self.useful_area <= 0 or self.total_area <= 0:
-            raise DataError(
-                f"areas must be positive, got useful_area={self.useful_area}, "
-                f"total_area={self.total_area}"
-            )
+        check_building_invariants(self.floors, self.useful_area, self.total_area)
+
+
+def check_building_invariants(floors: int, useful_area: float, total_area: float) -> None:
+    """The invariants a land.csv building meets; raises DataError naming
+    the first field that breaks one."""
+    if floors < 1:
+        raise DataError(f"'floors' must be >= 1, got {floors}")
+    for name, area in (("useful_area", useful_area), ("total_area", total_area)):
+        if area <= 0:
+            raise DataError(f"{name!r} must be positive, got {area}")
 
 
 @dataclass
@@ -443,8 +447,9 @@ def encode_features(
 
 def parse_building(payload: dict, source: str | Path) -> dict:
     """The encode_features arguments of one building given as a JSON
-    object, each parsed with its land.csv cell rule. Raises DataError
-    naming a missing, non-numeric or non-finite field."""
+    object, each parsed with its land.csv cell rule and checked against
+    the land.csv record invariants. Raises DataError naming a missing,
+    non-numeric, non-finite or out-of-range field."""
     parsers = {column.name: column.parse for column in LAND_SCHEMA.columns}
     fields = {}
     for name in ("useful_area", "total_area", "floors", "apartments",
@@ -455,6 +460,12 @@ def parse_building(payload: dict, source: str | Path) -> dict:
             fields[name] = parsers[name](str(payload[name]))
         except ValueError as exc:
             raise DataError(f"{source}, field {name!r}: {exc}") from None
+    try:
+        check_building_invariants(
+            fields["floors"], fields["useful_area"], fields["total_area"]
+        )
+    except DataError as exc:
+        raise DataError(f"{source}: {exc}") from None
     return fields
 
 

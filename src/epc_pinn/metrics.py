@@ -9,7 +9,7 @@ reconstructed annual energy consumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -89,13 +89,7 @@ class VariableMetrics:
     y_min: float
 
     def to_dict(self) -> dict:
-        return {
-            "r_squared": self.r_squared,
-            "rmse": self.rmse,
-            "nrmse": self.nrmse,
-            "y_max": self.y_max,
-            "y_min": self.y_min,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -146,7 +140,7 @@ class AggregateCell:
     std: float
 
     def to_dict(self) -> dict:
-        return {"mean": self.mean, "std": self.std}
+        return asdict(self)
 
 
 @dataclass
@@ -157,13 +151,7 @@ class AggregateReport:
     variables: dict[str, dict[str, AggregateCell]]
 
     def to_dict(self) -> dict:
-        return {
-            "n_folds": self.n_folds,
-            "variables": {
-                name: {metric: cell.to_dict() for metric, cell in metrics.items()}
-                for name, metrics in self.variables.items()
-            },
-        }
+        return asdict(self)
 
     def cell(self, variable: str, metric: str) -> AggregateCell:
         return self.variables[variable][metric]

@@ -8,9 +8,16 @@ gradients, and Adam with bias correction performs the update. A plateau
 scheduler and an early stopper with best-weights snapshotting drive the
 training loop.
 
+Every weight and bias is a view into one contiguous float64 vector laid
+out (W0, b0, W1, b1, ...), and backward writes into views of one gradient
+vector with that layout. Adam is thus one fused in-place update over whole
+vectors, with the textbook per-element operations in their order, and the
+early-stop snapshot and checkpoint encoding are single vector copies.
+
 Checkpoints are JSON: layer sizes and activation in the clear, the flat
 parameter vector as base64-encoded little-endian float64 bytes, plus an
-arbitrary JSON-serializable extra payload for callers.
+arbitrary JSON-serializable extra payload for callers. They are written
+atomically (temporary file, then rename).
 """
 
 from __future__ import annotations
@@ -18,8 +25,12 @@ from __future__ import annotations
 import base64
 import copy
 import json
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -31,51 +42,68 @@ CHECKPOINT_FORMAT_VERSION = 1
 CHECKPOINT_DTYPE = "<f8"  # little-endian float64, fixed for portability
 
 
-@dataclass(eq=False)
-class MlpModel:
-    """Dense network parameters.
+def _parameter_total(layer_dims: tuple[int, ...]) -> int:
+    """Length of the flat parameter vector of a network with these dims."""
+    return sum(i * o + o for i, o in zip(layer_dims[:-1], layer_dims[1:]))
 
-    weights[l] has shape (fan_in, fan_out) so a batch propagates as
-    x @ W + b; biases[l] has shape (fan_out,). version is bumped by any
-    in-place parameter mutation and lets forward caches detect staleness.
-    """
+
+@dataclass(eq=False)
+class _FlatLayers:
+    """weights[l], shape (fan_in, fan_out), and biases[l], shape
+    (fan_out,), as views into vector, laid out (W0, b0, W1, b1, ...)."""
 
     layer_dims: tuple[int, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    vector: np.ndarray
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.vector.shape != (_parameter_total(self.layer_dims),):
+            raise DimensionError(
+                f"layers {self.layer_dims} need {_parameter_total(self.layer_dims)} "
+                f"values, got shape {self.vector.shape}"
+            )
+        self.weights, self.biases, start = [], [], 0
+        for fan_in, fan_out in zip(self.layer_dims[:-1], self.layer_dims[1:]):
+            stop = start + fan_in * fan_out
+            self.weights.append(self.vector[start:stop].reshape(fan_in, fan_out))
+            self.biases.append(self.vector[stop : stop + fan_out])
+            start = stop + fan_out
+
+    def arrays(self) -> list[np.ndarray]:
+        """Every weight and bias view in vector order (W0, b0, W1, b1, ...)."""
+        return [a for pair in zip(self.weights, self.biases) for a in pair]
+
+
+@dataclass(eq=False)
+class MlpModel(_FlatLayers):
+    """Dense network parameters; a batch propagates as x @ W + b.
+
+    version is bumped by any in-place parameter mutation and lets forward
+    caches detect staleness.
+    """
+
     activation: str = "relu"
     version: int = 0
+
+    parameters = _FlatLayers.arrays
 
     @property
     def n_layers(self) -> int:
         return len(self.weights)
 
     def parameter_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.vector.size
 
-    def parameters(self) -> list[np.ndarray]:
-        """All parameter arrays in a fixed order (W0, b0, W1, b1, ...)."""
-        out: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+    def copy_parameters(self) -> np.ndarray:
+        return self.vector.copy()
 
-    def copy_parameters(self) -> list[np.ndarray]:
-        return [p.copy() for p in self.parameters()]
-
-    def set_parameters(self, params: list[np.ndarray]) -> None:
-        own = self.parameters()
-        if len(params) != len(own):
+    def set_parameters(self, vector: np.ndarray) -> None:
+        if np.shape(vector) != self.vector.shape:
             raise DimensionError(
-                f"expected {len(own)} parameter arrays, got {len(params)}"
+                f"expected {self.vector.shape} parameters, got {np.shape(vector)}"
             )
-        for dst, src in zip(own, params):
-            if dst.shape != src.shape:
-                raise DimensionError(
-                    f"parameter shape mismatch: expected {dst.shape}, got {src.shape}"
-                )
-            dst[...] = src
+        self.vector[...] = vector
         self.version += 1
 
 
@@ -94,13 +122,13 @@ def init_model(
             f"unknown activation {activation!r}; choose from {ACTIVATIONS}"
         )
     rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        limit = np.sqrt(1.0 / fan_in)
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return MlpModel(layer_dims=dims, weights=weights, biases=biases, activation=activation)
+    model = MlpModel(
+        layer_dims=dims, vector=np.zeros(_parameter_total(dims)), activation=activation
+    )
+    for w in model.weights:
+        limit = np.sqrt(1.0 / w.shape[0])
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return model
 
 
 @dataclass(eq=False)
@@ -155,18 +183,10 @@ def forward(model: MlpModel, inputs: np.ndarray) -> tuple[np.ndarray, ForwardCac
 
 
 @dataclass(eq=False)
-class Gradients:
-    """Parameter gradients mirroring the model layout."""
+class Gradients(_FlatLayers):
+    """Parameter gradients in the model layout."""
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    def flat(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+    flat = _FlatLayers.arrays
 
 
 def backward(model: MlpModel, cache: ForwardCache, output_grad: np.ndarray) -> Gradients:
@@ -187,17 +207,17 @@ def backward(model: MlpModel, cache: ForwardCache, output_grad: np.ndarray) -> G
         raise DimensionError(
             f"expected output gradient of shape {expected}, got {g.shape}"
         )
-    grad_w: list[np.ndarray] = [np.empty(0)] * model.n_layers
-    grad_b: list[np.ndarray] = [np.empty(0)] * model.n_layers
+    grads = Gradients(layer_dims=model.layer_dims, vector=np.empty_like(model.vector))
     delta = g
     for l in range(model.n_layers - 1, -1, -1):
         if l < model.n_layers - 1 and model.activation == "relu":
-            delta = delta * (cache.pre_activations[l] > 0)
-        grad_w[l] = cache.activations[l].T @ delta
-        grad_b[l] = delta.sum(axis=0)
+            # delta is a fresh product here, never the caller's output_grad.
+            delta *= cache.pre_activations[l] > 0
+        np.matmul(cache.activations[l].T, delta, out=grads.weights[l])
+        np.sum(delta, axis=0, out=grads.biases[l])
         if l > 0:
             delta = delta @ model.weights[l].T
-    return Gradients(weights=grad_w, biases=grad_b)
+    return grads
 
 
 @dataclass(eq=False)
@@ -205,6 +225,8 @@ class AdamState:
     """Adam with bias correction; epsilon sits outside the square root:
 
         step = lr * m_hat / (sqrt(v_hat) + eps)
+
+    m, v and the two scratch rows are flat, allocated on the first step.
     """
 
     learning_rate: float = 0.001
@@ -212,12 +234,14 @@ class AdamState:
     beta2: float = 0.999
     epsilon: float = 1e-8
     t: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    scratch: np.ndarray | None = field(default=None, repr=False)
 
     def attach(self, model: MlpModel) -> None:
-        self.m = [np.zeros_like(p) for p in model.parameters()]
-        self.v = [np.zeros_like(p) for p in model.parameters()]
+        self.m = np.zeros_like(model.vector)
+        self.v = np.zeros_like(model.vector)
+        self.scratch = np.empty((2, model.vector.size))
         self.t = 0
 
 
@@ -230,29 +254,35 @@ def adam_step(
     non-finite; the context string (e.g. which epoch and batch) is carried
     into the message.
     """
-    if not state.m:
+    if state.m is None:
         state.attach(model)
-    params = model.parameters()
-    flat_grads = grads.flat()
-    if len(flat_grads) != len(params):
+    if grads.layer_dims != model.layer_dims:
         raise DimensionError(
-            f"expected {len(params)} gradient arrays, got {len(flat_grads)}"
+            f"expected gradients for layers {model.layer_dims}, got {grads.layer_dims}"
         )
+    g = grads.vector
     where = f" ({context})" if context else ""
-    for g in flat_grads:
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient before Adam update{where}")
+    if not np.isfinite(g).all():
+        raise TrainingError(f"non-finite gradient before Adam update{where}")
     state.t += 1
     bc1 = 1.0 - state.beta1**state.t
     bc2 = 1.0 - state.beta2**state.t
-    for p, g, m, v in zip(params, flat_grads, state.m, state.v):
-        m[...] = state.beta1 * m + (1.0 - state.beta1) * g
-        v[...] = state.beta2 * v + (1.0 - state.beta2) * g * g
-        m_hat = m / bc1
-        v_hat = v / bc2
-        p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
-        if not np.all(np.isfinite(p)):
-            raise TrainingError(f"non-finite parameter after Adam update{where}")
+    m, v, (step, denom) = state.m, state.v, state.scratch
+    # In place, elementwise and in this order:
+    #   m = b1*m + (1-b1)*g,  v = b2*v + ((1-b2)*g)*g,
+    #   p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
+    m *= state.beta1
+    m += np.multiply(g, 1.0 - state.beta1, out=step)
+    v *= state.beta2
+    v += np.multiply(np.multiply(g, 1.0 - state.beta2, out=step), g, out=step)
+    np.sqrt(np.divide(v, bc2, out=denom), out=denom)
+    denom += state.epsilon
+    np.divide(m, bc1, out=step)
+    step *= state.learning_rate
+    step /= denom
+    model.vector -= step
+    if not np.isfinite(model.vector).all():
+        raise TrainingError(f"non-finite parameter after Adam update{where}")
     model.version += 1
 
 
@@ -296,7 +326,7 @@ class EarlyStopState:
     min_delta: float = 0.0
     best: float = np.inf
     bad_epochs: int = 0
-    best_parameters: list[np.ndarray] | None = None
+    best_parameters: np.ndarray | None = None
     best_epoch: int = -1
 
     def step(self, loss: float, model: MlpModel, epoch: int) -> bool:
@@ -316,20 +346,37 @@ class EarlyStopState:
             model.set_parameters(self.best_parameters)
 
 
+@contextmanager
+def atomic_write(path: str | Path) -> Iterator[TextIO]:
+    """Write text to a temporary file beside path that replaces path when
+    the block completes and is removed if it raises, so path never holds
+    a partial write. The name is unique per process and thread."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "w") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(model: MlpModel, path: str | Path, extra: dict | None = None) -> None:
     """Serialize the model (and an optional extra payload) to JSON."""
-    flat = np.concatenate([p.ravel() for p in model.parameters()])
     payload = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "layer_dims": list(model.layer_dims),
         "activation": model.activation,
         "dtype": CHECKPOINT_DTYPE,
         "parameters_b64": base64.b64encode(
-            flat.astype(CHECKPOINT_DTYPE).tobytes()
+            model.vector.astype(CHECKPOINT_DTYPE).tobytes()
         ).decode("ascii"),
         "extra": extra if extra is not None else {},
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with atomic_write(path) as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def load_checkpoint(path: str | Path) -> tuple[MlpModel, dict]:
@@ -365,21 +412,13 @@ def load_checkpoint(path: str | Path) -> tuple[MlpModel, dict]:
     except (ValueError, TypeError) as exc:
         raise DataError(f"checkpoint {path} has corrupt parameter encoding") from exc
     flat = np.frombuffer(raw, dtype=CHECKPOINT_DTYPE).astype(float)
-    shapes = list(zip(dims[:-1], dims[1:]))
-    sizes = [n for fan_in, fan_out in shapes for n in (fan_in * fan_out, fan_out)]
-    if flat.size != sum(sizes):
+    dims = tuple(dims)
+    if flat.size != _parameter_total(dims):
         raise DataError(
             f"checkpoint {path} holds {flat.size} parameters, "
-            f"model needs {sum(sizes)}"
+            f"model needs {_parameter_total(dims)}"
         )
-    # (W0, b0, W1, b1, ...) as views into the one decoded vector.
-    parts = np.split(flat, np.cumsum(sizes)[:-1])
-    model = MlpModel(
-        layer_dims=tuple(dims),
-        weights=[w.reshape(shape) for w, shape in zip(parts[0::2], shapes)],
-        biases=parts[1::2],
-        activation=activation,
-    )
+    model = MlpModel(layer_dims=dims, vector=flat, activation=activation)
     extra = payload.get("extra", {})
     if not isinstance(extra, dict):
         raise DataError(f"checkpoint {path} extra payload must be a JSON object")

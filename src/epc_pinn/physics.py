@@ -26,7 +26,7 @@ training loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -110,16 +110,7 @@ class PhysicsConstants:
             ) from None
 
     def to_dict(self) -> dict:
-        return {
-            "delta_t": self.delta_t,
-            "heating_days": self.heating_days,
-            "hours_per_day": self.hours_per_day,
-            "w_to_kw": self.w_to_kw,
-            "bridge_fraction": self.bridge_fraction,
-            "vent_coefficient": self.vent_coefficient,
-            "time_constants": dict(self.time_constants),
-            "near_one_epsilon": self.near_one_epsilon,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PhysicsConstants":

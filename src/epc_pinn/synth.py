@@ -23,7 +23,7 @@ the vectorized model, used to cross-check it.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -98,19 +98,7 @@ class SerieProfile:
         _check_range(f"{self.name}.heat_gains", self.heat_gains)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "building_type": self.building_type,
-            "floors": list(self.floors),
-            "footprint": list(self.footprint),
-            "apartment_area": list(self.apartment_area),
-            "u_means": list(self.u_means),
-            "u_spread": self.u_spread,
-            "window_fraction": list(self.window_fraction),
-            "door_fraction": list(self.door_fraction),
-            "air_exchange": list(self.air_exchange),
-            "heat_gains": list(self.heat_gains),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SerieProfile":
@@ -208,19 +196,7 @@ class GeneratorConfig:
             raise ConfigError("need at least one consumption year")
 
     def to_dict(self) -> dict:
-        return {
-            "n_buildings": self.n_buildings,
-            "seed": self.seed,
-            "consumption_noise": self.consumption_noise,
-            "audit_noise": self.audit_noise,
-            "series": [p.to_dict() for p in self.series],
-            "constants": self.constants.to_dict(),
-            "storey_height": self.storey_height,
-            "useful_fraction": self.useful_fraction,
-            "aspect_ratio": list(self.aspect_ratio),
-            "roof_factor": list(self.roof_factor),
-            "years": list(self.years),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "GeneratorConfig":

@@ -22,9 +22,9 @@ import glob
 import json
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +48,7 @@ from .nn import (
     backward,
     forward,
     init_model,
+    atomic_write,
     save_checkpoint,
 )
 from .physics import STATE_DIM, PhysicsConstants, energy_consumption_batch
@@ -98,21 +99,7 @@ class TrainConfig:
             raise ConfigError(f"physics_weight must be >= 0, got {self.physics_weight}")
 
     def to_dict(self) -> dict:
-        return {
-            "k_folds": self.k_folds,
-            "val_fraction": self.val_fraction,
-            "learning_rate": self.learning_rate,
-            "scheduler_patience": self.scheduler_patience,
-            "scheduler_factor": self.scheduler_factor,
-            "min_lr": self.min_lr,
-            "early_stop_patience": self.early_stop_patience,
-            "max_epochs": self.max_epochs,
-            "batch_size": self.batch_size,
-            "hidden_dims": list(self.hidden_dims),
-            "seed": self.seed,
-            "physics_weight": self.physics_weight,
-            "constants": self.constants.to_dict(),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TrainConfig":
@@ -139,14 +126,7 @@ class TrainHistory:
     best_epoch: int = -1
 
     def to_dict(self) -> dict:
-        return {
-            "train_loss": self.train_loss,
-            "val_loss": self.val_loss,
-            "learning_rate": self.learning_rate,
-            "stop_epoch": self.stop_epoch,
-            "best_val_loss": self.best_val_loss,
-            "best_epoch": self.best_epoch,
-        }
+        return asdict(self)
 
 
 @dataclass(eq=False)
@@ -254,7 +234,7 @@ def train_fold(
     shuffle_rng = np.random.default_rng(shuffle_seed)
     n_train = train_idx.shape[0]
     history = TrainHistory()
-    updated: set[int] = set()
+    updated = np.zeros(arrays.n, dtype=bool)
 
     batch_size = config.batch_size
     if batch_size is None:
@@ -276,7 +256,7 @@ def train_fold(
                 grads = backward(model, cache, value.gradient_wrt_predictions)
                 adam_step(model, grads, optimizer, context=f"epoch {epoch}")
                 weighted += value.total * rows.shape[0]
-                updated.update(int(i) for i in train_idx[rows])
+                updated[train_idx[rows]] = True
             train_loss = weighted / n_train
 
             val_pred, _ = forward(model, x_val)
@@ -323,7 +303,7 @@ def train_fold(
         train_indices=train_idx,
         val_indices=val_idx,
         scaler_fit_indices=train_idx.copy(),
-        update_indices=np.array(sorted(updated), dtype=int),
+        update_indices=np.flatnonzero(updated),
         predictions_physical=predictions,
         reconstructed_energy=energy,
         report=report,
@@ -414,7 +394,13 @@ def cross_validate(
                     pool.submit(train_fold, arrays, test_indices, config, i)
                     for i, test_indices in enumerate(folds)
                 ]
-                results = [f.result() for f in futures]
+                # After the first failure, drop the folds still queued
+                # instead of training them, then raise the failure of the
+                # lowest fold that ran.
+                wait(futures, return_when=FIRST_EXCEPTION)
+                for f in futures:
+                    f.cancel()
+                results = [f.result() for f in futures if not f.cancelled()]
     else:
         results = [
             train_fold(arrays, test_indices, config, i)
@@ -462,22 +448,24 @@ def results_payload(result: CrossValidationResult, config: TrainConfig) -> dict:
 def save_run_outputs(
     result: CrossValidationResult, config: TrainConfig, out_dir: str | Path
 ) -> dict[str, Path]:
-    """Write results.json, report.txt and one checkpoint per fold."""
+    """Write results.json, report.txt and one checkpoint per fold, each
+    through a temporary file, so none is ever left half written."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results_path = out_dir / "results.json"
-    results_path.write_text(
-        json.dumps(results_payload(result, config), indent=2, sort_keys=True) + "\n"
-    )
+    with atomic_write(results_path) as handle:
+        json.dump(results_payload(result, config), handle, indent=2, sort_keys=True)
+        handle.write("\n")
     report_path = out_dir / "report.txt"
-    report_path.write_text(
-        format_report_table(result.aggregate)
-        + f"\nfolds: {len(result.folds)}\n"
-        + "final training loss: "
-        + f"{result.final_train_loss_mean:.4f} ± {result.final_train_loss_std:.4f}\n"
-        + "best validation loss: "
-        + f"{result.best_val_loss_mean:.4f} ± {result.best_val_loss_std:.4f}\n"
-    )
+    with atomic_write(report_path) as handle:
+        handle.write(
+            format_report_table(result.aggregate)
+            + f"\nfolds: {len(result.folds)}\n"
+            + "final training loss: "
+            + f"{result.final_train_loss_mean:.4f} ± {result.final_train_loss_std:.4f}\n"
+            + "best validation loss: "
+            + f"{result.best_val_loss_mean:.4f} ± {result.best_val_loss_std:.4f}\n"
+        )
     paths = {"results": results_path, "report": report_path}
     for r in result.folds:
         checkpoint_path = out_dir / f"fold_{r.fold_index:02d}.json"

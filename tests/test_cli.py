@@ -298,6 +298,9 @@ class TestPredict:
             ("total_area", float("nan"), "not finite"),
             ("useful_area", float("inf"), "not finite"),
             ("floors", "two", "not an integer"),
+            ("floors", 0, "must be >= 1"),
+            ("useful_area", 0, "must be positive"),
+            ("total_area", -5, "must be positive"),
         ],
     )
     def test_malformed_numeric_field_is_exit_two(

@@ -258,10 +258,7 @@ def one_parameter_model():
 
 
 def unit_gradients(model):
-    return Gradients(
-        weights=[np.ones_like(w) for w in model.weights],
-        biases=[np.ones_like(b) for b in model.biases],
-    )
+    return Gradients(layer_dims=model.layer_dims, vector=np.ones_like(model.vector))
 
 
 class TestAdam:
@@ -322,9 +319,151 @@ class TestAdam:
 
     def test_gradient_layout_mismatch_is_dimension_error(self):
         model = init_model((2, 3, 1), seed=0)
-        bad = Gradients(weights=[np.zeros((2, 3))], biases=[np.zeros(3)])
+        bad = Gradients(layer_dims=(2, 3), vector=np.zeros(9))
         with pytest.raises(DimensionError):
             adam_step(model, bad, AdamState())
+
+    def test_gradient_vector_of_wrong_length_is_dimension_error(self):
+        with pytest.raises(DimensionError, match="13"):
+            Gradients(layer_dims=(2, 3, 1), vector=np.zeros(12))
+
+
+def reference_adam_step(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Textbook Adam, one parameter array at a time."""
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    for p, g, m_l, v_l in zip(params, grads, m, v):
+        m_l[...] = beta1 * m_l + (1.0 - beta1) * g
+        v_l[...] = beta2 * v_l + (1.0 - beta2) * g * g
+        p -= lr * (m_l / bc1) / (np.sqrt(v_l / bc2) + eps)
+
+
+def reference_backward(model, cache, output_grad):
+    """Per-layer backprop into freshly allocated arrays, (W0, b0, W1, ...)."""
+    grads = [None] * (2 * model.n_layers)
+    delta = output_grad
+    for l in range(model.n_layers - 1, -1, -1):
+        if l < model.n_layers - 1:
+            delta = delta * (cache.pre_activations[l] > 0)
+        grads[2 * l] = cache.activations[l].T @ delta
+        grads[2 * l + 1] = delta.sum(axis=0)
+        if l > 0:
+            delta = delta @ model.weights[l].T
+    return grads
+
+
+def concatenated(arrays):
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+class TestFlatLayout:
+    """All parameters (and all gradients) live in one contiguous vector,
+    and the fused vector updates equal per-array references bit for bit."""
+
+    @staticmethod
+    def assert_views_tile_the_vector(owner, arrays):
+        vector = owner.vector
+        assert vector.ndim == 1 and vector.dtype == np.float64
+        assert vector.flags.c_contiguous and vector.flags.writeable
+        for a in arrays:
+            assert np.shares_memory(a, vector)
+        # Distinct values written through the vector come back through the
+        # arrays in (W0, b0, W1, b1, ...) order, covering every element once.
+        vector[...] = np.arange(vector.size, dtype=float)
+        assert np.array_equal(concatenated(arrays), np.arange(vector.size))
+        arrays[0][...] = -1.0
+        assert np.all(vector[: arrays[0].size] == -1.0)
+
+    def test_init_model_parameters_are_views(self):
+        model = init_model((5, 7, 3), seed=0)
+        assert model.vector.size == model.parameter_count() == 5 * 7 + 7 + 7 * 3 + 3
+        self.assert_views_tile_the_vector(model, model.parameters())
+
+    def test_loaded_parameters_are_views(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_checkpoint(init_model((4, 6, 6, 3), seed=2), path)
+        restored, _ = load_checkpoint(path)
+        self.assert_views_tile_the_vector(restored, restored.parameters())
+
+    def test_gradients_are_views(self):
+        model = init_model((3, 4, 2), seed=1)
+        _, cache = forward(model, np.ones((2, 3)))
+        grads = backward(model, cache, np.ones((2, 2)))
+        assert grads.vector.shape == model.vector.shape
+        self.assert_views_tile_the_vector(grads, grads.flat())
+
+    def test_set_parameters_shape_mismatch_is_dimension_error(self):
+        model = init_model((2, 3, 1), seed=0)
+        with pytest.raises(DimensionError):
+            model.set_parameters(np.zeros(model.parameter_count() + 1))
+
+    def test_backward_matches_per_array_reference_bitwise(self):
+        model = init_model((17, 64, 32, 12), seed=3)
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(40, 17))
+        g = rng.normal(size=(40, 12))
+        _, cache = forward(model, x)
+        grads = backward(model, cache, g)
+        expected = reference_backward(model, cache, g)
+        assert len(grads.flat()) == len(expected)
+        for got, want in zip(grads.flat(), expected):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_fused_adam_matches_per_array_reference_bitwise(self):
+        """60 steps of randomized gradients spanning 1e-8 to 1e4 in
+        magnitude (and exact zeros), with the learning rate cut midway:
+        parameters and both moments stay bitwise equal."""
+        model = init_model((17, 32, 16, 12), seed=5)
+        reference = [p.copy() for p in model.parameters()]
+        ref_m = [np.zeros_like(p) for p in reference]
+        ref_v = [np.zeros_like(p) for p in reference]
+        state = AdamState(learning_rate=0.003)
+        rng = np.random.default_rng(6)
+        for t in range(1, 61):
+            if t == 31:
+                state.learning_rate = 3e-4
+            scale = 10.0 ** rng.uniform(-8, 4, size=model.vector.size)
+            vector = rng.normal(size=model.vector.size) * scale
+            vector[rng.random(model.vector.size) < 0.05] = 0.0
+            grads = Gradients(layer_dims=model.layer_dims, vector=vector)
+            adam_step(model, grads, state)
+            reference_adam_step(reference, grads.flat(), ref_m, ref_v, t, state.learning_rate)
+            assert model.vector.tobytes() == concatenated(reference).tobytes()
+            assert state.m.tobytes() == concatenated(ref_m).tobytes()
+            assert state.v.tobytes() == concatenated(ref_v).tobytes()
+        assert state.t == 60
+
+    def test_non_finite_parameter_after_update_is_training_error(self):
+        model = one_parameter_model()
+        model.vector[0] = np.inf
+        with pytest.raises(TrainingError, match="parameter after Adam update.*epoch 7"):
+            adam_step(model, unit_gradients(model), AdamState(), context="epoch 7")
+
+    def test_restore_best_is_bitwise_and_independent_of_later_updates(self):
+        model = init_model((6, 8, 3), seed=7)
+        state = AdamState()
+        stopper = EarlyStopState()
+        rng = np.random.default_rng(8)
+
+        def step():
+            vector = rng.normal(size=model.vector.size)
+            adam_step(model, Gradients(model.layer_dims, vector), state)
+
+        for _ in range(3):
+            step()
+        stopper.step(0.5, model, 3)
+        snapshot = model.vector.tobytes()
+        for epoch in range(4, 8):
+            step()
+            stopper.step(0.9, model, epoch)
+        assert model.vector.tobytes() != snapshot
+        assert stopper.best_parameters.tobytes() == snapshot
+        vector = model.vector
+        stopper.restore_best(model)
+        assert model.vector is vector  # restored in place, views still valid
+        assert model.vector.tobytes() == snapshot
+        assert concatenated(model.parameters()).tobytes() == snapshot
 
 
 class TestPlateauScheduler:
@@ -409,7 +548,7 @@ class TestEarlyStop:
         model = init_model((2, 3, 1), seed=1)
         stopper = EarlyStopState()
         stopper.step(0.5, model, 0)
-        best = model.copy_parameters()
+        best = [p.copy() for p in model.parameters()]
         adam_step(model, unit_gradients(model), AdamState())
         stopper.step(0.7, model, 1)
         assert not np.array_equal(model.weights[0], best[0])
@@ -490,6 +629,23 @@ class TestCheckpoint:
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match=message):
             load_checkpoint(path)
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path):
+        """Serialization that raises midway leaves neither a partial
+        checkpoint nor a temporary file, and an existing checkpoint keeps
+        its bytes."""
+        path = tmp_path / "model.json"
+        model = init_model((3, 2), seed=0)
+        unserializable = {"a": 1, "b": object()}
+        with pytest.raises(TypeError):
+            save_checkpoint(model, path, extra=unserializable)
+        assert list(tmp_path.iterdir()) == []
+        save_checkpoint(model, path)
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            save_checkpoint(init_model((3, 2), seed=1), path, extra=unserializable)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == before
 
     def test_truncated_parameters_is_data_error(self, tmp_path):
         import base64

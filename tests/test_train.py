@@ -283,6 +283,33 @@ class TestCrossValidate:
         monkeypatch.undo()
         assert len(cross_validate(subset(arrays, 20), quick_config(max_epochs=1)).folds) == 10
 
+    def test_a_failed_fold_cancels_the_queued_folds(self, arrays, monkeypatch):
+        """With 2 workers, fold 0 failing at once stops the run while
+        fold 1 still trains: at most the fold that replaced fold 0 starts,
+        never the rest of the queue."""
+        started = []
+
+        def fold(arrays, test_indices, config, fold_index):
+            started.append(fold_index)
+            if fold_index == 0:
+                raise TrainingError("fold 0: non-finite gradient")
+            time.sleep(1.0)
+
+        monkeypatch.setattr(train, "train_fold", fold)
+        with pytest.raises(TrainingError, match="fold 0"):
+            cross_validate(arrays, quick_config(), max_workers=2)
+        assert sorted(started) in ([0, 1], [0, 1, 2])
+
+    def test_the_lowest_failed_fold_is_raised(self, arrays, monkeypatch):
+        def fold(arrays, test_indices, config, fold_index):
+            if fold_index in (1, 2):
+                raise TrainingError(f"fold {fold_index}: non-finite gradient")
+            time.sleep(0.05)
+
+        monkeypatch.setattr(train, "train_fold", fold)
+        with pytest.raises(TrainingError, match="fold 1"):
+            cross_validate(arrays, quick_config(), max_workers=2)
+
 
 BLAS_API = train._openblas_thread_api()
 
@@ -397,6 +424,20 @@ class TestSaveRunOutputs:
         assert np.array_equal(restored.data_min_, result.folds[0].input_scaler.data_min_)
         assert extra["constants"]["delta_t"] == 18.9
         assert extra["fold"] == 0
+
+    def test_failed_write_leaves_no_partial_file(self, arrays, tmp_path, monkeypatch):
+        """Serialization that raises midway leaves the earlier results.json
+        as it was and no temporary file behind."""
+        config = quick_config(max_epochs=1)
+        result = cross_validate(arrays, config)
+        save_run_outputs(result, config, tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        monkeypatch.setattr(
+            train, "results_payload", lambda result, config: {"a": 1, "b": object()}
+        )
+        with pytest.raises(TypeError):
+            save_run_outputs(result, config, tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_two_identical_runs_serialize_identically(self, arrays, tmp_path):
         config = quick_config(max_epochs=2)
