@@ -37,7 +37,7 @@ from .errors import (
     UndefinedMetricError,
 )
 from .metrics import fold_report, format_metrics_table, format_report_table
-from .nn import load_checkpoint
+from .nn import atomic_write, load_checkpoint
 from .physics import (
     COMPONENTS,
     EnvelopeState,
@@ -67,7 +67,9 @@ def _load_json(path: str | Path, what: str) -> dict:
     if not path.exists():
         raise DataError(f"{what} file not found: {path}")
     try:
-        payload = json.loads(path.read_text())
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{what} file {path} cannot be read: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DataError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -175,10 +177,8 @@ def cmd_train(args) -> int:
 
     out_dir = Path(_setting(args, config, "out", "."))
     paths = save_run_outputs(result, train_config, out_dir)
-    drop_path = out_dir / "drop_report.txt"
-    drop_path.write_text(
-        "".join(f"{number}: {reason}\n" for number, reason in dropped)
-    )
+    with atomic_write(out_dir / "drop_report.txt") as handle:
+        handle.write("".join(f"{number}: {reason}\n" for number, reason in dropped))
     print(format_report_table(result.aggregate), end="")
     print(f"\nsamples: {arrays.n} (dropped: {len(dropped)})")
     print(f"results: {paths['results']}")
@@ -214,7 +214,8 @@ def cmd_predict(args) -> int:
     }
     text = json.dumps(output, indent=2, sort_keys=True)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        with atomic_write(args.out) as handle:
+            handle.write(text + "\n")
         print(f"prediction: {args.out}")
     else:
         print(text)
@@ -292,11 +293,9 @@ def cmd_evaluate(args) -> int:
     print(format_metrics_table(report), end="")
     print(f"\nsamples: {arrays.n} (dropped: {len(dropped)})")
     if args.out:
-        out_path = Path(args.out)
-        out_path.write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
-        print(f"metrics: {out_path}")
+        with atomic_write(args.out) as handle:
+            handle.write(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+        print(f"metrics: {Path(args.out)}")
     return 0
 
 

@@ -7,11 +7,20 @@ Four comma-separated UTF-8 files with header rows feed the pipeline:
     audit_components.csv   one row per (building, envelope component)
     consumption.csv        measured annual totals per year 2017..2020
 
+Each file is parsed in one pass: csv.reader yields the rows, the header
+is mapped to column indices once, and each row's cells go straight
+through their column parsers into a record. The files are UTF-8, with or
+without a leading byte-order mark; a file that cannot be read or decoded
+is a DataError naming it (exit 2 on the command line), like any other
+input problem.
+
 The cadastre number is the primary key throughout. Buildings surviving an
 inner join with all five envelope components and a consumption record
 become JoinedSamples: a 17-dimensional feature vector, the 12 target
 quantities as an EnvelopeState (with U-values derived from heat loss
-coefficient over area), and the measured mean annual consumption.
+coefficient over area), and the measured mean annual consumption. The
+targets of all joined buildings are checked for finite, non-negative
+values in one pass.
 
 Scaling is plain min-max per column with a guarded divisor for constant
 columns; splitting covers shuffled k-fold partitions and the
@@ -21,6 +30,7 @@ train/validation split used for scheduling and early stopping.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -28,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DataError, UsageError
-from .physics import COMPONENTS, N_COMPONENTS, STATE_DIM, EnvelopeState, u_value
+from .physics import COMPONENTS, EnvelopeState, u_value
 
 # The twelve construction-era categories. Synthetic cohorts use these
 # names; real data must use them too for the one-hot encoding to apply.
@@ -173,7 +183,10 @@ class ConsumptionRecord:
                     f"building {self.cadastre_number}: negative consumption "
                     f"{total} for {year}"
                 )
-        self.mean_annual = float(np.mean(list(self.annual_totals.values())))
+        # The reduction np.mean runs, without its per-call overhead, so the
+        # value is bitwise np.mean's.
+        totals = np.array(list(self.annual_totals.values()), dtype=float)
+        self.mean_annual = float(np.add.reduce(totals)) / totals.size
 
 
 @dataclass
@@ -219,7 +232,7 @@ def _parse_float(raw: str) -> float:
         value = float(raw)
     except ValueError:
         raise ValueError(f"not a number: {raw!r}") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError(f"not finite: {raw!r}")
     return value
 
@@ -307,12 +320,17 @@ AUDIT_COMPONENTS_SCHEMA = TableSchema(
 )
 
 
+def _parse_optional_float(raw: str) -> float | None:
+    """An empty cell is an absent value."""
+    return None if raw == "" else _parse_float(raw)
+
+
 def _build_consumption(attrs: dict) -> ConsumptionRecord:
-    totals = {}
-    for year in CONSUMPTION_YEARS:
-        raw = attrs[f"y{year}"]
-        if raw != "":
-            totals[year] = _parse_float(raw)
+    totals = {
+        year: attrs[f"y{year}"]
+        for year in CONSUMPTION_YEARS
+        if attrs[f"y{year}"] is not None
+    }
     return ConsumptionRecord(cadastre_number=attrs["cadastre_number"], annual_totals=totals)
 
 
@@ -320,8 +338,8 @@ CONSUMPTION_SCHEMA = TableSchema(
     name="consumption",
     columns=(_col("cadastre_number", _parse_str),)
     + tuple(
-        # Empty cells mean the year is absent; parsing happens in the builder.
-        _col(f"total_energy_consumption_{year}", _parse_str, attr=f"y{year}")
+        # Empty cells mean the year is absent.
+        _col(f"total_energy_consumption_{year}", _parse_optional_float, attr=f"y{year}")
         for year in CONSUMPTION_YEARS
     ),
     build=_build_consumption,
@@ -346,48 +364,64 @@ def load_dataset(path: str | Path, schema: TableSchema) -> list:
 
     Raises DataError naming the file, row and column for the first
     problem found: a missing column, an unparseable cell, a record
-    invariant violation, or a duplicate key.
+    invariant violation, or a duplicate key; and naming the file when it
+    cannot be read or decoded at all.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"{schema.name} file not found: {path}")
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            return _read_records(path, schema, csv.reader(handle))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: cannot read {schema.name} file: {exc}") from None
+
+
+def _read_records(path: Path, schema: TableSchema, reader) -> list:
+    """The row loop of load_dataset. Rows are read as csv.DictReader would
+    present them: blank lines are skipped and not counted, a repeated
+    header name refers to its last column, and extra columns are ignored."""
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path}: empty file, expected a header row")
+    index = {name: i for i, name in enumerate(header)}
+    missing = [c.name for c in schema.columns if c.name not in index]
+    if missing:
+        raise DataError(f"{path}: missing column(s): {', '.join(missing)}")
+    plan = [(index[c.name], c.name, c.attr, c.parse) for c in schema.columns]
+    build, key_of = schema.build, schema.key
     records = []
     seen: dict[object, int] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: empty file, expected a header row")
-        missing = [c.name for c in schema.columns if c.name not in reader.fieldnames]
-        if missing:
-            raise DataError(f"{path}: missing column(s): {', '.join(missing)}")
-        for row_num, row in enumerate(reader, start=2):
-            attrs = {}
-            for column in schema.columns:
-                raw = row.get(column.name)
-                if raw is None:
-                    raise DataError(
-                        f"{path} row {row_num}: short row, no value for "
-                        f"column {column.name!r}"
-                    )
-                try:
-                    attrs[column.attr] = column.parse(raw)
-                except ValueError as exc:
-                    raise DataError(
-                        f"{path} row {row_num}, column {column.name!r}: {exc}"
-                    ) from None
+    row_num = 1
+    for row in reader:
+        if not row:
+            continue
+        row_num += 1
+        attrs = {}
+        for i, name, attr, parse in plan:
             try:
-                record = schema.build(attrs)
-            except DataError as exc:
-                raise DataError(f"{path} row {row_num}: {exc}") from None
-            if schema.key is not None:
-                key = schema.key(record)
-                if key in seen:
-                    raise DataError(
-                        f"{path} row {row_num}: duplicate key {key!r} "
-                        f"(first seen at row {seen[key]})"
-                    )
-                seen[key] = row_num
-            records.append(record)
+                raw = row[i]
+            except IndexError:
+                raise DataError(
+                    f"{path} row {row_num}: short row, no value for column {name!r}"
+                ) from None
+            try:
+                attrs[attr] = parse(raw)
+            except ValueError as exc:
+                raise DataError(f"{path} row {row_num}, column {name!r}: {exc}") from None
+        try:
+            record = build(attrs)
+        except DataError as exc:
+            raise DataError(f"{path} row {row_num}: {exc}") from None
+        if key_of is not None:
+            key = key_of(record)
+            if key in seen:
+                raise DataError(
+                    f"{path} row {row_num}: duplicate key {key!r} "
+                    f"(first seen at row {seen[key]})"
+                )
+            seen[key] = row_num
+        records.append(record)
     return records
 
 
@@ -497,7 +531,7 @@ def join_on_cadastre(
         | set(components_by_key)
         | set(consumption_by_key)
     )
-    samples: list[JoinedSample] = []
+    kept = []
     dropped: list[tuple[str, str]] = []
     for number in sorted(all_keys):
         if number not in land_by_key:
@@ -540,30 +574,48 @@ def join_on_cadastre(
         except ConfigError as exc:
             dropped.append((number, str(exc)))
             continue
-        areas = np.array([components[name].area for name in COMPONENTS])
-        u_values = np.array(
-            [
-                u_value(components[name].structure_heat_loss_coefficient, components[name].area)
-                for name in COMPONENTS
-            ]
+        kept.append((number, audit, [components[name] for name in COMPONENTS], features))
+    if not kept:
+        return [], dropped
+
+    # The twelve targets of every kept building in one matrix, checked at
+    # once (zero areas were dropped above); only a failing check takes the
+    # per-building path, which raises the DomainError of the first bad
+    # building in sorted order. A negative coefficient is checked on its
+    # own because its quotient can round to -0.0.
+    areas = np.array([[c.area for c in comps] for _, _, comps, _ in kept], dtype=float)
+    coefficients = np.array(
+        [[c.structure_heat_loss_coefficient for c in comps] for _, _, comps, _ in kept],
+        dtype=float,
+    )
+    rates = np.array(
+        [[a.air_exchange_rate, a.specific_heat_gains] for _, a, _, _ in kept], dtype=float
+    )
+    with np.errstate(all="ignore"):
+        targets = np.hstack([areas, coefficients / areas, rates])
+    if not (
+        np.all(coefficients >= 0) and np.all(np.isfinite(targets)) and np.all(targets >= 0)
+    ):
+        for _, audit, comps, _ in kept:
+            EnvelopeState(
+                areas=np.array([c.area for c in comps]),
+                u_values=np.array(
+                    [u_value(c.structure_heat_loss_coefficient, c.area) for c in comps]
+                ),
+                air_exchange_rate=audit.air_exchange_rate,
+                specific_heat_gains=audit.specific_heat_gains,
+            ).validate()
+    samples = [
+        JoinedSample(
+            cadastre_number=number,
+            features=features,
+            target_state=EnvelopeState.from_vector(row),
+            measured_energy=consumption_by_key[number].mean_annual,
+            useful_area=audit.useful_area,
+            building_type=audit.building_type,
         )
-        state = EnvelopeState(
-            areas=areas,
-            u_values=u_values,
-            air_exchange_rate=audit.air_exchange_rate,
-            specific_heat_gains=audit.specific_heat_gains,
-        )
-        state.validate()
-        samples.append(
-            JoinedSample(
-                cadastre_number=number,
-                features=features,
-                target_state=state,
-                measured_energy=consumption_by_key[number].mean_annual,
-                useful_area=audit.useful_area,
-                building_type=audit.building_type,
-            )
-        )
+        for (number, audit, _, features), row in zip(kept, targets)
+    ]
     return samples, dropped
 
 

@@ -11,7 +11,7 @@ import shutil
 import numpy as np
 import pytest
 
-from epc_pinn import cli
+from epc_pinn import cli, nn
 from epc_pinn.cli import main
 from epc_pinn.physics import COMPONENTS, EnvelopeState, PhysicsConstants, energy_consumption
 
@@ -35,6 +35,47 @@ def trained_run(clean_cohort_dir, tmp_path_factory):
     )
     assert code == 0
     return out
+
+
+@pytest.fixture
+def failing_write(monkeypatch):
+    """fail(name): writes to a file called name (through nn.atomic_write)
+    stop with an OSError after half of the text, as on a full disk."""
+
+    class HalfWriter:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def write(self, text):
+            self.handle.write(text[: len(text) // 2])
+            raise OSError(28, "No space left on device")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+    def fail(name):
+        def fake_open(path, *args, **kwargs):
+            handle = open(path, *args, **kwargs)
+            return HalfWriter(handle) if f".{name}." in str(path) else handle
+
+        monkeypatch.setattr(nn, "open", fake_open, raising=False)
+
+    return fail
+
+
+def latin1_cohort(source, target):
+    """A copy of a cohort whose first address holds a Latin-1 byte (0xe2)."""
+    shutil.copytree(source, target)
+    land = target / "land.csv"
+    lines = land.read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[9] = "M\u00e2in St 1"  # address
+    lines[1] = ",".join(cells)
+    land.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
+    return target
 
 
 def building_payload(**overrides):
@@ -233,6 +274,50 @@ class TestTrain:
         assert "row 2" in err and "floors" in err
 
 
+    def test_undecodable_csv_is_exit_two_naming_the_file(
+        self, clean_cohort_dir, tmp_path, capsys
+    ):
+        cohort = latin1_cohort(clean_cohort_dir, tmp_path / "latin1")
+        code = main(
+            ["train", "--seed", "1", "--data", str(cohort), "--out", str(tmp_path)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "land.csv" in err and "can't decode byte 0xe2" in err
+
+    def test_non_numeric_consumption_is_exit_two(self, clean_cohort_dir, tmp_path, capsys):
+        broken = tmp_path / "broken"
+        shutil.copytree(clean_cohort_dir, broken)
+        lines = (broken / "consumption.csv").read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[2] = "n/a"
+        lines[1] = ",".join(cells)
+        (broken / "consumption.csv").write_text("\n".join(lines) + "\n")
+        code = main(
+            ["train", "--seed", "1", "--data", str(broken), "--out", str(tmp_path)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "row 2, column 'total_energy_consumption_2018': not a number" in err
+
+    def test_failed_drop_report_write_keeps_the_old_file(
+        self, clean_cohort_dir, tmp_path, failing_write
+    ):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "drop_report.txt").write_text("earlier report\n")
+        failing_write("drop_report.txt")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"train": {"hidden_dims": [4], "max_epochs": 1}}))
+        code = main(
+            ["train", "--config", str(config_path), "--seed", "1",
+             "--data", str(clean_cohort_dir), "--out", str(out)]
+        )
+        assert code == 3
+        assert (out / "drop_report.txt").read_text() == "earlier report\n"
+        assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]
+
+
 class TestPredict:
     def test_prediction_is_internally_consistent(self, trained_run, tmp_path, capsys):
         building = tmp_path / "building.json"
@@ -337,6 +422,48 @@ class TestPredict:
         assert code == 2
 
 
+    def test_unreadable_building_file_is_exit_two(self, trained_run, tmp_path, capsys):
+        undecodable = tmp_path / "building.json"
+        undecodable.write_bytes(
+            json.dumps(building_payload(cadastre_number="M\u00e2in"), ensure_ascii=False)
+            .encode("latin-1")
+        )
+        directory = tmp_path / "building_dir"
+        directory.mkdir()
+        for building in (undecodable, directory):
+            code = main(
+                ["predict", "--checkpoint", str(trained_run / "fold_00.json"),
+                 "--building", str(building)]
+            )
+            assert code == 2
+            assert str(building) in capsys.readouterr().err
+
+    def test_undecodable_checkpoint_is_exit_two(self, trained_run, tmp_path, capsys):
+        checkpoint = tmp_path / "fold_00.json"
+        checkpoint.write_bytes(b"\xff" + (trained_run / "fold_00.json").read_bytes())
+        building = tmp_path / "building.json"
+        building.write_text(json.dumps(building_payload()))
+        code = main(
+            ["predict", "--checkpoint", str(checkpoint), "--building", str(building)]
+        )
+        assert code == 2
+        assert str(checkpoint) in capsys.readouterr().err
+
+    def test_failed_out_write_keeps_the_old_file(self, trained_run, tmp_path, failing_write):
+        building = tmp_path / "building.json"
+        building.write_text(json.dumps(building_payload()))
+        out_path = tmp_path / "prediction.json"
+        out_path.write_text("earlier prediction\n")
+        failing_write("prediction.json")
+        code = main(
+            ["predict", "--checkpoint", str(trained_run / "fold_00.json"),
+             "--building", str(building), "--out", str(out_path)]
+        )
+        assert code == 3
+        assert out_path.read_text() == "earlier prediction\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["building.json", "prediction.json"]
+
+
 class TestAudit:
     def test_worked_example_breakdown(self, tmp_path, capsys):
         """The stdout table must show the hand-checked chain: envelope
@@ -435,6 +562,47 @@ class TestEvaluate:
              "--data", str(clean_cohort_dir)]
         )
         assert code == 2
+
+
+    def test_undecodable_csv_is_exit_two_naming_the_file(
+        self, trained_run, clean_cohort_dir, tmp_path, capsys
+    ):
+        cohort = latin1_cohort(clean_cohort_dir, tmp_path / "latin1")
+        code = main(
+            ["evaluate", "--checkpoint", str(trained_run / "fold_00.json"),
+             "--data", str(cohort)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "land.csv" in err and "can't decode byte 0xe2" in err
+
+    def test_directory_in_place_of_consumption_is_exit_two(
+        self, trained_run, clean_cohort_dir, tmp_path, capsys
+    ):
+        cohort = tmp_path / "cohort"
+        shutil.copytree(clean_cohort_dir, cohort)
+        (cohort / "consumption.csv").unlink()
+        (cohort / "consumption.csv").mkdir()
+        code = main(
+            ["evaluate", "--checkpoint", str(trained_run / "fold_00.json"),
+             "--data", str(cohort)]
+        )
+        assert code == 2
+        assert "consumption.csv" in capsys.readouterr().err
+
+    def test_failed_out_write_keeps_the_old_file(
+        self, trained_run, clean_cohort_dir, tmp_path, failing_write
+    ):
+        metrics_path = tmp_path / "metrics.json"
+        metrics_path.write_text("earlier metrics\n")
+        failing_write("metrics.json")
+        code = main(
+            ["evaluate", "--checkpoint", str(trained_run / "fold_00.json"),
+             "--data", str(clean_cohort_dir), "--out", str(metrics_path)]
+        )
+        assert code == 3
+        assert metrics_path.read_text() == "earlier metrics\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.json"]
 
 
 class TestArgumentHandling:

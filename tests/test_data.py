@@ -7,6 +7,7 @@ checked by hand and by roundtrip; the splits are checked as exact
 partitions.
 """
 
+import csv
 import shutil
 
 import numpy as np
@@ -35,7 +36,7 @@ from epc_pinn.data import (
     load_dataset,
     train_val_split,
 )
-from epc_pinn.errors import ConfigError, DataError, UsageError
+from epc_pinn.errors import ConfigError, DataError, DomainError, UsageError
 from epc_pinn.physics import COMPONENTS
 
 LAND_HEADER = (
@@ -231,6 +232,20 @@ class TestLoadDataset:
         records = load_dataset(path, CONSUMPTION_SCHEMA)
         assert records[0].mean_annual == pytest.approx(1000.0)
 
+    def test_consumption_mean_is_bitwise_numpy_mean(self):
+        """Over random totals of one to twelve years, including values
+        whose sum depends on the summation order."""
+        rng = np.random.default_rng(11)
+        cases = [[1e16, 1.0, 1.0, 0.0], [0.0], [-0.0], [3, 1e-300, 7.5, 1e300]]
+        for _ in range(3000):
+            n = int(rng.integers(1, 13))
+            scale = 10.0 ** rng.integers(-300, 300, size=n)
+            cases.append(list(rng.uniform(0, 1, size=n) * scale))
+        for totals in cases:
+            record = make_consumption(totals=dict(enumerate(totals, start=2000)))
+            expected = float(np.mean(totals))
+            assert record.mean_annual.hex() == expected.hex()
+
     def test_consumption_skips_empty_years(self, tmp_path):
         """Only 2018 and 2020 present: mean of 1200 and 800 is 1000."""
         path = tmp_path / "consumption.csv"
@@ -238,6 +253,17 @@ class TestLoadDataset:
         records = load_dataset(path, CONSUMPTION_SCHEMA)
         assert records[0].annual_totals == {2018: 1200.0, 2020: 800.0}
         assert records[0].mean_annual == pytest.approx(1000.0)
+
+    @pytest.mark.parametrize("cell, problem", [("abc", "not a number"),
+                                                ("nan", "not finite")])
+    def test_consumption_bad_year_names_row_and_column(self, tmp_path, cell, problem):
+        path = tmp_path / "consumption.csv"
+        write(path, CONSUMPTION_HEADER, [f"01000000001,1000.0,,{cell},800.0"])
+        with pytest.raises(DataError) as err:
+            load_dataset(path, CONSUMPTION_SCHEMA)
+        assert str(err.value) == (
+            f"{path} row 2, column 'total_energy_consumption_2019': {problem}: {cell!r}"
+        )
 
     def test_consumption_with_no_years_is_data_error(self, tmp_path):
         path = tmp_path / "consumption.csv"
@@ -265,6 +291,72 @@ class TestLoadDataset:
         )
         with pytest.raises(DataError, match="month"):
             load_dataset(path, MONTHLY_SCHEMA)
+
+
+    def test_blank_lines_are_skipped_and_not_counted(self, tmp_path):
+        """As with csv.DictReader: the bad row after two blank lines is
+        still the second data row, row 3."""
+        path = tmp_path / "land.csv"
+        write(path, LAND_HEADER, [land_row("01000000001"), "", "",
+                                  land_row("01000000002", floors="x")])
+        with pytest.raises(DataError, match="row 3, column 'floors'"):
+            load_dataset(path, LAND_SCHEMA)
+
+    def test_repeated_header_name_reads_the_last_column(self, tmp_path):
+        path = tmp_path / "land.csv"
+        write(path, LAND_HEADER + ",floors", [land_row(floors="3") + ",7"])
+        assert load_dataset(path, LAND_SCHEMA)[0].floors == 7
+
+    def test_extra_and_reordered_columns_are_allowed(self, tmp_path):
+        path = tmp_path / "components.csv"
+        write(
+            path,
+            "note,area,structure_heat_loss_coefficient,energy_consumption,"
+            "material,enclosing_structure,cadastre_number",
+            ["x,300.0,150.0,0.0,brick,Walls,01000000001"],
+        )
+        [record] = load_dataset(path, AUDIT_COMPONENTS_SCHEMA)
+        assert (record.cadastre_number, record.enclosing_structure) == (
+            "01000000001", "Walls")
+        assert (record.area, record.structure_heat_loss_coefficient) == (300.0, 150.0)
+
+    def test_short_row_names_the_first_missing_schema_column(self, tmp_path):
+        """Schema order, not file order: the file puts area last, but the
+        schema asks for energy_consumption before area."""
+        path = tmp_path / "components.csv"
+        write(
+            path,
+            "cadastre_number,enclosing_structure,material,"
+            "structure_heat_loss_coefficient,energy_consumption,area",
+            ["01000000001,Walls,brick,150.0"],
+        )
+        with pytest.raises(DataError) as err:
+            load_dataset(path, AUDIT_COMPONENTS_SCHEMA)
+        assert str(err.value) == (
+            f"{path} row 2: short row, no value for column 'energy_consumption'"
+        )
+
+    def test_undecodable_bytes_are_data_error_naming_the_file(self, tmp_path):
+        """A Latin-1 address (0xe2 is not UTF-8 here)."""
+        path = tmp_path / "land.csv"
+        path.write_bytes(
+            (LAND_HEADER + "\n" + land_row()).replace("Main", "M\u00e2in").encode("latin-1")
+        )
+        with pytest.raises(DataError, match="land.csv.*can't decode byte 0xe2"):
+            load_dataset(path, LAND_SCHEMA)
+
+    def test_directory_in_place_of_the_file_is_data_error(self, tmp_path):
+        path = tmp_path / "consumption.csv"
+        path.mkdir()
+        with pytest.raises(DataError, match="consumption.csv"):
+            load_dataset(path, CONSUMPTION_SCHEMA)
+
+    def test_csv_parser_error_is_data_error(self, tmp_path):
+        path = tmp_path / "land.csv"
+        huge = "x" * (csv.field_size_limit() + 1)
+        write(path, LAND_HEADER, [land_row().replace("Main St 1", huge)])
+        with pytest.raises(DataError, match="land.csv.*field larger than field limit"):
+            load_dataset(path, LAND_SCHEMA)
 
 
 class TestAggregateConsumption:
@@ -427,6 +519,53 @@ class TestJoinOnCadastre:
         assert dropped == [("01000000002", "missing component: Windows")]
 
 
+    def test_bad_targets_raise_for_the_first_building_in_sorted_order(self):
+        """The one-pass check over all targets hands a failure to the
+        per-building path, which raises for the first bad building by
+        cadastre number, whatever the input order."""
+        numbers = ["01000000003", "01000000002", "01000000001"]
+        audits = [make_audit(n) for n in numbers]
+        components = [c for n in numbers for c in make_components(n)]
+        audits[0].air_exchange_rate = -1.0  # 03: negative, set after the record check
+        components[5].structure_heat_loss_coefficient = 1e308  # 02: U overflows
+        components[5].area = 1e-10
+        args = ([make_land(n) for n in numbers], audits, components,
+                [make_consumption(n) for n in numbers])
+        with pytest.raises(DomainError, match="non-finite"):
+            join_on_cadastre(*args)
+        components[5].area = 200.0
+        with pytest.raises(DomainError, match=r"entry 10 is negative \(-1.0\)"):
+            join_on_cadastre(*args)
+        audits[0].air_exchange_rate = 0.8
+        components[12].structure_heat_loss_coefficient = -5e-324  # 01: U rounds to -0.0
+        with pytest.raises(DomainError, match="heat loss coefficient must be >= 0"):
+            join_on_cadastre(*args)
+        components[12].structure_heat_loss_coefficient = 100.0
+        components[13].area = -200.0  # 01: negative area
+        with pytest.raises(DomainError, match="area must be positive"):
+            join_on_cadastre(*args)
+
+    def test_targets_match_the_per_building_quotients(self):
+        """Every U-value is bitwise the coefficient / area of its row."""
+        rng = np.random.default_rng(5)
+        numbers = [f"0100000000{i}" for i in range(6)]
+        components = [c for n in numbers for c in make_components(n)]
+        for comp in components:
+            comp.area = float(rng.uniform(0.01, 5000.0))
+            comp.structure_heat_loss_coefficient = float(rng.uniform(0.0, 3000.0))
+        samples, dropped = join_on_cadastre(
+            [make_land(n) for n in numbers], [make_audit(n) for n in numbers],
+            components, [make_consumption(n) for n in numbers],
+        )
+        assert dropped == []
+        for i, sample in enumerate(samples):
+            comps = components[5 * i:5 * i + 5]
+            assert sample.target_state.areas.tolist() == [c.area for c in comps]
+            assert sample.target_state.u_values.tolist() == [
+                c.structure_heat_loss_coefficient / c.area for c in comps
+            ]
+
+
 class TestLoadCohort:
     def test_generated_cohort_loads_clean(self, clean_cohort_dir):
         samples, dropped = load_cohort(clean_cohort_dir)
@@ -449,6 +588,21 @@ class TestLoadCohort:
         for a, m in zip(annual_samples, monthly_samples):
             assert m.cadastre_number == a.cadastre_number
             assert m.measured_energy == pytest.approx(a.measured_energy, rel=1e-12)
+
+    def test_byte_order_marks_load_the_same_samples(self, clean_cohort_dir, tmp_path):
+        """Cohort files saved with a UTF-8 byte-order mark, as spreadsheet
+        programs write them, load exactly as the plain files."""
+        plain, plain_dropped = load_cohort(clean_cohort_dir)
+        copy_dir = tmp_path / "bom"
+        shutil.copytree(clean_cohort_dir, copy_dir)
+        for path in copy_dir.glob("*.csv"):
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        samples, dropped = load_cohort(copy_dir)
+        assert dropped == plain_dropped
+        assert [s.cadastre_number for s in samples] == [s.cadastre_number for s in plain]
+        assert np.array_equal(build_matrices(samples).targets, build_matrices(plain).targets)
+        assert np.array_equal(build_matrices(samples).features, build_matrices(plain).features)
+        assert [s.measured_energy for s in samples] == [s.measured_energy for s in plain]
 
     def test_no_consumption_files_is_data_error(self, clean_cohort_dir, tmp_path):
         copy_dir = tmp_path / "no_consumption"
@@ -624,3 +778,136 @@ class TestTrainValSplit:
             train_val_split(np.arange(10), 0.0, seed=0)
         with pytest.raises(ConfigError):
             train_val_split(np.arange(10), 1.0, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Property tests of the loader: generated tables with valid and malformed
+# cells, short and long rows, blank lines, repeated keys and header names,
+# and extra, missing or reordered columns.
+
+
+def _reference_load(path, schema):
+    """load_dataset as a csv.DictReader loop, written independently of the
+    one-pass loader: same checks in the same order."""
+    records, seen = [], {}
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.DictReader(handle)
+        if reader.fieldnames is None:
+            raise DataError(f"{path}: empty file, expected a header row")
+        missing = [c.name for c in schema.columns if c.name not in reader.fieldnames]
+        if missing:
+            raise DataError(f"{path}: missing column(s): {', '.join(missing)}")
+        for row_num, row in enumerate(reader, start=2):
+            attrs = {}
+            for column in schema.columns:
+                raw = row.get(column.name)
+                if raw is None:
+                    raise DataError(
+                        f"{path} row {row_num}: short row, no value for "
+                        f"column {column.name!r}"
+                    )
+                try:
+                    attrs[column.attr] = column.parse(raw)
+                except ValueError as exc:
+                    raise DataError(
+                        f"{path} row {row_num}, column {column.name!r}: {exc}"
+                    ) from None
+            try:
+                record = schema.build(attrs)
+            except DataError as exc:
+                raise DataError(f"{path} row {row_num}: {exc}") from None
+            if schema.key is not None:
+                key = schema.key(record)
+                if key in seen:
+                    raise DataError(
+                        f"{path} row {row_num}: duplicate key {key!r} "
+                        f"(first seen at row {seen[key]})"
+                    )
+                seen[key] = row_num
+            records.append(record)
+    return records
+
+
+def _outcome(load, path, schema):
+    try:
+        return "records", load(path, schema)
+    except DataError as exc:
+        return "error", str(exc)
+
+
+def _tables(st):
+    """Strategy for (schema, file text) pairs."""
+    schemas = st.sampled_from([LAND_SCHEMA, AUDIT_BUILDINGS_SCHEMA,
+                               AUDIT_COMPONENTS_SCHEMA, CONSUMPTION_SCHEMA, MONTHLY_SCHEMA])
+    number = st.one_of(
+        st.floats(-1e6, 1e6).map(repr),
+        st.integers(-3, 40).map(str),
+        st.sampled_from(["abc", "nan", "inf", "-inf", "1e400", "", " 2.5 ", "-0.0", "0"]),
+    )
+    text = st.text(alphabet="ab z_-.1", max_size=6)
+
+    def cell(name):
+        if name == "cadastre_number":
+            return st.sampled_from(["01", "02", "03", " 01", ""])
+        if name == "enclosing_structure":
+            return st.sampled_from(COMPONENTS + ("Chimney",))
+        if name in ("material", "geometry", "address", "serie", "building_type"):
+            return text
+        return number
+
+    @st.composite
+    def table(draw):
+        schema = draw(schemas)
+        names = [c.name for c in schema.columns]
+        header = draw(st.permutations(names))
+        if draw(st.booleans()):
+            header = header[: draw(st.integers(0, len(header) - 1))] + header[
+                draw(st.integers(0, len(header))):]
+        for extra in draw(st.lists(st.sampled_from(["note", "id"] + names), max_size=2)):
+            header.insert(draw(st.integers(0, len(header))), extra)
+        lines = [] if draw(st.integers(0, 20)) == 0 else [",".join(header)]
+        for _ in range(draw(st.integers(0, 6))):
+            if draw(st.integers(0, 5)) == 0:
+                lines.append("")
+                continue
+            row = [draw(cell(name)) for name in header]
+            cut = draw(st.integers(0, 8))
+            if cut == 0:
+                row = row[: draw(st.integers(0, len(row)))]
+            elif cut == 1:
+                row.append(draw(text))
+            lines.append(",".join(row))
+        return schema, "\n".join(lines) + ("\n" if lines and draw(st.booleans()) else "")
+
+    return table()
+
+
+def test_generated_tables_load_or_raise_data_error(tmp_path_factory):
+    hypothesis = pytest.importorskip("hypothesis")
+    path = tmp_path_factory.mktemp("property") / "table.csv"
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(_tables(hypothesis.strategies))
+    def check(case):
+        schema, text = case
+        path.write_text(text, encoding="utf-8")
+        kind, value = _outcome(load_dataset, path, schema)
+        assert kind == "error" or isinstance(value, list)
+
+    check()
+
+
+def test_loader_matches_a_dict_reader_reference(tmp_path_factory):
+    """Equal records, or equal DataError messages with the same row
+    numbers, on every generated table."""
+    hypothesis = pytest.importorskip("hypothesis")
+    path = tmp_path_factory.mktemp("differential") / "table.csv"
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(_tables(hypothesis.strategies))
+    def check(case):
+        schema, text = case
+        path.write_text(text, encoding="utf-8")
+        assert _outcome(load_dataset, path, schema) == _outcome(_reference_load, path, schema)
+
+    check()
