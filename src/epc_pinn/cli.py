@@ -67,7 +67,7 @@ def _load_json(path: str | Path, what: str) -> dict:
     if not path.exists():
         raise DataError(f"{what} file not found: {path}")
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads(path.read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{what} file {path} cannot be read: {exc}") from None
     except json.JSONDecodeError as exc:

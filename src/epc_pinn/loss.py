@@ -13,6 +13,9 @@ in scaled space so neither dominates by unit choice. The gradient with
 respect to the scaled predictions is exact: inverse scaling is affine
 (slope = per-column range), the zero floor contributes a zero
 subgradient, and the energy balance supplies its own analytic gradient.
+Inputs that do not depend on the network are plain per-row arrays, so a
+fold derives them once. with_gradient=False returns the same value
+without computing any gradient, for validation passes.
 """
 
 from __future__ import annotations
@@ -38,31 +41,36 @@ def mse(a: np.ndarray, b: np.ndarray) -> float:
 @dataclass(eq=False)
 class LossValue:
     """One loss evaluation; mse_y is stored unweighted, total applies the
-    physics weight (so total = mse_z + mse_y at the default weight 1)."""
+    physics weight (so total = mse_z + mse_y at the default weight 1).
+    The gradient is None when it was not asked for."""
 
     total: float
     mse_z: float
     mse_y: float
-    gradient_wrt_predictions: np.ndarray  # (n, 12)
+    gradient_wrt_predictions: np.ndarray | None  # (n, 12)
 
 
 def enhanced_loss(
     predictions_scaled: np.ndarray,
     targets_scaled: np.ndarray,
     useful_area: np.ndarray,
-    building_types: list[str],
-    measured_energy: np.ndarray,
+    time_constants: np.ndarray,
+    measured_scaled: np.ndarray,
     target_scaler: MinMaxScaler,
     energy_scaler: MinMaxScaler,
     consts: PhysicsConstants,
     physics_weight: float = 1.0,
+    with_gradient: bool = True,
 ) -> LossValue:
-    """Evaluate the loss and its gradient for one batch.
+    """Evaluate the loss, and its gradient if asked, for one batch.
 
-    predictions_scaled/targets_scaled are (n, 12) in scaled units,
-    measured_energy is (n,) in kWh/yr, useful_area (n,) in m2. The
-    scalers must be fitted (target scaler on the 12 columns, energy
-    scaler on one column).
+    predictions_scaled/targets_scaled are (n, 12) in scaled units;
+    useful_area (n,) in m2, time_constants (n,) the tau of each row's
+    building type, and measured_scaled (n,) the measured consumption
+    through energy_scaler. The scalers must be fitted (target scaler on
+    the 12 columns, energy scaler on one column). Raises TrainingError
+    naming the first offending row if the value (or the gradient) is
+    non-finite.
     """
     pred = np.asarray(predictions_scaled, dtype=float)
     targets = np.asarray(targets_scaled, dtype=float)
@@ -74,51 +82,43 @@ def enhanced_loss(
         )
     n = pred.shape[0]
     useful_area = np.asarray(useful_area, dtype=float)
-    measured_energy = np.asarray(measured_energy, dtype=float)
-    if useful_area.shape != (n,) or measured_energy.shape != (n,):
+    taus = np.asarray(time_constants, dtype=float)
+    measured_scaled = np.asarray(measured_scaled, dtype=float)
+    if any(a.shape != (n,) for a in (useful_area, taus, measured_scaled)):
         raise DimensionError(
-            f"useful_area and measured_energy must have shape ({n},), got "
-            f"{useful_area.shape} and {measured_energy.shape}"
+            f"useful_area, time_constants and measured_scaled must have shape ({n},), "
+            f"got {useful_area.shape}, {taus.shape} and {measured_scaled.shape}"
         )
-    if len(building_types) != n:
-        raise DimensionError(f"expected {n} building types, got {len(building_types)}")
-    taus = np.array([consts.time_constant_for(t) for t in building_types])
 
     mse_z = mse(pred, targets)
-    grad_z = 2.0 * (pred - targets) / pred.size
-
     raw_physical = target_scaler.inverse_transform(pred)
-    clamp_mask = raw_physical > 0  # zero subgradient where the floor bites
     physical = np.maximum(raw_physical, 0.0)
     batch = energy_consumption_batch(
-        physical, useful_area, taus, consts, with_gradient=True
+        physical, useful_area, taus, consts, with_gradient=with_gradient
     )
-    reconstructed_scaled = energy_scaler.transform(batch.energy_consumption)
-    measured_scaled = energy_scaler.transform(measured_energy)
-    diff = reconstructed_scaled - measured_scaled
+    diff = energy_scaler.transform(batch.energy_consumption) - measured_scaled
     mse_y = float(np.mean(diff**2))
-
-    energy_slope = 1.0 / energy_scaler.divisor[0]
-    target_slopes = target_scaler.divisor  # (12,): d(physical)/d(scaled)
-    grad_y = (
-        (2.0 / n)
-        * diff[:, None]
-        * energy_slope
-        * batch.gradient
-        * clamp_mask
-        * target_slopes[None, :]
-    )
     total = mse_z + physics_weight * mse_y
-    gradient = grad_z + physics_weight * grad_y
 
-    if not (np.isfinite(total) and np.all(np.isfinite(gradient))):
-        bad_rows = ~(
-            np.isfinite(batch.energy_consumption)
-            & np.isfinite(diff)
-            & np.all(np.isfinite(gradient), axis=1)
-            & np.all(np.isfinite(pred), axis=1)
+    gradient = None
+    if with_gradient:
+        grad_z = 2.0 * (pred - targets) / pred.size
+        energy_slope = 1.0 / energy_scaler.divisor[0]
+        target_slopes = target_scaler.divisor  # (12,): d(physical)/d(scaled)
+        grad_y = (
+            (2.0 / n)
+            * diff[:, None]
+            * energy_slope
+            * batch.gradient
+            * (raw_physical > 0)  # zero subgradient where the floor bites
+            * target_slopes[None, :]
         )
-        row = int(np.argmax(bad_rows)) if bad_rows.any() else 0
+        gradient = grad_z + physics_weight * grad_y
+
+    if not (np.isfinite(total) and (gradient is None or np.all(np.isfinite(gradient)))):
+        checked = (batch.energy_consumption[:, None], diff[:, None], pred, gradient)
+        finite = [np.isfinite(a).all(axis=1) for a in checked if a is not None]
+        row = int(np.argmin(np.all(finite, axis=0)))  # the first row not finite
         raise TrainingError(f"non-finite loss contribution at batch row {row}")
     return LossValue(
         total=total, mse_z=mse_z, mse_y=mse_y, gradient_wrt_predictions=gradient

@@ -12,7 +12,9 @@ Every weight and bias is a view into one contiguous float64 vector laid
 out (W0, b0, W1, b1, ...), and backward writes into views of one gradient
 vector with that layout. Adam is thus one fused in-place update over whole
 vectors, with the textbook per-element operations in their order, and the
-early-stop snapshot and checkpoint encoding are single vector copies.
+early-stop snapshot (into one reused buffer) and checkpoint encoding are
+single vector copies. ForwardCache.head views the cache of a batch's
+leading rows, so one forward pass can serve two consumers.
 
 Checkpoints are JSON: layer sizes and activation in the clear, the flat
 parameter vector as base64-encoded little-endian float64 bytes, plus an
@@ -136,21 +138,19 @@ class ForwardCache:
     """Intermediates of one forward pass, consumed by backward.
 
     activations[0] is the input batch, activations[l] the output of layer
-    l; pre_activations[l] is the affine result of layer l before its
-    nonlinearity. model_id/model_version pin the cache to the exact
-    parameter state that produced it.
+    l (a ReLU output is positive exactly where its input was, so backward
+    takes the ReLU mask from it). model_id/model_version pin the cache to
+    the exact parameter state that produced it.
     """
 
     model_id: int
     model_version: int
     activations: list[np.ndarray]
-    pre_activations: list[np.ndarray]
 
-
-def _apply_activation(z: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return np.maximum(z, 0.0)
-    return z
+    def head(self, n: int) -> "ForwardCache":
+        """The cache of the first n batch rows, as views."""
+        views = [a[:n] for a in self.activations]
+        return ForwardCache(self.model_id, self.model_version, views)
 
 
 def forward(model: MlpModel, inputs: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
@@ -167,17 +167,14 @@ def forward(model: MlpModel, inputs: np.ndarray) -> tuple[np.ndarray, ForwardCac
             f"expected inputs of shape (n, {model.layer_dims[0]}), got {x.shape}"
         )
     activations = [x]
-    pre_activations = []
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = activations[-1] @ w + b
-        pre_activations.append(z)
-        is_output = l == model.n_layers - 1
-        activations.append(z if is_output else _apply_activation(z, model.activation))
+        z = activations[-1] @ w
+        z += b
+        if l < model.n_layers - 1 and model.activation == "relu":
+            np.maximum(z, 0.0, out=z)
+        activations.append(z)
     cache = ForwardCache(
-        model_id=id(model),
-        model_version=model.version,
-        activations=activations,
-        pre_activations=pre_activations,
+        model_id=id(model), model_version=model.version, activations=activations
     )
     return activations[-1], cache
 
@@ -212,11 +209,14 @@ def backward(model: MlpModel, cache: ForwardCache, output_grad: np.ndarray) -> G
     for l in range(model.n_layers - 1, -1, -1):
         if l < model.n_layers - 1 and model.activation == "relu":
             # delta is a fresh product here, never the caller's output_grad.
-            delta *= cache.pre_activations[l] > 0
+            delta *= cache.activations[l + 1] > 0
         np.matmul(cache.activations[l].T, delta, out=grads.weights[l])
         np.sum(delta, axis=0, out=grads.biases[l])
         if l > 0:
-            delta = delta @ model.weights[l].T
+            # OpenBLAS is slow on the strided transpose of the narrow output
+            # layer; a contiguous copy gives the same product.
+            w_t = model.weights[l].T
+            delta = delta @ (np.ascontiguousarray(w_t) if l == model.n_layers - 1 else w_t)
     return grads
 
 
@@ -334,7 +334,10 @@ class EarlyStopState:
         if loss < self.best - self.min_delta:
             self.best = loss
             self.bad_epochs = 0
-            self.best_parameters = model.copy_parameters()
+            if self.best_parameters is None:
+                self.best_parameters = model.copy_parameters()
+            else:
+                np.copyto(self.best_parameters, model.vector)
             self.best_epoch = epoch
             return False
         self.bad_epochs += 1
@@ -354,7 +357,11 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        with open(tmp, "w") as handle:
+        handle = open(tmp, "w")
+    except FileNotFoundError as exc:  # a missing directory: name the target
+        raise FileNotFoundError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with handle:
             yield handle
         os.replace(tmp, path)
     except BaseException:

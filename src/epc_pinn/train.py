@@ -9,6 +9,14 @@ snapshot is restored before the fold's test predictions are made and
 scored. A fold records which sample indices reached scaler fitting and
 parameter updates, so leakage is checkable after the fact.
 
+The loss inputs are derived once per fold, training rows then validation
+rows. A full-batch epoch ends with one forward pass over both: it gives
+the validation loss (computed without gradient) and, as the parameters
+hold until the next Adam step, that step's predictions and cache. Rows
+propagate independently, so this matches separate passes bit for bit
+wherever the BLAS runs the same kernel on the stack as on each part, as
+it does at the default settings.
+
 Everything is deterministic given the config seed: the fold partition,
 the per-fold splits, initialization and batch shuffling all derive their
 seeds from (seed, fold index, stream index).
@@ -81,8 +89,10 @@ class TrainConfig:
             raise ConfigError(f"k_folds must be >= 2, got {self.k_folds}")
         if not 0 < self.val_fraction < 1:
             raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError(f"learning_rate must be in (0, inf), got {self.learning_rate}")
+        if not np.isfinite(self.min_lr):
+            raise ConfigError(f"min_lr must be finite, got {self.min_lr}")
         if self.scheduler_patience < 1 or self.early_stop_patience < 1:
             raise ConfigError("patience values must be >= 1")
         if not 0 < self.scheduler_factor < 1:
@@ -95,8 +105,8 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not self.hidden_dims or any(d < 1 for d in self.hidden_dims):
             raise ConfigError(f"bad hidden_dims {self.hidden_dims}")
-        if self.physics_weight < 0:
-            raise ConfigError(f"physics_weight must be >= 0, got {self.physics_weight}")
+        if not 0 <= self.physics_weight < np.inf:
+            raise ConfigError(f"physics_weight must be in [0, inf), got {self.physics_weight}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -204,23 +214,26 @@ def train_fold(
     energy_scaler = MinMaxScaler().fit(arrays.measured_energy[train_idx])
 
     building_types = np.array(arrays.building_types)
-    x_train = input_scaler.transform(arrays.features[train_idx])
-    z_train = target_scaler.transform(arrays.targets[train_idx])
-    x_val = input_scaler.transform(arrays.features[val_idx])
-    z_val = target_scaler.transform(arrays.targets[val_idx])
+    n_train = train_idx.shape[0]
+    fit_idx = np.concatenate([train_idx, val_idx])
+    x_fit = input_scaler.transform(arrays.features[fit_idx])
+    z_fit = target_scaler.transform(arrays.targets[fit_idx])
+    areas = arrays.useful_area[fit_idx]
+    taus = np.array([config.constants.time_constant_for(t) for t in building_types[fit_idx]])
+    measured = energy_scaler.transform(arrays.measured_energy[fit_idx])
 
-    def loss_at(pred, targets, sample_idx):
-        # sample_idx are absolute row indices into arrays.
+    def loss_at(pred, rows, with_gradient=True):
         return enhanced_loss(
             predictions_scaled=pred,
-            targets_scaled=targets,
-            useful_area=arrays.useful_area[sample_idx],
-            building_types=list(building_types[sample_idx]),
-            measured_energy=arrays.measured_energy[sample_idx],
+            targets_scaled=z_fit[rows],
+            useful_area=areas[rows],
+            time_constants=taus[rows],
+            measured_scaled=measured[rows],
             target_scaler=target_scaler,
             energy_scaler=energy_scaler,
             consts=config.constants,
             physics_weight=config.physics_weight,
+            with_gradient=with_gradient,
         )
 
     model = init_model((arrays.features.shape[1], *config.hidden_dims, STATE_DIM), init_seed)
@@ -232,17 +245,19 @@ def train_fold(
     )
     stopper = EarlyStopState(patience=config.early_stop_patience)
     shuffle_rng = np.random.default_rng(shuffle_seed)
-    n_train = train_idx.shape[0]
     history = TrainHistory()
     updated = np.zeros(arrays.n, dtype=bool)
 
     batch_size = config.batch_size
     if batch_size is None:
         batch_size = min(n_train, FULL_BATCH_LIMIT)
+    full_batch = batch_size >= n_train
+    if full_batch:
+        _, cache = forward(model, x_fit[:n_train])
     try:
         for epoch in range(config.max_epochs):
-            if batch_size >= n_train:
-                batches = [np.arange(n_train)]
+            if full_batch:
+                batches = [slice(n_train)]
             else:
                 order = shuffle_rng.permutation(n_train)
                 batches = [
@@ -251,16 +266,24 @@ def train_fold(
                 ]
             weighted = 0.0
             for rows in batches:
-                pred, cache = forward(model, x_train[rows])
-                value = loss_at(pred, z_train[rows], train_idx[rows])
-                grads = backward(model, cache, value.gradient_wrt_predictions)
+                if full_batch:
+                    batch_cache = cache.head(n_train)
+                else:
+                    _, batch_cache = forward(model, x_fit[rows])
+                pred = batch_cache.activations[-1]
+                value = loss_at(pred, rows)
+                grads = backward(model, batch_cache, value.gradient_wrt_predictions)
                 adam_step(model, grads, optimizer, context=f"epoch {epoch}")
-                weighted += value.total * rows.shape[0]
+                weighted += value.total * pred.shape[0]
                 updated[train_idx[rows]] = True
             train_loss = weighted / n_train
 
-            val_pred, _ = forward(model, x_val)
-            val_loss = loss_at(val_pred, z_val, val_idx).total
+            if full_batch:  # also the next update's predictions and cache
+                out, cache = forward(model, x_fit)
+                val_pred = out[n_train:]
+            else:
+                val_pred, _ = forward(model, x_fit[n_train:])
+            val_loss = loss_at(val_pred, np.s_[n_train:], with_gradient=False).total
 
             stop = stopper.step(val_loss, model, epoch)
             scheduler.step(val_loss, optimizer)

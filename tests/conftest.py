@@ -1,9 +1,22 @@
-"""Shared fixtures: physics constants and small generated cohorts."""
+"""Shared fixtures: physics constants and small generated cohorts.
+
+Hypothesis runs derandomized by default (the "deterministic" profile), so
+every run of the suite checks the same examples; pass
+--hypothesis-profile=default for random ones.
+"""
 
 import pytest
 
 from epc_pinn.physics import PhysicsConstants
 from epc_pinn.synth import GeneratorConfig, generate_cohort
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+    settings.load_profile("deterministic")
 
 
 @pytest.fixture

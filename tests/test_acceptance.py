@@ -250,16 +250,18 @@ class TestAcceptance:
         energy_scaler = MinMaxScaler().fit(measured)
         predictions = target_scaler.transform(targets) + 0.1 * rng.normal(size=(5, 12))
 
+        measured_scaled = energy_scaler.transform(measured)
+
         def chain_loss(pred):
             return enhanced_loss(
                 pred, target_scaler.transform(targets), useful_area,
-                building_types, measured, target_scaler, energy_scaler,
+                taus, measured_scaled, target_scaler, energy_scaler,
                 constants,
             ).total
 
         analytic_chain = enhanced_loss(
             predictions, target_scaler.transform(targets), useful_area,
-            building_types, measured, target_scaler, energy_scaler, constants,
+            taus, measured_scaled, target_scaler, energy_scaler, constants,
         ).gradient_wrt_predictions
         worst_chain = 0.0
         for i in range(5):
@@ -325,7 +327,10 @@ class TestAcceptance:
         energy_scaler = MinMaxScaler().fit(arrays.measured_energy)
         x = input_scaler.transform(arrays.features)
         z = target_scaler.transform(arrays.targets)
-        building_types = list(arrays.building_types)
+        taus = np.array(
+            [constants.time_constant_for(t) for t in arrays.building_types]
+        )
+        measured_scaled = energy_scaler.transform(arrays.measured_energy)
 
         model = init_model((17, 256, 256, 12), seed=0)
         state = AdamState(learning_rate=0.001)
@@ -333,8 +338,8 @@ class TestAcceptance:
         for epoch in range(1, 2001):
             predictions, cache = forward(model, x)
             value = enhanced_loss(
-                predictions, z, arrays.useful_area, building_types,
-                arrays.measured_energy, target_scaler, energy_scaler,
+                predictions, z, arrays.useful_area, taus,
+                measured_scaled, target_scaler, energy_scaler,
                 constants,
             )
             if value.total < 1e-3:

@@ -197,6 +197,21 @@ class TestTrain:
         assert "energy_consumption" in out
         assert "samples: 40 (dropped: 0)" in out
 
+    def test_non_finite_learning_rate_is_exit_one_before_training(
+        self, clean_cohort_dir, tmp_path, capsys
+    ):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"train": {"learning_rate": float("nan")}}))
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(
+            ["train", "--config", str(config_path), "--seed", "1",
+             "--data", str(clean_cohort_dir), "--out", str(out)]
+        )
+        assert code == 1
+        assert "learning_rate must be in (0, inf), got nan" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_identical_runs_write_identical_results(self, clean_cohort_dir, tmp_path):
         config_path = tmp_path / "config.json"
         config_path.write_text(
@@ -464,6 +479,21 @@ class TestPredict:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["building.json", "prediction.json"]
 
 
+    def test_missing_out_directory_names_the_target(
+        self, trained_run, tmp_path, capsys, monkeypatch
+    ):
+        building = tmp_path / "building.json"
+        building.write_text(json.dumps(building_payload()))
+        monkeypatch.chdir(tmp_path)
+        code = main(
+            ["predict", "--checkpoint", str(trained_run / "fold_00.json"),
+             "--building", str(building), "--out", "nowhere/p.json"]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "'nowhere/p.json'" in err and ".tmp" not in err
+
+
 class TestAudit:
     def test_worked_example_breakdown(self, tmp_path, capsys):
         """The stdout table must show the hand-checked chain: envelope
@@ -603,6 +633,65 @@ class TestEvaluate:
         assert code == 3
         assert metrics_path.read_text() == "earlier metrics\n"
         assert [p.name for p in tmp_path.iterdir()] == ["metrics.json"]
+
+
+    def test_missing_out_directory_names_the_target(
+        self, trained_run, clean_cohort_dir, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        code = main(
+            ["evaluate", "--checkpoint", str(trained_run / "fold_00.json"),
+             "--data", str(clean_cohort_dir), "--out", "nowhere/metrics.json"]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "'nowhere/metrics.json'" in err and ".tmp" not in err
+
+
+class TestJsonInputsWithByteOrderMark:
+    """A JSON input saved with a UTF-8 byte order mark reads exactly like
+    the same file without one."""
+
+    @staticmethod
+    def outputs(tmp_path, capsys, write, argv):
+        results = []
+        for bom in (False, True):
+            write("utf-8-sig" if bom else "utf-8")
+            results.append((main(argv), capsys.readouterr()))
+        return results
+
+    def test_building(self, trained_run, tmp_path, capsys):
+        building = tmp_path / "building.json"
+        plain, with_bom = self.outputs(
+            tmp_path, capsys,
+            lambda enc: building.write_text(json.dumps(building_payload()), encoding=enc),
+            ["predict", "--checkpoint", str(trained_run / "fold_00.json"),
+             "--building", str(building)],
+        )
+        assert with_bom == plain and plain[0] == 0
+
+    def test_envelope(self, tmp_path, capsys):
+        envelope = tmp_path / "envelope.json"
+        plain, with_bom = self.outputs(
+            tmp_path, capsys,
+            lambda enc: envelope.write_text(json.dumps(envelope_payload()), encoding=enc),
+            ["audit", "--envelope", str(envelope)],
+        )
+        assert with_bom == plain and plain[0] == 0
+
+    def test_config(self, tmp_path, capsys):
+        envelope = tmp_path / "envelope.json"
+        envelope.write_text(json.dumps(envelope_payload()))
+        config = tmp_path / "config.json"
+        plain, with_bom = self.outputs(
+            tmp_path, capsys,
+            lambda enc: config.write_text(
+                json.dumps({"physics": {"bridge_fraction": 0.0}}), encoding=enc
+            ),
+            ["audit", "--envelope", str(envelope), "--config", str(config)],
+        )
+        assert with_bom == plain and plain[0] == 0
+        assert "130.64" not in plain[1].out
 
 
 class TestArgumentHandling:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from epc_pinn.data import MinMaxScaler
-from epc_pinn.errors import ConfigError, DimensionError, TrainingError, UsageError
+from epc_pinn.errors import DimensionError, TrainingError, UsageError
 from epc_pinn.loss import enhanced_loss, mse
 from epc_pinn.physics import PhysicsConstants, energy_consumption_batch
 
@@ -41,6 +41,7 @@ def make_batch(n, seed):
         "targets_scaled": target_scaler.transform(targets_physical),
         "useful_area": useful_area,
         "building_types": building_types,
+        "taus": taus,
         "measured": measured,
         "target_scaler": target_scaler,
         "energy_scaler": energy_scaler,
@@ -48,17 +49,20 @@ def make_batch(n, seed):
     }
 
 
-def evaluate(batch, predictions_scaled, measured=None, weight=1.0):
+def evaluate(batch, predictions_scaled, measured=None, weight=1.0, with_gradient=True):
+    """enhanced_loss on batch; measured is in kWh/yr (default: the batch's)."""
+    measured = batch["measured"] if measured is None else measured
     return enhanced_loss(
         predictions_scaled=predictions_scaled,
         targets_scaled=batch["targets_scaled"],
         useful_area=batch["useful_area"],
-        building_types=batch["building_types"],
-        measured_energy=batch["measured"] if measured is None else measured,
+        time_constants=batch["taus"],
+        measured_scaled=batch["energy_scaler"].transform(measured),
         target_scaler=batch["target_scaler"],
         energy_scaler=batch["energy_scaler"],
         consts=batch["consts"],
         physics_weight=weight,
+        with_gradient=with_gradient,
     )
 
 
@@ -191,8 +195,8 @@ class TestEnhancedLoss:
                 predictions_scaled=batch["targets_scaled"],
                 targets_scaled=batch["targets_scaled"],
                 useful_area=batch["useful_area"],
-                building_types=batch["building_types"],
-                measured_energy=batch["measured"],
+                time_constants=batch["taus"],
+                measured_scaled=batch["energy_scaler"].transform(batch["measured"]),
                 target_scaler=MinMaxScaler(),
                 energy_scaler=batch["energy_scaler"],
                 consts=batch["consts"],
@@ -203,25 +207,19 @@ class TestEnhancedLoss:
         with pytest.raises(DimensionError):
             evaluate(batch, batch["targets_scaled"][:, :11])
 
-    def test_wrong_building_type_count_is_dimension_error(self):
+    def test_wrong_time_constant_count_is_dimension_error(self):
         batch = make_batch(3, seed=53)
         with pytest.raises(DimensionError):
             enhanced_loss(
                 predictions_scaled=batch["targets_scaled"],
                 targets_scaled=batch["targets_scaled"],
                 useful_area=batch["useful_area"],
-                building_types=batch["building_types"][:2],
-                measured_energy=batch["measured"],
+                time_constants=batch["taus"][:2],
+                measured_scaled=batch["energy_scaler"].transform(batch["measured"]),
                 target_scaler=batch["target_scaler"],
                 energy_scaler=batch["energy_scaler"],
                 consts=batch["consts"],
             )
-
-    def test_unknown_building_type_is_config_error(self):
-        batch = make_batch(2, seed=54)
-        batch["building_types"][0] = "straw"
-        with pytest.raises(ConfigError):
-            evaluate(batch, batch["targets_scaled"])
 
     def test_non_finite_measured_energy_is_training_error(self):
         batch = make_batch(3, seed=55)
@@ -229,3 +227,42 @@ class TestEnhancedLoss:
         measured[2] = np.inf
         with pytest.raises(TrainingError, match="row"):
             evaluate(batch, batch["targets_scaled"], measured=measured)
+
+
+def test_value_without_gradient_is_bitwise_the_same():
+    """with_gradient=False returns the same total, mse_z and mse_y bit for
+    bit, and raises the same TrainingError (same row) on non-finite
+    predictions or measured energy."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def outcome(batch, pred, measured, weight, with_gradient):
+        try:
+            value = evaluate(batch, pred, measured, weight, with_gradient)
+        except TrainingError as exc:
+            return ("error", str(exc))
+        return ("value", value.total.hex(), value.mse_z.hex(), value.mse_y.hex())
+
+    @hypothesis.given(
+        n=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        spread=st.sampled_from([0.0, 0.05, 1.0, 5.0]),
+        weight=st.sampled_from([0.0, 1.0, 2.5]),
+        poison=st.sampled_from([None, "pred", "measured"]),
+        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+        row=st.integers(0, 7),
+    )
+    def check(n, seed, spread, weight, poison, bad, row):
+        batch = make_batch(n, seed)
+        rng = np.random.default_rng(seed)
+        pred = batch["targets_scaled"] + rng.uniform(-spread, spread, size=(n, 12))
+        measured = batch["measured"] * rng.uniform(0.8, 1.2, size=n)
+        if poison == "pred":
+            pred[row % n, rng.integers(12)] = bad
+        elif poison == "measured":
+            measured[row % n] = bad
+        with_grad = outcome(batch, pred, measured, weight, True)
+        assert outcome(batch, pred, measured, weight, False) == with_grad
+        assert (with_grad[0] == "error") == (poison is not None)
+
+    check()

@@ -339,12 +339,14 @@ def reference_adam_step(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=
 
 
 def reference_backward(model, cache, output_grad):
-    """Per-layer backprop into freshly allocated arrays, (W0, b0, W1, ...)."""
+    """Per-layer backprop into freshly allocated arrays, (W0, b0, W1, ...).
+    The ReLU mask comes from the recomputed pre-activation of each layer."""
     grads = [None] * (2 * model.n_layers)
     delta = output_grad
     for l in range(model.n_layers - 1, -1, -1):
         if l < model.n_layers - 1:
-            delta = delta * (cache.pre_activations[l] > 0)
+            pre_activation = cache.activations[l] @ model.weights[l] + model.biases[l]
+            delta = delta * (pre_activation > 0)
         grads[2 * l] = cache.activations[l].T @ delta
         grads[2 * l + 1] = delta.sum(axis=0)
         if l > 0:
@@ -696,3 +698,87 @@ class TestFullModelGradient:
                 fd = (up - down) / (2.0 * step)
                 worst = max(worst, abs(fd - flat_g[j]) / max(1.0, abs(flat_g[j])))
         assert worst <= 1e-5
+
+
+def test_improving_snapshots_reuse_one_buffer():
+    """Each improvement copies into the buffer of the first snapshot."""
+    model = init_model((2, 3, 1), seed=1)
+    stopper = EarlyStopState()
+    stopper.step(0.5, model, 0)
+    buffer = stopper.best_parameters
+    adam_step(model, unit_gradients(model), AdamState())
+    stopper.step(0.4, model, 1)
+    assert stopper.best_parameters is buffer
+    assert buffer.tobytes() == model.vector.tobytes()
+
+
+def test_backward_matches_central_differences_on_random_networks():
+    """Random small ReLU networks under MSE, away from the ReLU kinks:
+    every parameter partial within 1e-6 of central differences."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.given(
+        dims=st.lists(st.integers(1, 5), min_size=2, max_size=4),
+        rows=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(dims, rows, seed):
+        model = init_model(dims, seed=seed)
+        rng = np.random.default_rng(seed)
+        model.biases[0][...] = rng.uniform(-0.5, 0.5, size=dims[1])
+        model.version += 1
+        x = rng.uniform(-2.0, 2.0, size=(rows, dims[0]))
+        y = rng.normal(size=(rows, dims[-1]))
+        pred, cache = forward(model, x)
+        hidden = [
+            a @ w + b
+            for a, w, b in zip(cache.activations[:-2], model.weights, model.biases)
+        ]
+        hypothesis.assume(all(np.abs(z).min() > 1e-3 for z in hidden))
+        grads = backward(model, cache, mse_output_grad(pred, y))
+        step = 1e-6
+        for j in range(model.vector.size):
+            keep = model.vector[j]
+            model.vector[j] = keep + step
+            up = float(np.mean((forward(model, x)[0] - y) ** 2))
+            model.vector[j] = keep - step
+            down = float(np.mean((forward(model, x)[0] - y) ** 2))
+            model.vector[j] = keep
+            fd = (up - down) / (2.0 * step)
+            assert abs(fd - grads.vector[j]) <= 1e-6 * max(1.0, abs(grads.vector[j]))
+
+    check()
+
+
+@pytest.mark.parametrize("n_head,n_tail", [(196, 35), (256, 45)])
+@pytest.mark.parametrize("blas", ["default", "single-threaded"])
+def test_stacked_forward_equals_separate_passes_bitwise(n_head, n_tail, blas):
+    """Rows propagate independently through the production shape
+    17-256-256-12, so one pass over [head; tail] gives bitwise the
+    outputs and activations of a pass over each part, and the head of
+    its cache is the head pass's cache. Training's shared end-of-epoch
+    pass depends on this, under either BLAS thread setting it uses. The
+    shapes are a 256-building fold (196 training and 35 validation rows)
+    and the largest default full batch (256 training rows at
+    val_fraction 0.15)."""
+    hypothesis = pytest.importorskip("hypothesis")
+    from contextlib import nullcontext
+
+    from epc_pinn.train import _single_threaded_blas
+
+    @hypothesis.settings(max_examples=20)
+    @hypothesis.given(seed=hypothesis.strategies.integers(0, 2**32 - 1))
+    def check(seed):
+        model = init_model((17, 256, 256, 12), seed=seed)
+        x = np.random.default_rng(seed).uniform(size=(n_head + n_tail, 17))
+        with _single_threaded_blas() if blas == "single-threaded" else nullcontext():
+            out, cache = forward(model, x)
+            head_out, head_cache = forward(model, x[:n_head])
+            tail_out, _ = forward(model, x[n_head:])
+        assert out[:n_head].tobytes() == head_out.tobytes()
+        assert out[n_head:].tobytes() == tail_out.tobytes()
+        for shared, alone in zip(cache.head(n_head).activations, head_cache.activations):
+            assert shared.tobytes() == alone.tobytes()
+
+    check()

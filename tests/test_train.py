@@ -14,10 +14,26 @@ import time
 import numpy as np
 import pytest
 
-from epc_pinn.data import MinMaxScaler, TrainingArrays, build_matrices, load_cohort
+from epc_pinn.data import (
+    MinMaxScaler,
+    TrainingArrays,
+    build_matrices,
+    load_cohort,
+    train_val_split,
+)
 from epc_pinn.errors import ConfigError, TrainingError
+from epc_pinn.loss import enhanced_loss
 from epc_pinn.metrics import REPORT_VARIABLES
-from epc_pinn.nn import load_checkpoint
+from epc_pinn.nn import (
+    AdamState,
+    EarlyStopState,
+    PlateauSchedulerState,
+    adam_step,
+    backward,
+    forward,
+    init_model,
+    load_checkpoint,
+)
 from epc_pinn.physics import PhysicsConstants, energy_consumption, EnvelopeState
 from epc_pinn.synth import GeneratorConfig, generate_cohort
 from epc_pinn import train
@@ -83,6 +99,12 @@ class TestTrainConfig:
             TrainConfig(scheduler_factor=1.0)
         with pytest.raises(ConfigError):
             TrainConfig(physics_weight=-0.1)
+
+    @pytest.mark.parametrize("name", ["learning_rate", "min_lr", "physics_weight"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rates_and_weight_are_config_errors(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            TrainConfig(**{name: value})
 
     def test_dict_roundtrip(self):
         config = TrainConfig(k_folds=5, batch_size=32, hidden_dims=(64, 64), seed=9)
@@ -209,6 +231,126 @@ class TestTrainFold:
     def test_too_small_pool_is_config_error(self, arrays):
         with pytest.raises(ConfigError):
             train_fold(arrays, np.arange(arrays.n - 1), quick_config())
+
+    def test_unknown_building_type_is_config_error_before_training(
+        self, arrays, monkeypatch
+    ):
+        """The time constants are looked up once per fold, before the
+        first forward pass, so an unknown type trains nothing."""
+        types = list(arrays.building_types)
+        types[-1] = "straw"
+        strange = TrainingArrays(
+            cadastre_numbers=arrays.cadastre_numbers,
+            features=arrays.features,
+            targets=arrays.targets,
+            measured_energy=arrays.measured_energy,
+            useful_area=arrays.useful_area,
+            building_types=types,
+        )
+        calls = []
+        monkeypatch.setattr(train, "forward", lambda *args: calls.append(args))
+        with pytest.raises(ConfigError, match="straw"):
+            train_fold(strange, np.arange(4), quick_config())
+        assert calls == []
+
+
+def reference_epochs(arrays, test_indices, config, fold_index=0):
+    """train_fold's epoch loop written out with separate passes: a forward
+    pass per batch and one over the validation rows, the validation loss
+    with its gradient, and tau and the scaled measured energy derived on
+    every loss call. Returns the history lists, the early-stop snapshot
+    and the parameters before the snapshot is restored."""
+    mask = np.ones(arrays.n, dtype=bool)
+    mask[test_indices] = False
+    split_seed, init_seed, shuffle_seed = (
+        train._derive_seed(config.seed, fold_index, stream) for stream in range(3)
+    )
+    train_idx, val_idx = train_val_split(
+        np.flatnonzero(mask), config.val_fraction, split_seed
+    )
+    input_scaler = MinMaxScaler().fit(arrays.features[train_idx])
+    target_scaler = MinMaxScaler().fit(arrays.targets[train_idx])
+    energy_scaler = MinMaxScaler().fit(arrays.measured_energy[train_idx])
+    x_train = input_scaler.transform(arrays.features[train_idx])
+    z_train = target_scaler.transform(arrays.targets[train_idx])
+    x_val = input_scaler.transform(arrays.features[val_idx])
+    z_val = target_scaler.transform(arrays.targets[val_idx])
+
+    def loss_at(pred, targets, sample_idx):
+        taus = np.array(
+            [config.constants.time_constant_for(arrays.building_types[i]) for i in sample_idx]
+        )
+        return enhanced_loss(
+            pred, targets, arrays.useful_area[sample_idx], taus,
+            energy_scaler.transform(arrays.measured_energy[sample_idx]),
+            target_scaler, energy_scaler, config.constants, config.physics_weight,
+        )
+
+    model = init_model((arrays.features.shape[1], *config.hidden_dims, 12), init_seed)
+    optimizer = AdamState(learning_rate=config.learning_rate)
+    scheduler = PlateauSchedulerState(
+        config.scheduler_patience, config.scheduler_factor, config.min_lr
+    )
+    stopper = EarlyStopState(patience=config.early_stop_patience)
+    shuffle_rng = np.random.default_rng(shuffle_seed)
+    n_train = train_idx.shape[0]
+    batch_size = config.batch_size or min(n_train, FULL_BATCH_LIMIT)
+    history = {"train_loss": [], "val_loss": [], "learning_rate": []}
+    for epoch in range(config.max_epochs):
+        if batch_size >= n_train:
+            batches = [np.arange(n_train)]
+        else:
+            order = shuffle_rng.permutation(n_train)
+            batches = [order[i : i + batch_size] for i in range(0, n_train, batch_size)]
+        weighted = 0.0
+        for rows in batches:
+            pred, cache = forward(model, x_train[rows])
+            value = loss_at(pred, z_train[rows], train_idx[rows])
+            adam_step(model, backward(model, cache, value.gradient_wrt_predictions), optimizer)
+            weighted += value.total * rows.shape[0]
+        val_pred, _ = forward(model, x_val)
+        val_loss = loss_at(val_pred, z_val, val_idx).total
+        stop = stopper.step(val_loss, model, epoch)
+        scheduler.step(val_loss, optimizer)
+        history["train_loss"].append(float(weighted / n_train))
+        history["val_loss"].append(float(val_loss))
+        history["learning_rate"].append(float(optimizer.learning_rate))
+        if stop:
+            break
+    return history, stopper.best_parameters.copy(), model.vector.copy()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # full batch, with the scheduler and early stopping both firing
+        dict(hidden_dims=(32, 32), max_epochs=40, scheduler_patience=2,
+             early_stop_patience=4, learning_rate=0.05),
+        # minibatches of 8 rows
+        dict(hidden_dims=(32, 32), max_epochs=6, batch_size=8),
+    ],
+    ids=["full-batch", "minibatch"],
+)
+def test_train_fold_matches_the_separate_pass_reference(arrays, monkeypatch, overrides):
+    """Bitwise-equal histories, early-stop snapshot and final parameters."""
+    seen = {}
+
+    class RecordingStop(EarlyStopState):
+        def restore_best(self, model):
+            seen["snapshot"] = self.best_parameters.copy()
+            seen["final"] = model.vector.copy()
+            super().restore_best(model)
+
+    monkeypatch.setattr(train, "EarlyStopState", RecordingStop)
+    config = quick_config(**overrides)
+    fold = train_fold(arrays, np.arange(4), config)
+    history, snapshot, final = reference_epochs(arrays, np.arange(4), config)
+    assert fold.history.train_loss == history["train_loss"]
+    assert fold.history.val_loss == history["val_loss"]
+    assert fold.history.learning_rate == history["learning_rate"]
+    assert seen["snapshot"].tobytes() == snapshot.tobytes()
+    assert seen["final"].tobytes() == final.tobytes()
+    assert fold.model.vector.tobytes() == snapshot.tobytes()
 
 
 class TestPredictionHelpers:
