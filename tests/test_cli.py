@@ -653,7 +653,7 @@ class TestJsonInputsWithByteOrderMark:
     the same file without one."""
 
     @staticmethod
-    def outputs(tmp_path, capsys, write, argv):
+    def outputs(capsys, write, argv):
         results = []
         for bom in (False, True):
             write("utf-8-sig" if bom else "utf-8")
@@ -663,7 +663,7 @@ class TestJsonInputsWithByteOrderMark:
     def test_building(self, trained_run, tmp_path, capsys):
         building = tmp_path / "building.json"
         plain, with_bom = self.outputs(
-            tmp_path, capsys,
+            capsys,
             lambda enc: building.write_text(json.dumps(building_payload()), encoding=enc),
             ["predict", "--checkpoint", str(trained_run / "fold_00.json"),
              "--building", str(building)],
@@ -673,7 +673,7 @@ class TestJsonInputsWithByteOrderMark:
     def test_envelope(self, tmp_path, capsys):
         envelope = tmp_path / "envelope.json"
         plain, with_bom = self.outputs(
-            tmp_path, capsys,
+            capsys,
             lambda enc: envelope.write_text(json.dumps(envelope_payload()), encoding=enc),
             ["audit", "--envelope", str(envelope)],
         )
@@ -684,7 +684,7 @@ class TestJsonInputsWithByteOrderMark:
         envelope.write_text(json.dumps(envelope_payload()))
         config = tmp_path / "config.json"
         plain, with_bom = self.outputs(
-            tmp_path, capsys,
+            capsys,
             lambda enc: config.write_text(
                 json.dumps({"physics": {"bridge_fraction": 0.0}}), encoding=enc
             ),
