@@ -28,7 +28,7 @@ from .physics import (
     heat_gain_usage_factor,
     u_value,
 )
-from .data import JoinedSample, MinMaxScaler, encode_features, join_on_cadastre
+from .data import JoinedCohort, MinMaxScaler, encode_features, join_on_cadastre
 from .loss import LossValue, enhanced_loss, mse
 from .nn import MlpModel, forward, init_model, load_checkpoint, save_checkpoint
 from .synth import GeneratorConfig, generate_cohort, reference_energy
@@ -46,7 +46,7 @@ __all__ = [
     "EnvelopeState",
     "EpcPinnError",
     "GeneratorConfig",
-    "JoinedSample",
+    "JoinedCohort",
     "LossBreakdown",
     "LossValue",
     "MinMaxScaler",

@@ -169,10 +169,10 @@ def cmd_train(args) -> int:
         payload["constants"] = constants.to_dict()
     train_config = TrainConfig.from_dict(payload)
 
-    samples, dropped = data.load_cohort(data_dir)
-    if not samples:
+    joined, dropped = data.load_cohort(data_dir)
+    if not joined:
         raise DataError(f"no usable samples in {data_dir}")
-    arrays = data.build_matrices(samples)
+    arrays = data.build_matrices(joined)
     result = cross_validate(arrays, train_config, max_workers=_thread_count())
 
     out_dir = Path(_setting(args, config, "out", "."))
@@ -228,6 +228,9 @@ def _state_from_payload(payload: dict, path) -> tuple[EnvelopeState, float, str]
         if key not in payload:
             raise DataError(f"{path}: missing field {key!r}")
 
+    def number(field_name: str) -> float:
+        return data.parse_json_float(payload[field_name], f"{path}, field {field_name!r}")
+
     def five(field_name: str) -> np.ndarray:
         value = payload[field_name]
         if isinstance(value, dict):
@@ -236,22 +239,25 @@ def _state_from_payload(payload: dict, path) -> tuple[EnvelopeState, float, str]
                 raise DataError(
                     f"{path}: {field_name} is missing component(s): {', '.join(missing)}"
                 )
-            return np.array([float(value[name]) for name in COMPONENTS])
-        if isinstance(value, list) and len(value) == len(COMPONENTS):
-            return np.array([float(v) for v in value])
-        raise DataError(
-            f"{path}: {field_name} must be a 5-entry list in component order "
-            "or a mapping with all five component names"
-        )
+            value = [value[name] for name in COMPONENTS]
+        elif not (isinstance(value, list) and len(value) == len(COMPONENTS)):
+            raise DataError(
+                f"{path}: {field_name} must be a 5-entry list in component order "
+                "or a mapping with all five component names"
+            )
+        return np.array([
+            data.parse_json_float(v, f"{path}, field {field_name!r}, component {name!r}")
+            for name, v in zip(COMPONENTS, value)
+        ])
 
     state = EnvelopeState(
         areas=five("areas"),
         u_values=five("u_values"),
-        air_exchange_rate=float(payload["air_exchange_rate"]),
-        specific_heat_gains=float(payload["specific_heat_gains"]),
+        air_exchange_rate=number("air_exchange_rate"),
+        specific_heat_gains=number("specific_heat_gains"),
     )
     state.validate()
-    return state, float(payload["useful_area"]), str(payload["building_type"])
+    return state, number("useful_area"), str(payload["building_type"])
 
 
 def cmd_audit(args) -> int:
@@ -279,10 +285,10 @@ def cmd_audit(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model, input_scaler, target_scaler, constants = _checkpoint_bundle(args.checkpoint)
-    samples, dropped = data.load_cohort(args.data)
-    if not samples:
+    joined, dropped = data.load_cohort(args.data)
+    if not joined:
         raise DataError(f"no usable samples in {args.data}")
-    arrays = data.build_matrices(samples)
+    arrays = data.build_matrices(joined)
     predictions = predict_physical(model, input_scaler, target_scaler, arrays.features)
     energy = reconstruct_energy(
         predictions, arrays.useful_area, arrays.building_types, constants

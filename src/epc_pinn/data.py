@@ -7,20 +7,22 @@ Four comma-separated UTF-8 files with header rows feed the pipeline:
     audit_components.csv   one row per (building, envelope component)
     consumption.csv        measured annual totals per year 2017..2020
 
-Each file is parsed in one pass: csv.reader yields the rows, the header
-is mapped to column indices once, and each row's cells go straight
-through their column parsers into a record. The files are UTF-8, with or
-without a leading byte-order mark; a file that cannot be read or decoded
-is a DataError naming it (exit 2 on the command line), like any other
-input problem.
+Each file is parsed column by column into a Table: csv.reader rows are
+streamed in chunks of CHUNK_ROWS, each column of a chunk goes through one
+map of its cell rule, and the record invariants are vector predicates
+over the chunk's columns. The first problem in row order is reported (on
+that row: a short row or bad cell in schema order, then an invariant,
+then a duplicate key), worded by re-running the cell rules and invariant
+messages on that one row, so chunk boundaries never show. The files are
+UTF-8, with or without a leading byte-order mark; a file that cannot be
+read or decoded is a DataError naming it (exit 2 on the command line).
 
-The cadastre number is the primary key throughout. Buildings surviving an
-inner join with all five envelope components and a consumption record
-become JoinedSamples: a 17-dimensional feature vector, the 12 target
-quantities as an EnvelopeState (with U-values derived from heat loss
-coefficient over area), and the measured mean annual consumption. The
-targets of all joined buildings are checked for finite, non-negative
-values in one pass.
+The cadastre number is the primary key throughout. join_on_cadastre keeps
+the buildings with a land record, a building audit, all five envelope
+components and a consumption record, sorted, as row indices into the
+tables; build_matrices gathers their 17 features, 12 targets (U-value =
+heat loss coefficient / area) and mean annual consumption, and checks all
+targets for finite, non-negative values in one pass.
 
 Scaling is plain min-max per column with a guarded divisor for constant
 columns; splitting covers shuffled k-fold partitions and the
@@ -30,8 +32,10 @@ train/validation split used for scheduling and early stopping.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -43,6 +47,7 @@ from .physics import COMPONENTS, EnvelopeState, u_value
 # The twelve construction-era categories. Synthetic cohorts use these
 # names; real data must use them too for the one-hot encoding to apply.
 SERIES: tuple[str, ...] = tuple(f"serie_{i:02d}" for i in range(1, 13))
+_SERIE_INDEX = {serie: i for i, serie in enumerate(SERIES)}
 
 BUILDING_TYPES: tuple[str, ...] = ("light", "heavy")
 _BUILDING_TYPE_CODE = {"light": 0.0, "heavy": 1.0}
@@ -66,161 +71,12 @@ AUDIT_COMPONENTS_FILE = "audit_components.csv"
 CONSUMPTION_FILE = "consumption.csv"
 MONTHLY_FILE = "consumption_monthly.csv"
 
-
-# ---------------------------------------------------------------------------
-# Records
-
-
-@dataclass
-class LandRecord:
-    cadastre_number: str
-    floors: int
-    useful_area: float
-    total_area: float
-    apartments: int
-    serie: str
-    building_type: str
-    # Carried through untouched; the model never reads these.
-    latitude_centroid: float
-    longitude_centroid: float
-    geometry: str
-    address: str
-    perimeter: float
-
-    def __post_init__(self) -> None:
-        if not self.cadastre_number:
-            raise DataError("cadastre_number must be nonempty")
-        check_building_invariants(self.floors, self.useful_area, self.total_area)
-
-
-def check_building_invariants(floors: int, useful_area: float, total_area: float) -> None:
-    """The invariants a land.csv building meets; raises DataError naming
-    the first field that breaks one."""
-    if floors < 1:
-        raise DataError(f"'floors' must be >= 1, got {floors}")
-    for name, area in (("useful_area", useful_area), ("total_area", total_area)):
-        if area <= 0:
-            raise DataError(f"{name!r} must be positive, got {area}")
-
-
-@dataclass
-class AuditBuildingRecord:
-    cadastre_number: str
-    floors: int
-    useful_area: float
-    total_area: float
-    apartments: int
-    serie: str
-    building_type: str
-    length: float
-    width: float
-    avg_indoor_height: float
-    air_exchange_rate: float
-    specific_heat_gains: float
-
-    def __post_init__(self) -> None:
-        if not self.cadastre_number:
-            raise DataError("cadastre_number must be nonempty")
-        if self.air_exchange_rate < 0:
-            raise DataError(
-                f"air_exchange_rate must be >= 0, got {self.air_exchange_rate}"
-            )
-        if self.specific_heat_gains < 0:
-            raise DataError(
-                f"specific_heat_gains must be >= 0, got {self.specific_heat_gains}"
-            )
-        if self.useful_area <= 0 or self.total_area <= 0:
-            raise DataError(
-                f"areas must be positive, got useful_area={self.useful_area}, "
-                f"total_area={self.total_area}"
-            )
-
-
-@dataclass
-class AuditComponentRecord:
-    cadastre_number: str
-    enclosing_structure: str
-    material: str
-    area: float
-    structure_heat_loss_coefficient: float
-    energy_consumption: float
-
-    def __post_init__(self) -> None:
-        if not self.cadastre_number:
-            raise DataError("cadastre_number must be nonempty")
-        if self.enclosing_structure not in COMPONENTS:
-            known = ", ".join(COMPONENTS)
-            raise DataError(
-                f"unknown enclosing_structure {self.enclosing_structure!r}; "
-                f"expected one of: {known}"
-            )
-        # Zero area is tolerated here and handled at join time; negative is not.
-        if self.area < 0:
-            raise DataError(f"area must be >= 0, got {self.area}")
-        if self.structure_heat_loss_coefficient < 0:
-            raise DataError(
-                "structure_heat_loss_coefficient must be >= 0, "
-                f"got {self.structure_heat_loss_coefficient}"
-            )
-
-
-@dataclass
-class ConsumptionRecord:
-    cadastre_number: str
-    annual_totals: dict[int, float]
-    mean_annual: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not self.cadastre_number:
-            raise DataError("cadastre_number must be nonempty")
-        if not self.annual_totals:
-            raise DataError(
-                f"building {self.cadastre_number}: no annual consumption present"
-            )
-        for year, total in self.annual_totals.items():
-            if total < 0:
-                raise DataError(
-                    f"building {self.cadastre_number}: negative consumption "
-                    f"{total} for {year}"
-                )
-        # The reduction np.mean runs, without its per-call overhead, so the
-        # value is bitwise np.mean's.
-        totals = np.array(list(self.annual_totals.values()), dtype=float)
-        self.mean_annual = float(np.add.reduce(totals)) / totals.size
-
-
-@dataclass
-class MonthlyConsumptionRow:
-    cadastre_number: str
-    year: int
-    month: int
-    energy_consumption: float
-
-    def __post_init__(self) -> None:
-        if not self.cadastre_number:
-            raise DataError("cadastre_number must be nonempty")
-        if not 1 <= self.month <= 12:
-            raise DataError(f"month must be in 1..12, got {self.month}")
-        if self.energy_consumption < 0:
-            raise DataError(
-                f"energy_consumption must be >= 0, got {self.energy_consumption}"
-            )
-
-
-@dataclass
-class JoinedSample:
-    """One training-ready building."""
-
-    cadastre_number: str
-    features: np.ndarray
-    target_state: EnvelopeState
-    measured_energy: float
-    useful_area: float
-    building_type: str
+# Rows that load_dataset parses per step; bounds the raw cells held at once.
+CHUNK_ROWS = 4096
 
 
 # ---------------------------------------------------------------------------
-# Schema-driven loading
+# Cell rules, and the same rules over whole columns
 
 
 def _parse_str(raw: str) -> str:
@@ -244,6 +100,30 @@ def _parse_int(raw: str) -> int:
         raise ValueError(f"not an integer: {raw!r}") from None
 
 
+def _parse_optional_float(raw: str) -> float | None:
+    """An empty cell is an absent value."""
+    return None if raw == "" else _parse_float(raw)
+
+
+def _parse_column(parse: Callable[[str], object], cells: list[str]) -> list | np.ndarray:
+    """A column of cells through the cell rule parse, as one map: a list,
+    or a float64 array for the float rules, where an absent optional value
+    is NaN (no cell parses to NaN). Raises ValueError if any cell breaks
+    the rule; the rule itself then finds and words the first such cell."""
+    if parse is _parse_str:
+        return list(map(str.strip, cells))
+    if parse is _parse_int:
+        return list(map(int, map(str.strip, cells)))
+    optional = parse is _parse_optional_float
+    values = np.array(list(map(float, [c or "nan" for c in cells] if optional else cells)))
+    broken = ~np.isfinite(values)
+    if optional and broken.any():
+        broken &= ~_is_in(cells, {""})
+    if broken.any():
+        raise ValueError("not finite")
+    return values
+
+
 @dataclass(frozen=True)
 class Column:
     name: str
@@ -251,18 +131,101 @@ class Column:
     parse: Callable[[str], object]
 
 
+def _col(name: str, parse: Callable[[str], object], attr: str | None = None) -> Column:
+    return Column(name=name, attr=attr if attr is not None else name, parse=parse)
+
+
+# ---------------------------------------------------------------------------
+# Record invariants. Each rule is a pair: the mask of the rows of parsed
+# columns that break it, and the message for one such row's values.
+
+
+def check_building_invariants(floors: int, useful_area: float, total_area: float) -> None:
+    """The invariants a land.csv building meets; raises DataError naming
+    the first field that breaks one."""
+    if floors < 1:
+        raise DataError(f"'floors' must be >= 1, got {floors}")
+    for name, area in (("useful_area", useful_area), ("total_area", total_area)):
+        if area <= 0:
+            raise DataError(f"{name!r} must be positive, got {area}")
+
+
+def _building_invariant_message(v: dict) -> str:
+    try:
+        check_building_invariants(v["floors"], v["useful_area"], v["total_area"])
+    except DataError as exc:
+        return str(exc)
+
+
+def _is_in(strings: list[str], allowed) -> np.ndarray:
+    return np.fromiter(map(allowed.__contains__, strings), dtype=bool, count=len(strings))
+
+
+_KEY_RULE = (lambda c: _is_in(c["cadastre_number"], {""}),
+             lambda v: "cadastre_number must be nonempty")
+
+
+def _at_least(attr: str, bound: int):
+    return (lambda c: np.asarray(c[attr]) < bound,
+            lambda v: f"{attr} must be >= {bound}, got {v[attr]}")
+
+
+def _years(c: dict) -> np.ndarray:
+    """The annual totals as an (n, years) matrix, NaN where absent."""
+    return np.column_stack([c[f"y{year}"] for year in CONSUMPTION_YEARS])
+
+
+def _negative_consumption(v: dict) -> str:
+    year = next(y for y in CONSUMPTION_YEARS if v[f"y{y}"] is not None and v[f"y{y}"] < 0)
+    return f"building {v['cadastre_number']}: negative consumption {v[f'y{year}']} for {year}"
+
+
+def _row_means(totals: np.ndarray) -> np.ndarray:
+    """Each row's mean over its present (non-NaN) values, bitwise np.mean of
+    those values: an np.add.reduce per pattern of present columns."""
+    present = ~np.isnan(totals)
+    means = np.empty(totals.shape[0])
+    todo = np.ones(totals.shape[0], dtype=bool)
+    while todo.any():
+        pattern = present[np.argmax(todo)]
+        rows = todo & (present == pattern).all(axis=1)
+        means[rows] = np.add.reduce(totals[np.ix_(rows, pattern)], axis=1) / pattern.sum()
+        todo &= ~rows
+    return means
+
+
+# ---------------------------------------------------------------------------
+# Schema-driven loading
+
+
 @dataclass(frozen=True)
 class TableSchema:
-    """Maps CSV columns onto a record constructor plus a uniqueness key."""
+    """The columns of one CSV file, its record invariants in the order a
+    row is checked, its key (attribute names; none for a file with several
+    rows per building) and what to derive from the parsed columns."""
 
     name: str
     columns: tuple[Column, ...]
-    build: Callable[[dict], object]
-    key: Callable[[object], object] | None = None
+    rules: tuple[tuple[Callable[[dict], np.ndarray], Callable[[dict], str]], ...]
+    key: tuple[str, ...] = ()
+    derive: Callable[[dict], None] = lambda columns: None
 
 
-def _col(name: str, parse: Callable[[str], object], attr: str | None = None) -> Column:
-    return Column(name=name, attr=attr if attr is not None else name, parse=parse)
+@dataclass(eq=False)
+class Table:
+    """One parsed CSV file: each schema attribute (and derived column) to
+    its values in row order, float64 arrays for the float rules and lists
+    otherwise, and each key to its 0-based row (file row number - 2, blank
+    lines not counted; empty without a key)."""
+
+    columns: dict[str, list | np.ndarray]
+    index: dict[object, int]
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values())))
+
+    def __getitem__(self, attr: str):
+        return self.columns[attr]
 
 
 LAND_SCHEMA = TableSchema(
@@ -281,8 +244,12 @@ LAND_SCHEMA = TableSchema(
         _col("perimeter", _parse_float),
         _col("building_type", _parse_str),
     ),
-    build=lambda attrs: LandRecord(**attrs),
-    key=lambda rec: rec.cadastre_number,
+    rules=(
+        _KEY_RULE,
+        (lambda c: (np.array(c["floors"]) < 1) | (c["useful_area"] <= 0)
+         | (c["total_area"] <= 0), _building_invariant_message),
+    ),
+    key=("cadastre_number",),
 )
 
 AUDIT_BUILDINGS_SCHEMA = TableSchema(
@@ -301,8 +268,15 @@ AUDIT_BUILDINGS_SCHEMA = TableSchema(
         _col("specific_heat_gains", _parse_float),
         _col("building_type", _parse_str),
     ),
-    build=lambda attrs: AuditBuildingRecord(**attrs),
-    key=lambda rec: rec.cadastre_number,
+    rules=(
+        _KEY_RULE,
+        _at_least("air_exchange_rate", 0),
+        _at_least("specific_heat_gains", 0),
+        (lambda c: (c["useful_area"] <= 0) | (c["total_area"] <= 0),
+         lambda v: "areas must be positive, got "
+         f"useful_area={v['useful_area']}, total_area={v['total_area']}"),
+    ),
+    key=("cadastre_number",),
 )
 
 AUDIT_COMPONENTS_SCHEMA = TableSchema(
@@ -315,24 +289,17 @@ AUDIT_COMPONENTS_SCHEMA = TableSchema(
         _col("area", _parse_float),
         _col("structure_heat_loss_coefficient", _parse_float),
     ),
-    build=lambda attrs: AuditComponentRecord(**attrs),
-    key=lambda rec: (rec.cadastre_number, rec.enclosing_structure),
+    rules=(
+        _KEY_RULE,
+        (lambda c: ~_is_in(c["enclosing_structure"], frozenset(COMPONENTS)),
+         lambda v: f"unknown enclosing_structure {v['enclosing_structure']!r}; "
+         f"expected one of: {', '.join(COMPONENTS)}"),
+        # Zero area is tolerated here and handled at join time; negative is not.
+        _at_least("area", 0),
+        _at_least("structure_heat_loss_coefficient", 0),
+    ),
+    key=("cadastre_number", "enclosing_structure"),
 )
-
-
-def _parse_optional_float(raw: str) -> float | None:
-    """An empty cell is an absent value."""
-    return None if raw == "" else _parse_float(raw)
-
-
-def _build_consumption(attrs: dict) -> ConsumptionRecord:
-    totals = {
-        year: attrs[f"y{year}"]
-        for year in CONSUMPTION_YEARS
-        if attrs[f"y{year}"] is not None
-    }
-    return ConsumptionRecord(cadastre_number=attrs["cadastre_number"], annual_totals=totals)
-
 
 CONSUMPTION_SCHEMA = TableSchema(
     name="consumption",
@@ -342,8 +309,14 @@ CONSUMPTION_SCHEMA = TableSchema(
         _col(f"total_energy_consumption_{year}", _parse_optional_float, attr=f"y{year}")
         for year in CONSUMPTION_YEARS
     ),
-    build=_build_consumption,
-    key=lambda rec: rec.cadastre_number,
+    rules=(
+        _KEY_RULE,
+        (lambda c: np.isnan(_years(c)).all(axis=1),
+         lambda v: f"building {v['cadastre_number']}: no annual consumption present"),
+        (lambda c: (_years(c) < 0).any(axis=1), _negative_consumption),
+    ),
+    key=("cadastre_number",),
+    derive=lambda c: c.update(mean_annual=_row_means(_years(c))),
 )
 
 MONTHLY_SCHEMA = TableSchema(
@@ -354,12 +327,17 @@ MONTHLY_SCHEMA = TableSchema(
         _col("month", _parse_int),
         _col("energy_consumption", _parse_float),
     ),
-    build=lambda attrs: MonthlyConsumptionRow(**attrs),
-    key=None,  # several rows per building by design
+    rules=(
+        _KEY_RULE,
+        (lambda c: (np.array(c["month"]) < 1) | (np.array(c["month"]) > 12),
+         lambda v: f"month must be in 1..12, got {v['month']}"),
+        _at_least("energy_consumption", 0),
+    ),
+    key=(),  # several rows per building by design
 )
 
 
-def load_dataset(path: str | Path, schema: TableSchema) -> list:
+def load_dataset(path: str | Path, schema: TableSchema) -> Table:
     """Parse one CSV against a schema.
 
     Raises DataError naming the file, row and column for the first
@@ -372,78 +350,155 @@ def load_dataset(path: str | Path, schema: TableSchema) -> list:
         raise DataError(f"{schema.name} file not found: {path}")
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
-            return _read_records(path, schema, csv.reader(handle))
+            return _read_table(path, schema, csv.reader(handle))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: cannot read {schema.name} file: {exc}") from None
 
 
-def _read_records(path: Path, schema: TableSchema, reader) -> list:
-    """The row loop of load_dataset. Rows are read as csv.DictReader would
-    present them: blank lines are skipped and not counted, a repeated
+def _read_table(path: Path, schema: TableSchema, reader) -> Table:
+    """The chunk loop of load_dataset. Rows are read as csv.DictReader
+    would present them: blank lines are skipped and not counted, a repeated
     header name refers to its last column, and extra columns are ignored."""
     header = next(reader, None)
     if header is None:
         raise DataError(f"{path}: empty file, expected a header row")
-    index = {name: i for i, name in enumerate(header)}
-    missing = [c.name for c in schema.columns if c.name not in index]
+    position = {name: i for i, name in enumerate(header)}
+    missing = [c.name for c in schema.columns if c.name not in position]
     if missing:
         raise DataError(f"{path}: missing column(s): {', '.join(missing)}")
-    plan = [(index[c.name], c.name, c.attr, c.parse) for c in schema.columns]
-    build, key_of = schema.build, schema.key
-    records = []
-    seen: dict[object, int] = {}
-    row_num = 1
-    for row in reader:
-        if not row:
-            continue
-        row_num += 1
-        attrs = {}
-        for i, name, attr, parse in plan:
-            try:
-                raw = row[i]
-            except IndexError:
-                raise DataError(
-                    f"{path} row {row_num}: short row, no value for column {name!r}"
-                ) from None
-            try:
-                attrs[attr] = parse(raw)
-            except ValueError as exc:
-                raise DataError(f"{path} row {row_num}, column {name!r}: {exc}") from None
+    plan = [(position[c.name], c) for c in schema.columns]
+    parts: list[dict] = []
+    index: dict[object, int] = {}
+    rows = filter(None, reader)
+    done = 0
+    while chunk := list(itertools.islice(rows, CHUNK_ROWS)):
+        parts.append(_parse_chunk(path, schema, plan, chunk, done, index))
+        done += len(chunk)
+    columns = {}
+    for c in schema.columns:
+        values = [part[c.attr] for part in parts] or [_parse_column(c.parse, [])]
+        is_array = isinstance(values[0], np.ndarray)
+        columns[c.attr] = np.concatenate(values) if is_array else [*itertools.chain(*values)]
+    schema.derive(columns)
+    return Table(columns, index)
+
+
+def _parse_chunk(
+    path: Path, schema: TableSchema, plan: list, chunk: list, done: int, index: dict
+) -> dict:
+    """The parsed columns of the chunk after the first done rows, its keys
+    added to index; raises the DataError of the chunk's first problem.
+    Columns are parsed over the good rows, those before the first short
+    row or bad cell; invariants and keys are checked on those rows."""
+    good, width = len(chunk), 1 + max(i for i, _ in plan)
+    if min(map(len, chunk)) < width:
+        good = next(j for j, row in enumerate(chunk) if len(row) < width)
+    rows = chunk[:good]
+    columns = {}
+    for i, column in plan:
+        cells = list(map(operator.itemgetter(i), rows))
         try:
-            record = build(attrs)
-        except DataError as exc:
-            raise DataError(f"{path} row {row_num}: {exc}") from None
-        if key_of is not None:
-            key = key_of(record)
-            if key in seen:
-                raise DataError(
-                    f"{path} row {row_num}: duplicate key {key!r} "
-                    f"(first seen at row {seen[key]})"
-                )
-            seen[key] = row_num
-        records.append(record)
-    return records
+            columns[column.attr] = _parse_column(column.parse, cells)
+        except ValueError:
+            good = next(j for j, cell in enumerate(cells) if not _parses(column.parse, cell))
+            rows = chunk[:good]
+            columns[column.attr] = _parse_column(column.parse, cells[:good])
+    columns = {attr: values[:good] for attr, values in columns.items()}
+    broken = np.logical_or.reduce([rule(columns) for rule, _ in schema.rules])
+    problem = int(np.argmax(broken)) if broken.any() else good
+    keys = _keys(schema.key, columns)
+    new = dict(zip(keys, range(done, done + good)))
+    if len(new) < len(keys) or not index.keys().isdisjoint(new):
+        earlier: dict = {}  # the first row of each key in the chunk
+        problem = min(problem, next(
+            j for j, key in enumerate(keys) if key in index or earlier.setdefault(key, j) != j))
+    if problem < len(chunk):
+        index.update(zip(keys[:problem], range(done, done + problem)))
+        raise _row_problem(path, schema, plan, chunk[problem], done + problem + 2, index)
+    index.update(new)
+    return columns
 
 
-def aggregate_consumption(rows: list[MonthlyConsumptionRow]) -> list[ConsumptionRecord]:
-    """Collapse monthly rows into per-building annual totals and their mean.
+def _keys(key: tuple[str, ...], columns: dict) -> list:
+    if not key:
+        return []
+    if len(key) == 1:
+        return columns[key[0]]
+    return list(zip(*(columns[attr] for attr in key)))
 
-    A year's total is the plain sum of whatever months are present.
-    Buildings with no rows simply yield no record. Output is sorted by
-    cadastre number.
-    """
+
+def _parses(parse: Callable[[str], object], cell: str) -> bool:
+    try:
+        parse(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _row_problem(
+    path: Path, schema: TableSchema, plan: list, row: list[str], row_num: int, index: dict
+) -> DataError:
+    """The DataError of one row known to hold a problem, checked as a
+    row-wise loader would: a short row or bad cell in schema order, then
+    the record invariants in order, then a key index holds for an earlier
+    row."""
+    values = {}
+    for i, column in plan:
+        if i >= len(row):
+            return DataError(
+                f"{path} row {row_num}: short row, no value for column {column.name!r}"
+            )
+        try:
+            values[column.attr] = column.parse(row[i])
+        except ValueError as exc:
+            return DataError(f"{path} row {row_num}, column {column.name!r}: {exc}")
+    one_row = {column.attr: _parse_column(column.parse, [row[i]]) for i, column in plan}
+    for rule, message in schema.rules:
+        if rule(one_row)[0]:
+            return DataError(f"{path} row {row_num}: {message(values)}")
+    [key] = _keys(schema.key, one_row)
+    return DataError(
+        f"{path} row {row_num}: duplicate key {key!r} (first seen at row {index[key] + 2})"
+    )
+
+
+def aggregate_consumption(monthly: Table) -> Table:
+    """Collapse monthly rows into a consumption table sorted by cadastre
+    number: one y<year> column per year in the file, each the plain sum of
+    that year's months in file order (NaN where a building has none), and
+    mean_annual, the mean of a building's years in the order they first
+    appear. Buildings with no rows simply yield no row."""
     per_building: dict[str, dict[int, float]] = {}
-    for row in rows:
-        totals = per_building.setdefault(row.cadastre_number, {})
-        totals[row.year] = totals.get(row.year, 0.0) + row.energy_consumption
-    return [
-        ConsumptionRecord(cadastre_number=number, annual_totals=per_building[number])
-        for number in sorted(per_building)
-    ]
+    energy = monthly["energy_consumption"].tolist()
+    for number, year, value in zip(monthly["cadastre_number"], monthly["year"], energy):
+        totals = per_building.setdefault(number, {})
+        totals[year] = totals.get(year, 0.0) + value
+    numbers = sorted(per_building)
+    totals = [per_building[number] for number in numbers]
+    columns = {"cadastre_number": numbers}
+    for year in sorted(set().union(*totals)):
+        columns[f"y{year}"] = np.array([t.get(year, np.nan) for t in totals], dtype=float)
+    in_order = np.full((len(numbers), len(columns) - 1), np.nan)
+    for row, t in zip(in_order, totals):
+        row[: len(t)] = list(t.values())
+    columns["mean_annual"] = _row_means(in_order)
+    return Table(columns, {number: i for i, number in enumerate(numbers)})
 
 
 # ---------------------------------------------------------------------------
 # Feature encoding and joining
+
+
+def _encoding_problem(building_type: str, serie: str) -> str | None:
+    """Why encode_features rejects these values, or None if it does not."""
+    if building_type not in _BUILDING_TYPE_CODE:
+        return (
+            f"unknown building_type {building_type!r}; "
+            f"expected one of: {', '.join(BUILDING_TYPES)}"
+        )
+    if serie not in _SERIE_INDEX:
+        return f"unknown serie {serie!r}; expected one of: {', '.join(SERIES)}"
+    return None
 
 
 def encode_features(
@@ -460,22 +515,16 @@ def encode_features(
     followed by the 12-wide serie one-hot block; building_type encodes
     light as 0 and heavy as 1.
     """
-    if building_type not in _BUILDING_TYPE_CODE:
-        raise ConfigError(
-            f"unknown building_type {building_type!r}; "
-            f"expected one of: {', '.join(BUILDING_TYPES)}"
-        )
-    if serie not in SERIES:
-        raise ConfigError(
-            f"unknown serie {serie!r}; expected one of: {', '.join(SERIES)}"
-        )
+    problem = _encoding_problem(building_type, serie)
+    if problem is not None:
+        raise ConfigError(problem)
     vec = np.zeros(N_FEATURES)
     vec[0] = useful_area
     vec[1] = total_area
     vec[2] = floors
     vec[3] = apartments
     vec[4] = _BUILDING_TYPE_CODE[building_type]
-    vec[5 + SERIES.index(serie)] = 1.0
+    vec[5 + _SERIE_INDEX[serie]] = 1.0
     return vec
 
 
@@ -503,123 +552,88 @@ def parse_building(payload: dict, source: str | Path) -> dict:
     return fields
 
 
+def parse_json_float(value: object, where: str) -> float:
+    """A JSON value through the float cell rule of the cohort files;
+    raises DataError naming where."""
+    try:
+        return _parse_float(str(value))
+    except ValueError as exc:
+        raise DataError(f"{where}: {exc}") from None
+
+
+@dataclass(eq=False)
+class JoinedCohort:
+    """The joined buildings, sorted by cadastre number, as rows of their
+    tables; component_rows is (n, 5) in COMPONENTS order."""
+
+    cadastre_numbers: list[str]
+    audit: Table
+    audit_rows: np.ndarray
+    components: Table
+    component_rows: np.ndarray
+    consumption: Table
+    consumption_rows: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.cadastre_numbers)
+
+
 def join_on_cadastre(
-    land: list[LandRecord],
-    audit_buildings: list[AuditBuildingRecord],
-    audit_components: list[AuditComponentRecord],
-    consumption: list[ConsumptionRecord],
-) -> tuple[list[JoinedSample], list[tuple[str, str]]]:
-    """Inner-join the four datasets into training-ready samples.
+    land: Table,
+    audit_buildings: Table,
+    audit_components: Table,
+    consumption: Table,
+) -> tuple[JoinedCohort, list[tuple[str, str]]]:
+    """Inner-join the four tables into training-ready buildings.
 
     Nothing here is fatal: buildings that cannot be assembled are dropped
     and the second return value lists (cadastre_number, reason) pairs.
-    Samples come back sorted by cadastre number, so identical inputs give
-    identical output order.
+    Buildings come back sorted by cadastre number, so identical inputs
+    give identical output order.
     """
-    land_by_key = {rec.cadastre_number: rec for rec in land}
-    audit_by_key = {rec.cadastre_number: rec for rec in audit_buildings}
-    consumption_by_key = {rec.cadastre_number: rec for rec in consumption}
-    components_by_key: dict[str, dict[str, AuditComponentRecord]] = {}
-    for comp in audit_components:
-        components_by_key.setdefault(comp.cadastre_number, {})[
-            comp.enclosing_structure
-        ] = comp
+    numbers = sorted(set(land.index).union(
+        audit_buildings.index, audit_components["cadastre_number"], consumption.index))
 
-    all_keys = (
-        set(land_by_key)
-        | set(audit_by_key)
-        | set(components_by_key)
-        | set(consumption_by_key)
-    )
-    kept = []
-    dropped: list[tuple[str, str]] = []
-    for number in sorted(all_keys):
-        if number not in land_by_key:
-            dropped.append((number, "no land record"))
-            continue
-        if number not in audit_by_key:
-            dropped.append((number, "no building audit record"))
-            continue
-        audit = audit_by_key[number]
-        components = components_by_key.get(number, {})
-        missing = [name for name in COMPONENTS if name not in components]
-        if missing:
-            dropped.append(
-                (number, "missing component: " + ", ".join(missing))
-            )
-            continue
-        zero_area = [name for name in COMPONENTS if components[name].area == 0]
-        if zero_area:
-            dropped.append(
-                (
-                    number,
-                    "zero area for component: "
-                    + ", ".join(zero_area)
-                    + " (U-value division undefined)",
-                )
-            )
-            continue
-        if number not in consumption_by_key:
-            dropped.append((number, "no consumption record"))
-            continue
-        try:
-            features = encode_features(
-                useful_area=audit.useful_area,
-                total_area=audit.total_area,
-                floors=audit.floors,
-                apartments=audit.apartments,
-                building_type=audit.building_type,
-                serie=audit.serie,
-            )
-        except ConfigError as exc:
-            dropped.append((number, str(exc)))
-            continue
-        kept.append((number, audit, [components[name] for name in COMPONENTS], features))
-    if not kept:
-        return [], dropped
+    def rows_of(table: Table, keys) -> np.ndarray:  # -1 for a key without a row
+        return np.fromiter(map(table.index.get, keys, itertools.repeat(-1)), np.intp, len(numbers))
 
-    # The twelve targets of every kept building in one matrix, checked at
-    # once (zero areas were dropped above); only a failing check takes the
-    # per-building path, which raises the DomainError of the first bad
-    # building in sorted order. A negative coefficient is checked on its
-    # own because its quotient can round to -0.0.
-    areas = np.array([[c.area for c in comps] for _, _, comps, _ in kept], dtype=float)
-    coefficients = np.array(
-        [[c.structure_heat_loss_coefficient for c in comps] for _, _, comps, _ in kept],
-        dtype=float,
-    )
-    rates = np.array(
-        [[a.air_exchange_rate, a.specific_heat_gains] for _, a, _, _ in kept], dtype=float
-    )
-    with np.errstate(all="ignore"):
-        targets = np.hstack([areas, coefficients / areas, rates])
-    if not (
-        np.all(coefficients >= 0) and np.all(np.isfinite(targets)) and np.all(targets >= 0)
-    ):
-        for _, audit, comps, _ in kept:
-            EnvelopeState(
-                areas=np.array([c.area for c in comps]),
-                u_values=np.array(
-                    [u_value(c.structure_heat_loss_coefficient, c.area) for c in comps]
-                ),
-                air_exchange_rate=audit.air_exchange_rate,
-                specific_heat_gains=audit.specific_heat_gains,
-            ).validate()
-    samples = [
-        JoinedSample(
-            cadastre_number=number,
-            features=features,
-            target_state=EnvelopeState.from_vector(row),
-            measured_energy=consumption_by_key[number].mean_annual,
-            useful_area=audit.useful_area,
-            building_type=audit.building_type,
-        )
-        for (number, audit, _, features), row in zip(kept, targets)
-    ]
-    return samples, dropped
+    audit_rows, consumption_rows = rows_of(audit_buildings, numbers), rows_of(consumption, numbers)
+    component_rows = np.column_stack([
+        rows_of(audit_components, zip(numbers, itertools.repeat(name))) for name in COMPONENTS])
+    live = np.ones(len(numbers), dtype=bool)
+    reasons: dict[int, str] = {}
+
+    def drop(mask: np.ndarray, reason: Callable[[int], str]) -> None:
+        """Drop the live buildings in mask, reason(j) wording building j's."""
+        for j in np.flatnonzero(live & mask):
+            reasons[j] = reason(j)
+        live[mask] = False
+
+    def named(mask_row: np.ndarray) -> str:
+        return ", ".join(name for name, hit in zip(COMPONENTS, mask_row) if hit)
+
+    drop(rows_of(land, numbers) < 0, lambda j: "no land record")
+    drop(audit_rows < 0, lambda j: "no building audit record")
+    absent = component_rows < 0
+    drop(absent.any(axis=1), lambda j: "missing component: " + named(absent[j]))
+    zero_area = np.zeros_like(absent)
+    zero_area[live] = audit_components["area"][component_rows[live]] == 0
+    drop(zero_area.any(axis=1),
+         lambda j: f"zero area for component: {named(zero_area[j])} (U-value division undefined)")
+    drop(consumption_rows < 0, lambda j: "no consumption record")
+    building_types, series = audit_buildings["building_type"], audit_buildings["serie"]
+    problems = [_encoding_problem(building_types[i], series[i]) if i >= 0 else None
+                for i in audit_rows.tolist()]
+    drop(np.array([p is not None for p in problems], dtype=bool), problems.__getitem__)
+
+    kept = np.flatnonzero(live)
+    joined = JoinedCohort([numbers[j] for j in kept], audit_buildings, audit_rows[kept],
+                          audit_components, component_rows[kept], consumption,
+                          consumption_rows[kept])
+    return joined, [(numbers[j], reasons[j]) for j in sorted(reasons)]
 
 
-def load_cohort(data_dir: str | Path) -> tuple[list[JoinedSample], list[tuple[str, str]]]:
+def load_cohort(data_dir: str | Path) -> tuple[JoinedCohort, list[tuple[str, str]]]:
     """Load the standard file layout from a directory and join.
 
     Annual totals come from consumption.csv when present, otherwise they
@@ -648,7 +662,7 @@ def load_cohort(data_dir: str | Path) -> tuple[list[JoinedSample], list[tuple[st
 
 @dataclass(eq=False)
 class TrainingArrays:
-    """Column-stacked views of a sample list, index-aligned with it."""
+    """Model inputs, targets and measurements of joined buildings, one row each."""
 
     cadastre_numbers: list[str]
     features: np.ndarray  # (n, 17)
@@ -662,16 +676,47 @@ class TrainingArrays:
         return len(self.cadastre_numbers)
 
 
-def build_matrices(samples: list[JoinedSample]) -> TrainingArrays:
-    if not samples:
+def build_matrices(joined: JoinedCohort) -> TrainingArrays:
+    """Gather the joined buildings' columns. The twelve targets of all
+    buildings are checked at once (zero areas were dropped by the join);
+    only a failing check takes the per-building path, which raises the
+    DomainError of the first bad building in sorted order."""
+    n = len(joined)
+    if n == 0:
         raise DataError("no samples to assemble")
+    audit, rows = joined.audit, joined.audit_rows
+    picked = rows.tolist()
+
+    def take(attr: str) -> list:
+        return [audit[attr][i] for i in picked]
+
+    building_types = take("building_type")
+    features = np.zeros((n, N_FEATURES))
+    features[:, 0] = audit["useful_area"][rows]
+    features[:, 1] = audit["total_area"][rows]
+    features[:, 2] = np.array(take("floors"), dtype=float)
+    features[:, 3] = np.array(take("apartments"), dtype=float)
+    features[:, 4] = [_BUILDING_TYPE_CODE[t] for t in building_types]
+    features[np.arange(n), [5 + _SERIE_INDEX[s] for s in take("serie")]] = 1.0
+
+    areas = joined.components["area"][joined.component_rows]
+    coefficients = joined.components["structure_heat_loss_coefficient"][joined.component_rows]
+    rates = np.column_stack([audit["air_exchange_rate"][rows], audit["specific_heat_gains"][rows]])
+    with np.errstate(all="ignore"):
+        targets = np.hstack([areas, coefficients / areas, rates])
+    # A negative coefficient is checked on its own: its quotient can round to -0.0.
+    bad = ~(coefficients >= 0).all(axis=1) | ~(np.isfinite(targets) & (targets >= 0)).all(axis=1)
+    if bad.any():  # the per-building path: u_value, then validate
+        j = int(np.argmax(bad))
+        u_values = [u_value(c, a) for c, a in zip(coefficients[j].tolist(), areas[j].tolist())]
+        EnvelopeState(areas[j], np.array(u_values), *rates[j]).validate()
     return TrainingArrays(
-        cadastre_numbers=[s.cadastre_number for s in samples],
-        features=np.stack([s.features for s in samples]),
-        targets=np.stack([s.target_state.to_vector() for s in samples]),
-        measured_energy=np.array([s.measured_energy for s in samples]),
-        useful_area=np.array([s.useful_area for s in samples]),
-        building_types=[s.building_type for s in samples],
+        cadastre_numbers=joined.cadastre_numbers,
+        features=features,
+        targets=targets,
+        measured_energy=joined.consumption["mean_annual"][joined.consumption_rows],
+        useful_area=audit["useful_area"][rows],
+        building_types=building_types,
     )
 
 

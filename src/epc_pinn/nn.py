@@ -25,7 +25,6 @@ atomically (temporary file, then rename).
 from __future__ import annotations
 
 import base64
-import copy
 import json
 import os
 import threading
@@ -429,4 +428,4 @@ def load_checkpoint(path: str | Path) -> tuple[MlpModel, dict]:
     extra = payload.get("extra", {})
     if not isinstance(extra, dict):
         raise DataError(f"checkpoint {path} extra payload must be a JSON object")
-    return model, copy.deepcopy(extra)
+    return model, extra

@@ -285,14 +285,15 @@ def heat_gain_usage_factor(
     if tau <= 0:
         raise DomainError(f"time constant must be positive, got {tau}")
     r = np.array([heat_gains_total / heat_loss_total])
-    f, _, _ = _usage_factor_and_slopes(r, np.array([float(tau)]), eps)
+    f, _, _ = _usage_factor_and_slopes(r, np.array([float(tau)]), eps, slopes=False)
     return float(f[0])
 
 
 def _usage_factor_and_slopes(
-    r: np.ndarray, tau: np.ndarray, eps: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Usage factor f(r) plus the combinations r^2*f'(r) and r*f'(r).
+    r: np.ndarray, tau: np.ndarray, eps: float, slopes: bool
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Usage factor f(r) plus, if slopes, the combinations r^2*f'(r) and
+    r*f'(r) (None otherwise).
 
     The combinations are what the consumption gradient needs; computing
     them directly keeps every exponent positive, so r = 0 and large r are
@@ -304,8 +305,8 @@ def _usage_factor_and_slopes(
     a = tau
     b = tau + 1.0
     f = np.empty_like(r)
-    r2fp = np.zeros_like(r)
-    rfp = np.zeros_like(r)
+    r2fp = np.zeros_like(r) if slopes else None
+    rfp = np.zeros_like(r) if slopes else None
 
     band = np.abs(r - 1.0) <= eps
     lo = (r < 1.0) & ~band
@@ -319,9 +320,10 @@ def _usage_factor_and_slopes(
         pb = rl**bl
         den = 1.0 - pb
         f[lo] = (1.0 - pa) / den
-        # r^2 f' and r f' share the structure (-a r^(a+k) den + b r^(b+k) (1-r^a)) / den^2
-        r2fp[lo] = (-al * rl * pa * den + bl * rl * pb * (1.0 - pa)) / den**2
-        rfp[lo] = (-al * pa * den + bl * pb * (1.0 - pa)) / den**2
+        if slopes:
+            # r^2 f' and r f' share the structure (-a r^(a+k) den + b r^(b+k) (1-r^a)) / den^2
+            r2fp[lo] = (-al * rl * pa * den + bl * rl * pb * (1.0 - pa)) / den**2
+            rfp[lo] = (-al * pa * den + bl * pb * (1.0 - pa)) / den**2
     if hi.any():
         u = 1.0 / r[hi]
         bh = b[hi]
@@ -329,10 +331,11 @@ def _usage_factor_and_slopes(
         ub = ub1 * u  # u^(tau+1)
         den = ub - 1.0
         f[hi] = (ub - u) / den
-        # f(r) = g(u) with u = 1/r, so r^2 f' = -g'(u) and r f' = -u g'(u).
-        gp = ((bh * ub1 - 1.0) * den - (ub - u) * bh * ub1) / den**2
-        r2fp[hi] = -gp
-        rfp[hi] = -u * gp
+        if slopes:
+            # f(r) = g(u) with u = 1/r, so r^2 f' = -g'(u) and r f' = -u g'(u).
+            gp = ((bh * ub1 - 1.0) * den - (ub - u) * bh * ub1) / den**2
+            r2fp[hi] = -gp
+            rfp[hi] = -u * gp
     return f, r2fp, rfp
 
 
@@ -389,7 +392,7 @@ def energy_consumption_batch(
 
     positive_losses = losses > 0
     r = np.divide(gains, losses, out=np.zeros_like(losses), where=positive_losses)
-    f, r2fp, rfp = _usage_factor_and_slopes(r, tau, consts.near_one_epsilon)
+    f, r2fp, rfp = _usage_factor_and_slopes(r, tau, consts.near_one_epsilon, with_gradient)
     hguf = np.where(positive_losses, f, 1.0)
     raw = losses - gains * hguf
     energy = np.maximum(raw, 0.0)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from epc_pinn import cli, nn
-from epc_pinn.cli import main
+from epc_pinn.cli import PROG, main
 from epc_pinn.physics import COMPONENTS, EnvelopeState, PhysicsConstants, energy_consumption
 
 
@@ -555,6 +555,36 @@ class TestAudit:
         envelope.write_text(json.dumps(payload))
         assert main(["audit", "--envelope", str(envelope)]) == 2
         assert "air_exchange_rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad, problem", [
+        ("abc", "not a number: 'abc'"),
+        (float("nan"), "not finite: 'nan'"),
+        (float("inf"), "not finite: 'inf'"),
+        (True, "not a number: 'True'"),
+        ([1.0], "not a number: '[1.0]'"),
+    ])
+    @pytest.mark.parametrize("field", [
+        "air_exchange_rate", "specific_heat_gains", "useful_area", "areas", "areas mapping",
+    ])
+    def test_bad_number_is_exit_two_naming_the_field(self, tmp_path, capsys, field, bad, problem):
+        """Numeric fields go through the cohort files' float cell rule:
+        JSON NaN and Infinity, booleans, lists and non-numeric strings are
+        data errors (exit 2) naming the field, and nothing is printed."""
+        envelope = tmp_path / "envelope.json"
+        if field == "areas":
+            payload = envelope_payload(areas=[100.0, bad, 0.0, 0.0, 0.0])
+            where = "field 'areas', component 'Roof/Attic'"
+        elif field == "areas mapping":
+            payload = envelope_payload(areas=dict(zip(COMPONENTS, [100.0, 0.0, 0.0, 0.0, bad])))
+            where = "field 'areas', component 'Windows'"
+        else:
+            payload = envelope_payload(**{field: bad})
+            where = f"field {field!r}"
+        envelope.write_text(json.dumps(payload))
+        assert main(["audit", "--envelope", str(envelope)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{PROG}: error: {envelope}, {where}: {problem}\n"
 
     def test_malformed_envelope_json_is_exit_two(self, tmp_path, capsys):
         envelope = tmp_path / "envelope.json"

@@ -9,24 +9,22 @@ partitions.
 
 import csv
 import shutil
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from epc_pinn import data
 from epc_pinn.data import (
     AUDIT_BUILDINGS_SCHEMA,
     AUDIT_COMPONENTS_SCHEMA,
     CONSUMPTION_SCHEMA,
+    CONSUMPTION_YEARS,
     FEATURE_NAMES,
     LAND_SCHEMA,
     MONTHLY_SCHEMA,
     SERIES,
-    AuditBuildingRecord,
-    AuditComponentRecord,
-    ConsumptionRecord,
-    LandRecord,
     MinMaxScaler,
-    MonthlyConsumptionRow,
     aggregate_consumption,
     build_matrices,
     encode_features,
@@ -37,7 +35,7 @@ from epc_pinn.data import (
     train_val_split,
 )
 from epc_pinn.errors import ConfigError, DataError, DomainError, UsageError
-from epc_pinn.physics import COMPONENTS
+from epc_pinn.physics import COMPONENTS, EnvelopeState, u_value
 
 LAND_HEADER = (
     "cadastre_number,floors,latitude_centroid,longitude_centroid,useful_area,"
@@ -69,6 +67,10 @@ def write(path, header, rows):
     path.write_text("\n".join([header] + rows) + "\n")
 
 
+# Rows as {CSV column: cell value}; table() writes them under their
+# schema's header and loads them.
+
+
 def make_land(number="01000000001", **overrides):
     fields = dict(
         cadastre_number=number,
@@ -85,7 +87,7 @@ def make_land(number="01000000001", **overrides):
         perimeter=60.0,
     )
     fields.update(overrides)
-    return LandRecord(**fields)
+    return fields
 
 
 def make_audit(number="01000000001", **overrides):
@@ -99,17 +101,17 @@ def make_audit(number="01000000001", **overrides):
         building_type="heavy",
         length=20.0,
         width=10.0,
-        avg_indoor_height=2.7,
+        Avg_indoor_height=2.7,
         air_exchange_rate=0.8,
         specific_heat_gains=15.0,
     )
     fields.update(overrides)
-    return AuditBuildingRecord(**fields)
+    return fields
 
 
 def make_components(number="01000000001", area=200.0, coefficient=100.0):
     return [
-        AuditComponentRecord(
+        dict(
             cadastre_number=number,
             enclosing_structure=name,
             material="brick",
@@ -124,19 +126,39 @@ def make_components(number="01000000001", area=200.0, coefficient=100.0):
 def make_consumption(number="01000000001", totals=None):
     if totals is None:
         totals = {2017: 1000.0, 2018: 1100.0, 2019: 900.0, 2020: 1000.0}
-    return ConsumptionRecord(cadastre_number=number, annual_totals=totals)
+    fields = {f"total_energy_consumption_{year}": "" for year in CONSUMPTION_YEARS}
+    fields.update({f"total_energy_consumption_{year}": v for year, v in totals.items()})
+    return dict(cadastre_number=number, **fields)
+
+
+def table(path, schema, rows):
+    """rows written as the schema's CSV file at path, then loaded."""
+    names = [c.name for c in schema.columns]
+    write(path, ",".join(names), [",".join(str(row[name]) for name in names) for row in rows])
+    return load_dataset(path, schema)
+
+
+def joined(tmp_path, land, audit, components, consumption):
+    """join_on_cadastre over the four tables of these rows."""
+    return join_on_cadastre(
+        table(tmp_path / "land.csv", LAND_SCHEMA, land),
+        table(tmp_path / "audit_buildings.csv", AUDIT_BUILDINGS_SCHEMA, audit),
+        table(tmp_path / "audit_components.csv", AUDIT_COMPONENTS_SCHEMA, components),
+        table(tmp_path / "consumption.csv", CONSUMPTION_SCHEMA, consumption),
+    )
 
 
 class TestLoadDataset:
     def test_parses_rows_into_records(self, tmp_path):
         path = tmp_path / "land.csv"
         write(path, LAND_HEADER, [land_row("01000000001"), land_row("01000000002")])
-        records = load_dataset(path, LAND_SCHEMA)
-        assert len(records) == 2
-        assert records[0].cadastre_number == "01000000001"
-        assert records[0].floors == 3
-        assert records[0].useful_area == 850.0
-        assert records[0].building_type == "heavy"
+        land = load_dataset(path, LAND_SCHEMA)
+        assert len(land) == 2
+        assert land["cadastre_number"][0] == "01000000001"
+        assert land["floors"][0] == 3
+        assert land["useful_area"][0] == 850.0
+        assert land["building_type"][0] == "heavy"
+        assert land.index == {"01000000001": 0, "01000000002": 1}
 
     def test_missing_file_is_data_error(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
@@ -151,7 +173,9 @@ class TestLoadDataset:
     def test_header_only_gives_no_records(self, tmp_path):
         path = tmp_path / "land.csv"
         write(path, LAND_HEADER, [])
-        assert load_dataset(path, LAND_SCHEMA) == []
+        land = load_dataset(path, LAND_SCHEMA)
+        assert len(land) == 0
+        assert all(len(values) == 0 for values in land.columns.values())
 
     def test_missing_column_is_named(self, tmp_path):
         path = tmp_path / "land.csv"
@@ -216,8 +240,8 @@ class TestLoadDataset:
                 "01000000001,Windows,glass,0.0,50.0,120.0",
             ],
         )
-        records = load_dataset(path, AUDIT_COMPONENTS_SCHEMA)
-        assert len(records) == 2
+        components = load_dataset(path, AUDIT_COMPONENTS_SCHEMA)
+        assert len(components) == 2
 
     def test_unknown_structure_is_data_error(self, tmp_path):
         path = tmp_path / "components.csv"
@@ -229,30 +253,47 @@ class TestLoadDataset:
         """Annual totals 1000/1100/900/1000 average to 1000."""
         path = tmp_path / "consumption.csv"
         write(path, CONSUMPTION_HEADER, ["01000000001,1000.0,1100.0,900.0,1000.0"])
-        records = load_dataset(path, CONSUMPTION_SCHEMA)
-        assert records[0].mean_annual == pytest.approx(1000.0)
+        consumption = load_dataset(path, CONSUMPTION_SCHEMA)
+        assert consumption["mean_annual"][0] == pytest.approx(1000.0)
 
-    def test_consumption_mean_is_bitwise_numpy_mean(self):
-        """Over random totals of one to twelve years, including values
-        whose sum depends on the summation order."""
+    def test_consumption_mean_is_bitwise_numpy_mean(self, tmp_path):
+        """Over random totals of one to twelve years (monthly files, one
+        month per year) and of random subsets of the four annual columns,
+        including values whose sum depends on the summation order."""
         rng = np.random.default_rng(11)
         cases = [[1e16, 1.0, 1.0, 0.0], [0.0], [-0.0], [3, 1e-300, 7.5, 1e300]]
         for _ in range(3000):
             n = int(rng.integers(1, 13))
             scale = 10.0 ** rng.integers(-300, 300, size=n)
             cases.append(list(rng.uniform(0, 1, size=n) * scale))
-        for totals in cases:
-            record = make_consumption(totals=dict(enumerate(totals, start=2000)))
-            expected = float(np.mean(totals))
-            assert record.mean_annual.hex() == expected.hex()
+        rows = [f"{i:05d},{2000 + k},1,{float(v)!r}"
+                for i, totals in enumerate(cases) for k, v in enumerate(totals)]
+        write(tmp_path / "monthly.csv", "cadastre_number,year,month,energy_consumption", rows)
+        monthly = aggregate_consumption(load_dataset(tmp_path / "monthly.csv", MONTHLY_SCHEMA))
+        for totals, mean in zip(cases, monthly["mean_annual"]):
+            assert float(mean).hex() == float(np.mean(totals)).hex()
+        annual = rng.uniform(0, 1, size=(3000, 4)) * 10.0 ** rng.integers(-300, 300, (3000, 4))
+        present = rng.random((3000, 4)) < 0.6
+        present[~present.any(axis=1), 0] = True
+        consumption = table(tmp_path / "consumption.csv", CONSUMPTION_SCHEMA, [
+            make_consumption(f"{i:05d}", {
+                year: float(v) for year, v, keep in zip(CONSUMPTION_YEARS, totals, mask) if keep
+            })
+            for i, (totals, mask) in enumerate(zip(annual, present))
+        ])
+        for totals, mask, mean in zip(annual, present, consumption["mean_annual"]):
+            kept = [v for v, keep in zip(totals, mask) if keep]
+            assert float(mean).hex() == float(np.mean(kept)).hex()
 
     def test_consumption_skips_empty_years(self, tmp_path):
         """Only 2018 and 2020 present: mean of 1200 and 800 is 1000."""
         path = tmp_path / "consumption.csv"
         write(path, CONSUMPTION_HEADER, ["01000000001,,1200.0,,800.0"])
-        records = load_dataset(path, CONSUMPTION_SCHEMA)
-        assert records[0].annual_totals == {2018: 1200.0, 2020: 800.0}
-        assert records[0].mean_annual == pytest.approx(1000.0)
+        consumption = load_dataset(path, CONSUMPTION_SCHEMA)
+        totals = {year: consumption[f"y{year}"][0] for year in CONSUMPTION_YEARS}
+        assert {year: v for year, v in totals.items() if not np.isnan(v)} == {
+            2018: 1200.0, 2020: 800.0}
+        assert consumption["mean_annual"][0] == pytest.approx(1000.0)
 
     @pytest.mark.parametrize("cell, problem", [("abc", "not a number"),
                                                 ("nan", "not finite")])
@@ -278,9 +319,10 @@ class TestLoadDataset:
             "cadastre_number,year,month,energy_consumption",
             ["01000000001,2018,1,100.0", "01000000001,2018,2,90.0"],
         )
-        records = load_dataset(path, MONTHLY_SCHEMA)
-        assert len(records) == 2
-        assert records[1].month == 2
+        monthly = load_dataset(path, MONTHLY_SCHEMA)
+        assert len(monthly) == 2
+        assert monthly["month"][1] == 2
+        assert monthly.index == {}
 
     def test_monthly_month_out_of_range_is_data_error(self, tmp_path):
         path = tmp_path / "monthly.csv"
@@ -305,7 +347,7 @@ class TestLoadDataset:
     def test_repeated_header_name_reads_the_last_column(self, tmp_path):
         path = tmp_path / "land.csv"
         write(path, LAND_HEADER + ",floors", [land_row(floors="3") + ",7"])
-        assert load_dataset(path, LAND_SCHEMA)[0].floors == 7
+        assert load_dataset(path, LAND_SCHEMA)["floors"][0] == 7
 
     def test_extra_and_reordered_columns_are_allowed(self, tmp_path):
         path = tmp_path / "components.csv"
@@ -315,10 +357,12 @@ class TestLoadDataset:
             "material,enclosing_structure,cadastre_number",
             ["x,300.0,150.0,0.0,brick,Walls,01000000001"],
         )
-        [record] = load_dataset(path, AUDIT_COMPONENTS_SCHEMA)
-        assert (record.cadastre_number, record.enclosing_structure) == (
+        components = load_dataset(path, AUDIT_COMPONENTS_SCHEMA)
+        assert len(components) == 1
+        assert (components["cadastre_number"][0], components["enclosing_structure"][0]) == (
             "01000000001", "Walls")
-        assert (record.area, record.structure_heat_loss_coefficient) == (300.0, 150.0)
+        assert (components["area"][0], components["structure_heat_loss_coefficient"][0]) == (
+            300.0, 150.0)
 
     def test_short_row_names_the_first_missing_schema_column(self, tmp_path):
         """Schema order, not file order: the file puts area last, but the
@@ -359,41 +403,55 @@ class TestLoadDataset:
             load_dataset(path, LAND_SCHEMA)
 
 
+def monthly_table(path, rows):
+    """(cadastre_number, year, month, energy_consumption) rows, loaded."""
+    return table(path, MONTHLY_SCHEMA, [
+        dict(zip(("cadastre_number", "year", "month", "energy_consumption"), row))
+        for row in rows
+    ])
+
+
 class TestAggregateConsumption:
-    def test_single_year_sums_months(self):
+    def test_single_year_sums_months(self, tmp_path):
         """Twelve months of 100 in 2018 total 1200; the mean over the one
         year is also 1200."""
-        rows = [
-            MonthlyConsumptionRow("01000000001", 2018, month, 100.0)
-            for month in range(1, 13)
-        ]
-        records = aggregate_consumption(rows)
-        assert len(records) == 1
-        assert records[0].annual_totals == {2018: pytest.approx(1200.0)}
-        assert records[0].mean_annual == pytest.approx(1200.0)
+        rows = [("01000000001", 2018, month, 100.0) for month in range(1, 13)]
+        consumption = aggregate_consumption(monthly_table(tmp_path / "m.csv", rows))
+        assert len(consumption) == 1
+        assert [name for name in consumption.columns if name.startswith("y")] == ["y2018"]
+        assert consumption["y2018"][0] == pytest.approx(1200.0)
+        assert consumption["mean_annual"][0] == pytest.approx(1200.0)
 
-    def test_mean_across_years(self):
+    def test_mean_across_years(self, tmp_path):
         """2017 totals 1000, 2018 totals 3000: mean 2000."""
         rows = [
-            MonthlyConsumptionRow("01000000001", 2017, 1, 400.0),
-            MonthlyConsumptionRow("01000000001", 2017, 2, 600.0),
-            MonthlyConsumptionRow("01000000001", 2018, 1, 3000.0),
+            ("01000000001", 2017, 1, 400.0),
+            ("01000000001", 2017, 2, 600.0),
+            ("01000000001", 2018, 1, 3000.0),
         ]
-        records = aggregate_consumption(rows)
-        assert records[0].annual_totals[2017] == pytest.approx(1000.0)
-        assert records[0].annual_totals[2018] == pytest.approx(3000.0)
-        assert records[0].mean_annual == pytest.approx(2000.0)
+        consumption = aggregate_consumption(monthly_table(tmp_path / "m.csv", rows))
+        assert consumption["y2017"][0] == pytest.approx(1000.0)
+        assert consumption["y2018"][0] == pytest.approx(3000.0)
+        assert consumption["mean_annual"][0] == pytest.approx(2000.0)
 
-    def test_output_sorted_by_cadastre(self):
-        rows = [
-            MonthlyConsumptionRow("01000000009", 2018, 1, 10.0),
-            MonthlyConsumptionRow("01000000001", 2018, 1, 20.0),
-        ]
-        records = aggregate_consumption(rows)
-        assert [r.cadastre_number for r in records] == ["01000000001", "01000000009"]
+    def test_years_average_in_their_order_of_appearance(self, tmp_path):
+        """Each building's mean adds its year totals in the order the
+        years first appear in the file, as np.mean of that list would."""
+        totals = [1e16, 1.0, 1.0, 1.0]  # the mean depends on the order
+        assert np.mean(totals) != np.mean(totals[::-1])
+        rows = [("01", 2017 + k, 1, v) for k, v in enumerate(totals)]
+        rows += [("02", 2020 - k, 1, v) for k, v in enumerate(totals)]
+        consumption = aggregate_consumption(monthly_table(tmp_path / "m.csv", rows))
+        assert consumption["mean_annual"].tolist() == [np.mean(totals)] * 2
 
-    def test_empty_input_gives_empty_output(self):
-        assert aggregate_consumption([]) == []
+    def test_output_sorted_by_cadastre(self, tmp_path):
+        rows = [("01000000009", 2018, 1, 10.0), ("01000000001", 2018, 1, 20.0)]
+        consumption = aggregate_consumption(monthly_table(tmp_path / "m.csv", rows))
+        assert consumption["cadastre_number"] == ["01000000001", "01000000009"]
+        assert consumption.index == {"01000000001": 0, "01000000009": 1}
+
+    def test_empty_input_gives_empty_output(self, tmp_path):
+        assert len(aggregate_consumption(monthly_table(tmp_path / "m.csv", []))) == 0
 
 
 class TestEncodeFeatures:
@@ -425,36 +483,37 @@ class TestEncodeFeatures:
 
 
 class TestJoinOnCadastre:
-    def test_complete_building_joins(self):
+    def test_complete_building_joins(self, tmp_path):
         """U-values come out as coefficient / area = 100 / 200 = 0.5 and
         the measured energy is the mean annual total."""
-        samples, dropped = join_on_cadastre(
-            [make_land()], [make_audit()], make_components(), [make_consumption()]
+        cohort, dropped = joined(
+            tmp_path, [make_land()], [make_audit()], make_components(), [make_consumption()]
         )
         assert dropped == []
-        assert len(samples) == 1
-        sample = samples[0]
-        assert sample.cadastre_number == "01000000001"
-        assert np.all(sample.target_state.areas == 200.0)
-        assert np.all(sample.target_state.u_values == 0.5)
-        assert sample.target_state.air_exchange_rate == 0.8
-        assert sample.target_state.specific_heat_gains == 15.0
-        assert sample.measured_energy == pytest.approx(1000.0)
-        assert sample.useful_area == 850.0
-        assert sample.building_type == "heavy"
-        assert sample.features[0] == 850.0
+        assert len(cohort) == 1
+        arrays = build_matrices(cohort)
+        assert arrays.cadastre_numbers == ["01000000001"]
+        state = EnvelopeState.from_vector(arrays.targets[0])
+        assert np.all(state.areas == 200.0)
+        assert np.all(state.u_values == 0.5)
+        assert state.air_exchange_rate == 0.8
+        assert state.specific_heat_gains == 15.0
+        assert arrays.measured_energy[0] == pytest.approx(1000.0)
+        assert arrays.useful_area[0] == 850.0
+        assert arrays.building_types == ["heavy"]
+        assert arrays.features[0, 0] == 850.0
 
-    def test_missing_component_drops_with_reason(self):
+    def test_missing_component_drops_with_reason(self, tmp_path):
         components = make_components()[:-1]  # drop the Windows row
-        samples, dropped = join_on_cadastre(
-            [make_land()], [make_audit()], components, [make_consumption()]
+        cohort, dropped = joined(
+            tmp_path, [make_land()], [make_audit()], components, [make_consumption()]
         )
-        assert samples == []
+        assert len(cohort) == 0
         assert dropped == [("01000000001", "missing component: Windows")]
 
-    def test_zero_area_component_drops_with_reason(self):
+    def test_zero_area_component_drops_with_reason(self, tmp_path):
         components = make_components()
-        components[3] = AuditComponentRecord(
+        components[3] = dict(
             cadastre_number="01000000001",
             enclosing_structure="Doors",
             material="wood",
@@ -462,132 +521,146 @@ class TestJoinOnCadastre:
             structure_heat_loss_coefficient=0.0,
             energy_consumption=0.0,
         )
-        samples, dropped = join_on_cadastre(
-            [make_land()], [make_audit()], components, [make_consumption()]
+        cohort, dropped = joined(
+            tmp_path, [make_land()], [make_audit()], components, [make_consumption()]
         )
-        assert samples == []
+        assert len(cohort) == 0
         number, reason = dropped[0]
         assert number == "01000000001"
         assert "Doors" in reason and "U-value" in reason
 
-    def test_missing_land_record_drops(self):
-        samples, dropped = join_on_cadastre(
-            [], [make_audit()], make_components(), [make_consumption()]
+    def test_missing_land_record_drops(self, tmp_path):
+        cohort, dropped = joined(
+            tmp_path, [], [make_audit()], make_components(), [make_consumption()]
         )
-        assert samples == []
+        assert len(cohort) == 0
         assert dropped == [("01000000001", "no land record")]
 
-    def test_missing_audit_record_drops(self):
-        samples, dropped = join_on_cadastre(
-            [make_land()], [], make_components(), [make_consumption()]
+    def test_missing_audit_record_drops(self, tmp_path):
+        cohort, dropped = joined(
+            tmp_path, [make_land()], [], make_components(), [make_consumption()]
         )
         assert dropped == [("01000000001", "no building audit record")]
 
-    def test_missing_consumption_drops(self):
-        samples, dropped = join_on_cadastre(
-            [make_land()], [make_audit()], make_components(), []
+    def test_missing_consumption_drops(self, tmp_path):
+        cohort, dropped = joined(
+            tmp_path, [make_land()], [make_audit()], make_components(), []
         )
         assert dropped == [("01000000001", "no consumption record")]
 
-    def test_unencodable_serie_drops_with_reason(self):
+    def test_unencodable_serie_drops_with_reason(self, tmp_path):
         audit = make_audit(serie="serie_99")
-        samples, dropped = join_on_cadastre(
-            [make_land()], [audit], make_components(), [make_consumption()]
+        cohort, dropped = joined(
+            tmp_path, [make_land()], [audit], make_components(), [make_consumption()]
         )
-        assert samples == []
+        assert len(cohort) == 0
         assert "serie_99" in dropped[0][1]
 
-    def test_samples_sorted_by_cadastre(self):
+    def test_samples_sorted_by_cadastre(self, tmp_path):
         numbers = ["01000000003", "01000000001", "01000000002"]
-        samples, dropped = join_on_cadastre(
+        cohort, dropped = joined(
+            tmp_path,
             [make_land(n) for n in numbers],
             [make_audit(n) for n in numbers],
             [c for n in numbers for c in make_components(n)],
             [make_consumption(n) for n in numbers],
         )
         assert dropped == []
-        assert [s.cadastre_number for s in samples] == sorted(numbers)
+        assert cohort.cadastre_numbers == sorted(numbers)
+        assert build_matrices(cohort).cadastre_numbers == sorted(numbers)
 
-    def test_partial_overlap_keeps_the_good_building(self):
-        samples, dropped = join_on_cadastre(
+    def test_partial_overlap_keeps_the_good_building(self, tmp_path):
+        cohort, dropped = joined(
+            tmp_path,
             [make_land("01000000001"), make_land("01000000002")],
             [make_audit("01000000001"), make_audit("01000000002")],
             make_components("01000000001") + make_components("01000000002")[:-1],
             [make_consumption("01000000001"), make_consumption("01000000002")],
         )
-        assert [s.cadastre_number for s in samples] == ["01000000001"]
+        assert cohort.cadastre_numbers == ["01000000001"]
         assert dropped == [("01000000002", "missing component: Windows")]
 
-
-    def test_bad_targets_raise_for_the_first_building_in_sorted_order(self):
+    def test_bad_targets_raise_for_the_first_building_in_sorted_order(self, tmp_path):
         """The one-pass check over all targets hands a failure to the
         per-building path, which raises for the first bad building by
         cadastre number, whatever the input order."""
         numbers = ["01000000003", "01000000002", "01000000001"]
-        audits = [make_audit(n) for n in numbers]
-        components = [c for n in numbers for c in make_components(n)]
-        audits[0].air_exchange_rate = -1.0  # 03: negative, set after the record check
-        components[5].structure_heat_loss_coefficient = 1e308  # 02: U overflows
-        components[5].area = 1e-10
-        args = ([make_land(n) for n in numbers], audits, components,
-                [make_consumption(n) for n in numbers])
-        with pytest.raises(DomainError, match="non-finite"):
-            join_on_cadastre(*args)
-        components[5].area = 200.0
-        with pytest.raises(DomainError, match=r"entry 10 is negative \(-1.0\)"):
-            join_on_cadastre(*args)
-        audits[0].air_exchange_rate = 0.8
-        components[12].structure_heat_loss_coefficient = -5e-324  # 01: U rounds to -0.0
-        with pytest.raises(DomainError, match="heat loss coefficient must be >= 0"):
-            join_on_cadastre(*args)
-        components[12].structure_heat_loss_coefficient = 100.0
-        components[13].area = -200.0  # 01: negative area
-        with pytest.raises(DomainError, match="area must be positive"):
-            join_on_cadastre(*args)
+        tables = [
+            table(tmp_path / "land.csv", LAND_SCHEMA, [make_land(n) for n in numbers]),
+            table(tmp_path / "audit.csv", AUDIT_BUILDINGS_SCHEMA,
+                  [make_audit(n) for n in numbers]),
+            table(tmp_path / "components.csv", AUDIT_COMPONENTS_SCHEMA,
+                  [c for n in numbers for c in make_components(n)]),
+            table(tmp_path / "consumption.csv", CONSUMPTION_SCHEMA,
+                  [make_consumption(n) for n in numbers]),
+        ]
+        audits, components = tables[1], tables[2]
+        # Set after loading, past the record check.
+        audits["air_exchange_rate"][0] = -1.0  # 03: negative
+        components["structure_heat_loss_coefficient"][5] = 1e308  # 02: U overflows
+        components["area"][5] = 1e-10
 
-    def test_targets_match_the_per_building_quotients(self):
+        def build():
+            return build_matrices(join_on_cadastre(*tables)[0])
+
+        with pytest.raises(DomainError, match="non-finite"):
+            build()
+        components["area"][5] = 200.0
+        with pytest.raises(DomainError, match=r"entry 10 is negative \(-1.0\)"):
+            build()
+        audits["air_exchange_rate"][0] = 0.8
+        components["structure_heat_loss_coefficient"][12] = -5e-324  # 01: U rounds to -0.0
+        with pytest.raises(DomainError, match="heat loss coefficient must be >= 0"):
+            build()
+        components["structure_heat_loss_coefficient"][12] = 100.0
+        components["area"][13] = -200.0  # 01: negative area
+        with pytest.raises(DomainError, match="area must be positive"):
+            build()
+
+    def test_targets_match_the_per_building_quotients(self, tmp_path):
         """Every U-value is bitwise the coefficient / area of its row."""
         rng = np.random.default_rng(5)
         numbers = [f"0100000000{i}" for i in range(6)]
         components = [c for n in numbers for c in make_components(n)]
         for comp in components:
-            comp.area = float(rng.uniform(0.01, 5000.0))
-            comp.structure_heat_loss_coefficient = float(rng.uniform(0.0, 3000.0))
-        samples, dropped = join_on_cadastre(
-            [make_land(n) for n in numbers], [make_audit(n) for n in numbers],
+            comp["area"] = float(rng.uniform(0.01, 5000.0))
+            comp["structure_heat_loss_coefficient"] = float(rng.uniform(0.0, 3000.0))
+        cohort, dropped = joined(
+            tmp_path, [make_land(n) for n in numbers], [make_audit(n) for n in numbers],
             components, [make_consumption(n) for n in numbers],
         )
         assert dropped == []
-        for i, sample in enumerate(samples):
+        arrays = build_matrices(cohort)
+        for i, targets in enumerate(arrays.targets):
             comps = components[5 * i:5 * i + 5]
-            assert sample.target_state.areas.tolist() == [c.area for c in comps]
-            assert sample.target_state.u_values.tolist() == [
-                c.structure_heat_loss_coefficient / c.area for c in comps
+            assert targets[:5].tolist() == [c["area"] for c in comps]
+            assert targets[5:10].tolist() == [
+                c["structure_heat_loss_coefficient"] / c["area"] for c in comps
             ]
 
 
 class TestLoadCohort:
     def test_generated_cohort_loads_clean(self, clean_cohort_dir):
-        samples, dropped = load_cohort(clean_cohort_dir)
+        cohort, dropped = load_cohort(clean_cohort_dir)
         assert dropped == []
-        assert len(samples) == 40
-        for sample in samples:
-            sample.target_state.validate()
+        assert len(cohort) == 40
+        for targets in build_matrices(cohort).targets:
+            EnvelopeState.from_vector(targets).validate()
 
     def test_monthly_fallback_matches_annual_totals(self, clean_cohort_dir, tmp_path):
         """With consumption.csv removed, the loader aggregates the monthly
         file; the generator makes December absorb the float residual, so
         the means agree exactly."""
-        annual_samples, _ = load_cohort(clean_cohort_dir)
+        annual = build_matrices(load_cohort(clean_cohort_dir)[0])
         copy_dir = tmp_path / "no_annual"
         shutil.copytree(clean_cohort_dir, copy_dir)
         (copy_dir / "consumption.csv").unlink()
-        monthly_samples, dropped = load_cohort(copy_dir)
+        cohort, dropped = load_cohort(copy_dir)
         assert dropped == []
-        assert len(monthly_samples) == len(annual_samples)
-        for a, m in zip(annual_samples, monthly_samples):
-            assert m.cadastre_number == a.cadastre_number
-            assert m.measured_energy == pytest.approx(a.measured_energy, rel=1e-12)
+        monthly = build_matrices(cohort)
+        assert monthly.n == annual.n
+        assert monthly.cadastre_numbers == annual.cadastre_numbers
+        assert monthly.measured_energy == pytest.approx(annual.measured_energy, rel=1e-12)
 
     def test_byte_order_marks_load_the_same_samples(self, clean_cohort_dir, tmp_path):
         """Cohort files saved with a UTF-8 byte-order mark, as spreadsheet
@@ -597,12 +670,14 @@ class TestLoadCohort:
         shutil.copytree(clean_cohort_dir, copy_dir)
         for path in copy_dir.glob("*.csv"):
             path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
-        samples, dropped = load_cohort(copy_dir)
+        cohort, dropped = load_cohort(copy_dir)
         assert dropped == plain_dropped
-        assert [s.cadastre_number for s in samples] == [s.cadastre_number for s in plain]
-        assert np.array_equal(build_matrices(samples).targets, build_matrices(plain).targets)
-        assert np.array_equal(build_matrices(samples).features, build_matrices(plain).features)
-        assert [s.measured_energy for s in samples] == [s.measured_energy for s in plain]
+        assert cohort.cadastre_numbers == plain.cadastre_numbers
+        assert np.array_equal(build_matrices(cohort).targets, build_matrices(plain).targets)
+        assert np.array_equal(build_matrices(cohort).features, build_matrices(plain).features)
+        assert np.array_equal(
+            build_matrices(cohort).measured_energy, build_matrices(plain).measured_energy
+        )
 
     def test_no_consumption_files_is_data_error(self, clean_cohort_dir, tmp_path):
         copy_dir = tmp_path / "no_consumption"
@@ -613,8 +688,8 @@ class TestLoadCohort:
             load_cohort(copy_dir)
 
     def test_build_matrices_shapes(self, clean_cohort_dir):
-        samples, _ = load_cohort(clean_cohort_dir)
-        arrays = build_matrices(samples)
+        cohort, _ = load_cohort(clean_cohort_dir)
+        arrays = build_matrices(cohort)
         assert arrays.features.shape == (40, 17)
         assert arrays.targets.shape == (40, 12)
         assert arrays.measured_energy.shape == (40,)
@@ -622,9 +697,10 @@ class TestLoadCohort:
         assert len(arrays.building_types) == 40
         assert arrays.n == 40
 
-    def test_build_matrices_rejects_empty(self):
+    def test_build_matrices_rejects_empty(self, tmp_path):
+        cohort, _ = joined(tmp_path, [], [], [], [])
         with pytest.raises(DataError):
-            build_matrices([])
+            build_matrices(cohort)
 
 
 class TestMinMaxScaler:
@@ -783,13 +859,56 @@ class TestTrainValSplit:
 # ---------------------------------------------------------------------------
 # Property tests of the loader: generated tables with valid and malformed
 # cells, short and long rows, blank lines, repeated keys and header names,
-# and extra, missing or reordered columns.
+# and extra, missing or reordered columns, read in chunks of 1, 2, 3 or
+# the default number of rows.
+
+
+def _reference_problem(schema, v):
+    """The record invariants of each file, checked row by row with their
+    messages, written independently of the loader's vector rules."""
+    if not v["cadastre_number"]:
+        return "cadastre_number must be nonempty"
+    if schema is LAND_SCHEMA:
+        if v["floors"] < 1:
+            return f"'floors' must be >= 1, got {v['floors']}"
+        for name in ("useful_area", "total_area"):
+            if v[name] <= 0:
+                return f"{name!r} must be positive, got {v[name]}"
+    elif schema is AUDIT_BUILDINGS_SCHEMA:
+        for name in ("air_exchange_rate", "specific_heat_gains"):
+            if v[name] < 0:
+                return f"{name} must be >= 0, got {v[name]}"
+        if v["useful_area"] <= 0 or v["total_area"] <= 0:
+            return (f"areas must be positive, got useful_area={v['useful_area']}, "
+                    f"total_area={v['total_area']}")
+    elif schema is AUDIT_COMPONENTS_SCHEMA:
+        if v["enclosing_structure"] not in COMPONENTS:
+            return (f"unknown enclosing_structure {v['enclosing_structure']!r}; "
+                    f"expected one of: {', '.join(COMPONENTS)}")
+        for name in ("area", "structure_heat_loss_coefficient"):
+            if v[name] < 0:
+                return f"{name} must be >= 0, got {v[name]}"
+    elif schema is CONSUMPTION_SCHEMA:
+        totals = {y: v[f"y{y}"] for y in CONSUMPTION_YEARS if v[f"y{y}"] is not None}
+        if not totals:
+            return f"building {v['cadastre_number']}: no annual consumption present"
+        for year, total in totals.items():
+            if total < 0:
+                return f"building {v['cadastre_number']}: negative consumption {total} for {year}"
+    elif schema is MONTHLY_SCHEMA:
+        if not 1 <= v["month"] <= 12:
+            return f"month must be in 1..12, got {v['month']}"
+        if v["energy_consumption"] < 0:
+            return f"energy_consumption must be >= 0, got {v['energy_consumption']}"
+    return None
 
 
 def _reference_load(path, schema):
-    """load_dataset as a csv.DictReader loop, written independently of the
-    one-pass loader: same checks in the same order."""
-    records, seen = [], {}
+    """load_dataset as a csv.DictReader loop, record by record: the same
+    checks in the same order. Returns the columns (floats as hex, absent
+    values as None) and the key index."""
+    columns = {c.attr: [] for c in schema.columns}
+    index = {}
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
@@ -798,7 +917,7 @@ def _reference_load(path, schema):
         if missing:
             raise DataError(f"{path}: missing column(s): {', '.join(missing)}")
         for row_num, row in enumerate(reader, start=2):
-            attrs = {}
+            values = {}
             for column in schema.columns:
                 raw = row.get(column.name)
                 if raw is None:
@@ -807,36 +926,63 @@ def _reference_load(path, schema):
                         f"column {column.name!r}"
                     )
                 try:
-                    attrs[column.attr] = column.parse(raw)
+                    values[column.attr] = column.parse(raw)
                 except ValueError as exc:
                     raise DataError(
                         f"{path} row {row_num}, column {column.name!r}: {exc}"
                     ) from None
-            try:
-                record = schema.build(attrs)
-            except DataError as exc:
-                raise DataError(f"{path} row {row_num}: {exc}") from None
-            if schema.key is not None:
-                key = schema.key(record)
-                if key in seen:
+            problem = _reference_problem(schema, values)
+            if problem is not None:
+                raise DataError(f"{path} row {row_num}: {problem}")
+            if schema.key:
+                key = tuple(values[attr] for attr in schema.key)
+                key = key[0] if len(key) == 1 else key
+                if key in index:
                     raise DataError(
                         f"{path} row {row_num}: duplicate key {key!r} "
-                        f"(first seen at row {seen[key]})"
+                        f"(first seen at row {index[key] + 2})"
                     )
-                seen[key] = row_num
-            records.append(record)
-    return records
+                index[key] = row_num - 2
+            for attr, value in values.items():
+                columns[attr].append(value)
+    if schema is CONSUMPTION_SCHEMA:
+        years = zip(*(columns[f"y{year}"] for year in CONSUMPTION_YEARS))
+        columns["mean_annual"] = [
+            float(np.mean([t for t in totals if t is not None])) for totals in years
+        ]
+    return {attr: _comparable(values) for attr, values in columns.items()}, index
 
 
-def _outcome(load, path, schema):
+def _comparable(values):
+    """A column as a list with floats in hex and absent values as None."""
+    values = values.tolist() if isinstance(values, np.ndarray) else values
+    return [
+        None if value is None or (isinstance(value, float) and np.isnan(value))
+        else value.hex() if isinstance(value, float) else value
+        for value in values
+    ]
+
+
+def _outcome(path, schema, chunk_rows):
     try:
-        return "records", load(path, schema)
+        with mock.patch.object(data, "CHUNK_ROWS", chunk_rows):
+            loaded = load_dataset(path, schema)
+    except DataError as exc:
+        return "error", str(exc)
+    assert all(len(values) == len(loaded) for values in loaded.columns.values())
+    columns = {attr: _comparable(values) for attr, values in loaded.columns.items()}
+    return "table", (columns, loaded.index)
+
+
+def _reference_outcome(path, schema):
+    try:
+        return "table", _reference_load(path, schema)
     except DataError as exc:
         return "error", str(exc)
 
 
 def _tables(st):
-    """Strategy for (schema, file text) pairs."""
+    """Strategy for (schema, file text, rows per chunk) triples."""
     schemas = st.sampled_from([LAND_SCHEMA, AUDIT_BUILDINGS_SCHEMA,
                                AUDIT_COMPONENTS_SCHEMA, CONSUMPTION_SCHEMA, MONTHLY_SCHEMA])
     number = st.one_of(
@@ -866,7 +1012,7 @@ def _tables(st):
         for extra in draw(st.lists(st.sampled_from(["note", "id"] + names), max_size=2)):
             header.insert(draw(st.integers(0, len(header))), extra)
         lines = [] if draw(st.integers(0, 20)) == 0 else [",".join(header)]
-        for _ in range(draw(st.integers(0, 6))):
+        for _ in range(draw(st.integers(0, 10))):
             if draw(st.integers(0, 5)) == 0:
                 lines.append("")
                 continue
@@ -877,7 +1023,8 @@ def _tables(st):
             elif cut == 1:
                 row.append(draw(text))
             lines.append(",".join(row))
-        return schema, "\n".join(lines) + ("\n" if lines and draw(st.booleans()) else "")
+        content = "\n".join(lines) + ("\n" if lines and draw(st.booleans()) else "")
+        return schema, content, draw(st.sampled_from([1, 2, 3, data.CHUNK_ROWS]))
 
     return table()
 
@@ -889,25 +1036,216 @@ def test_generated_tables_load_or_raise_data_error(tmp_path_factory):
     @hypothesis.settings(max_examples=300, deadline=None)
     @hypothesis.given(_tables(hypothesis.strategies))
     def check(case):
-        schema, text = case
+        schema, text, chunk_rows = case
         path.write_text(text, encoding="utf-8")
-        kind, value = _outcome(load_dataset, path, schema)
-        assert kind == "error" or isinstance(value, list)
+        kind, _ = _outcome(path, schema, chunk_rows)
+        assert kind in ("error", "table")
 
     check()
 
 
 def test_loader_matches_a_dict_reader_reference(tmp_path_factory):
-    """Equal records, or equal DataError messages with the same row
-    numbers, on every generated table."""
+    """Equal columns (floats compared by hex) and key index, or equal
+    DataError messages with the same row numbers, on every generated
+    table, whatever the chunk size."""
     hypothesis = pytest.importorskip("hypothesis")
     path = tmp_path_factory.mktemp("differential") / "table.csv"
 
     @hypothesis.settings(max_examples=300, deadline=None)
     @hypothesis.given(_tables(hypothesis.strategies))
     def check(case):
-        schema, text = case
+        schema, text, chunk_rows = case
         path.write_text(text, encoding="utf-8")
-        assert _outcome(load_dataset, path, schema) == _outcome(_reference_load, path, schema)
+        assert _outcome(path, schema, chunk_rows) == _reference_outcome(path, schema)
+
+    check()
+
+
+@pytest.mark.parametrize("rows, expected", [
+    # a repeated key (row 4) before a bad cell (5) and a short row (6)
+    ([land_row("01"), land_row("02"), land_row("01"), land_row("03", floors="x"), "04,3"],
+     "row 4: duplicate key '01' (first seen at row 2)"),
+    # a broken invariant (row 3) before a repeated key (4)
+    ([land_row("01"), land_row("02", floors="0"), land_row("01")],
+     "row 3: 'floors' must be >= 1, got 0"),
+    # on one row, the bad cell comes before the invariant it also breaks
+    ([land_row("01"), land_row("02", floors="0").replace("56.95", "north")],
+     "row 3, column 'latitude_centroid': not a number: 'north'"),
+    # on one row, a bad cell in an earlier schema column comes before a short row
+    ([land_row("01"), "02,many"], "row 3, column 'floors': not an integer: 'many'"),
+    # blank lines are not counted
+    ([land_row("01"), "", "", land_row("02"), "", "03,3"],
+     "row 4: short row, no value for column 'latitude_centroid'"),
+])
+def test_first_problem_in_row_order_whatever_the_chunks(tmp_path, rows, expected):
+    path = tmp_path / "land.csv"
+    write(path, LAND_HEADER, rows)
+    for chunk_rows in range(1, len(rows) + 2):
+        with mock.patch.object(data, "CHUNK_ROWS", chunk_rows):
+            with pytest.raises(DataError) as err:
+                load_dataset(path, LAND_SCHEMA)
+        assert str(err.value) == f"{path} {expected}"
+
+
+# ---------------------------------------------------------------------------
+# load_cohort -> build_matrices against a record-wise reference join.
+
+
+def _reference_arrays(directory):
+    """The training arrays and drop list of a cohort directory, built
+    record by record: csv.DictReader rows, a per-building join in sorted
+    key order, encode_features and u_value per building, and np.mean of
+    each building's annual totals in the order its years appear."""
+    def rows(name):
+        with open(directory / name, newline="", encoding="utf-8-sig") as handle:
+            return list(csv.DictReader(handle))
+
+    land = {r["cadastre_number"] for r in rows("land.csv")}
+    audit = {r["cadastre_number"]: r for r in rows("audit_buildings.csv")}
+    components = {}
+    for r in rows("audit_components.csv"):
+        components.setdefault(r["cadastre_number"], {})[r["enclosing_structure"]] = r
+    annual = {}
+    if (directory / "consumption.csv").exists():
+        for r in rows("consumption.csv"):
+            cells = [r[f"total_energy_consumption_{year}"] for year in CONSUMPTION_YEARS]
+            annual[r["cadastre_number"]] = {i: float(c) for i, c in enumerate(cells) if c != ""}
+    else:
+        for r in rows("consumption_monthly.csv"):
+            totals = annual.setdefault(r["cadastre_number"], {})
+            year = int(r["year"])
+            totals[year] = totals.get(year, 0.0) + float(r["energy_consumption"])
+    samples, dropped = [], []
+    for number in sorted(land | set(audit) | set(components) | set(annual)):
+        comps = components.get(number, {})
+        missing = [name for name in COMPONENTS if name not in comps]
+        zero = [name for name in COMPONENTS if not missing and float(comps[name]["area"]) == 0]
+        if number not in land:
+            dropped.append((number, "no land record"))
+        elif number not in audit:
+            dropped.append((number, "no building audit record"))
+        elif missing:
+            dropped.append((number, "missing component: " + ", ".join(missing)))
+        elif zero:
+            dropped.append((number, "zero area for component: " + ", ".join(zero)
+                            + " (U-value division undefined)"))
+        elif number not in annual:
+            dropped.append((number, "no consumption record"))
+        else:
+            a = audit[number]
+            try:
+                features = encode_features(
+                    float(a["useful_area"]), float(a["total_area"]), int(a["floors"]),
+                    int(a["apartments"]), a["building_type"], a["serie"])
+            except ConfigError as exc:
+                dropped.append((number, str(exc)))
+                continue
+            areas = [float(comps[name]["area"]) for name in COMPONENTS]
+            u_values = [
+                u_value(float(comps[name]["structure_heat_loss_coefficient"]), area)
+                for name, area in zip(COMPONENTS, areas)
+            ]
+            rates = [float(a["air_exchange_rate"]), float(a["specific_heat_gains"])]
+            samples.append((number, features, areas + u_values + rates,
+                            float(np.mean(list(annual[number].values()))),
+                            float(a["useful_area"]), a["building_type"]))
+    return samples, dropped
+
+
+def _assert_cohort_matches_reference(directory):
+    samples, expected_dropped = _reference_arrays(directory)
+    cohort, dropped = load_cohort(directory)
+    assert dropped == expected_dropped
+    assert len(cohort) == len(samples)
+    if not samples:
+        with pytest.raises(DataError, match="no samples"):
+            build_matrices(cohort)
+        return
+    arrays = build_matrices(cohort)
+    numbers, features, targets, measured, useful_area, types = map(list, zip(*samples))
+    assert arrays.cadastre_numbers == numbers
+    assert arrays.features.tobytes() == np.array(features).tobytes()
+    assert arrays.targets.tobytes() == np.array(targets).tobytes()
+    assert [float(v).hex() for v in arrays.measured_energy] == [v.hex() for v in measured]
+    assert arrays.useful_area.tobytes() == np.array(useful_area).tobytes()
+    assert arrays.building_types == types
+
+
+def _write_cohort(directory, land, audit, components, consumption, monthly=None):
+    """The four cohort files; the monthly file in place of consumption.csv
+    when monthly rows are given."""
+    table(directory / "land.csv", LAND_SCHEMA, land)
+    table(directory / "audit_buildings.csv", AUDIT_BUILDINGS_SCHEMA, audit)
+    table(directory / "audit_components.csv", AUDIT_COMPONENTS_SCHEMA, components)
+    (directory / "consumption.csv").unlink(missing_ok=True)
+    (directory / "consumption_monthly.csv").unlink(missing_ok=True)
+    if monthly is None:
+        table(directory / "consumption.csv", CONSUMPTION_SCHEMA, consumption)
+    else:
+        monthly_table(directory / "consumption_monthly.csv", monthly)
+
+
+def test_every_drop_reason_matches_the_reference_join(tmp_path):
+    numbers = [f"0{i}" for i in range(1, 10)]
+    land = [make_land(n) for n in numbers if n != "02"]
+    audit = [make_audit(n, serie="serie_99" if n == "07" else "serie_03",
+                        building_type="mixed" if n == "08" else "heavy")
+             for n in numbers if n != "03"]
+    components = [c for n in numbers for c in make_components(n)
+                  if not (n == "04" and c["enclosing_structure"] == "Doors")]
+    components[5 * 4 + 2]["area"] = -0.0  # 05 (04 lacks its Doors row): a zero area
+    consumption = [make_consumption(n, {2018: 5.0, 2020: -0.0} if n == "09" else None)
+                   for n in numbers + ["10"] if n != "06"]
+    _write_cohort(tmp_path, land, audit, components, consumption)
+    _assert_cohort_matches_reference(tmp_path)
+    _, dropped = load_cohort(tmp_path)
+    assert [number for number, _ in dropped] == ["02", "03", "04", "05", "06", "07", "08", "10"]
+
+
+def test_cohorts_match_a_record_wise_reference_join(tmp_path_factory):
+    """Generated cohorts with every drop reason, absent consumption years,
+    signed zeros in the consumption and area cells, and the monthly
+    fallback with years in any order."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    directory = tmp_path_factory.mktemp("cohort")
+    value = st.floats(0.5, 1e4)
+    zero_or_value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 1e6))
+
+    @st.composite
+    def cohort(draw):
+        land, audit, components, consumption, monthly = [], [], [], [], []
+        for number in draw(st.lists(st.sampled_from([f"0{i}" for i in range(1, 10)]),
+                                    unique=True, min_size=1, max_size=6)):
+            if draw(st.integers(0, 7)):
+                land.append(make_land(number))
+            if draw(st.integers(0, 7)):
+                audit.append(make_audit(
+                    number, floors=draw(st.integers(1, 20)),
+                    apartments=draw(st.integers(0, 200)), useful_area=draw(value),
+                    total_area=draw(value), air_exchange_rate=draw(zero_or_value),
+                    specific_heat_gains=draw(zero_or_value),
+                    serie=draw(st.sampled_from(SERIES + ("serie_99",))),
+                    building_type=draw(st.sampled_from(("light", "heavy", "mixed")))))
+            for comp in make_components(number):
+                if draw(st.integers(0, 15)):
+                    comp["area"] = draw(st.one_of(st.sampled_from([0.0, -0.0]), value, value))
+                    comp["structure_heat_loss_coefficient"] = draw(zero_or_value)
+                    components.append(comp)
+            if draw(st.integers(0, 7)):
+                years = draw(st.lists(st.sampled_from(CONSUMPTION_YEARS), unique=True,
+                                      min_size=1))
+                totals = {year: draw(zero_or_value) for year in years}
+                consumption.append(make_consumption(number, totals))
+                for year in years:
+                    for month in range(1, draw(st.integers(2, 3))):
+                        monthly.append((number, year, month, draw(zero_or_value)))
+        return land, audit, components, consumption, monthly if draw(st.booleans()) else None
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(cohort())
+    def check(case):
+        _write_cohort(directory, *case)
+        _assert_cohort_matches_reference(directory)
 
     check()

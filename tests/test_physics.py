@@ -391,6 +391,28 @@ class TestEnergyConsumptionBatch:
                 np.zeros((3, 11)), np.ones(3), np.ones(3), constants
             )
 
+    def test_values_without_gradient_are_bitwise_the_same(self, constants):
+        """Without the gradient the slope terms are skipped; every value
+        stays bitwise as with it, for gains/losses ratios below, inside and
+        above the near-one band and at zero gains."""
+        rng = np.random.default_rng(23)
+        n = 400
+        states = np.stack([random_state(rng).to_vector() for _ in range(n)])
+        areas = rng.uniform(200.0, 2000.0, size=n)
+        taus = rng.choice([1.0, 3.0], size=n)
+        losses = energy_consumption_batch(states, areas, taus, constants).heat_loss_total
+        ratios = rng.uniform(0.0, 3.0, size=n)
+        ratios[:40] = 1.0 + rng.uniform(-2e-6, 2e-6, size=40)
+        ratios[40:50] = 0.0
+        states[:, 11] = ratios * losses / areas
+        plain = energy_consumption_batch(states, areas, taus, constants)
+        full = energy_consumption_batch(states, areas, taus, constants, with_gradient=True)
+        assert plain.gradient is None and full.gradient is not None
+        for name in ("envelope_by_component", "envelope_total", "thermal_bridges",
+                     "ventilation", "heat_loss_total", "heat_gains_total", "hguf",
+                     "energy_consumption"):
+            assert getattr(plain, name).tobytes() == getattr(full, name).tobytes(), name
+
     def test_gradient_rows_zero_where_floored(self, constants):
         """A zero-loss building with gains sits on the zero floor; its
         gradient row must be all zero while a live row is not."""

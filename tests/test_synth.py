@@ -15,6 +15,7 @@ from epc_pinn.data import (
     LAND_SCHEMA,
     MONTHLY_SCHEMA,
     aggregate_consumption,
+    build_matrices,
     load_cohort,
     load_dataset,
 )
@@ -138,63 +139,65 @@ class TestGenerateCohort:
         measured totals are the model's output; after the CSV roundtrip
         (floats written via repr) the reconstruction matches the measured
         mean with zero float error."""
-        samples, dropped = load_cohort(clean_cohort_dir)
+        joined, dropped = load_cohort(clean_cohort_dir)
         assert dropped == []
+        arrays = build_matrices(joined)
         consts = PhysicsConstants()
-        for sample in samples:
+        for i in range(arrays.n):
             reconstructed = energy_consumption(
-                sample.target_state, sample.useful_area, sample.building_type, consts
+                EnvelopeState.from_vector(arrays.targets[i]), arrays.useful_area[i],
+                arrays.building_types[i], consts,
             ).energy_consumption
-            assert reconstructed == sample.measured_energy
+            assert reconstructed == arrays.measured_energy[i]
 
     def test_noise_perturbs_measured_but_not_below_zero(self, tmp_path):
         config = GeneratorConfig(n_buildings=30, seed=23)
         generate_cohort(config, tmp_path)
-        samples, _ = load_cohort(tmp_path)
+        arrays = build_matrices(load_cohort(tmp_path)[0])
         consts = PhysicsConstants()
         diffs = []
-        for sample in samples:
+        for i in range(arrays.n):
             reconstructed = energy_consumption(
-                sample.target_state, sample.useful_area, sample.building_type, consts
+                EnvelopeState.from_vector(arrays.targets[i]), arrays.useful_area[i],
+                arrays.building_types[i], consts,
             ).energy_consumption
-            diffs.append(abs(reconstructed - sample.measured_energy))
-            assert sample.measured_energy >= 0.0
+            diffs.append(abs(reconstructed - arrays.measured_energy[i]))
+            assert arrays.measured_energy[i] >= 0.0
         assert max(diffs) > 0.0
 
     def test_monthly_files_sum_exactly_to_annual(self, clean_cohort_dir):
         """December absorbs the float residual, so each year's twelve
         months sum to the annual total with zero error."""
-        annual = {
-            r.cadastre_number: r.annual_totals
-            for r in load_dataset(clean_cohort_dir / "consumption.csv", CONSUMPTION_SCHEMA)
-        }
+        annual = load_dataset(clean_cohort_dir / "consumption.csv", CONSUMPTION_SCHEMA)
         monthly = aggregate_consumption(
             load_dataset(clean_cohort_dir / "consumption_monthly.csv", MONTHLY_SCHEMA)
         )
         assert len(monthly) == len(annual)
-        for record in monthly:
-            for year, total in record.annual_totals.items():
-                assert total == annual[record.cadastre_number][year]
+        years = [name for name in monthly.columns if name.startswith("y")]
+        assert years
+        for i, number in enumerate(monthly["cadastre_number"]):
+            for year in years:
+                total = monthly[year][i]
+                if not np.isnan(total):
+                    assert total == annual[year][annual.index[number]]
 
     def test_cohort_spans_energy_scales(self, clean_cohort_dir):
         """Different series and sizes must yield a genuine spread of
         annual consumption, not a near-constant column."""
-        samples, _ = load_cohort(clean_cohort_dir)
-        energies = np.array([s.measured_energy for s in samples])
+        energies = build_matrices(load_cohort(clean_cohort_dir)[0]).measured_energy
         assert energies.std() > 0.2 * energies.mean() > 0.0
 
     def test_wall_area_follows_geometry(self, clean_cohort_dir):
         """Walls plus windows plus doors equals perimeter * floors * 2.7
         for every generated building (audit noise is zero here)."""
-        samples, _ = load_cohort(clean_cohort_dir)
-        land = {
-            r.cadastre_number: r
-            for r in load_dataset(clean_cohort_dir / "land.csv", LAND_SCHEMA)
-        }
-        for sample in samples:
-            rec = land[sample.cadastre_number]
-            gross = sample.target_state.areas[2:5].sum()
-            assert gross == pytest.approx(rec.perimeter * rec.floors * 2.7, rel=1e-9)
+        arrays = build_matrices(load_cohort(clean_cohort_dir)[0])
+        land = load_dataset(clean_cohort_dir / "land.csv", LAND_SCHEMA)
+        for number, targets in zip(arrays.cadastre_numbers, arrays.targets):
+            row = land.index[number]
+            gross = targets[2:5].sum()
+            assert gross == pytest.approx(
+                land["perimeter"][row] * land["floors"][row] * 2.7, rel=1e-9
+            )
 
 
 def oracle_components(state):
