@@ -8,13 +8,16 @@ Subcommands:
     audit      energy decomposition of a fully specified envelope
     evaluate   score a checkpoint against a CSV cohort
 
-A single JSON config file (--config) can hold a "generate" section, a
-"train" section, a "physics" section with constant overrides, and
-top-level "seed", "out", "data", "n" defaults; command-line flags win
-over the file. Exit codes: 0 success, 1 usage or configuration, 2 data
-problems, 3 runtime failures. EPC_PINN_THREADS caps how many folds train
-in parallel (default 1); while parallel folds train, OpenBLAS runs
-single-threaded, and its previous thread count is restored afterwards.
+A JSON config file (--config) holds at most the top-level keys "seed" and
+"n" (integers) and "data" and "out" (strings), which the flags override,
+and the objects "generate", "train" and "physics"; config.from_json checks
+every value against its setting's type and rejects unknown keys. Exit
+codes: 0 success; 1 usage or configuration, naming a bad config key by its
+path before any file is written or any fold trains; 2 data problems,
+checkpoint physics constants included; 3 runtime failures.
+EPC_PINN_THREADS caps how many folds train in parallel (default 1); while
+parallel folds train, OpenBLAS runs single-threaded, and its previous
+thread count is restored afterwards.
 """
 
 from __future__ import annotations
@@ -23,11 +26,14 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
 from . import data, synth
+from .config import from_json
 from .errors import (
     ConfigError,
     DataError,
@@ -79,40 +85,44 @@ def _load_json(path: str | Path, what: str) -> dict:
     return payload
 
 
-def _load_config(args) -> dict:
-    if getattr(args, "config", None):
-        return _load_json(args.config, "config")
-    return {}
+@dataclass
+class ConfigFile:
+    """The top level of a --config file. The generate and train sections
+    are built once the top-level settings are merged in."""
+
+    seed: int | None = None
+    n: int | None = None
+    data: str | None = None
+    out: str | None = None
+    generate: dict[str, Any] = field(default_factory=dict)
+    train: dict[str, Any] = field(default_factory=dict)
+    physics: PhysicsConstants = field(default_factory=PhysicsConstants)
 
 
-def _setting(args, config: dict, name: str, default=None):
+def _load_config(args) -> ConfigFile:
+    payload = _load_json(args.config, "config") if getattr(args, "config", None) else {}
+    return from_json(ConfigFile, payload)
+
+
+def _setting(args, config: ConfigFile, name: str, default=None):
     value = getattr(args, name, None)
-    if value is not None:
-        return value
-    return config.get(name, default)
+    if value is None:
+        value = getattr(config, name)
+    return default if value is None else value
 
 
-def _require_seed(args, config: dict) -> int:
-    seed = _setting(args, config, "seed")
-    if seed is None:
-        raise ConfigError("--seed is required (or a top-level \"seed\" in --config)")
-    return int(seed)
+def _required(args, config: ConfigFile, name: str):
+    value = _setting(args, config, name)
+    if value is None:
+        raise ConfigError(f"--{name} is required (or a top-level \"{name}\" in --config)")
+    return value
 
 
-def _physics_constants(config: dict) -> PhysicsConstants | None:
-    if "physics" not in config:
-        return None
-    section = config["physics"]
-    if not isinstance(section, dict):
-        raise ConfigError("\"physics\" config section must be an object")
-    base = PhysicsConstants().to_dict()
-    unknown = set(section) - set(base)
-    if unknown:
-        raise ConfigError(
-            f"unknown physics constant(s): {', '.join(sorted(unknown))}"
-        )
-    base.update(section)
-    return PhysicsConstants.from_dict(base)
+def _section(cls, name: str, config: ConfigFile, **settings):
+    """The config's name section as cls, with the top-level settings and
+    the physics constants merged in."""
+    payload = {"constants": config.physics, **getattr(config, name), **settings}
+    return from_json(cls, payload, name)
 
 
 def _thread_count() -> int:
@@ -132,20 +142,9 @@ def _thread_count() -> int:
 
 def cmd_generate(args) -> int:
     config = _load_config(args)
-    seed = _require_seed(args, config)
-    section = config.get("generate", {})
-    if not isinstance(section, dict):
-        raise ConfigError("\"generate\" config section must be an object")
-    payload = dict(section)
-    payload["seed"] = seed
-    n = _setting(args, config, "n")
-    if n is not None:
-        payload["n_buildings"] = int(n)
-    payload.setdefault("n_buildings", 256)
-    constants = _physics_constants(config)
-    if constants is not None and "constants" not in payload:
-        payload["constants"] = constants.to_dict()
-    generator_config = synth.GeneratorConfig.from_dict(payload)
+    seed = _required(args, config, "seed")
+    n = _setting(args, config, "n", config.generate.get("n_buildings", 256))
+    generator_config = _section(synth.GeneratorConfig, "generate", config, seed=seed, n_buildings=n)
     out_dir = Path(_setting(args, config, "out", "."))
     paths = synth.generate_cohort(generator_config, out_dir)
     for name in sorted(paths):
@@ -155,19 +154,9 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_config(args)
-    seed = _require_seed(args, config)
-    data_dir = _setting(args, config, "data")
-    if data_dir is None:
-        raise ConfigError("--data DIR is required (or \"data\" in --config)")
-    section = config.get("train", {})
-    if not isinstance(section, dict):
-        raise ConfigError("\"train\" config section must be an object")
-    payload = dict(section)
-    payload["seed"] = seed
-    constants = _physics_constants(config)
-    if constants is not None and "constants" not in payload:
-        payload["constants"] = constants.to_dict()
-    train_config = TrainConfig.from_dict(payload)
+    seed = _required(args, config, "seed")
+    data_dir = _required(args, config, "data")
+    train_config = _section(TrainConfig, "train", config, seed=seed)
 
     joined, dropped = data.load_cohort(data_dir)
     if not joined:
@@ -191,9 +180,11 @@ def _checkpoint_bundle(path: str | Path):
     try:
         input_scaler = data.MinMaxScaler.from_dict(extra["input_scaler"])
         target_scaler = data.MinMaxScaler.from_dict(extra["target_scaler"])
-        constants = PhysicsConstants.from_dict(extra["constants"])
+        constants = from_json(PhysicsConstants, extra["constants"], "constants")
     except KeyError as exc:
         raise DataError(f"checkpoint {path} is missing extra field {exc}") from None
+    except ConfigError as exc:
+        raise DataError(f"checkpoint {path}: {exc}") from None
     return model, input_scaler, target_scaler, constants
 
 
@@ -264,7 +255,7 @@ def cmd_audit(args) -> int:
     config = _load_config(args)
     payload = _load_json(args.envelope, "envelope")
     state, useful_area, building_type = _state_from_payload(payload, args.envelope)
-    constants = _physics_constants(config) or PhysicsConstants()
+    constants = config.physics
     breakdown = energy_consumption(state, useful_area, building_type, constants)
     for name, area, u, loss in zip(
         COMPONENTS, state.areas, state.u_values, breakdown.envelope_by_component

@@ -94,10 +94,15 @@ def _parse_float(raw: str) -> float:
 
 
 def _parse_int(raw: str) -> int:
+    """An integer that also has a float value, as every feature needs."""
     try:
-        return int(raw.strip())
+        value = int(raw.strip())
+        float(value)
     except ValueError:
         raise ValueError(f"not an integer: {raw!r}") from None
+    except OverflowError:
+        raise ValueError(f"too large for a float: {raw!r}") from None
+    return value
 
 
 def _parse_optional_float(raw: str) -> float | None:
@@ -113,7 +118,12 @@ def _parse_column(parse: Callable[[str], object], cells: list[str]) -> list | np
     if parse is _parse_str:
         return list(map(str.strip, cells))
     if parse is _parse_int:
-        return list(map(int, map(str.strip, cells)))
+        values = list(map(int, map(str.strip, cells)))
+        try:
+            np.array(values, dtype=float)
+        except OverflowError:
+            raise ValueError("too large for a float") from None
+        return values
     optional = parse is _parse_optional_float
     values = np.array(list(map(float, [c or "nan" for c in cells] if optional else cells)))
     broken = ~np.isfinite(values)

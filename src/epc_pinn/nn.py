@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, TrainingError, UsageError
 
-ACTIVATIONS = ("relu", "identity")
+ACTIVATIONS = ("relu",)
 
 CHECKPOINT_FORMAT_VERSION = 1
 CHECKPOINT_DTYPE = "<f8"  # little-endian float64, fixed for portability
@@ -155,8 +155,8 @@ class ForwardCache:
 def forward(model: MlpModel, inputs: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Propagate a batch (n, input_dim) and keep what backward needs.
 
-    Hidden layers apply the model activation; the final layer is identity
-    so the outputs are unbounded regression values.
+    Hidden layers apply ReLU; the final layer is identity so the outputs
+    are unbounded regression values.
     """
     x = np.asarray(inputs, dtype=float)
     if x.ndim == 1:
@@ -169,7 +169,7 @@ def forward(model: MlpModel, inputs: np.ndarray) -> tuple[np.ndarray, ForwardCac
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
         z = activations[-1] @ w
         z += b
-        if l < model.n_layers - 1 and model.activation == "relu":
+        if l < model.n_layers - 1:
             np.maximum(z, 0.0, out=z)
         activations.append(z)
     cache = ForwardCache(
@@ -206,7 +206,7 @@ def backward(model: MlpModel, cache: ForwardCache, output_grad: np.ndarray) -> G
     grads = Gradients(layer_dims=model.layer_dims, vector=np.empty_like(model.vector))
     delta = g
     for l in range(model.n_layers - 1, -1, -1):
-        if l < model.n_layers - 1 and model.activation == "relu":
+        if l < model.n_layers - 1:
             # delta is a fresh product here, never the caller's output_grad.
             delta *= cache.activations[l + 1] > 0
         np.matmul(cache.activations[l].T, delta, out=grads.weights[l])

@@ -26,10 +26,11 @@ training loss.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from .config import JsonConfig
 from .errors import ConfigError, DimensionError, DomainError
 
 # Envelope components in their fixed order. Every 12-vector in the package
@@ -53,7 +54,7 @@ HEAT_GAINS_INDEX = 11
 
 
 @dataclass
-class PhysicsConstants:
+class PhysicsConstants(JsonConfig):
     """Fixed environmental and model constants.
 
     delta_t: indoor/outdoor temperature difference over the heating
@@ -83,10 +84,9 @@ class PhysicsConstants:
     near_one_epsilon: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.delta_t <= 0:
-            raise ConfigError(f"delta_t must be positive, got {self.delta_t}")
-        if self.heating_days <= 0:
-            raise ConfigError(f"heating_days must be positive, got {self.heating_days}")
+        for name in ("delta_t", "heating_days", "hours_per_day", "w_to_kw", "near_one_epsilon"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0 <= self.bridge_fraction < 1:
             raise ConfigError(
                 f"bridge_fraction must lie in [0, 1), got {self.bridge_fraction}"
@@ -109,12 +109,9 @@ class PhysicsConstants:
                 f"unknown building type {building_type!r}; known types: {known}"
             ) from None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PhysicsConstants":
-        return cls(**d)
+def _by_component(values: np.ndarray) -> dict[str, float]:
+    return {name: float(v) for name, v in zip(COMPONENTS, values)}
 
 
 @dataclass(eq=False)
@@ -133,16 +130,11 @@ class EnvelopeState:
     specific_heat_gains: float
 
     def __post_init__(self) -> None:
-        self.areas = np.asarray(self.areas, dtype=float)
-        self.u_values = np.asarray(self.u_values, dtype=float)
-        if self.areas.shape != (N_COMPONENTS,):
-            raise DimensionError(
-                f"expected {N_COMPONENTS} areas, got shape {self.areas.shape}"
-            )
-        if self.u_values.shape != (N_COMPONENTS,):
-            raise DimensionError(
-                f"expected {N_COMPONENTS} u_values, got shape {self.u_values.shape}"
-            )
+        for name in ("areas", "u_values"):
+            values = np.asarray(getattr(self, name), dtype=float)
+            if values.shape != (N_COMPONENTS,):
+                raise DimensionError(f"expected {N_COMPONENTS} {name}, got shape {values.shape}")
+            setattr(self, name, values)
         self.air_exchange_rate = float(self.air_exchange_rate)
         self.specific_heat_gains = float(self.specific_heat_gains)
 
@@ -182,8 +174,8 @@ class EnvelopeState:
 
     def to_dict(self) -> dict:
         return {
-            "areas": {name: float(a) for name, a in zip(COMPONENTS, self.areas)},
-            "u_values": {name: float(u) for name, u in zip(COMPONENTS, self.u_values)},
+            "areas": _by_component(self.areas),
+            "u_values": _by_component(self.u_values),
             "air_exchange_rate": self.air_exchange_rate,
             "specific_heat_gains": self.specific_heat_gains,
         }
@@ -203,18 +195,7 @@ class LossBreakdown:
     energy_consumption: float
 
     def to_dict(self) -> dict:
-        return {
-            "envelope_by_component": {
-                name: float(v) for name, v in zip(COMPONENTS, self.envelope_by_component)
-            },
-            "envelope_total": self.envelope_total,
-            "thermal_bridges": self.thermal_bridges,
-            "ventilation": self.ventilation,
-            "heat_loss_total": self.heat_loss_total,
-            "heat_gains_total": self.heat_gains_total,
-            "hguf": self.hguf,
-            "energy_consumption": self.energy_consumption,
-        }
+        return {**asdict(self), "envelope_by_component": _by_component(self.envelope_by_component)}
 
 
 def u_value(structure_heat_loss_coefficient: float, area: float) -> float:
@@ -228,39 +209,6 @@ def u_value(structure_heat_loss_coefficient: float, area: float) -> float:
             f"got {structure_heat_loss_coefficient}"
         )
     return structure_heat_loss_coefficient / area
-
-
-def envelope_heat_loss(
-    state: EnvelopeState, consts: PhysicsConstants
-) -> tuple[np.ndarray, float]:
-    """Per-component and total envelope losses [kWh/yr]."""
-    per_component = (
-        state.areas * state.u_values * consts.delta_t * consts.degree_hour_factor
-    )
-    return per_component, float(per_component.sum())
-
-
-def thermal_bridge_loss(envelope_total: float, consts: PhysicsConstants) -> float:
-    """Thermal-bridge surcharge as a fixed fraction of envelope losses."""
-    return consts.bridge_fraction * envelope_total
-
-
-def ventilation_heat_loss(
-    useful_area: float, air_exchange_rate: float, consts: PhysicsConstants
-) -> float:
-    """Ventilation losses [kWh/yr] driven by the air exchange rate."""
-    return (
-        useful_area
-        * air_exchange_rate
-        * consts.vent_coefficient
-        * consts.delta_t
-        * consts.degree_hour_factor
-    )
-
-
-def total_heat_gains(specific_heat_gains: float, useful_area: float) -> float:
-    """Annual internal heat gains [kWh/yr]."""
-    return specific_heat_gains * useful_area
 
 
 def heat_gain_usage_factor(
@@ -425,6 +373,27 @@ def energy_consumption_batch(
     )
 
 
+def _one_building(
+    state: EnvelopeState,
+    useful_area: float,
+    building_type: str,
+    consts: PhysicsConstants,
+    with_gradient: bool = False,
+) -> BatchEnergy:
+    """energy_consumption_batch of one building that meets its invariants."""
+    state.validate()
+    if useful_area < 0:
+        raise DomainError(f"useful_area must be >= 0, got {useful_area}")
+    tau = consts.time_constant_for(building_type)
+    return energy_consumption_batch(
+        state.to_vector()[None, :],
+        np.array([float(useful_area)]),
+        np.array([tau]),
+        consts,
+        with_gradient=with_gradient,
+    )
+
+
 def energy_consumption(
     state: EnvelopeState,
     useful_area: float,
@@ -437,25 +406,11 @@ def energy_consumption(
     total heat loss is treated as a degenerate building: the usage factor
     is 1 and the consumption 0. The consumption is floored at zero.
     """
-    state.validate()
-    if useful_area < 0:
-        raise DomainError(f"useful_area must be >= 0, got {useful_area}")
-    tau = consts.time_constant_for(building_type)
-    batch = energy_consumption_batch(
-        state.to_vector()[None, :],
-        np.array([float(useful_area)]),
-        np.array([tau]),
-        consts,
-    )
+    batch = _one_building(state, useful_area, building_type, consts)
+    # Every field after envelope_by_component is one float per building.
     return LossBreakdown(
         envelope_by_component=batch.envelope_by_component[0],
-        envelope_total=float(batch.envelope_total[0]),
-        thermal_bridges=float(batch.thermal_bridges[0]),
-        ventilation=float(batch.ventilation[0]),
-        heat_loss_total=float(batch.heat_loss_total[0]),
-        heat_gains_total=float(batch.heat_gains_total[0]),
-        hguf=float(batch.hguf[0]),
-        energy_consumption=float(batch.energy_consumption[0]),
+        **{f.name: float(getattr(batch, f.name)[0]) for f in fields(LossBreakdown)[1:]},
     )
 
 
@@ -472,16 +427,4 @@ def energy_consumption_gradient(
     state) the gradient is the zero vector; inside the near-1 band of the
     gains/losses ratio the usage factor is treated as locally constant.
     """
-    state.validate()
-    if useful_area < 0:
-        raise DomainError(f"useful_area must be >= 0, got {useful_area}")
-    tau = consts.time_constant_for(building_type)
-    batch = energy_consumption_batch(
-        state.to_vector()[None, :],
-        np.array([float(useful_area)]),
-        np.array([tau]),
-        consts,
-        with_gradient=True,
-    )
-    assert batch.gradient is not None
-    return batch.gradient[0]
+    return _one_building(state, useful_area, building_type, consts, with_gradient=True).gradient[0]

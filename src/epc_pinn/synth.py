@@ -23,11 +23,12 @@ the vectorized model, used to cross-check it.
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .config import JsonConfig
 from .errors import ConfigError, DataError, DomainError
 from .physics import COMPONENTS, EnvelopeState, PhysicsConstants, energy_consumption
 
@@ -54,12 +55,12 @@ _MATERIALS = {
 
 def _check_range(name: str, rng: tuple, low_ok: float = 0.0) -> None:
     lo, hi = rng
-    if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi or lo < low_ok:
+    if not low_ok <= lo <= hi < np.inf:
         raise ConfigError(f"bad range for {name}: {rng}")
 
 
 @dataclass(frozen=True)
-class SerieProfile:
+class SerieProfile(JsonConfig):
     """Sampling ranges for one construction-era serie.
 
     u_means follows the envelope component order (basement/slab,
@@ -96,28 +97,6 @@ class SerieProfile:
         _check_range(f"{self.name}.door_fraction", self.door_fraction)
         _check_range(f"{self.name}.air_exchange", self.air_exchange)
         _check_range(f"{self.name}.heat_gains", self.heat_gains)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SerieProfile":
-        try:
-            return cls(
-                name=payload["name"],
-                building_type=payload["building_type"],
-                floors=tuple(payload["floors"]),
-                footprint=tuple(payload["footprint"]),
-                apartment_area=tuple(payload["apartment_area"]),
-                u_means=tuple(payload["u_means"]),
-                u_spread=payload["u_spread"],
-                window_fraction=tuple(payload["window_fraction"]),
-                door_fraction=tuple(payload["door_fraction"]),
-                air_exchange=tuple(payload["air_exchange"]),
-                heat_gains=tuple(payload["heat_gains"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"malformed serie profile: {exc}") from None
 
 
 def _profile(name, btype, floors, footprint, u_means, wf, air, gains) -> SerieProfile:
@@ -168,7 +147,7 @@ DEFAULT_SERIES: tuple[SerieProfile, ...] = (
 
 
 @dataclass
-class GeneratorConfig:
+class GeneratorConfig(JsonConfig):
     n_buildings: int
     seed: int
     consumption_noise: float = 0.05  # relative std on measured totals
@@ -182,8 +161,9 @@ class GeneratorConfig:
     years: tuple[int, ...] = (2017, 2018, 2019, 2020)
 
     def __post_init__(self) -> None:
-        if self.n_buildings < 1:
-            raise ConfigError(f"n_buildings must be >= 1, got {self.n_buildings}")
+        for name, low in (("n_buildings", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.consumption_noise < 0 or self.audit_noise < 0:
             raise ConfigError("noise levels must be >= 0")
         if not self.series:
@@ -194,24 +174,6 @@ class GeneratorConfig:
         _check_range("roof_factor", self.roof_factor, low_ok=1.0)
         if not self.years:
             raise ConfigError("need at least one consumption year")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "GeneratorConfig":
-        kwargs = dict(payload)
-        if "series" in kwargs:
-            kwargs["series"] = tuple(SerieProfile.from_dict(p) for p in kwargs["series"])
-        if "constants" in kwargs:
-            kwargs["constants"] = PhysicsConstants.from_dict(kwargs["constants"])
-        for key in ("aspect_ratio", "roof_factor", "years"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(f"malformed generator config: {exc}") from None
 
 
 @dataclass(eq=False)

@@ -37,6 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import JsonConfig
 from .data import MinMaxScaler, TrainingArrays, kfold_split, train_val_split
 from .errors import ConfigError, TrainingError
 from .loss import enhanced_loss
@@ -69,7 +70,7 @@ FULL_BATCH_LIMIT = 256
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(JsonConfig):
     k_folds: int = 10
     val_fraction: float = 0.15
     learning_rate: float = 0.001
@@ -85,43 +86,24 @@ class TrainConfig:
     constants: PhysicsConstants = field(default_factory=PhysicsConstants)
 
     def __post_init__(self) -> None:
-        if self.k_folds < 2:
-            raise ConfigError(f"k_folds must be >= 2, got {self.k_folds}")
+        for name, low in (("k_folds", 2), ("scheduler_patience", 1),
+                          ("early_stop_patience", 1), ("max_epochs", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not 0 < self.val_fraction < 1:
             raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
         if not 0 < self.learning_rate < np.inf:
             raise ConfigError(f"learning_rate must be in (0, inf), got {self.learning_rate}")
         if not np.isfinite(self.min_lr):
             raise ConfigError(f"min_lr must be finite, got {self.min_lr}")
-        if self.scheduler_patience < 1 or self.early_stop_patience < 1:
-            raise ConfigError("patience values must be >= 1")
         if not 0 < self.scheduler_factor < 1:
-            raise ConfigError(
-                f"scheduler_factor must be in (0, 1), got {self.scheduler_factor}"
-            )
-        if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
+            raise ConfigError(f"scheduler_factor must be in (0, 1), got {self.scheduler_factor}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not self.hidden_dims or any(d < 1 for d in self.hidden_dims):
             raise ConfigError(f"bad hidden_dims {self.hidden_dims}")
         if not 0 <= self.physics_weight < np.inf:
             raise ConfigError(f"physics_weight must be in [0, inf), got {self.physics_weight}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "TrainConfig":
-        kwargs = dict(payload)
-        if "constants" in kwargs:
-            kwargs["constants"] = PhysicsConstants.from_dict(kwargs["constants"])
-        if "hidden_dims" in kwargs:
-            kwargs["hidden_dims"] = tuple(kwargs["hidden_dims"])
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(f"malformed training config: {exc}") from None
 
 
 @dataclass

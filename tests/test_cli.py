@@ -209,7 +209,7 @@ class TestTrain:
              "--data", str(clean_cohort_dir), "--out", str(out)]
         )
         assert code == 1
-        assert "learning_rate must be in (0, inf), got nan" in capsys.readouterr().err
+        assert "train.learning_rate: expected a finite number, got nan" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     def test_identical_runs_write_identical_results(self, clean_cohort_dir, tmp_path):
@@ -418,6 +418,20 @@ class TestPredict:
         err = capsys.readouterr().err
         assert repr(field) in err and problem in err
 
+    @pytest.mark.parametrize("field", ["floors", "apartments"])
+    def test_integer_without_a_float_value_is_exit_two(
+        self, trained_run, tmp_path, capsys, field
+    ):
+        building = tmp_path / "building.json"
+        building.write_text(json.dumps(building_payload(**{field: 10**400})))
+        code = main(
+            ["predict", "--checkpoint", str(trained_run / "fold_00.json"),
+             "--building", str(building)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"field {field!r}: too large for a float" in err
+
     def test_unknown_serie_is_exit_one(self, trained_run, tmp_path):
         building = tmp_path / "building.json"
         building.write_text(json.dumps(building_payload(serie="serie_99")))
@@ -623,6 +637,25 @@ class TestEvaluate:
         )
         assert code == 2
 
+
+    def test_integer_cell_without_a_float_value_is_exit_two(
+        self, trained_run, clean_cohort_dir, tmp_path, capsys
+    ):
+        cohort = tmp_path / "huge"
+        shutil.copytree(clean_cohort_dir, cohort)
+        audit = cohort / "audit_buildings.csv"
+        lines = audit.read_text().splitlines()
+        column = lines[0].split(",").index("apartments")
+        cells = lines[1].split(",")
+        cells[column] = "9" * 401
+        lines[1] = ",".join(cells)
+        audit.write_text("\n".join(lines) + "\n")
+        code = main(
+            ["evaluate", "--checkpoint", str(trained_run / "fold_00.json"),
+             "--data", str(cohort)]
+        )
+        assert code == 2
+        assert "row 2, column 'apartments': too large for a float" in capsys.readouterr().err
 
     def test_undecodable_csv_is_exit_two_naming_the_file(
         self, trained_run, clean_cohort_dir, tmp_path, capsys

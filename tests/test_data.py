@@ -1087,6 +1087,18 @@ def test_first_problem_in_row_order_whatever_the_chunks(tmp_path, rows, expected
         assert str(err.value) == f"{path} {expected}"
 
 
+def test_integer_cell_without_a_float_value_is_a_bad_cell(tmp_path):
+    """A 401-digit floors passes int() but has no float value, which every
+    feature needs: a bad cell, in the column map and on its own row."""
+    path = tmp_path / "land.csv"
+    write(path, LAND_HEADER, [land_row("01"), land_row("02", floors="9" * 401)])
+    with pytest.raises(DataError) as err:
+        load_dataset(path, LAND_SCHEMA)
+    assert str(err.value).startswith(
+        f"{path} row 3, column 'floors': too large for a float: '999"
+    )
+
+
 # ---------------------------------------------------------------------------
 # load_cohort -> build_matrices against a record-wise reference join.
 

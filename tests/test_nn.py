@@ -74,8 +74,9 @@ class TestInitModel:
             init_model((5, 0, 2), seed=0)
 
     def test_unknown_activation_is_config_error(self):
-        with pytest.raises(ConfigError):
-            init_model((5, 4, 2), seed=0, activation="tanh")
+        for activation in ("tanh", "identity"):
+            with pytest.raises(ConfigError):
+                init_model((5, 4, 2), seed=0, activation=activation)
 
 
 class TestForward:

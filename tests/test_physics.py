@@ -18,12 +18,8 @@ from epc_pinn.physics import (
     energy_consumption,
     energy_consumption_batch,
     energy_consumption_gradient,
-    envelope_heat_loss,
     heat_gain_usage_factor,
-    thermal_bridge_loss,
-    total_heat_gains,
     u_value,
-    ventilation_heat_loss,
 )
 
 
@@ -137,13 +133,18 @@ class TestUValue:
             u_value(-1.0, 10.0)
 
 
+def breakdown(state, useful_area, constants):
+    """The energy_consumption breakdown of a light building."""
+    return energy_consumption(state, useful_area, "light", constants)
+
+
 class TestEnvelopeHeatLoss:
     def test_single_component(self, constants):
         """100 m2 at U 0.5: 100 * 0.5 * 18.9 K * 4.608 = 4354.56 kWh/yr."""
-        per_component, total = envelope_heat_loss(single_component_state(), constants)
-        assert total == pytest.approx(4354.56, abs=1e-9)
-        assert per_component[0] == pytest.approx(4354.56, abs=1e-9)
-        assert np.all(per_component[1:] == 0.0)
+        result = breakdown(single_component_state(), 100.0, constants)
+        assert result.envelope_total == pytest.approx(4354.56, abs=1e-9)
+        assert result.envelope_by_component[0] == pytest.approx(4354.56, abs=1e-9)
+        assert np.all(result.envelope_by_component[1:] == 0.0)
 
     def test_two_components_add(self, constants):
         """Adding 20 m2 of U 0.5 roof contributes 20 * 0.5 * 18.9 * 4.608
@@ -151,52 +152,54 @@ class TestEnvelopeHeatLoss:
         state = single_component_state()
         state.areas[1] = 20.0
         state.u_values[1] = 0.5
-        _, total = envelope_heat_loss(state, constants)
-        assert total == pytest.approx(4354.56 + 870.912, abs=1e-9)
+        result = breakdown(state, 100.0, constants)
+        assert result.envelope_by_component[1] == pytest.approx(870.912, abs=1e-9)
+        assert result.envelope_total == pytest.approx(4354.56 + 870.912, abs=1e-9)
 
     def test_all_zero_state(self, constants):
         state = EnvelopeState(np.zeros(5), np.zeros(5), 0.0, 0.0)
-        per_component, total = envelope_heat_loss(state, constants)
-        assert total == 0.0
-        assert np.all(per_component == 0.0)
+        result = breakdown(state, 100.0, constants)
+        assert result.envelope_total == 0.0
+        assert np.all(result.envelope_by_component == 0.0)
 
 
 class TestThermalBridgeLoss:
     def test_three_percent_of_envelope(self, constants):
         """0.03 * 4354.56 = 130.6368 kWh/yr."""
-        assert thermal_bridge_loss(4354.56, constants) == pytest.approx(
-            130.6368, abs=1e-9
-        )
+        result = breakdown(single_component_state(), 100.0, constants)
+        assert result.thermal_bridges == pytest.approx(130.6368, abs=1e-9)
 
     def test_zero_envelope_gives_zero(self, constants):
-        assert thermal_bridge_loss(0.0, constants) == 0.0
+        state = EnvelopeState(np.zeros(5), np.zeros(5), 0.0, 0.0)
+        assert breakdown(state, 100.0, constants).thermal_bridges == 0.0
 
 
 class TestVentilationHeatLoss:
     def test_hand_value(self, constants):
         """1000 m2 at 0.5 1/h: 1000 * 0.5 * 0.34 * 18.9 * 4.608
         = 14805.504 kWh/yr."""
-        assert ventilation_heat_loss(1000.0, 0.5, constants) == pytest.approx(
-            14805.504, abs=1e-9
-        )
+        result = breakdown(single_component_state(air=0.5), 1000.0, constants)
+        assert result.ventilation == pytest.approx(14805.504, abs=1e-9)
 
     def test_unit_building(self, constants):
         """1 m2 at 1 1/h: 0.34 * 18.9 * 4.608 = 29.611008 kWh/yr."""
-        assert ventilation_heat_loss(1.0, 1.0, constants) == pytest.approx(
-            29.611008, abs=1e-12
-        )
+        result = breakdown(single_component_state(air=1.0), 1.0, constants)
+        assert result.ventilation == pytest.approx(29.611008, abs=1e-12)
 
     def test_zero_rate_gives_zero(self, constants):
-        assert ventilation_heat_loss(1000.0, 0.0, constants) == 0.0
+        result = breakdown(single_component_state(air=0.0), 1000.0, constants)
+        assert result.ventilation == 0.0
 
 
 class TestTotalHeatGains:
-    def test_gains_scale_with_area(self):
+    def test_gains_scale_with_area(self, constants):
         """20 kWh/(m2 yr) over 100 m2 = 2000 kWh/yr."""
-        assert total_heat_gains(20.0, 100.0) == pytest.approx(2000.0)
+        result = breakdown(single_component_state(gains=20.0), 100.0, constants)
+        assert result.heat_gains_total == pytest.approx(2000.0)
 
-    def test_zero_gains(self):
-        assert total_heat_gains(0.0, 500.0) == 0.0
+    def test_zero_gains(self, constants):
+        result = breakdown(single_component_state(gains=0.0), 500.0, constants)
+        assert result.heat_gains_total == 0.0
 
 
 class TestHeatGainUsageFactor:
