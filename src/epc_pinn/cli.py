@@ -162,6 +162,7 @@ def cmd_train(args) -> int:
     if not joined:
         raise DataError(f"no usable samples in {data_dir}")
     arrays = data.build_matrices(joined)
+    train_config.constants.check_building_types(arrays.building_types)
     result = cross_validate(arrays, train_config, max_workers=_thread_count())
 
     out_dir = Path(_setting(args, config, "out", "."))
@@ -188,10 +189,18 @@ def _checkpoint_bundle(path: str | Path):
     return model, input_scaler, target_scaler, constants
 
 
+def _check_checkpoint_types(constants: PhysicsConstants, building_types, path) -> None:
+    try:
+        constants.check_building_types(building_types)
+    except ConfigError as exc:
+        raise DataError(f"checkpoint {path}: {exc}") from None
+
+
 def cmd_predict(args) -> int:
     model, input_scaler, target_scaler, constants = _checkpoint_bundle(args.checkpoint)
     building = _load_json(args.building, "building")
     fields = data.parse_building(building, args.building)
+    _check_checkpoint_types(constants, [fields["building_type"]], args.checkpoint)
     features = data.encode_features(**fields)
     state_row = predict_physical(model, input_scaler, target_scaler, features)[0]
     state = EnvelopeState.from_vector(state_row)
@@ -280,6 +289,7 @@ def cmd_evaluate(args) -> int:
     if not joined:
         raise DataError(f"no usable samples in {args.data}")
     arrays = data.build_matrices(joined)
+    _check_checkpoint_types(constants, arrays.building_types, args.checkpoint)
     predictions = predict_physical(model, input_scaler, target_scaler, arrays.features)
     energy = reconstruct_energy(
         predictions, arrays.useful_area, arrays.building_types, constants

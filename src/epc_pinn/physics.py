@@ -87,6 +87,8 @@ class PhysicsConstants(JsonConfig):
         for name in ("delta_t", "heating_days", "hours_per_day", "w_to_kw", "near_one_epsilon"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.vent_coefficient < 0:
+            raise ConfigError(f"vent_coefficient must be >= 0, got {self.vent_coefficient}")
         if not 0 <= self.bridge_fraction < 1:
             raise ConfigError(
                 f"bridge_fraction must lie in [0, 1), got {self.bridge_fraction}"
@@ -106,8 +108,14 @@ class PhysicsConstants(JsonConfig):
         except KeyError:
             known = ", ".join(sorted(self.time_constants))
             raise ConfigError(
-                f"unknown building type {building_type!r}; known types: {known}"
+                f"unknown building type {str(building_type)!r}; known types: {known}"
             ) from None
+
+    def check_building_types(self, building_types) -> None:
+        """time_constant_for's ConfigError for the first building type, in
+        sorted order, that has no time constant."""
+        for building_type in sorted(set(map(str, building_types))):
+            self.time_constant_for(building_type)
 
 
 def _by_component(values: np.ndarray) -> dict[str, float]:

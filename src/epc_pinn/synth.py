@@ -11,9 +11,11 @@ and U-values are perturbed separately after the energy is computed, so
 audit noise creates genuine model mismatch.
 
 Output is the exact CSV layout the ingestion side reads, plus a monthly
-consumption file whose rows sum to the annual totals. Every value is
-derived from a per-building generator seeded with [seed, building index],
-so cohorts are reproducible byte for byte.
+consumption file whose rows sum to the annual totals. Building i draws
+from its own generator, seeded with [seed, i], in a fixed order; those
+draws are all the randomness, so cohorts are reproducible byte for byte.
+Everything else (geometry, physics, noise, monthly split) is computed once
+over whole-cohort arrays, and each file is streamed out row by row.
 
 reference_energy is this module's second job: a deliberately plain,
 scalar re-derivation of the annual energy balance sharing no code with
@@ -23,6 +25,7 @@ the vectorized model, used to cross-check it.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,10 +33,20 @@ import numpy as np
 
 from .config import JsonConfig
 from .errors import ConfigError, DataError, DomainError
-from .physics import COMPONENTS, EnvelopeState, PhysicsConstants, energy_consumption
+from .physics import (
+    COMPONENTS,
+    N_COMPONENTS,
+    EnvelopeState,
+    PhysicsConstants,
+    energy_consumption,  # noqa: F401 - perfbench traces synth.energy_consumption by name
+    energy_consumption_batch,
+)
 
 # Fraction of each year's total per month, heating-season shaped; sums to 1.
 MONTH_WEIGHTS = (0.16, 0.14, 0.12, 0.08, 0.03, 0.0, 0.0, 0.0, 0.02, 0.08, 0.15, 0.22)
+
+# floors are drawn with rng.integers(low, high + 1), whose bound is an int64.
+MAX_FLOORS = np.iinfo(np.int64).max - 1
 
 _MATERIALS = {
     "heavy": {
@@ -53,9 +66,9 @@ _MATERIALS = {
 }
 
 
-def _check_range(name: str, rng: tuple, low_ok: float = 0.0) -> None:
+def _check_range(name: str, rng: tuple, low_ok: float = 0.0, high_below: float = np.inf) -> None:
     lo, hi = rng
-    if not low_ok <= lo <= hi < np.inf:
+    if not low_ok <= lo <= hi < high_below:
         raise ConfigError(f"bad range for {name}: {rng}")
 
 
@@ -86,7 +99,7 @@ class SerieProfile(JsonConfig):
             raise ConfigError(
                 f"serie {self.name}: unknown building_type {self.building_type!r}"
             )
-        _check_range(f"{self.name}.floors", self.floors, low_ok=1)
+        _check_range(f"{self.name}.floors", self.floors, low_ok=1, high_below=MAX_FLOORS + 1)
         _check_range(f"{self.name}.footprint", self.footprint, low_ok=1e-6)
         _check_range(f"{self.name}.apartment_area", self.apartment_area, low_ok=1e-6)
         if len(self.u_means) != len(COMPONENTS) or any(u <= 0 for u in self.u_means):
@@ -97,6 +110,11 @@ class SerieProfile(JsonConfig):
         _check_range(f"{self.name}.door_fraction", self.door_fraction)
         _check_range(f"{self.name}.air_exchange", self.air_exchange)
         _check_range(f"{self.name}.heat_gains", self.heat_gains)
+        if self.window_fraction[1] + self.door_fraction[1] >= 1:
+            raise ConfigError(
+                f"serie {self.name}: window_fraction[1] + door_fraction[1] must be < 1 "
+                f"(walls keep the rest), got {self.window_fraction[1]} + {self.door_fraction[1]}"
+            )
 
 
 def _profile(name, btype, floors, footprint, u_means, wf, air, gains) -> SerieProfile:
@@ -168,6 +186,11 @@ class GeneratorConfig(JsonConfig):
             raise ConfigError("noise levels must be >= 0")
         if not self.series:
             raise ConfigError("need at least one serie profile")
+        for i, profile in enumerate(self.series):
+            try:
+                self.constants.time_constant_for(profile.building_type)
+            except ConfigError as exc:
+                raise ConfigError(f"series[{i}].building_type: {exc}") from None
         if self.storey_height <= 0 or not 0 < self.useful_fraction <= 1:
             raise ConfigError("bad storey_height or useful_fraction")
         _check_range("aspect_ratio", self.aspect_ratio, low_ok=1.0)
@@ -176,121 +199,42 @@ class GeneratorConfig(JsonConfig):
             raise ConfigError("need at least one consumption year")
 
 
-@dataclass(eq=False)
-class _Building:
-    """One generated building, before CSV serialization."""
-
-    cadastre_number: str
-    profile: SerieProfile
-    floors: int
-    apartments: int
-    footprint: float
-    length: float
-    width: float
-    perimeter: float
-    useful_area: float
-    total_area: float
-    latitude: float
-    longitude: float
-    true_state: EnvelopeState
-    audit_areas: np.ndarray
-    audit_u: np.ndarray
-    true_energy: float
-    measured: dict[int, float]
-
-
-def _generate_building(config: GeneratorConfig, index: int) -> _Building:
-    # The draw order below is fixed; changing it changes every cohort.
-    rng = np.random.default_rng([config.seed, index])
-    profile = config.series[int(rng.integers(len(config.series)))]
-    floors = int(rng.integers(profile.floors[0], profile.floors[1] + 1))
-    footprint = rng.uniform(*profile.footprint)
-    aspect = rng.uniform(*config.aspect_ratio)
-    roof_factor = rng.uniform(*config.roof_factor)
-    window_fraction = rng.uniform(*profile.window_fraction)
-    door_fraction = rng.uniform(*profile.door_fraction)
-    u_values = np.array(profile.u_means) * rng.uniform(
-        1.0 - profile.u_spread, 1.0 + profile.u_spread, size=len(COMPONENTS)
-    )
-    air = rng.uniform(*profile.air_exchange)
-    gains = rng.uniform(*profile.heat_gains)
-    apartment_area = rng.uniform(*profile.apartment_area)
-    latitude = rng.uniform(56.90, 57.05)
-    longitude = rng.uniform(24.00, 24.30)
-    consumption_eps = rng.normal(0.0, 1.0, size=len(config.years))
-    audit_eps = rng.normal(0.0, 1.0, size=2 * len(COMPONENTS))
-
-    length = np.sqrt(footprint * aspect)
-    width = np.sqrt(footprint / aspect)
-    perimeter = 2.0 * (length + width)
-    walls_gross = perimeter * floors * config.storey_height
-    windows = window_fraction * walls_gross
-    doors = door_fraction * walls_gross
-    walls = walls_gross - windows - doors
-    basement = footprint
-    roof = footprint * roof_factor
-    # COMPONENTS order: basement/slab, roof/attic, walls, doors, windows.
-    areas = np.array([basement, roof, walls, doors, windows])
-    total_area = footprint * floors
-    useful_area = config.useful_fraction * total_area
-    apartments = max(1, round(footprint / apartment_area)) * floors
-
-    state = EnvelopeState(
-        areas=areas,
-        u_values=u_values,
-        air_exchange_rate=air,
-        specific_heat_gains=gains,
-    )
-    true_energy = energy_consumption(
-        state, useful_area, profile.building_type, config.constants
-    ).energy_consumption
-    measured = {
-        year: max(0.0, true_energy * (1.0 + config.consumption_noise * eps))
-        for year, eps in zip(config.years, consumption_eps)
-    }
-    audit_areas = np.maximum(
-        areas * (1.0 + config.audit_noise * audit_eps[: len(COMPONENTS)]), 1e-6
-    )
-    audit_u = np.maximum(
-        u_values * (1.0 + config.audit_noise * audit_eps[len(COMPONENTS) :]), 1e-6
-    )
-    return _Building(
-        cadastre_number=f"0100{index:07d}",
-        profile=profile,
-        floors=floors,
-        apartments=apartments,
-        footprint=footprint,
-        length=length,
-        width=width,
-        perimeter=perimeter,
-        useful_area=useful_area,
-        total_area=total_area,
-        latitude=latitude,
-        longitude=longitude,
-        true_state=state,
-        audit_areas=audit_areas,
-        audit_u=audit_u,
-        true_energy=true_energy,
-        measured=measured,
-    )
+def _draw(config: GeneratorConfig) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """Every random draw of the cohort: serie indices, floors, and one row
+    of floats per building in the order drawn. Building i draws from its
+    own generator seeded with [seed, i]; the draw order below is fixed, and
+    changing it changes every cohort."""
+    serie, floors, draws = [], [], []
+    for i in range(config.n_buildings):
+        rng = np.random.default_rng([config.seed, i])
+        serie.append(int(rng.integers(len(config.series))))
+        profile = config.series[serie[-1]]
+        floors.append(int(rng.integers(profile.floors[0], profile.floors[1] + 1)))
+        draws.append([
+            rng.uniform(*profile.footprint),
+            rng.uniform(*config.aspect_ratio),
+            rng.uniform(*config.roof_factor),
+            rng.uniform(*profile.window_fraction),
+            rng.uniform(*profile.door_fraction),
+            *rng.uniform(1.0 - profile.u_spread, 1.0 + profile.u_spread, size=N_COMPONENTS),
+            rng.uniform(*profile.air_exchange),
+            rng.uniform(*profile.heat_gains),
+            rng.uniform(*profile.apartment_area),
+            rng.uniform(56.90, 57.05),  # latitude
+            rng.uniform(24.00, 24.30),  # longitude
+            *rng.normal(0.0, 1.0, size=len(config.years)),  # consumption noise
+            *rng.normal(0.0, 1.0, size=2 * N_COMPONENTS),  # audit noise
+        ])
+    return np.array(serie), floors, np.array(draws)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    # repr round-trips floats exactly, which both the oracle-closure
-    # check and byte-identical regeneration rely on.
-    return repr(float(value))
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """rows hold plain Python values; str(float) round-trips exactly, which
+    both the oracle-closure check and byte-identical regeneration rely on."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def generate_cohort(config: GeneratorConfig, out_dir: str | Path) -> dict[str, Path]:
@@ -301,77 +245,110 @@ def generate_cohort(config: GeneratorConfig, out_dir: str | Path) -> dict[str, P
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    buildings = [_generate_building(config, i) for i in range(config.n_buildings)]
+    serie, floors, draws = _draw(config)
+    footprint, aspect, roof_factor, window_fraction, door_fraction = draws[:, :5].T
+    u_values = np.array([p.u_means for p in config.series], dtype=float)[serie] * draws[:, 5:10]
+    air, gains, apartment_area, latitude, longitude = draws[:, 10:15].T
+    consumption_eps, audit_eps = draws[:, 15:-2 * N_COMPONENTS], draws[:, -2 * N_COMPONENTS:]
 
-    land_rows = []
-    audit_rows = []
-    component_rows = []
-    consumption_rows = []
-    monthly_rows = []
+    floors_f = np.array(floors, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below raises
+        length = np.sqrt(footprint * aspect)
+        width = np.sqrt(footprint / aspect)
+        perimeter = 2.0 * (length + width)
+        walls_gross = perimeter * floors_f * config.storey_height
+        windows = window_fraction * walls_gross
+        doors = door_fraction * walls_gross
+        walls = walls_gross - windows - doors
+        # COMPONENTS order: basement/slab, roof/attic, walls, doors, windows.
+        areas = np.column_stack([footprint, footprint * roof_factor, walls, doors, windows])
+        total_area = footprint * floors_f
+    states = np.column_stack([areas, u_values, air, gains])
+    bad = ~(np.isfinite(states) & (states >= 0)).all(axis=1)
+    if bad.any():  # the first bad building raises its DomainError
+        EnvelopeState.from_vector(states[np.argmax(bad)]).validate()
+    useful_area = config.useful_fraction * total_area
+    # Python ints: the product can exceed int64.
+    apartments = [max(1, round(ratio)) * f
+                  for ratio, f in zip((footprint / apartment_area).tolist(), floors)]
+
+    taus = [config.constants.time_constant_for(p.building_type) for p in config.series]
+    true_energy = energy_consumption_batch(
+        states, useful_area, np.array(taus, dtype=float)[serie], config.constants
+    ).energy_consumption
+    measured = true_energy[:, None] * (1.0 + config.consumption_noise * consumption_eps)
+    measured = np.where(measured > 0.0, measured, 0.0)  # as max(0.0, x): NaN gives 0.0
+    audit_factors = 1.0 + config.audit_noise * audit_eps
+    audit_areas = np.maximum(areas * audit_factors[:, :N_COMPONENTS], 1e-6)
+    audit_u = np.maximum(u_values * audit_factors[:, N_COMPONENTS:], 1e-6)
+    coefficients = audit_u * audit_areas
     c_env = config.constants.delta_t * config.constants.degree_hour_factor
-    for b in buildings:
-        serie = b.profile.name
-        btype = b.profile.building_type
-        land_rows.append([
-            b.cadastre_number, b.floors, b.latitude, b.longitude, b.useful_area,
-            f"RECT {b.length:.2f}x{b.width:.2f}", b.apartments, serie,
-            b.total_area, f"Tilta iela {int(b.cadastre_number[4:]) + 1}",
-            b.perimeter, btype,
-        ])
-        audit_rows.append([
-            b.cadastre_number, b.floors, b.length, b.width, b.useful_area,
-            config.storey_height, b.apartments, serie, b.total_area,
-            b.true_state.air_exchange_rate, b.true_state.specific_heat_gains, btype,
-        ])
-        coefficients = b.audit_u * b.audit_areas
-        for j, name in enumerate(COMPONENTS):
-            component_rows.append([
-                b.cadastre_number, name, _MATERIALS[btype][name],
-                coefficients[j] * c_env,  # carried: this component's annual loss
-                b.audit_areas[j], coefficients[j], "district",
-                float(coefficients.sum()), b.total_area, b.true_energy,
-            ])
-        consumption_rows.append(
-            [b.cadastre_number] + [b.measured[year] for year in config.years]
-        )
-        for year in config.years:
-            annual = b.measured[year]
-            first_eleven = [annual * w for w in MONTH_WEIGHTS[:-1]]
-            # December takes the float residual so the months sum exactly.
-            months = first_eleven + [annual - sum(first_eleven)]
-            for month, value in enumerate(months, start=1):
-                monthly_rows.append([b.cadastre_number, year, month, value])
+    # each component row carries its annual loss, area and heat loss coefficient
+    per_component = np.stack([coefficients * c_env, audit_areas, coefficients], axis=-1)
+    # December takes the float residual, summed left to right, so the months
+    # sum exactly to the annual total.
+    months = measured[..., None] * np.array(MONTH_WEIGHTS[:-1])
+    eleven = np.zeros_like(measured)
+    for k in range(len(MONTH_WEIGHTS) - 1):
+        eleven = eleven + months[..., k]
+    months = np.concatenate([months, (measured - eleven)[..., None]], axis=-1)
 
-    paths = {
-        "land": out_dir / "land.csv",
-        "audit_buildings": out_dir / "audit_buildings.csv",
-        "audit_components": out_dir / "audit_components.csv",
-        "consumption": out_dir / "consumption.csv",
-        "consumption_monthly": out_dir / "consumption_monthly.csv",
+    numbers = [f"0100{i:07d}" for i in range(config.n_buildings)]
+    names = [config.series[i].name for i in serie.tolist()]
+    btypes = [config.series[i].building_type for i in serie.tolist()]
+    useful, total = useful_area.tolist(), total_area.tolist()
+    rows = {
+        "land": zip(
+            numbers, floors, latitude.tolist(), longitude.tolist(), useful,
+            (f"RECT {a:.2f}x{b:.2f}" for a, b in zip(length.tolist(), width.tolist())),
+            apartments, names, total, (f"Tilta iela {i + 1}" for i in range(config.n_buildings)),
+            perimeter.tolist(), btypes,
+        ),
+        "audit_buildings": zip(
+            numbers, floors, length.tolist(), width.tolist(), useful,
+            itertools.repeat(config.storey_height), apartments, names, total,
+            air.tolist(), gains.tolist(), btypes,
+        ),
+        "audit_components": (
+            (number, name, _MATERIALS[btype][name], *values, "district", *totals)
+            for number, btype, block, *totals in zip(
+                numbers, btypes, per_component, coefficients.sum(axis=1).tolist(), total,
+                true_energy.tolist(),
+            )
+            for name, values in zip(COMPONENTS, block.tolist())
+        ),
+        "consumption": ([number, *values.tolist()] for number, values in zip(numbers, measured)),
+        "consumption_monthly": (
+            (number, year, month, value)
+            for number, per_year in zip(numbers, months)
+            for year, values in zip(config.years, per_year.tolist())
+            for month, value in enumerate(values, start=1)
+        ),
     }
-    _write_csv(paths["land"], [
-        "cadastre_number", "floors", "latitude_centroid", "longitude_centroid",
-        "useful_area", "geometry", "apartments", "serie", "total_area",
-        "address", "perimeter", "building_type",
-    ], land_rows)
-    _write_csv(paths["audit_buildings"], [
-        "cadastre_number", "floors", "length", "width", "useful_area",
-        "Avg_indoor_height", "apartments", "serie", "total_area",
-        "air_exchange_rate", "specific_heat_gains", "building_type",
-    ], audit_rows)
-    _write_csv(paths["audit_components"], [
-        "cadastre_number", "enclosing_structure", "material", "energy_consumption",
-        "area", "structure_heat_loss_coefficient", "type_of_heating",
-        "total_structure_heat_loss_coefficient", "total_area",
-        "total_energy_consumption",
-    ], component_rows)
-    _write_csv(paths["consumption"],
-               ["cadastre_number"]
-               + [f"total_energy_consumption_{y}" for y in config.years],
-               consumption_rows)
-    _write_csv(paths["consumption_monthly"],
-               ["cadastre_number", "year", "month", "energy_consumption"],
-               monthly_rows)
+    headers = {
+        "land": [
+            "cadastre_number", "floors", "latitude_centroid", "longitude_centroid",
+            "useful_area", "geometry", "apartments", "serie", "total_area",
+            "address", "perimeter", "building_type",
+        ],
+        "audit_buildings": [
+            "cadastre_number", "floors", "length", "width", "useful_area",
+            "Avg_indoor_height", "apartments", "serie", "total_area",
+            "air_exchange_rate", "specific_heat_gains", "building_type",
+        ],
+        "audit_components": [
+            "cadastre_number", "enclosing_structure", "material", "energy_consumption",
+            "area", "structure_heat_loss_coefficient", "type_of_heating",
+            "total_structure_heat_loss_coefficient", "total_area",
+            "total_energy_consumption",
+        ],
+        "consumption": ["cadastre_number"]
+        + [f"total_energy_consumption_{y}" for y in config.years],
+        "consumption_monthly": ["cadastre_number", "year", "month", "energy_consumption"],
+    }
+    paths = {name: out_dir / f"{name}.csv" for name in headers}
+    for name, path in paths.items():
+        _write_csv(path, headers[name], rows[name])
     return paths
 
 

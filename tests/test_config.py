@@ -228,6 +228,7 @@ def argv_for(command, cohort, out):
 
 
 BASE = {"seed": 1, "n": 3, "train": {"k_folds": 2}}
+SERIE = json.loads(json.dumps(DEFAULT_SERIES[0].to_dict()))
 
 # (command, config override, the whole error message): each must be exit 1
 # naming its key, before any fold trains or any file is written.
@@ -257,6 +258,18 @@ LEAKS = [
     ("train", {"tarin": {"k_folds": 3}}, "unknown key(s): tarin"),
     ("generate", {"generate": {"storey_height": float("nan")}},
      "generate.storey_height: expected a finite number, got nan"),
+    ("audit", {"physics": {"vent_coefficient": -5}},
+     "physics: vent_coefficient must be >= 0, got -5"),
+    ("generate", {"generate": {"series": [{**SERIE, "floors": [1, 2**63 - 1]}]}},
+     "generate.series[0]: bad range for serie_01.floors: (1, 9223372036854775807)"),
+    ("generate", {"generate": {"series": [{**SERIE, "window_fraction": [0.1, 0.95],
+                                           "door_fraction": [0.01, 0.05]}]}},
+     "generate.series[0]: serie serie_01: window_fraction[1] + door_fraction[1] must be < 1 "
+     "(walls keep the rest), got 0.95 + 0.05"),
+    ("generate", {"physics": {"time_constants": {"heavy": 3.0}}},
+     "generate: series[1].building_type: unknown building type 'light'; known types: heavy"),
+    ("train", {"physics": {"time_constants": {"heavy": 3.0}}},
+     "unknown building type 'light'; known types: heavy"),
 ]
 
 
@@ -280,6 +293,8 @@ class TestConfigLeaks:
         ("abc", "constants: expected an object, got 'abc'"),
         ({"gravity": 9.81}, "unknown key(s): constants.gravity"),
         ({"delta_t": "x"}, "constants.delta_t: expected a finite number, got 'x'"),
+        ({"vent_coefficient": -5}, "constants: vent_coefficient must be >= 0, got -5"),
+        ({"time_constants": {"light": 1.0}}, "unknown building type 'heavy'; known types: light"),
     ])
     def test_bad_checkpoint_constants_are_exit_two(
         self, checkpoint_payload, clean_cohort_dir, tmp_path, capsys, command, constants, message

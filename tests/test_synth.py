@@ -23,6 +23,7 @@ from epc_pinn.errors import ConfigError, DataError, DomainError
 from epc_pinn.physics import COMPONENTS, EnvelopeState, PhysicsConstants, energy_consumption
 from epc_pinn.synth import (
     DEFAULT_SERIES,
+    MAX_FLOORS,
     MONTH_WEIGHTS,
     GeneratorConfig,
     SerieProfile,
@@ -74,6 +75,31 @@ class TestSerieProfiles:
         with pytest.raises(ConfigError):
             SerieProfile.from_dict(payload)
 
+    def test_floors_bound_must_leave_room_for_the_exclusive_draw_bound(self, tmp_path):
+        """floors are drawn with rng.integers(low, high + 1), so high + 1 must
+        be an int64; the largest allowed bound still generates, with
+        apartments counted in Python ints."""
+        payload = DEFAULT_SERIES[0].to_dict()
+        for high in (MAX_FLOORS + 1, 2**63, 10**30):
+            payload["floors"] = [1, high]
+            with pytest.raises(ConfigError, match=rf"serie_01.floors: \(1, {high}\)"):
+                SerieProfile.from_dict(payload)
+        payload["floors"] = [MAX_FLOORS, MAX_FLOORS]
+        config = GeneratorConfig(n_buildings=2, seed=3, series=(SerieProfile.from_dict(payload),))
+        paths = generate_cohort(config, tmp_path)
+        land = paths["land"].read_text().splitlines()[1].split(",")
+        assert int(land[1]) == MAX_FLOORS
+        assert int(land[6]) % MAX_FLOORS == 0 and int(land[6]) > np.iinfo(np.int64).max
+
+    def test_windows_and_doors_must_leave_some_wall(self):
+        payload = DEFAULT_SERIES[0].to_dict()
+        payload["window_fraction"] = [0.5, 0.9]
+        payload["door_fraction"] = [0.01, 0.1]
+        with pytest.raises(ConfigError, match=r"window_fraction\[1\] \+ door_fraction\[1\]"):
+            SerieProfile.from_dict(payload)
+        payload["door_fraction"] = [0.01, 0.09]
+        SerieProfile.from_dict(payload)
+
 
 class TestGeneratorConfig:
     def test_defaults_are_valid(self):
@@ -88,6 +114,17 @@ class TestGeneratorConfig:
     def test_negative_noise_is_config_error(self):
         with pytest.raises(ConfigError):
             GeneratorConfig(n_buildings=5, seed=1, consumption_noise=-0.1)
+
+    def test_serie_without_a_time_constant_is_config_error(self):
+        """Caught when the config is built, before any draw or file."""
+        constants = PhysicsConstants(time_constants={"heavy": 3.0})
+        with pytest.raises(ConfigError) as info:
+            GeneratorConfig(n_buildings=5, seed=1, constants=constants)
+        assert str(info.value) == (
+            "series[1].building_type: unknown building type 'light'; known types: heavy"
+        )
+        heavy_only = tuple(p for p in DEFAULT_SERIES if p.building_type == "heavy")
+        GeneratorConfig(n_buildings=5, seed=1, constants=constants, series=heavy_only)
 
     def test_dict_roundtrip(self):
         config = GeneratorConfig(n_buildings=5, seed=3, audit_noise=0.01)
