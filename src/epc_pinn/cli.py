@@ -201,7 +201,7 @@ def cmd_predict(args) -> int:
     building = _load_json(args.building, "building")
     fields = data.parse_building(building, args.building)
     _check_checkpoint_types(constants, [fields["building_type"]], args.checkpoint)
-    features = data.encode_features(**fields)
+    features = data.encode_features(**{name: [value] for name, value in fields.items()})
     state_row = predict_physical(model, input_scaler, target_scaler, features)[0]
     state = EnvelopeState.from_vector(state_row)
     breakdown = energy_consumption(

@@ -2,8 +2,8 @@
 
 Four comma-separated UTF-8 files with header rows feed the pipeline:
 
-    land.csv               general building registry
-    audit_buildings.csv    per-building audit quantities (air exchange, gains)
+    land.csv               general building registry: every model input
+    audit_buildings.csv    per-building audit rates (air exchange, gains)
     audit_components.csv   one row per (building, envelope component)
     consumption.csv        measured annual totals per year 2017..2020
 
@@ -24,6 +24,15 @@ tables; build_matrices gathers their 17 features, 12 targets (U-value =
 heat loss coefficient / area) and mean annual consumption, and checks all
 targets for finite, non-negative values in one pass.
 
+The registry is the one source of model inputs, as it is for a building
+that has no audit: the features, the useful area of the heat balance and
+the building type all come from land.csv, through encode_features, the
+one encoder, which predict calls too. The audits supply only targets:
+audit_buildings.csv needs cadastre_number, air_exchange_rate and
+specific_heat_gains, and any other column in it is ignored, registry
+copies included. Where the two files disagree the registry wins by
+construction.
+
 Scaling is plain min-max per column with a guarded divisor for constant
 columns; splitting covers shuffled k-fold partitions and the
 train/validation split used for scheduling and early stopping.
@@ -37,7 +46,7 @@ import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -266,25 +275,13 @@ AUDIT_BUILDINGS_SCHEMA = TableSchema(
     name="audit_buildings",
     columns=(
         _col("cadastre_number", _parse_str),
-        _col("floors", _parse_int),
-        _col("length", _parse_float),
-        _col("width", _parse_float),
-        _col("useful_area", _parse_float),
-        _col("Avg_indoor_height", _parse_float, attr="avg_indoor_height"),
-        _col("apartments", _parse_int),
-        _col("serie", _parse_str),
-        _col("total_area", _parse_float),
         _col("air_exchange_rate", _parse_float),
         _col("specific_heat_gains", _parse_float),
-        _col("building_type", _parse_str),
     ),
     rules=(
         _KEY_RULE,
         _at_least("air_exchange_rate", 0),
         _at_least("specific_heat_gains", 0),
-        (lambda c: (c["useful_area"] <= 0) | (c["total_area"] <= 0),
-         lambda v: "areas must be positive, got "
-         f"useful_area={v['useful_area']}, total_area={v['total_area']}"),
     ),
     key=("cadastre_number",),
 )
@@ -498,6 +495,10 @@ def aggregate_consumption(monthly: Table) -> Table:
 # ---------------------------------------------------------------------------
 # Feature encoding and joining
 
+# The land.csv columns that encode_features takes, in its argument order.
+FEATURE_FIELDS: tuple[str, ...] = (
+    "useful_area", "total_area", "floors", "apartments", "building_type", "serie")
+
 
 def _encoding_problem(building_type: str, serie: str) -> str | None:
     """Why encode_features rejects these values, or None if it does not."""
@@ -512,41 +513,41 @@ def _encoding_problem(building_type: str, serie: str) -> str | None:
 
 
 def encode_features(
-    useful_area: float,
-    total_area: float,
-    floors: int,
-    apartments: int,
-    building_type: str,
-    serie: str,
+    useful_area: Sequence[float],
+    total_area: Sequence[float],
+    floors: Sequence[int],
+    apartments: Sequence[int],
+    building_type: Sequence[str],
+    serie: Sequence[str],
 ) -> np.ndarray:
-    """Fixed 17-dimensional input vector.
+    """The (n, 17) input matrix of n buildings given as registry columns.
 
-    Layout: [useful_area, total_area, floors, apartments, building_type]
-    followed by the 12-wide serie one-hot block; building_type encodes
-    light as 0 and heavy as 1.
+    Row layout: [useful_area, total_area, floors, apartments,
+    building_type] followed by the 12-wide serie one-hot block;
+    building_type encodes light as 0 and heavy as 1. Raises ConfigError
+    for the first building with an unknown building type or serie.
     """
-    problem = _encoding_problem(building_type, serie)
+    problem = next(filter(None, map(_encoding_problem, building_type, serie)), None)
     if problem is not None:
         raise ConfigError(problem)
-    vec = np.zeros(N_FEATURES)
-    vec[0] = useful_area
-    vec[1] = total_area
-    vec[2] = floors
-    vec[3] = apartments
-    vec[4] = _BUILDING_TYPE_CODE[building_type]
-    vec[5 + _SERIE_INDEX[serie]] = 1.0
-    return vec
+    features = np.zeros((len(serie), N_FEATURES))
+    features[:, 0] = useful_area
+    features[:, 1] = total_area
+    features[:, 2] = np.array(floors, dtype=float)
+    features[:, 3] = np.array(apartments, dtype=float)
+    features[:, 4] = [_BUILDING_TYPE_CODE[t] for t in building_type]
+    features[np.arange(len(serie)), [5 + _SERIE_INDEX[s] for s in serie]] = 1.0
+    return features
 
 
 def parse_building(payload: dict, source: str | Path) -> dict:
-    """The encode_features arguments of one building given as a JSON
-    object, each parsed with its land.csv cell rule and checked against
-    the land.csv record invariants. Raises DataError naming a missing,
-    non-numeric, non-finite or out-of-range field."""
+    """The FEATURE_FIELDS of one building given as a JSON object, each
+    parsed with its land.csv cell rule and checked against the land.csv
+    record invariants. Raises DataError naming a missing, non-numeric,
+    non-finite or out-of-range field."""
     parsers = {column.name: column.parse for column in LAND_SCHEMA.columns}
     fields = {}
-    for name in ("useful_area", "total_area", "floors", "apartments",
-                 "building_type", "serie"):
+    for name in FEATURE_FIELDS:
         if name not in payload:
             raise DataError(f"{source}: missing field {name!r}")
         try:
@@ -577,6 +578,8 @@ class JoinedCohort:
     tables; component_rows is (n, 5) in COMPONENTS order."""
 
     cadastre_numbers: list[str]
+    land: Table
+    land_rows: np.ndarray
     audit: Table
     audit_rows: np.ndarray
     components: Table
@@ -607,7 +610,8 @@ def join_on_cadastre(
     def rows_of(table: Table, keys) -> np.ndarray:  # -1 for a key without a row
         return np.fromiter(map(table.index.get, keys, itertools.repeat(-1)), np.intp, len(numbers))
 
-    audit_rows, consumption_rows = rows_of(audit_buildings, numbers), rows_of(consumption, numbers)
+    land_rows, audit_rows = rows_of(land, numbers), rows_of(audit_buildings, numbers)
+    consumption_rows = rows_of(consumption, numbers)
     component_rows = np.column_stack([
         rows_of(audit_components, zip(numbers, itertools.repeat(name))) for name in COMPONENTS])
     live = np.ones(len(numbers), dtype=bool)
@@ -622,7 +626,7 @@ def join_on_cadastre(
     def named(mask_row: np.ndarray) -> str:
         return ", ".join(name for name, hit in zip(COMPONENTS, mask_row) if hit)
 
-    drop(rows_of(land, numbers) < 0, lambda j: "no land record")
+    drop(land_rows < 0, lambda j: "no land record")
     drop(audit_rows < 0, lambda j: "no building audit record")
     absent = component_rows < 0
     drop(absent.any(axis=1), lambda j: "missing component: " + named(absent[j]))
@@ -631,15 +635,15 @@ def join_on_cadastre(
     drop(zero_area.any(axis=1),
          lambda j: f"zero area for component: {named(zero_area[j])} (U-value division undefined)")
     drop(consumption_rows < 0, lambda j: "no consumption record")
-    building_types, series = audit_buildings["building_type"], audit_buildings["serie"]
+    building_types, series = land["building_type"], land["serie"]
     problems = [_encoding_problem(building_types[i], series[i]) if i >= 0 else None
-                for i in audit_rows.tolist()]
+                for i in land_rows.tolist()]
     drop(np.array([p is not None for p in problems], dtype=bool), problems.__getitem__)
 
     kept = np.flatnonzero(live)
-    joined = JoinedCohort([numbers[j] for j in kept], audit_buildings, audit_rows[kept],
-                          audit_components, component_rows[kept], consumption,
-                          consumption_rows[kept])
+    joined = JoinedCohort([numbers[j] for j in kept], land, land_rows[kept], audit_buildings,
+                          audit_rows[kept], audit_components, component_rows[kept],
+                          consumption, consumption_rows[kept])
     return joined, [(numbers[j], reasons[j]) for j in sorted(reasons)]
 
 
@@ -687,27 +691,16 @@ class TrainingArrays:
 
 
 def build_matrices(joined: JoinedCohort) -> TrainingArrays:
-    """Gather the joined buildings' columns. The twelve targets of all
-    buildings are checked at once (zero areas were dropped by the join);
-    only a failing check takes the per-building path, which raises the
-    DomainError of the first bad building in sorted order."""
-    n = len(joined)
-    if n == 0:
+    """Gather the joined buildings' columns: the inputs from the registry,
+    the targets from the audits. The twelve targets of all buildings are
+    checked at once (zero areas were dropped by the join); only a failing
+    check takes the per-building path, which raises the DomainError of the
+    first bad building in sorted order."""
+    if len(joined) == 0:
         raise DataError("no samples to assemble")
+    land, picked = joined.land, joined.land_rows.tolist()
+    registry = {name: [land[name][i] for i in picked] for name in FEATURE_FIELDS}
     audit, rows = joined.audit, joined.audit_rows
-    picked = rows.tolist()
-
-    def take(attr: str) -> list:
-        return [audit[attr][i] for i in picked]
-
-    building_types = take("building_type")
-    features = np.zeros((n, N_FEATURES))
-    features[:, 0] = audit["useful_area"][rows]
-    features[:, 1] = audit["total_area"][rows]
-    features[:, 2] = np.array(take("floors"), dtype=float)
-    features[:, 3] = np.array(take("apartments"), dtype=float)
-    features[:, 4] = [_BUILDING_TYPE_CODE[t] for t in building_types]
-    features[np.arange(n), [5 + _SERIE_INDEX[s] for s in take("serie")]] = 1.0
 
     areas = joined.components["area"][joined.component_rows]
     coefficients = joined.components["structure_heat_loss_coefficient"][joined.component_rows]
@@ -722,11 +715,11 @@ def build_matrices(joined: JoinedCohort) -> TrainingArrays:
         EnvelopeState(areas[j], np.array(u_values), *rates[j]).validate()
     return TrainingArrays(
         cadastre_numbers=joined.cadastre_numbers,
-        features=features,
+        features=encode_features(**registry),
         targets=targets,
         measured_energy=joined.consumption["mean_annual"][joined.consumption_rows],
-        useful_area=audit["useful_area"][rows],
-        building_types=building_types,
+        useful_area=np.array(registry["useful_area"]),
+        building_types=registry["building_type"],
     )
 
 

@@ -178,18 +178,21 @@ def aggregate_folds(reports: list[MetricsReport]) -> AggregateReport:
     return AggregateReport(n_folds=len(reports), variables=variables)
 
 
+def _table(widths: tuple[int, ...], rows) -> str:
+    """Fixed-width text table: a Variable, R2, RMSE, NRMSE header, a rule
+    and one left-justified line per row of cells."""
+    header = ("Variable", "R2", "RMSE", "NRMSE")
+    lines = ["".join(v.ljust(w) for v, w in zip(row, widths)) for row in [header, *rows]]
+    lines.insert(1, "-" * sum(widths))
+    return "\n".join(lines) + "\n"
+
+
 def format_metrics_table(report: MetricsReport) -> str:
     """Fixed-width text table for a single evaluated set."""
-    widths = (22, 12, 16, 12)
-    header = ("Variable", "R2", "RMSE", "NRMSE")
-    lines = [
-        "".join(h.ljust(w) for h, w in zip(header, widths)),
-        "-" * sum(widths),
-    ]
-    for name, vm in report.variables.items():
-        row = (name, f"{vm.r_squared:.4f}", f"{vm.rmse:.2f}", f"{vm.nrmse:.4f}")
-        lines.append("".join(v.ljust(w) for v, w in zip(row, widths)))
-    return "\n".join(lines) + "\n"
+    return _table((22, 12, 16, 12), (
+        (name, f"{vm.r_squared:.4f}", f"{vm.rmse:.2f}", f"{vm.nrmse:.4f}")
+        for name, vm in report.variables.items()
+    ))
 
 
 def format_report_table(aggregate: AggregateReport) -> str:
@@ -199,18 +202,7 @@ def format_report_table(aggregate: AggregateReport) -> str:
         c = aggregate.cell(variable, metric)
         return f"{c.mean:.{decimals}f} ± {c.std:.{decimals}f}"
 
-    widths = (22, 20, 24, 20)
-    header = ("Variable", "R2", "RMSE", "NRMSE")
-    lines = [
-        "".join(h.ljust(w) for h, w in zip(header, widths)),
-        "-" * sum(widths),
-    ]
-    for name in aggregate.variables:
-        row = (
-            name,
-            cell(name, "r_squared", 4),
-            cell(name, "rmse", 2),
-            cell(name, "nrmse", 4),
-        )
-        lines.append("".join(v.ljust(w) for v, w in zip(row, widths)))
-    return "\n".join(lines) + "\n"
+    return _table((22, 20, 24, 20), (
+        (name, cell(name, "r_squared", 4), cell(name, "rmse", 2), cell(name, "nrmse", 4))
+        for name in aggregate.variables
+    ))

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, TrainingError, UsageError
 
-ACTIVATIONS = ("relu",)
+ACTIVATION = "relu"  # of every hidden layer; checkpoints record it
 
 CHECKPOINT_FORMAT_VERSION = 1
 CHECKPOINT_DTYPE = "<f8"  # little-endian float64, fixed for portability
@@ -84,7 +84,6 @@ class MlpModel(_FlatLayers):
     caches detect staleness.
     """
 
-    activation: str = "relu"
     version: int = 0
 
     parameters = _FlatLayers.arrays
@@ -108,9 +107,7 @@ class MlpModel(_FlatLayers):
         self.version += 1
 
 
-def init_model(
-    layer_dims: tuple[int, ...] | list[int], seed: int, activation: str = "relu"
-) -> MlpModel:
+def init_model(layer_dims: tuple[int, ...] | list[int], seed: int) -> MlpModel:
     """Build a model with uniform(-sqrt(1/fan_in), sqrt(1/fan_in)) weights
     and zero biases, deterministically from the seed."""
     dims = tuple(int(d) for d in layer_dims)
@@ -118,14 +115,8 @@ def init_model(
         raise ConfigError(f"need at least input and output dims, got {dims}")
     if any(d < 1 for d in dims):
         raise ConfigError(f"layer dims must all be >= 1, got {dims}")
-    if activation not in ACTIVATIONS:
-        raise ConfigError(
-            f"unknown activation {activation!r}; choose from {ACTIVATIONS}"
-        )
     rng = np.random.default_rng(seed)
-    model = MlpModel(
-        layer_dims=dims, vector=np.zeros(_parameter_total(dims)), activation=activation
-    )
+    model = MlpModel(layer_dims=dims, vector=np.zeros(_parameter_total(dims)))
     for w in model.weights:
         limit = np.sqrt(1.0 / w.shape[0])
         w[...] = rng.uniform(-limit, limit, size=w.shape)
@@ -373,7 +364,7 @@ def save_checkpoint(model: MlpModel, path: str | Path, extra: dict | None = None
     payload = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "layer_dims": list(model.layer_dims),
-        "activation": model.activation,
+        "activation": ACTIVATION,
         "dtype": CHECKPOINT_DTYPE,
         "parameters_b64": base64.b64encode(
             model.vector.astype(CHECKPOINT_DTYPE).tobytes()
@@ -411,7 +402,7 @@ def load_checkpoint(path: str | Path) -> tuple[MlpModel, dict]:
         and all(type(d) is int and d >= 1 for d in dims)
     ):
         raise DataError(f"checkpoint {path} has invalid layer_dims {dims!r}")
-    if activation not in ACTIVATIONS:
+    if activation != ACTIVATION:
         raise DataError(f"checkpoint {path} has unknown activation {activation!r}")
     try:
         raw = base64.b64decode(payload["parameters_b64"], validate=True)
@@ -424,7 +415,7 @@ def load_checkpoint(path: str | Path) -> tuple[MlpModel, dict]:
             f"checkpoint {path} holds {flat.size} parameters, "
             f"model needs {_parameter_total(dims)}"
         )
-    model = MlpModel(layer_dims=dims, vector=flat, activation=activation)
+    model = MlpModel(layer_dims=dims, vector=flat)
     extra = payload.get("extra", {})
     if not isinstance(extra, dict):
         raise DataError(f"checkpoint {path} extra payload must be a JSON object")

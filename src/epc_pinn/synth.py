@@ -263,14 +263,22 @@ def generate_cohort(config: GeneratorConfig, out_dir: str | Path) -> dict[str, P
         # COMPONENTS order: basement/slab, roof/attic, walls, doors, windows.
         areas = np.column_stack([footprint, footprint * roof_factor, walls, doors, windows])
         total_area = footprint * floors_f
+        useful_area = config.useful_fraction * total_area
+        per_floor = footprint / apartment_area
+        # apartments as a float: land.csv's integer rule wants a float value
+        sizes = {"total_area": total_area, "useful_area": useful_area,
+                 "apartments": np.maximum(1.0, np.round(per_floor)) * floors_f}
+    numbers = [f"0100{i:07d}" for i in range(config.n_buildings)]
     states = np.column_stack([areas, u_values, air, gains])
     bad = ~(np.isfinite(states) & (states >= 0)).all(axis=1)
+    bad |= ~np.isfinite(np.column_stack(list(sizes.values()))).all(axis=1)
     if bad.any():  # the first bad building raises its DomainError
-        EnvelopeState.from_vector(states[np.argmax(bad)]).validate()
-    useful_area = config.useful_fraction * total_area
+        j = int(np.argmax(bad))
+        EnvelopeState.from_vector(states[j]).validate()
+        name = next(name for name, values in sizes.items() if not np.isfinite(values[j]))
+        raise DomainError(f"building {numbers[j]}: {name} overflows the float range")
     # Python ints: the product can exceed int64.
-    apartments = [max(1, round(ratio)) * f
-                  for ratio, f in zip((footprint / apartment_area).tolist(), floors)]
+    apartments = [max(1, round(ratio)) * f for ratio, f in zip(per_floor.tolist(), floors)]
 
     taus = [config.constants.time_constant_for(p.building_type) for p in config.series]
     true_energy = energy_consumption_batch(
@@ -293,7 +301,6 @@ def generate_cohort(config: GeneratorConfig, out_dir: str | Path) -> dict[str, P
         eleven = eleven + months[..., k]
     months = np.concatenate([months, (measured - eleven)[..., None]], axis=-1)
 
-    numbers = [f"0100{i:07d}" for i in range(config.n_buildings)]
     names = [config.series[i].name for i in serie.tolist()]
     btypes = [config.series[i].building_type for i in serie.tolist()]
     useful, total = useful_area.tolist(), total_area.tolist()

@@ -643,13 +643,13 @@ class TestEvaluate:
     ):
         cohort = tmp_path / "huge"
         shutil.copytree(clean_cohort_dir, cohort)
-        audit = cohort / "audit_buildings.csv"
-        lines = audit.read_text().splitlines()
+        land = cohort / "land.csv"
+        lines = land.read_text().splitlines()
         column = lines[0].split(",").index("apartments")
         cells = lines[1].split(",")
         cells[column] = "9" * 401
         lines[1] = ",".join(cells)
-        audit.write_text("\n".join(lines) + "\n")
+        land.write_text("\n".join(lines) + "\n")
         code = main(
             ["evaluate", "--checkpoint", str(trained_run / "fold_00.json"),
              "--data", str(cohort)]

@@ -91,20 +91,8 @@ def make_land(number="01000000001", **overrides):
 
 
 def make_audit(number="01000000001", **overrides):
-    fields = dict(
-        cadastre_number=number,
-        floors=3,
-        useful_area=850.0,
-        total_area=1000.0,
-        apartments=24,
-        serie="serie_03",
-        building_type="heavy",
-        length=20.0,
-        width=10.0,
-        Avg_indoor_height=2.7,
-        air_exchange_rate=0.8,
-        specific_heat_gains=15.0,
-    )
+    """The columns of audit_buildings.csv that are read."""
+    fields = dict(cadastre_number=number, air_exchange_rate=0.8, specific_heat_gains=15.0)
     fields.update(overrides)
     return fields
 
@@ -456,9 +444,13 @@ class TestAggregateConsumption:
 
 class TestEncodeFeatures:
     def test_layout(self):
-        """Five scalars then the twelve-wide serie one-hot block."""
-        vec = encode_features(850.0, 1000.0, 3, 24, "heavy", "serie_03")
-        assert vec.shape == (len(FEATURE_NAMES),)
+        """One row per building: five scalars then the twelve-wide serie
+        one-hot block."""
+        features = encode_features(
+            [850.0, 90.5], [1000.0, 120.0], [3, 1], [24, 2], ["heavy", "light"],
+            ["serie_03", "serie_12"])
+        assert features.shape == (2, len(FEATURE_NAMES))
+        vec = features[0]
         assert vec[0] == 850.0
         assert vec[1] == 1000.0
         assert vec[2] == 3.0
@@ -467,19 +459,25 @@ class TestEncodeFeatures:
         one_hot = vec[5:]
         assert one_hot.sum() == 1.0
         assert one_hot[SERIES.index("serie_03")] == 1.0
+        assert features[1].tolist() == [90.5, 120.0, 1.0, 2.0, 0.0] + [0.0] * 11 + [1.0]
 
     def test_light_encodes_as_zero(self):
-        vec = encode_features(850.0, 1000.0, 3, 24, "light", "serie_01")
+        [vec] = encode_features([850.0], [1000.0], [3], [24], ["light"], ["serie_01"])
         assert vec[4] == 0.0
         assert vec[5] == 1.0
 
     def test_unknown_serie_is_config_error(self):
         with pytest.raises(ConfigError, match="serie_01"):
-            encode_features(850.0, 1000.0, 3, 24, "heavy", "serie_99")
+            encode_features([850.0], [1000.0], [3], [24], ["heavy"], ["serie_99"])
 
     def test_unknown_building_type_is_config_error(self):
         with pytest.raises(ConfigError, match="light"):
-            encode_features(850.0, 1000.0, 3, 24, "mixed", "serie_01")
+            encode_features([850.0], [1000.0], [3], [24], ["mixed"], ["serie_01"])
+
+    def test_the_first_unencodable_building_is_named(self):
+        with pytest.raises(ConfigError, match="'serie_98'"):
+            encode_features([850.0] * 3, [1000.0] * 3, [3] * 3, [24] * 3,
+                            ["heavy", "heavy", "mixed"], ["serie_01", "serie_98", "serie_99"])
 
 
 class TestJoinOnCadastre:
@@ -549,9 +547,9 @@ class TestJoinOnCadastre:
         assert dropped == [("01000000001", "no consumption record")]
 
     def test_unencodable_serie_drops_with_reason(self, tmp_path):
-        audit = make_audit(serie="serie_99")
+        land = make_land(serie="serie_99")
         cohort, dropped = joined(
-            tmp_path, [make_land()], [audit], make_components(), [make_consumption()]
+            tmp_path, [land], [make_audit()], make_components(), [make_consumption()]
         )
         assert len(cohort) == 0
         assert "serie_99" in dropped[0][1]
@@ -701,6 +699,59 @@ class TestLoadCohort:
         cohort, _ = joined(tmp_path, [], [], [], [])
         with pytest.raises(DataError):
             build_matrices(cohort)
+
+
+def _array_bytes(arrays):
+    return (arrays.cadastre_numbers, arrays.features.tobytes(), arrays.targets.tobytes(),
+            arrays.measured_energy.tobytes(), arrays.useful_area.tobytes(),
+            arrays.building_types)
+
+
+class TestRegistryInputs:
+    """land.csv supplies every model input; audit_buildings.csv only the
+    air exchange rate and the specific heat gains."""
+
+    def test_audit_with_only_the_read_columns_gives_the_same_arrays(
+        self, clean_cohort_dir, tmp_path
+    ):
+        slim = tmp_path / "slim"
+        shutil.copytree(clean_cohort_dir, slim)
+        with open(clean_cohort_dir / "audit_buildings.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        names = ["cadastre_number", "air_exchange_rate", "specific_heat_gains"]
+        write(slim / "audit_buildings.csv", ",".join(names),
+              [",".join(row[name] for name in names) for row in rows])
+        cohort, dropped = load_cohort(slim)
+        assert dropped == []
+        full = build_matrices(load_cohort(clean_cohort_dir)[0])
+        assert _array_bytes(build_matrices(cohort)) == _array_bytes(full)
+
+    def test_audit_copies_of_registry_columns_are_ignored(self, tmp_path):
+        """Audit registry columns that disagree with land.csv, or hold
+        cells that do not parse, change nothing: the features, the useful
+        area and the building type are land's."""
+        land = [make_land("01"),
+                make_land("02", floors=7, useful_area=420.5, total_area=500.0, apartments=9,
+                          serie="serie_11", building_type="light")]
+        table(tmp_path / "land.csv", LAND_SCHEMA, land)
+        write(tmp_path / "audit_buildings.csv", AUDIT_HEADER, [
+            "01,x,20.0,10.0,-1.0,2.7,many,serie_99,0.0,0.8,15.0,mixed",
+            "02,0,,,abc,nan,,serie_03,-5,0.5,12.0,heavy",
+        ])
+        table(tmp_path / "audit_components.csv", AUDIT_COMPONENTS_SCHEMA,
+              make_components("01") + make_components("02"))
+        table(tmp_path / "consumption.csv", CONSUMPTION_SCHEMA,
+              [make_consumption("01"), make_consumption("02")])
+        cohort, dropped = load_cohort(tmp_path)
+        assert dropped == []
+        arrays = build_matrices(cohort)
+        expected = encode_features(**{name: [row[name] for row in land]
+                                      for name in data.FEATURE_FIELDS})
+        assert arrays.features.tobytes() == expected.tobytes()
+        assert arrays.features[1, :5].tolist() == [420.5, 500.0, 7.0, 9.0, 0.0]
+        assert arrays.useful_area.tolist() == [850.0, 420.5]
+        assert arrays.building_types == ["heavy", "light"]
+        assert arrays.targets[:, 10:].tolist() == [[0.8, 15.0], [0.5, 12.0]]
 
 
 class TestMinMaxScaler:
@@ -878,9 +929,6 @@ def _reference_problem(schema, v):
         for name in ("air_exchange_rate", "specific_heat_gains"):
             if v[name] < 0:
                 return f"{name} must be >= 0, got {v[name]}"
-        if v["useful_area"] <= 0 or v["total_area"] <= 0:
-            return (f"areas must be positive, got useful_area={v['useful_area']}, "
-                    f"total_area={v['total_area']}")
     elif schema is AUDIT_COMPONENTS_SCHEMA:
         if v["enclosing_structure"] not in COMPONENTS:
             return (f"unknown enclosing_structure {v['enclosing_structure']!r}; "
@@ -1106,13 +1154,14 @@ def test_integer_cell_without_a_float_value_is_a_bad_cell(tmp_path):
 def _reference_arrays(directory):
     """The training arrays and drop list of a cohort directory, built
     record by record: csv.DictReader rows, a per-building join in sorted
-    key order, encode_features and u_value per building, and np.mean of
-    each building's annual totals in the order its years appear."""
+    key order, encode_features of the land record and u_value per
+    building, and np.mean of each building's annual totals in the order
+    its years appear."""
     def rows(name):
         with open(directory / name, newline="", encoding="utf-8-sig") as handle:
             return list(csv.DictReader(handle))
 
-    land = {r["cadastre_number"] for r in rows("land.csv")}
+    land = {r["cadastre_number"]: r for r in rows("land.csv")}
     audit = {r["cadastre_number"]: r for r in rows("audit_buildings.csv")}
     components = {}
     for r in rows("audit_components.csv"):
@@ -1128,7 +1177,7 @@ def _reference_arrays(directory):
             year = int(r["year"])
             totals[year] = totals.get(year, 0.0) + float(r["energy_consumption"])
     samples, dropped = [], []
-    for number in sorted(land | set(audit) | set(components) | set(annual)):
+    for number in sorted(set(land) | set(audit) | set(components) | set(annual)):
         comps = components.get(number, {})
         missing = [name for name in COMPONENTS if name not in comps]
         zero = [name for name in COMPONENTS if not missing and float(comps[name]["area"]) == 0]
@@ -1144,11 +1193,11 @@ def _reference_arrays(directory):
         elif number not in annual:
             dropped.append((number, "no consumption record"))
         else:
-            a = audit[number]
+            a, g = audit[number], land[number]
             try:
-                features = encode_features(
-                    float(a["useful_area"]), float(a["total_area"]), int(a["floors"]),
-                    int(a["apartments"]), a["building_type"], a["serie"])
+                [features] = encode_features(
+                    [float(g["useful_area"])], [float(g["total_area"])], [int(g["floors"])],
+                    [int(g["apartments"])], [g["building_type"]], [g["serie"]])
             except ConfigError as exc:
                 dropped.append((number, str(exc)))
                 continue
@@ -1160,7 +1209,7 @@ def _reference_arrays(directory):
             rates = [float(a["air_exchange_rate"]), float(a["specific_heat_gains"])]
             samples.append((number, features, areas + u_values + rates,
                             float(np.mean(list(annual[number].values()))),
-                            float(a["useful_area"]), a["building_type"]))
+                            float(g["useful_area"]), g["building_type"]))
     return samples, dropped
 
 
@@ -1199,10 +1248,10 @@ def _write_cohort(directory, land, audit, components, consumption, monthly=None)
 
 def test_every_drop_reason_matches_the_reference_join(tmp_path):
     numbers = [f"0{i}" for i in range(1, 10)]
-    land = [make_land(n) for n in numbers if n != "02"]
-    audit = [make_audit(n, serie="serie_99" if n == "07" else "serie_03",
-                        building_type="mixed" if n == "08" else "heavy")
-             for n in numbers if n != "03"]
+    land = [make_land(n, serie="serie_99" if n == "07" else "serie_03",
+                      building_type="mixed" if n == "08" else "heavy")
+            for n in numbers if n != "02"]
+    audit = [make_audit(n) for n in numbers if n != "03"]
     components = [c for n in numbers for c in make_components(n)
                   if not (n == "04" and c["enclosing_structure"] == "Doors")]
     components[5 * 4 + 2]["area"] = -0.0  # 05 (04 lacks its Doors row): a zero area
@@ -1230,15 +1279,16 @@ def test_cohorts_match_a_record_wise_reference_join(tmp_path_factory):
         for number in draw(st.lists(st.sampled_from([f"0{i}" for i in range(1, 10)]),
                                     unique=True, min_size=1, max_size=6)):
             if draw(st.integers(0, 7)):
-                land.append(make_land(number))
-            if draw(st.integers(0, 7)):
-                audit.append(make_audit(
+                land.append(make_land(
                     number, floors=draw(st.integers(1, 20)),
                     apartments=draw(st.integers(0, 200)), useful_area=draw(value),
-                    total_area=draw(value), air_exchange_rate=draw(zero_or_value),
-                    specific_heat_gains=draw(zero_or_value),
+                    total_area=draw(value),
                     serie=draw(st.sampled_from(SERIES + ("serie_99",))),
                     building_type=draw(st.sampled_from(("light", "heavy", "mixed")))))
+            if draw(st.integers(0, 7)):
+                audit.append(make_audit(
+                    number, air_exchange_rate=draw(zero_or_value),
+                    specific_heat_gains=draw(zero_or_value)))
             for comp in make_components(number):
                 if draw(st.integers(0, 15)):
                     comp["area"] = draw(st.one_of(st.sampled_from([0.0, -0.0]), value, value))

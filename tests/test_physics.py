@@ -3,7 +3,8 @@
 Covers the constants, the envelope state container, every loss term with
 hand-checked arithmetic, the heat gain usage factor including its
 removable singularity at gains/losses = 1, the full consumption chain,
-and the analytic gradient against central finite differences.
+the batch evaluator against the scalar oracle synth.reference_energy, and
+the analytic gradient against central finite differences.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from epc_pinn.errors import ConfigError, DimensionError, DomainError
 from epc_pinn.physics import (
     COMPONENTS,
+    HEAT_GAINS_INDEX,
     STATE_DIM,
     EnvelopeState,
     PhysicsConstants,
@@ -21,6 +23,7 @@ from epc_pinn.physics import (
     heat_gain_usage_factor,
     u_value,
 )
+from epc_pinn.synth import reference_energy
 
 
 def single_component_state(area=100.0, u=0.5, air=0.0, gains=20.0):
@@ -431,6 +434,39 @@ class TestEnergyConsumptionBatch:
         assert batch.energy_consumption[1] == 0.0
         assert np.all(batch.gradient[1] == 0.0)
         assert np.any(batch.gradient[0] != 0.0)
+
+
+def test_batch_matches_the_scalar_oracle_in_every_regime_of_the_ratio():
+    """energy_consumption_batch against synth.reference_energy over random
+    areas, U-values, air exchange rates, useful areas and tau, with the
+    heat gains set so that r = gains / losses is far below 1, just outside
+    or just inside either edge of the |r - 1| = eps band, or far above 1.
+    Far above 1 the consumption is the difference of two terms the size of
+    the losses, which cancel to a few ulps of them, hence the absolute
+    tolerance of 1e-12 of the losses there."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    consts = PhysicsConstants()
+    eps = consts.near_one_epsilon
+    edges = [1.0 + side * eps * (1.0 + shift) for side in (-1, 1) for shift in (-1e-3, 1e-3)]
+    ratios = st.one_of(st.floats(0.0, 0.1), st.sampled_from(edges), st.floats(10.0, 1e4))
+    five = st.lists(st.floats(0.0, 5e3), min_size=5, max_size=5)
+    u_values = st.lists(st.floats(0.0, 5.0), min_size=5, max_size=5)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(five, u_values, st.floats(0.0, 3.0), st.floats(1.0, 2e4),
+                      st.floats(0.2, 6.0), ratios)
+    def check(areas, u_values, air, useful_area, tau, ratio):
+        states = np.array([areas + u_values + [air, 0.0]])
+        losses = energy_consumption_batch(states, [useful_area], [tau], consts).heat_loss_total[0]
+        states[0, HEAT_GAINS_INDEX] = gains = ratio * losses / useful_area
+        energy = energy_consumption_batch(states, [useful_area], [tau], consts)
+        components = {name: (a, a * u) for name, a, u in zip(COMPONENTS, areas, u_values)}
+        expected = reference_energy(components, air, gains, useful_area, tau)
+        assert energy.energy_consumption[0] == pytest.approx(
+            expected, rel=1e-9, abs=1e-12 * losses)
+
+    check()
 
 
 def finite_difference_gradient(vec, useful_area, btype, constants, rel_step=1e-6):

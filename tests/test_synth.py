@@ -7,8 +7,12 @@ the annual totals. reference_energy, the plain scalar re-derivation of
 the energy balance, is checked by hand and against the vectorized model.
 """
 
+import json
+
 import numpy as np
 import pytest
+
+from epc_pinn.cli import main
 
 from epc_pinn.data import (
     CONSUMPTION_SCHEMA,
@@ -223,6 +227,23 @@ class TestGenerateCohort:
         annual consumption, not a near-constant column."""
         energies = build_matrices(load_cohort(clean_cohort_dir)[0]).measured_energy
         assert energies.std() > 0.2 * energies.mean() > 0.0
+
+    @pytest.mark.parametrize("footprint, apartment_area, size", [
+        (1e303, 1e-6, "apartments"),  # footprint / apartment_area overflows
+        (1e308, 60.0, "total_area"),  # footprint * floors overflows, the envelope does not
+    ])
+    def test_sizes_beyond_the_float_range_are_exit_two_with_nothing_written(
+        self, tmp_path, capsys, footprint, apartment_area, size
+    ):
+        serie = dict(DEFAULT_SERIES[0].to_dict(), floors=[2, 2], footprint=[footprint] * 2,
+                     apartment_area=[apartment_area] * 2)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"generate": {"series": [serie], "roof_factor": [1.0, 1.0]}}))
+        out = tmp_path / "out"
+        argv = ["generate", "--config", str(config), "--seed", "1", "--n", "3", "--out", str(out)]
+        assert main(argv) == 2
+        assert f"building 01000000000: {size} overflows the float range" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_wall_area_follows_geometry(self, clean_cohort_dir):
         """Walls plus windows plus doors equals perimeter * floors * 2.7

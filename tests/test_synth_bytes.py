@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import math
 
 import numpy as np
 import pytest
@@ -111,6 +112,13 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _in_float_range(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _reference_building(config, index):
     rng = np.random.default_rng([config.seed, index])
     profile = config.series[int(rng.integers(len(config.series)))]
@@ -141,9 +149,15 @@ def _reference_building(config, index):
     areas = np.array([footprint, footprint * roof_factor, walls, doors, windows])
     total_area = footprint * floors
     useful_area = config.useful_fraction * total_area
-    apartments = max(1, round(footprint / apartment_area)) * floors
+    per_floor = footprint / apartment_area
+    apartments = max(1, round(per_floor)) * floors if math.isfinite(per_floor) else math.inf
     state = EnvelopeState(areas=areas, u_values=u_values, air_exchange_rate=air,
                           specific_heat_gains=gains)
+    state.validate()  # the envelope first, then the sizes
+    for name, size in (("total_area", total_area), ("useful_area", useful_area),
+                       ("apartments", apartments)):
+        if not _in_float_range(size):
+            raise DomainError(f"building 0100{index:07d}: {name} overflows the float range")
     true_energy = energy_consumption(
         state, useful_area, profile.building_type, config.constants
     ).energy_consumption
@@ -306,7 +320,7 @@ if hypothesis is not None:
 def _failing_config(seed):
     """Two series: one whose walls round below zero for some footprints
     (window and door fractions sum to just under 1), one whose roof area
-    overflows to inf."""
+    or total area overflows to inf."""
     base = DEFAULT_SERIES[0]
     thin_walls = dataclasses.replace(base, name="thin", footprint=(1.0, 1e4),
                                      window_fraction=(0.9845757498341396,) * 2,
@@ -325,7 +339,9 @@ def test_the_first_bad_building_raises_the_reference_error(tmp_path):
             generate_cohort(_failing_config(seed), out)
         assert str(raised.value) == str(expected.value)
         assert list(out.iterdir()) == []
-        messages.add(str(raised.value).split(" (")[0])
-    # both checks were hit first on some seed: negative walls, overflow
+        messages.add(str(raised.value).split(" (")[0].split(": ")[-1])
+    # every check was hit first on some seed: negative walls, envelope
+    # overflow, size overflow
     assert messages == {"envelope state entry 2 is negative",
-                        "envelope state contains non-finite values"}
+                        "envelope state contains non-finite values",
+                        "total_area overflows the float range"}
