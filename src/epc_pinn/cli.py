@@ -178,15 +178,19 @@ def cmd_train(args) -> int:
 
 def _checkpoint_bundle(path: str | Path):
     model, extra = load_checkpoint(path)
+    widths = {"input_scaler": model.layer_dims[0], "target_scaler": model.layer_dims[-1]}
     try:
-        input_scaler = data.MinMaxScaler.from_dict(extra["input_scaler"])
-        target_scaler = data.MinMaxScaler.from_dict(extra["target_scaler"])
+        scalers = [data.MinMaxScaler.from_dict(extra[name]) for name in widths]
         constants = from_json(PhysicsConstants, extra["constants"], "constants")
     except KeyError as exc:
         raise DataError(f"checkpoint {path} is missing extra field {exc}") from None
-    except ConfigError as exc:
+    except (ConfigError, DataError) as exc:
         raise DataError(f"checkpoint {path}: {exc}") from None
-    return model, input_scaler, target_scaler, constants
+    for (name, width), scaler in zip(widths.items(), scalers):
+        if scaler.divisor.shape != (width,):
+            raise DataError(f"checkpoint {path}: {name} has {scaler.divisor.size} columns, "
+                            f"the model {width}")
+    return model, *scalers, constants
 
 
 def _check_checkpoint_types(constants: PhysicsConstants, building_types, path) -> None:

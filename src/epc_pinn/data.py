@@ -1,11 +1,19 @@
 """CSV ingestion, joining, feature encoding, scaling and data splits.
 
-Four comma-separated UTF-8 files with header rows feed the pipeline:
+Four comma-separated UTF-8 files with header rows feed the pipeline. Each
+needs the columns listed, in any order, and every other column is ignored:
 
-    land.csv               general building registry: every model input
-    audit_buildings.csv    per-building audit rates (air exchange, gains)
-    audit_components.csv   one row per (building, envelope component)
-    consumption.csv        measured annual totals per year 2017..2020
+    land.csv               the registry, every model input: cadastre_number,
+                           floors, useful_area, apartments, serie,
+                           total_area, building_type
+    audit_buildings.csv    cadastre_number, air_exchange_rate,
+                           specific_heat_gains
+    audit_components.csv   one row per (building, envelope component):
+                           cadastre_number, enclosing_structure, area,
+                           structure_heat_loss_coefficient
+    consumption.csv        cadastre_number, total_energy_consumption_2017
+                           .. _2020; without it, consumption_monthly.csv:
+                           cadastre_number, year, month, energy_consumption
 
 Each file is parsed column by column into a Table: csv.reader rows are
 streamed in chunks of CHUNK_ROWS, each column of a chunk goes through one
@@ -27,11 +35,8 @@ targets for finite, non-negative values in one pass.
 The registry is the one source of model inputs, as it is for a building
 that has no audit: the features, the useful area of the heat balance and
 the building type all come from land.csv, through encode_features, the
-one encoder, which predict calls too. The audits supply only targets:
-audit_buildings.csv needs cadastre_number, air_exchange_rate and
-specific_heat_gains, and any other column in it is ignored, registry
-copies included. Where the two files disagree the registry wins by
-construction.
+one encoder, which predict calls too. The audits supply only targets, and
+where their copies of registry columns disagree the registry wins.
 
 Scaling is plain min-max per column with a guarded divisor for constant
 columns; splitting covers shuffled k-fold partitions and the
@@ -252,15 +257,10 @@ LAND_SCHEMA = TableSchema(
     columns=(
         _col("cadastre_number", _parse_str),
         _col("floors", _parse_int),
-        _col("latitude_centroid", _parse_float),
-        _col("longitude_centroid", _parse_float),
         _col("useful_area", _parse_float),
-        _col("geometry", _parse_str),
         _col("apartments", _parse_int),
         _col("serie", _parse_str),
         _col("total_area", _parse_float),
-        _col("address", _parse_str),
-        _col("perimeter", _parse_float),
         _col("building_type", _parse_str),
     ),
     rules=(
@@ -291,8 +291,6 @@ AUDIT_COMPONENTS_SCHEMA = TableSchema(
     columns=(
         _col("cadastre_number", _parse_str),
         _col("enclosing_structure", _parse_str),
-        _col("material", _parse_str),
-        _col("energy_consumption", _parse_float),
         _col("area", _parse_float),
         _col("structure_heat_loss_coefficient", _parse_float),
     ),
@@ -739,10 +737,6 @@ class MinMaxScaler:
         self.data_max_: np.ndarray | None = None
         self._divisor: np.ndarray | None = None
 
-    @property
-    def fitted(self) -> bool:
-        return self.data_min_ is not None
-
     @staticmethod
     def _as_columns(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -754,21 +748,18 @@ class MinMaxScaler:
             raise ConfigError("cannot fit a scaler on an empty matrix")
         if not np.all(np.isfinite(cols)):
             raise ConfigError("cannot fit a scaler on non-finite values")
-        self.data_min_ = cols.min(axis=0)
-        self.data_max_ = cols.max(axis=0)
-        span = self.data_max_ - self.data_min_
-        self._divisor = np.where(span == 0, 1.0, span)
+        return self._set_bounds(cols.min(axis=0), cols.max(axis=0))
+
+    def _set_bounds(self, lo: np.ndarray, hi: np.ndarray) -> "MinMaxScaler":
+        """Fitted to finite per-column bounds lo <= hi."""
+        self.data_min_, self.data_max_ = lo, hi
+        self._divisor = np.where(hi == lo, 1.0, hi - lo)
         return self
 
     def _check(self, x: np.ndarray) -> np.ndarray:
-        if not self.fitted:
-            raise UsageError("scaler used before fit")
-        cols = self._as_columns(x)
-        if cols.shape[1] != self.data_min_.shape[0]:
-            raise ConfigError(
-                f"scaler fitted on {self.data_min_.shape[0]} columns, "
-                f"got {cols.shape[1]}"
-            )
+        cols, width = self._as_columns(x), self.divisor.shape[0]
+        if cols.shape[1] != width:
+            raise ConfigError(f"scaler fitted on {width} columns, got {cols.shape[1]}")
         return cols
 
     def transform(self, x: np.ndarray) -> np.ndarray:
@@ -784,12 +775,12 @@ class MinMaxScaler:
     @property
     def divisor(self) -> np.ndarray:
         """Per-column slope of inverse_transform (the guarded range)."""
-        if not self.fitted:
+        if self._divisor is None:
             raise UsageError("scaler used before fit")
         return self._divisor
 
     def to_dict(self) -> dict:
-        if not self.fitted:
+        if self._divisor is None:
             raise UsageError("scaler used before fit")
         return {
             "data_min": [float(v) for v in self.data_min_],
@@ -805,12 +796,9 @@ class MinMaxScaler:
             raise DataError(f"malformed scaler payload: {payload!r}") from None
         if lo.shape != hi.shape or lo.ndim != 1:
             raise DataError(f"malformed scaler payload: {payload!r}")
-        scaler = cls()
-        scaler.data_min_ = lo
-        scaler.data_max_ = hi
-        span = hi - lo
-        scaler._divisor = np.where(span == 0, 1.0, span)
-        return scaler
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all() and (lo <= hi).all()):
+            raise DataError(f"scaler bounds must be finite with data_min <= data_max: {payload!r}")
+        return cls()._set_bounds(lo, hi)
 
 
 # ---------------------------------------------------------------------------

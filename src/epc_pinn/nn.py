@@ -280,7 +280,7 @@ def adam_step(
 class PlateauSchedulerState:
     """Reduce the learning rate when a monitored loss stops improving.
 
-    A call improves when loss < best - min_delta. After patience
+    A call improves when loss < best. After patience
     consecutive non-improving calls the rate is multiplied by factor
     (floored at min_lr) and the counter resets; best is never reset, so a
     long plateau keeps decaying the rate.
@@ -289,13 +289,12 @@ class PlateauSchedulerState:
     patience: int = 5
     factor: float = 0.1
     min_lr: float = 1e-7
-    min_delta: float = 0.0
     best: float = np.inf
     bad_epochs: int = 0
 
     def step(self, loss: float, optimizer: AdamState) -> bool:
         """Record one epoch's loss; returns True if the rate was reduced."""
-        if loss < self.best - self.min_delta:
+        if loss < self.best:
             self.best = loss
             self.bad_epochs = 0
             return False
@@ -313,7 +312,6 @@ class EarlyStopState:
     snapshot of the best parameters seen."""
 
     patience: int = 8
-    min_delta: float = 0.0
     best: float = np.inf
     bad_epochs: int = 0
     best_parameters: np.ndarray | None = None
@@ -321,7 +319,7 @@ class EarlyStopState:
 
     def step(self, loss: float, model: MlpModel, epoch: int) -> bool:
         """Record one epoch's loss; returns True when training should stop."""
-        if loss < self.best - self.min_delta:
+        if loss < self.best:
             self.best = loss
             self.bad_epochs = 0
             if self.best_parameters is None:

@@ -237,6 +237,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # every value written is checked
 def generate_cohort(config: GeneratorConfig, out_dir: str | Path) -> dict[str, Path]:
     """Write the synthetic cohort as the standard five CSV files.
 
@@ -252,33 +253,19 @@ def generate_cohort(config: GeneratorConfig, out_dir: str | Path) -> dict[str, P
     consumption_eps, audit_eps = draws[:, 15:-2 * N_COMPONENTS], draws[:, -2 * N_COMPONENTS:]
 
     floors_f = np.array(floors, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # the check below raises
-        length = np.sqrt(footprint * aspect)
-        width = np.sqrt(footprint / aspect)
-        perimeter = 2.0 * (length + width)
-        walls_gross = perimeter * floors_f * config.storey_height
-        windows = window_fraction * walls_gross
-        doors = door_fraction * walls_gross
-        walls = walls_gross - windows - doors
-        # COMPONENTS order: basement/slab, roof/attic, walls, doors, windows.
-        areas = np.column_stack([footprint, footprint * roof_factor, walls, doors, windows])
-        total_area = footprint * floors_f
-        useful_area = config.useful_fraction * total_area
-        per_floor = footprint / apartment_area
-        # apartments as a float: land.csv's integer rule wants a float value
-        sizes = {"total_area": total_area, "useful_area": useful_area,
-                 "apartments": np.maximum(1.0, np.round(per_floor)) * floors_f}
-    numbers = [f"0100{i:07d}" for i in range(config.n_buildings)]
+    length = np.sqrt(footprint * aspect)
+    width = np.sqrt(footprint / aspect)
+    perimeter = 2.0 * (length + width)
+    walls_gross = perimeter * floors_f * config.storey_height
+    windows = window_fraction * walls_gross
+    doors = door_fraction * walls_gross
+    walls = walls_gross - windows - doors
+    # COMPONENTS order: basement/slab, roof/attic, walls, doors, windows.
+    areas = np.column_stack([footprint, footprint * roof_factor, walls, doors, windows])
+    total_area = footprint * floors_f
+    useful_area = config.useful_fraction * total_area
+    per_floor = footprint / apartment_area
     states = np.column_stack([areas, u_values, air, gains])
-    bad = ~(np.isfinite(states) & (states >= 0)).all(axis=1)
-    bad |= ~np.isfinite(np.column_stack(list(sizes.values()))).all(axis=1)
-    if bad.any():  # the first bad building raises its DomainError
-        j = int(np.argmax(bad))
-        EnvelopeState.from_vector(states[j]).validate()
-        name = next(name for name, values in sizes.items() if not np.isfinite(values[j]))
-        raise DomainError(f"building {numbers[j]}: {name} overflows the float range")
-    # Python ints: the product can exceed int64.
-    apartments = [max(1, round(ratio)) * f for ratio, f in zip(per_floor.tolist(), floors)]
 
     taus = [config.constants.time_constant_for(p.building_type) for p in config.series]
     true_energy = energy_consumption_batch(
@@ -300,6 +287,26 @@ def generate_cohort(config: GeneratorConfig, out_dir: str | Path) -> dict[str, P
     for k in range(len(MONTH_WEIGHTS) - 1):
         eleven = eleven + months[..., k]
     months = np.concatenate([months, (measured - eleven)[..., None]], axis=-1)
+
+    numbers = [f"0100{i:07d}" for i in range(config.n_buildings)]
+    written = {  # in checking order; apartments as a float, as land.csv's integer rule wants
+        "total_area": total_area, "useful_area": useful_area,
+        "apartments": np.maximum(1.0, np.round(per_floor)) * floors_f,
+        "energy consumption": true_energy, "component heat loss": per_component[..., 0],
+        "audited area": audit_areas, "heat loss coefficient": coefficients,
+        "total heat loss coefficient": coefficients.sum(axis=1),
+        "measured consumption": measured, "monthly consumption": months,
+    }
+    not_finite = {k: ~np.isfinite(v.reshape(len(v), -1)).all(axis=1) for k, v in written.items()}
+    bad = np.logical_or.reduce([~(np.isfinite(states) & (states >= 0)).all(axis=1),
+                                *not_finite.values()])
+    if bad.any():  # the first bad building raises its DomainError
+        j = int(np.argmax(bad))
+        EnvelopeState.from_vector(states[j]).validate()
+        name = next(name for name, mask in not_finite.items() if mask[j])
+        raise DomainError(f"building {numbers[j]}: {name} overflows the float range")
+    # Python ints: the product can exceed int64.
+    apartments = [max(1, round(ratio)) * f for ratio, f in zip(per_floor.tolist(), floors)]
 
     names = [config.series[i].name for i in serie.tolist()]
     btypes = [config.series[i].building_type for i in serie.tolist()]

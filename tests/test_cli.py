@@ -5,6 +5,7 @@ the printed output and the files written. The exit-code contract is:
 0 success, 1 usage or configuration, 2 data problems, 3 runtime failures.
 """
 
+import csv
 import json
 import shutil
 
@@ -75,6 +76,34 @@ def latin1_cohort(source, target):
     cells[9] = "M\u00e2in St 1"  # address
     lines[1] = ",".join(cells)
     land.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
+    return target
+
+
+# The cohort columns that no model input or target uses.
+UNREAD_COLUMNS = {
+    "land.csv": ("latitude_centroid", "longitude_centroid", "geometry", "address", "perimeter"),
+    "audit_components.csv": ("material", "energy_consumption"),
+}
+
+
+def unread_columns_cohort(source, target, junk):
+    """A copy of a cohort without its unread columns (junk None), or with
+    their cells filled with the junk values in turn."""
+    shutil.copytree(source, target)
+    for name, unread in UNREAD_COLUMNS.items():
+        with open(target / name, newline="", encoding="utf-8") as handle:
+            header, *rows = csv.reader(handle)
+        if junk is None:
+            kept = [i for i, column in enumerate(header) if column not in unread]
+            rows = [[row[i] for i in kept] for row in [header, *rows]]
+        else:
+            rows = [header] + [
+                [junk[(r + i) % len(junk)] if header[i] in unread else cell
+                 for i, cell in enumerate(row)]
+                for r, row in enumerate(rows)
+            ]
+        with open(target / name, "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle, lineterminator="\n").writerows(rows)
     return target
 
 
@@ -709,6 +738,52 @@ class TestEvaluate:
         assert code == 3
         err = capsys.readouterr().err
         assert "'nowhere/metrics.json'" in err and ".tmp" not in err
+
+
+    @pytest.mark.parametrize("scaler, corrupt, problem", [
+        ("input_scaler", lambda s: s["data_max"].__setitem__(0, float("nan")),
+         "scaler bounds must be finite with data_min <= data_max"),
+        ("input_scaler", lambda s: s.update(data_min=s["data_max"], data_max=s["data_min"]),
+         "scaler bounds must be finite with data_min <= data_max"),
+        ("input_scaler", lambda s: s.update(data_min=s["data_min"][:-1],
+                                            data_max=s["data_max"][:-1]),
+         "input_scaler has 16 columns, the model 17"),
+        ("target_scaler", lambda s: s.update(data_min=s["data_min"] + [0.0],
+                                             data_max=s["data_max"] + [1.0]),
+         "target_scaler has 13 columns, the model 12"),
+    ])
+    def test_bad_checkpoint_scaler_is_exit_two_naming_the_checkpoint(
+        self, trained_run, clean_cohort_dir, tmp_path, capsys, scaler, corrupt, problem
+    ):
+        """A non-finite bound, swapped bounds, or a scaler narrower or wider
+        than the model's layer sizes is a checkpoint problem."""
+        payload = json.loads((trained_run / "fold_00.json").read_text())
+        corrupt(payload["extra"][scaler])
+        checkpoint = tmp_path / "fold_00.json"
+        checkpoint.write_text(json.dumps(payload))
+        code = main(["evaluate", "--checkpoint", str(checkpoint), "--data", str(clean_cohort_dir)])
+        assert code == 2
+        assert f"checkpoint {checkpoint}: {problem}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("junk", [None, ("north", "", "1e400")], ids=["deleted", "junk"])
+def test_unread_columns_change_no_output(trained_run, clean_cohort_dir, tmp_path, junk):
+    """Deleting the unread columns, or filling them with cells no number
+    rule accepts, leaves every train and evaluate output byte-identical."""
+    cohort = unread_columns_cohort(clean_cohort_dir, tmp_path / "cohort", junk)
+    out = tmp_path / "run"
+    code = main(["train", "--config", str(trained_run / "config.json"), "--seed", "3",
+                 "--data", str(cohort), "--out", str(out)])
+    assert code == 0
+    written = sorted(path.name for path in out.iterdir())
+    assert {"results.json", "report.txt", "fold_00.json", "drop_report.txt"} <= set(written)
+    for name in written:
+        assert (out / name).read_bytes() == (trained_run / name).read_bytes(), name
+    for data_dir, metrics in ((clean_cohort_dir, "untouched.json"), (cohort, "copy.json")):
+        code = main(["evaluate", "--checkpoint", str(trained_run / "fold_00.json"),
+                     "--data", str(data_dir), "--out", str(tmp_path / metrics)])
+        assert code == 0
+    assert (tmp_path / "copy.json").read_bytes() == (tmp_path / "untouched.json").read_bytes()
 
 
 class TestJsonInputsWithByteOrderMark:

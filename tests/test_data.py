@@ -8,6 +8,7 @@ partitions.
 """
 
 import csv
+import json
 import shutil
 from unittest import mock
 
@@ -167,10 +168,11 @@ class TestLoadDataset:
 
     def test_missing_column_is_named(self, tmp_path):
         path = tmp_path / "land.csv"
-        header = LAND_HEADER.replace(",perimeter", "")
-        row = land_row().rsplit(",", 2)
-        write(path, header, [row[0] + "," + row[2]])
-        with pytest.raises(DataError, match="perimeter"):
+        header = LAND_HEADER.replace(",total_area", "")
+        row = land_row().split(",")
+        del row[8]  # total_area
+        write(path, header, [",".join(row)])
+        with pytest.raises(DataError, match="total_area"):
             load_dataset(path, LAND_SCHEMA)
 
     def test_bad_cell_names_file_row_and_column(self, tmp_path):
@@ -354,18 +356,18 @@ class TestLoadDataset:
 
     def test_short_row_names_the_first_missing_schema_column(self, tmp_path):
         """Schema order, not file order: the file puts area last, but the
-        schema asks for energy_consumption before area."""
+        schema asks for area before structure_heat_loss_coefficient."""
         path = tmp_path / "components.csv"
         write(
             path,
             "cadastre_number,enclosing_structure,material,"
-            "structure_heat_loss_coefficient,energy_consumption,area",
-            ["01000000001,Walls,brick,150.0"],
+            "structure_heat_loss_coefficient,area",
+            ["01000000001,Walls,brick"],
         )
         with pytest.raises(DataError) as err:
             load_dataset(path, AUDIT_COMPONENTS_SCHEMA)
         assert str(err.value) == (
-            f"{path} row 2: short row, no value for column 'energy_consumption'"
+            f"{path} row 2: short row, no value for column 'area'"
         )
 
     def test_undecodable_bytes_are_data_error_naming_the_file(self, tmp_path):
@@ -822,6 +824,42 @@ class TestMinMaxScaler:
         with pytest.raises(DataError):
             MinMaxScaler.from_dict({"data_min": [0.0]})
 
+    @pytest.mark.parametrize("data_min, data_max", [
+        ([0.0, 1.0], [1.0, float("nan")]),
+        ([0.0, float("-inf")], [1.0, 2.0]),
+        ([0.0, 3.0], [1.0, 2.0]),  # data_min above data_max
+    ])
+    def test_bad_bounds_are_data_error(self, data_min, data_max):
+        with pytest.raises(DataError, match="finite with data_min <= data_max"):
+            MinMaxScaler.from_dict({"data_min": data_min, "data_max": data_max})
+
+    def test_dict_roundtrip_through_json_is_bitwise(self):
+        """The fitted bounds and divisors come back bit for bit, for
+        constant columns, -0.0, subnormals and drawn matrices alike."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
+        fixed = np.array([[-0.0, 7.0, tiny, -tiny, 1e-310],
+                          [-0.0, 7.0, 3 * tiny, 0.0, 2e-310]])
+        finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+        def same_bits(x):
+            scaler = MinMaxScaler().fit(x)
+            restored = MinMaxScaler.from_dict(json.loads(json.dumps(scaler.to_dict())))
+            for attr in ("data_min_", "data_max_", "divisor"):
+                assert getattr(restored, attr).tobytes() == getattr(scaler, attr).tobytes()
+
+        same_bits(fixed)
+        assert MinMaxScaler().fit(fixed).divisor[:2].tolist() == [1.0, 1.0]
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(st.integers(1, 4).flatmap(
+            lambda k: st.lists(st.lists(finite, min_size=k, max_size=k), min_size=1, max_size=5)))
+        def check(rows):
+            same_bits(np.array(rows))
+
+        check()
+
 
 class TestKfoldSplit:
     def test_sizes_for_256_over_10(self):
@@ -1117,13 +1155,13 @@ def test_loader_matches_a_dict_reader_reference(tmp_path_factory):
     ([land_row("01"), land_row("02", floors="0"), land_row("01")],
      "row 3: 'floors' must be >= 1, got 0"),
     # on one row, the bad cell comes before the invariant it also breaks
-    ([land_row("01"), land_row("02", floors="0").replace("56.95", "north")],
-     "row 3, column 'latitude_centroid': not a number: 'north'"),
+    ([land_row("01"), land_row("02", floors="0").replace("850.0", "north")],
+     "row 3, column 'useful_area': not a number: 'north'"),
     # on one row, a bad cell in an earlier schema column comes before a short row
     ([land_row("01"), "02,many"], "row 3, column 'floors': not an integer: 'many'"),
     # blank lines are not counted
     ([land_row("01"), "", "", land_row("02"), "", "03,3"],
-     "row 4: short row, no value for column 'latitude_centroid'"),
+     "row 4: short row, no value for column 'useful_area'"),
 ])
 def test_first_problem_in_row_order_whatever_the_chunks(tmp_path, rows, expected):
     path = tmp_path / "land.csv"

@@ -266,3 +266,71 @@ def test_value_without_gradient_is_bitwise_the_same():
         assert (with_grad[0] == "error") == (poison is not None)
 
     check()
+
+
+def test_gradient_matches_central_differences_near_the_kinks():
+    """Hypothesis-drawn batches whose rows sit near, but not on, a kink:
+    gains far above losses (consumption near its zero floor), physical
+    entries just either side of the clamp at zero, or the gains/losses
+    ratio r just inside or just outside the |r - 1| <= eps band. Each
+    partial matches a central difference within 1e-3, relative to the
+    larger of the partial and 1e-3 of the largest one; each row's step
+    keeps the row on its side of its kink."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    reference = make_batch(20, seed=60)  # scalers, constants and energy range
+    target_scaler, energy_scaler = reference["target_scaler"], reference["energy_scaler"]
+    consts = reference["consts"]
+    eps = consts.near_one_epsilon
+    steps = {"floor": 1e-6, "band": 1e-7, "near band": 1e-6, "clamp": 1e-7}
+
+    def loss(pred, targets, useful_area, taus, measured, with_gradient=False):
+        return enhanced_loss(pred, targets, useful_area, taus, measured, target_scaler,
+                             energy_scaler, consts, with_gradient=with_gradient)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(
+        rows=st.lists(st.tuples(st.sampled_from(list(steps)), st.floats(0.0, 1.0),
+                                st.sampled_from([-1.0, 1.0])), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(rows, seed):
+        rng = np.random.default_rng(seed)
+        n = len(rows)
+        physical = np.column_stack([rng.uniform(50.0, 200.0, (n, 5)),
+                                    rng.uniform(0.2, 2.5, (n, 5)),
+                                    rng.uniform(0.3, 1.5, n), np.zeros(n)])
+        useful_area = rng.uniform(200.0, 2000.0, n)
+        taus = rng.choice([consts.time_constant_for(t) for t in ("heavy", "light")], n)
+        ratios = np.full(n, 0.5)
+        for i, (kind, u, sign) in enumerate(rows):
+            if kind == "clamp":  # some entries 1e-4 to 1e-2 of their range off zero
+                picked = rng.choice(12, size=int(rng.integers(1, 7)), replace=False)
+                physical[i, picked] = sign * 1e-4 * 100.0**u * target_scaler.divisor[picked]
+            elif kind == "floor":
+                ratios[i] = 5.0 + 45.0 * u
+            elif kind == "band":
+                ratios[i] = 1.0 + (u - 0.5) * eps
+            else:
+                ratios[i] = 1.0 + sign * (100.0 + 900.0 * u) * eps
+        losses = energy_consumption_batch(
+            np.maximum(physical, 0.0), useful_area, taus, consts).heat_loss_total
+        gains_set = physical[:, 11] == 0.0  # a clamp row may have placed the gains
+        physical[gains_set, 11] = ratios[gains_set] * losses[gains_set] / useful_area[gains_set]
+        pred = target_scaler.transform(physical)
+        args = (target_scaler.transform(physical * rng.uniform(0.9, 1.1, physical.shape)),
+                useful_area, taus,
+                energy_scaler.transform(rng.uniform(reference["measured"].min(),
+                                                    reference["measured"].max(), n)))
+        gradient = loss(pred, *args, with_gradient=True).gradient_wrt_predictions
+        floor = 1e-3 * np.abs(gradient).max()
+        for i, (kind, _, _) in enumerate(rows):
+            step = steps[kind]
+            for j in range(12):
+                up, down = pred.copy(), pred.copy()
+                up[i, j] += step
+                down[i, j] -= step
+                fd = (loss(up, *args).total - loss(down, *args).total) / (2.0 * step)
+                assert abs(fd - gradient[i, j]) <= 1e-3 * max(abs(gradient[i, j]), floor)
+
+    check()

@@ -7,6 +7,7 @@ the annual totals. reference_energy, the plain scalar re-derivation of
 the energy balance, is checked by hand and against the vectorized model.
 """
 
+import csv
 import json
 
 import numpy as np
@@ -16,7 +17,6 @@ from epc_pinn.cli import main
 
 from epc_pinn.data import (
     CONSUMPTION_SCHEMA,
-    LAND_SCHEMA,
     MONTHLY_SCHEMA,
     aggregate_consumption,
     build_matrices,
@@ -245,16 +245,36 @@ class TestGenerateCohort:
         assert f"building 01000000000: {size} overflows the float range" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.filterwarnings("error")  # a numpy overflow warning would fail main with 3
+    @pytest.mark.parametrize("footprint, noise, quantity", [
+        (1e307, 0.05, "energy consumption"),  # the envelope loss overflows, the areas do not
+        (3e305, 5.0, "measured consumption"),  # the energy fits, a noisy reading does not
+    ])
+    def test_values_beyond_the_float_range_are_exit_two_with_nothing_written(
+        self, tmp_path, capsys, footprint, noise, quantity
+    ):
+        serie = dict(DEFAULT_SERIES[0].to_dict(), floors=[1, 1], footprint=[footprint] * 2,
+                     apartment_area=[1e300, 1e300])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"generate": {
+            "series": [serie], "roof_factor": [1.0, 1.0], "consumption_noise": noise}}))
+        out = tmp_path / "out"
+        argv = ["generate", "--config", str(config), "--seed", "1", "--n", "3", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"building 01000000000: {quantity} overflows the float range" in err
+        assert list(out.iterdir()) == []
+
     def test_wall_area_follows_geometry(self, clean_cohort_dir):
         """Walls plus windows plus doors equals perimeter * floors * 2.7
         for every generated building (audit noise is zero here)."""
         arrays = build_matrices(load_cohort(clean_cohort_dir)[0])
-        land = load_dataset(clean_cohort_dir / "land.csv", LAND_SCHEMA)
+        with open(clean_cohort_dir / "land.csv", newline="", encoding="utf-8") as handle:
+            land = {row["cadastre_number"]: row for row in csv.DictReader(handle)}
         for number, targets in zip(arrays.cadastre_numbers, arrays.targets):
-            row = land.index[number]
             gross = targets[2:5].sum()
             assert gross == pytest.approx(
-                land["perimeter"][row] * land["floors"][row] * 2.7, rel=1e-9
+                float(land[number]["perimeter"]) * int(land[number]["floors"]) * 2.7, rel=1e-9
             )
 
 
