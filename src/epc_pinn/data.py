@@ -164,11 +164,15 @@ def _col(name: str, parse: Callable[[str], object], attr: str | None = None) -> 
 # columns that break it, and the message for one such row's values.
 
 
-def check_building_invariants(floors: int, useful_area: float, total_area: float) -> None:
+def check_building_invariants(
+    floors: int, apartments: int, useful_area: float, total_area: float
+) -> None:
     """The invariants a land.csv building meets; raises DataError naming
     the first field that breaks one."""
     if floors < 1:
         raise DataError(f"'floors' must be >= 1, got {floors}")
+    if apartments < 0:
+        raise DataError(f"'apartments' must be >= 0, got {apartments}")
     for name, area in (("useful_area", useful_area), ("total_area", total_area)):
         if area <= 0:
             raise DataError(f"{name!r} must be positive, got {area}")
@@ -176,7 +180,9 @@ def check_building_invariants(floors: int, useful_area: float, total_area: float
 
 def _building_invariant_message(v: dict) -> str:
     try:
-        check_building_invariants(v["floors"], v["useful_area"], v["total_area"])
+        check_building_invariants(
+            v["floors"], v["apartments"], v["useful_area"], v["total_area"]
+        )
     except DataError as exc:
         return str(exc)
 
@@ -265,8 +271,8 @@ LAND_SCHEMA = TableSchema(
     ),
     rules=(
         _KEY_RULE,
-        (lambda c: (np.array(c["floors"]) < 1) | (c["useful_area"] <= 0)
-         | (c["total_area"] <= 0), _building_invariant_message),
+        (lambda c: (np.array(c["floors"]) < 1) | (np.array(c["apartments"]) < 0)
+         | (c["useful_area"] <= 0) | (c["total_area"] <= 0), _building_invariant_message),
     ),
     key=("cadastre_number",),
 )
@@ -554,7 +560,7 @@ def parse_building(payload: dict, source: str | Path) -> dict:
             raise DataError(f"{source}, field {name!r}: {exc}") from None
     try:
         check_building_invariants(
-            fields["floors"], fields["useful_area"], fields["total_area"]
+            fields["floors"], fields["apartments"], fields["useful_area"], fields["total_area"]
         )
     except DataError as exc:
         raise DataError(f"{source}: {exc}") from None

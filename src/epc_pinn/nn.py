@@ -377,7 +377,9 @@ def save_checkpoint(model: MlpModel, path: str | Path, extra: dict | None = None
 def load_checkpoint(path: str | Path) -> tuple[MlpModel, dict]:
     """Rebuild a model from save_checkpoint output; returns (model, extra)."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        # bytes, decoded once: JSON needs no newline translation, and a BOM
+        # still fails as invalid JSON
+        payload = json.loads(Path(path).read_bytes().decode("utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"checkpoint {path} cannot be read: {exc}") from exc
     except json.JSONDecodeError as exc:

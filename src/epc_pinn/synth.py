@@ -15,7 +15,10 @@ consumption file whose rows sum to the annual totals. Building i draws
 from its own generator, seeded with [seed, i], in a fixed order; those
 draws are all the randomness, so cohorts are reproducible byte for byte.
 Everything else (geometry, physics, noise, monthly split) is computed once
-over whole-cohort arrays, and each file is streamed out row by row.
+over whole-cohort arrays, and each file is streamed out with every row
+formatted as one line: numbers through str, the same text csv.writer
+writes, and each distinct string (header, serie name, building type,
+component, material) quoted once by csv itself.
 
 reference_energy is this module's second job: a deliberately plain,
 scalar re-derivation of the annual energy balance sharing no code with
@@ -25,7 +28,7 @@ the vectorized model, used to cross-check it.
 from __future__ import annotations
 
 import csv
-import itertools
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -228,13 +231,21 @@ def _draw(config: GeneratorConfig) -> tuple[np.ndarray, list[int], np.ndarray]:
     return np.array(serie), floors, np.array(draws)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """rows hold plain Python values; str(float) round-trips exactly, which
-    both the oracle-closure check and byte-identical regeneration rely on."""
+def _csv_field(text: str) -> str:
+    """text as csv.writer writes it as one field of a longer row: quoted
+    only where csv's own rule says so, and the empty string left empty."""
+    handle = io.StringIO()
+    csv.writer(handle, lineterminator="\n").writerow([text, ""])
+    return handle.getvalue()[:-2]
+
+
+def _write_csv(path: Path, header: list[str], lines) -> None:
+    """lines are the rows, each formatted as one line from plain Python
+    values; str(float) round-trips exactly, which both the oracle-closure
+    check and byte-identical regeneration rely on."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(",".join(map(_csv_field, header)) + "\n")
+        handle.writelines(lines)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # every value written is checked
@@ -308,32 +319,48 @@ def generate_cohort(config: GeneratorConfig, out_dir: str | Path) -> dict[str, P
     # Python ints: the product can exceed int64.
     apartments = [max(1, round(ratio)) * f for ratio, f in zip(per_floor.tolist(), floors)]
 
-    names = [config.series[i].name for i in serie.tolist()]
-    btypes = [config.series[i].building_type for i in serie.tolist()]
+    # Each row is one f-string: numbers and the literal strings never need
+    # quoting, and csv quotes each serie name, building type, component and
+    # material once.
+    series = serie.tolist()
+    quoted = [(_csv_field(p.name), _csv_field(p.building_type), [
+        f"{_csv_field(name)},{_csv_field(_MATERIALS[p.building_type][name])}"
+        for name in COMPONENTS
+    ]) for p in config.series]
+    names, btypes, components = zip(*(quoted[i] for i in series))
     useful, total = useful_area.tolist(), total_area.tolist()
-    rows = {
-        "land": zip(
-            numbers, floors, latitude.tolist(), longitude.tolist(), useful,
-            (f"RECT {a:.2f}x{b:.2f}" for a, b in zip(length.tolist(), width.tolist())),
-            apartments, names, total, (f"Tilta iela {i + 1}" for i in range(config.n_buildings)),
-            perimeter.tolist(), btypes,
+    lines = {
+        "land": (
+            f"{number},{f},{lat},{lon},{u},RECT {a:.2f}x{b:.2f},{apt},{name},{t},"
+            f"Tilta iela {i},{p},{btype}\n"
+            for i, (number, f, lat, lon, u, a, b, apt, name, t, p, btype) in enumerate(zip(
+                numbers, floors, latitude.tolist(), longitude.tolist(), useful,
+                length.tolist(), width.tolist(), apartments, names, total,
+                perimeter.tolist(), btypes,
+            ), start=1)
         ),
-        "audit_buildings": zip(
-            numbers, floors, length.tolist(), width.tolist(), useful,
-            itertools.repeat(config.storey_height), apartments, names, total,
-            air.tolist(), gains.tolist(), btypes,
+        "audit_buildings": (
+            f"{number},{f},{a},{b},{u},{config.storey_height},{apt},{name},{t},{x},{g},"
+            f"{btype}\n"
+            for number, f, a, b, u, apt, name, t, x, g, btype in zip(
+                numbers, floors, length.tolist(), width.tolist(), useful, apartments, names,
+                total, air.tolist(), gains.tolist(), btypes,
+            )
         ),
         "audit_components": (
-            (number, name, _MATERIALS[btype][name], *values, "district", *totals)
-            for number, btype, block, *totals in zip(
-                numbers, btypes, per_component, coefficients.sum(axis=1).tolist(), total,
+            f"{number},{component},{loss},{area},{coefficient},district,{c},{t},{e}\n"
+            for number, fields, block, c, t, e in zip(
+                numbers, components, per_component, coefficients.sum(axis=1).tolist(), total,
                 true_energy.tolist(),
             )
-            for name, values in zip(COMPONENTS, block.tolist())
+            for component, (loss, area, coefficient) in zip(fields, block.tolist())
         ),
-        "consumption": ([number, *values.tolist()] for number, values in zip(numbers, measured)),
+        "consumption": (
+            f"{number},{','.join(map(str, values.tolist()))}\n"
+            for number, values in zip(numbers, measured)
+        ),
         "consumption_monthly": (
-            (number, year, month, value)
+            f"{number},{year},{month},{value}\n"
             for number, per_year in zip(numbers, months)
             for year, values in zip(config.years, per_year.tolist())
             for month, value in enumerate(values, start=1)
@@ -362,7 +389,7 @@ def generate_cohort(config: GeneratorConfig, out_dir: str | Path) -> dict[str, P
     }
     paths = {name: out_dir / f"{name}.csv" for name in headers}
     for name, path in paths.items():
-        _write_csv(path, headers[name], rows[name])
+        _write_csv(path, headers[name], lines[name])
     return paths
 
 

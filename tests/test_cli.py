@@ -430,6 +430,7 @@ class TestPredict:
             ("floors", 0, "must be >= 1"),
             ("useful_area", 0, "must be positive"),
             ("total_area", -5, "must be positive"),
+            ("apartments", -5000000, "must be >= 0, got -5000000"),
         ],
     )
     def test_malformed_numeric_field_is_exit_two(
@@ -495,6 +496,30 @@ class TestPredict:
             )
             assert code == 2
             assert str(building) in capsys.readouterr().err
+
+    def test_crlf_checkpoint_predicts_the_same(self, trained_run, tmp_path, capsys):
+        checkpoint = tmp_path / "fold_00.json"
+        original = (trained_run / "fold_00.json").read_bytes()
+        checkpoint.write_bytes(original.replace(b"\n", b"\r\n"))
+        building = tmp_path / "building.json"
+        building.write_text(json.dumps(building_payload()))
+        outputs = []
+        for path in (trained_run / "fold_00.json", checkpoint):
+            assert main(["predict", "--checkpoint", str(path), "--building", str(building)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert b"\r\n" in checkpoint.read_bytes()
+        assert outputs[0] == outputs[1]
+
+    def test_bom_checkpoint_is_exit_two(self, trained_run, tmp_path, capsys):
+        checkpoint = tmp_path / "fold_00.json"
+        checkpoint.write_bytes(b"\xef\xbb\xbf" + (trained_run / "fold_00.json").read_bytes())
+        building = tmp_path / "building.json"
+        building.write_text(json.dumps(building_payload()))
+        code = main(
+            ["predict", "--checkpoint", str(checkpoint), "--building", str(building)]
+        )
+        assert code == 2
+        assert f"checkpoint {checkpoint} is not valid JSON" in capsys.readouterr().err
 
     def test_undecodable_checkpoint_is_exit_two(self, trained_run, tmp_path, capsys):
         checkpoint = tmp_path / "fold_00.json"
@@ -666,6 +691,25 @@ class TestEvaluate:
         )
         assert code == 2
 
+
+    def test_negative_apartments_is_exit_two_naming_the_row(
+        self, trained_run, clean_cohort_dir, tmp_path, capsys
+    ):
+        cohort = tmp_path / "negative"
+        shutil.copytree(clean_cohort_dir, cohort)
+        land = cohort / "land.csv"
+        lines = land.read_text().splitlines()
+        column = lines[0].split(",").index("apartments")
+        cells = lines[1].split(",")
+        cells[column] = "-5000000"
+        lines[1] = ",".join(cells)
+        land.write_text("\n".join(lines) + "\n")
+        code = main(
+            ["evaluate", "--checkpoint", str(trained_run / "fold_00.json"),
+             "--data", str(cohort)]
+        )
+        assert code == 2
+        assert "row 2: 'apartments' must be >= 0, got -5000000" in capsys.readouterr().err
 
     def test_integer_cell_without_a_float_value_is_exit_two(
         self, trained_run, clean_cohort_dir, tmp_path, capsys

@@ -57,9 +57,9 @@ CONSUMPTION_HEADER = (
 )
 
 
-def land_row(number="01000000001", floors="3"):
+def land_row(number="01000000001", floors="3", apartments="24"):
     return (
-        f"{number},{floors},56.95,24.10,850.0,RECT 20x10,24,serie_03,1000.0,"
+        f"{number},{floors},56.95,24.10,850.0,RECT 20x10,{apartments},serie_03,1000.0,"
         "Main St 1,60.0,heavy"
     )
 
@@ -960,6 +960,8 @@ def _reference_problem(schema, v):
     if schema is LAND_SCHEMA:
         if v["floors"] < 1:
             return f"'floors' must be >= 1, got {v['floors']}"
+        if v["apartments"] < 0:
+            return f"'apartments' must be >= 0, got {v['apartments']}"
         for name in ("useful_area", "total_area"):
             if v[name] <= 0:
                 return f"{name!r} must be positive, got {v[name]}"
@@ -1162,6 +1164,12 @@ def test_loader_matches_a_dict_reader_reference(tmp_path_factory):
     # blank lines are not counted
     ([land_row("01"), "", "", land_row("02"), "", "03,3"],
      "row 4: short row, no value for column 'useful_area'"),
+    # a negative apartment count (row 3); on one row, floors before apartments
+    ([land_row("01"), land_row("02", apartments="-5000000"),
+      land_row("03", floors="0", apartments="-1")],
+     "row 3: 'apartments' must be >= 0, got -5000000"),
+    ([land_row("01"), land_row("02", floors="0", apartments="-1")],
+     "row 3: 'floors' must be >= 1, got 0"),
 ])
 def test_first_problem_in_row_order_whatever_the_chunks(tmp_path, rows, expected):
     path = tmp_path / "land.csv"
