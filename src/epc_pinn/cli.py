@@ -43,9 +43,10 @@ from .errors import (
     UndefinedMetricError,
 )
 from .metrics import fold_report, format_metrics_table, format_report_table
-from .nn import atomic_write, load_checkpoint
+from .nn import atomic_write, load_checkpoint, write_json
 from .physics import (
     COMPONENTS,
+    STATE_DIM,
     EnvelopeState,
     PhysicsConstants,
     energy_consumption,
@@ -178,19 +179,33 @@ def cmd_train(args) -> int:
 
 def _checkpoint_bundle(path: str | Path):
     model, extra = load_checkpoint(path)
-    widths = {"input_scaler": model.layer_dims[0], "target_scaler": model.layer_dims[-1]}
+    layers = {"input_scaler": (model.layer_dims[0], data.N_FEATURES, "inputs"),
+              "target_scaler": (model.layer_dims[-1], STATE_DIM, "outputs")}
     try:
-        scalers = [data.MinMaxScaler.from_dict(extra[name]) for name in widths]
+        scalers = [data.MinMaxScaler.from_dict(extra[name]) for name in layers]
         constants = from_json(PhysicsConstants, extra["constants"], "constants")
     except KeyError as exc:
         raise DataError(f"checkpoint {path} is missing extra field {exc}") from None
     except (ConfigError, DataError) as exc:
         raise DataError(f"checkpoint {path}: {exc}") from None
-    for (name, width), scaler in zip(widths.items(), scalers):
+    for (name, (width, expected, side)), scaler in zip(layers.items(), scalers):
         if scaler.divisor.shape != (width,):
             raise DataError(f"checkpoint {path}: {name} has {scaler.divisor.size} columns, "
                             f"the model {width}")
+        if width != expected:
+            raise DataError(f"checkpoint {path}: the model has {width} {side}, expected {expected}")
     return model, *scalers, constants
+
+
+def _predict_states(path, model, input_scaler, target_scaler, features, names) -> np.ndarray:
+    """predict_physical; a non-finite state is a DataError naming the first such building."""
+    with np.errstate(all="ignore"):
+        states = predict_physical(model, input_scaler, target_scaler, features)
+    broken = ~np.isfinite(states).all(axis=1)
+    if broken.any():
+        raise DataError(f"checkpoint {path} predicts a non-finite envelope state "
+                        f"for building {names[int(np.argmax(broken))]}")
+    return states
 
 
 def _check_checkpoint_types(constants: PhysicsConstants, building_types, path) -> None:
@@ -201,13 +216,13 @@ def _check_checkpoint_types(constants: PhysicsConstants, building_types, path) -
 
 
 def cmd_predict(args) -> int:
-    model, input_scaler, target_scaler, constants = _checkpoint_bundle(args.checkpoint)
+    model, *scalers, constants = _checkpoint_bundle(args.checkpoint)
     building = _load_json(args.building, "building")
     fields = data.parse_building(building, args.building)
     _check_checkpoint_types(constants, [fields["building_type"]], args.checkpoint)
     features = data.encode_features(**{name: [value] for name, value in fields.items()})
-    state_row = predict_physical(model, input_scaler, target_scaler, features)[0]
-    state = EnvelopeState.from_vector(state_row)
+    states = _predict_states(args.checkpoint, model, *scalers, features, [args.building])
+    state = EnvelopeState.from_vector(states[0])
     breakdown = energy_consumption(
         state, fields["useful_area"], fields["building_type"], constants
     )
@@ -216,13 +231,11 @@ def cmd_predict(args) -> int:
         "state": state.to_dict(),
         "breakdown": breakdown.to_dict(),
     }
-    text = json.dumps(output, indent=2, sort_keys=True)
     if args.out:
-        with atomic_write(args.out) as handle:
-            handle.write(text + "\n")
+        write_json(args.out, output)
         print(f"prediction: {args.out}")
     else:
-        print(text)
+        print(json.dumps(output, indent=2, sort_keys=True))
     return 0
 
 
@@ -288,13 +301,14 @@ def cmd_audit(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    model, input_scaler, target_scaler, constants = _checkpoint_bundle(args.checkpoint)
+    model, *scalers, constants = _checkpoint_bundle(args.checkpoint)
     joined, dropped = data.load_cohort(args.data)
     if not joined:
         raise DataError(f"no usable samples in {args.data}")
     arrays = data.build_matrices(joined)
     _check_checkpoint_types(constants, arrays.building_types, args.checkpoint)
-    predictions = predict_physical(model, input_scaler, target_scaler, arrays.features)
+    predictions = _predict_states(
+        args.checkpoint, model, *scalers, arrays.features, arrays.cadastre_numbers)
     energy = reconstruct_energy(
         predictions, arrays.useful_area, arrays.building_types, constants
     )
@@ -304,8 +318,7 @@ def cmd_evaluate(args) -> int:
     print(format_metrics_table(report), end="")
     print(f"\nsamples: {arrays.n} (dropped: {len(dropped)})")
     if args.out:
-        with atomic_write(args.out) as handle:
-            handle.write(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+        write_json(args.out, report.to_dict())
         print(f"metrics: {Path(args.out)}")
     return 0
 

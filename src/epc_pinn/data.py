@@ -35,7 +35,9 @@ targets for finite, non-negative values in one pass.
 The registry is the one source of model inputs, as it is for a building
 that has no audit: the features, the useful area of the heat balance and
 the building type all come from land.csv, through encode_features, the
-one encoder, which predict calls too. The audits supply only targets, and
+one encoder, which predict calls too. BUILDING_RULES is the one statement
+of what a registry building meets; land.csv rows and predict's building
+both run it after their cell rules. The audits supply only targets, and
 where their copies of registry columns disagree the registry wins.
 
 Scaling is plain min-max per column with a guarded divisor for constant
@@ -164,29 +166,6 @@ def _col(name: str, parse: Callable[[str], object], attr: str | None = None) -> 
 # columns that break it, and the message for one such row's values.
 
 
-def check_building_invariants(
-    floors: int, apartments: int, useful_area: float, total_area: float
-) -> None:
-    """The invariants a land.csv building meets; raises DataError naming
-    the first field that breaks one."""
-    if floors < 1:
-        raise DataError(f"'floors' must be >= 1, got {floors}")
-    if apartments < 0:
-        raise DataError(f"'apartments' must be >= 0, got {apartments}")
-    for name, area in (("useful_area", useful_area), ("total_area", total_area)):
-        if area <= 0:
-            raise DataError(f"{name!r} must be positive, got {area}")
-
-
-def _building_invariant_message(v: dict) -> str:
-    try:
-        check_building_invariants(
-            v["floors"], v["apartments"], v["useful_area"], v["total_area"]
-        )
-    except DataError as exc:
-        return str(exc)
-
-
 def _is_in(strings: list[str], allowed) -> np.ndarray:
     return np.fromiter(map(allowed.__contains__, strings), dtype=bool, count=len(strings))
 
@@ -195,9 +174,24 @@ _KEY_RULE = (lambda c: _is_in(c["cadastre_number"], {""}),
              lambda v: "cadastre_number must be nonempty")
 
 
-def _at_least(attr: str, bound: int):
+def _at_least(attr: str, bound: int, name: str | None = None):
     return (lambda c: np.asarray(c[attr]) < bound,
-            lambda v: f"{attr} must be >= {bound}, got {v[attr]}")
+            lambda v: f"{name or attr} must be >= {bound}, got {v[attr]}")
+
+
+def _positive(attr: str):
+    return (lambda c: np.asarray(c[attr]) <= 0,
+            lambda v: f"{attr!r} must be positive, got {v[attr]}")
+
+
+# What every registry building meets, in the order it is checked: a land.csv
+# row after its key, and the one building that predict parses.
+BUILDING_RULES = (
+    _at_least("floors", 1, "'floors'"),
+    _at_least("apartments", 0, "'apartments'"),
+    _positive("useful_area"),
+    _positive("total_area"),
+)
 
 
 def _years(c: dict) -> np.ndarray:
@@ -269,11 +263,7 @@ LAND_SCHEMA = TableSchema(
         _col("total_area", _parse_float),
         _col("building_type", _parse_str),
     ),
-    rules=(
-        _KEY_RULE,
-        (lambda c: (np.array(c["floors"]) < 1) | (np.array(c["apartments"]) < 0)
-         | (c["useful_area"] <= 0) | (c["total_area"] <= 0), _building_invariant_message),
-    ),
+    rules=(_KEY_RULE, *BUILDING_RULES),
     key=("cadastre_number",),
 )
 
@@ -546,8 +536,8 @@ def encode_features(
 
 def parse_building(payload: dict, source: str | Path) -> dict:
     """The FEATURE_FIELDS of one building given as a JSON object, each
-    parsed with its land.csv cell rule and checked against the land.csv
-    record invariants. Raises DataError naming a missing, non-numeric,
+    parsed with its land.csv cell rule, then checked against
+    BUILDING_RULES. Raises DataError naming a missing, non-numeric,
     non-finite or out-of-range field."""
     parsers = {column.name: column.parse for column in LAND_SCHEMA.columns}
     fields = {}
@@ -558,12 +548,10 @@ def parse_building(payload: dict, source: str | Path) -> dict:
             fields[name] = parsers[name](str(payload[name]))
         except ValueError as exc:
             raise DataError(f"{source}, field {name!r}: {exc}") from None
-    try:
-        check_building_invariants(
-            fields["floors"], fields["apartments"], fields["useful_area"], fields["total_area"]
-        )
-    except DataError as exc:
-        raise DataError(f"{source}: {exc}") from None
+    one_row = {name: [value] for name, value in fields.items()}
+    for rule, message in BUILDING_RULES:
+        if rule(one_row)[0]:
+            raise DataError(f"{source}: {message(fields)}")
     return fields
 
 

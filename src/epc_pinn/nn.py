@@ -18,8 +18,9 @@ leading rows, so one forward pass can serve two consumers.
 
 Checkpoints are JSON: layer sizes and activation in the clear, the flat
 parameter vector as base64-encoded little-endian float64 bytes, plus an
-arbitrary JSON-serializable extra payload for callers. They are written
-atomically (temporary file, then rename).
+extra JSON payload for callers. write_json writes them, as every JSON
+output, atomically (temporary file, then rename); loading rejects
+non-finite parameters.
 """
 
 from __future__ import annotations
@@ -91,12 +92,6 @@ class MlpModel(_FlatLayers):
     @property
     def n_layers(self) -> int:
         return len(self.weights)
-
-    def parameter_count(self) -> int:
-        return self.vector.size
-
-    def copy_parameters(self) -> np.ndarray:
-        return self.vector.copy()
 
     def set_parameters(self, vector: np.ndarray) -> None:
         if np.shape(vector) != self.vector.shape:
@@ -323,7 +318,7 @@ class EarlyStopState:
             self.best = loss
             self.bad_epochs = 0
             if self.best_parameters is None:
-                self.best_parameters = model.copy_parameters()
+                self.best_parameters = model.vector.copy()
             else:
                 np.copyto(self.best_parameters, model.vector)
             self.best_epoch = epoch
@@ -357,9 +352,16 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
+def write_json(path: str | Path, payload) -> None:
+    """Write payload atomically as indented JSON with sorted keys and a
+    final newline, the one format of every JSON file the program writes."""
+    with atomic_write(path) as handle:
+        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def save_checkpoint(model: MlpModel, path: str | Path, extra: dict | None = None) -> None:
     """Serialize the model (and an optional extra payload) to JSON."""
-    payload = {
+    write_json(path, {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "layer_dims": list(model.layer_dims),
         "activation": ACTIVATION,
@@ -368,10 +370,7 @@ def save_checkpoint(model: MlpModel, path: str | Path, extra: dict | None = None
             model.vector.astype(CHECKPOINT_DTYPE).tobytes()
         ).decode("ascii"),
         "extra": extra if extra is not None else {},
-    }
-    with atomic_write(path) as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    })
 
 
 def load_checkpoint(path: str | Path) -> tuple[MlpModel, dict]:
@@ -415,6 +414,8 @@ def load_checkpoint(path: str | Path) -> tuple[MlpModel, dict]:
             f"checkpoint {path} holds {flat.size} parameters, "
             f"model needs {_parameter_total(dims)}"
         )
+    if not np.isfinite(flat).all():
+        raise DataError(f"checkpoint {path} holds non-finite parameters")
     model = MlpModel(layer_dims=dims, vector=flat)
     extra = payload.get("extra", {})
     if not isinstance(extra, dict):

@@ -176,10 +176,6 @@ class EnvelopeState:
             specific_heat_gains=float(vec[HEAT_GAINS_INDEX]),
         )
 
-    def clamped(self) -> "EnvelopeState":
-        """Copy with every negative entry floored at zero."""
-        return EnvelopeState.from_vector(np.maximum(self.to_vector(), 0.0))
-
     def to_dict(self) -> dict:
         return {
             "areas": _by_component(self.areas),

@@ -27,7 +27,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
-import json
 import os
 import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
@@ -59,6 +58,7 @@ from .nn import (
     init_model,
     atomic_write,
     save_checkpoint,
+    write_json,
 )
 from .physics import STATE_DIM, PhysicsConstants, energy_consumption_batch
 
@@ -458,9 +458,7 @@ def save_run_outputs(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results_path = out_dir / "results.json"
-    with atomic_write(results_path) as handle:
-        json.dump(results_payload(result, config), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(results_path, results_payload(result, config))
     report_path = out_dir / "report.txt"
     with atomic_write(report_path) as handle:
         handle.write(

@@ -121,6 +121,19 @@ def building_payload(**overrides):
     return payload
 
 
+def checkpoint_call(command, checkpoint, cohort, tmp_path):
+    """The predict or evaluate argv that reads checkpoint and writes its
+    --out file, and that file's path."""
+    out = tmp_path / f"{command}.json"
+    if command == "evaluate":
+        return ["evaluate", "--checkpoint", str(checkpoint), "--data", str(cohort),
+                "--out", str(out)], out
+    building = tmp_path / "building.json"
+    building.write_text(json.dumps(building_payload()))
+    return ["predict", "--checkpoint", str(checkpoint), "--building", str(building),
+            "--out", str(out)], out
+
+
 def envelope_payload(**overrides):
     """The physics worked example: one 100 m2 U 0.5 component, gains 20."""
     payload = {
@@ -808,6 +821,59 @@ class TestEvaluate:
         code = main(["evaluate", "--checkpoint", str(checkpoint), "--data", str(clean_cohort_dir)])
         assert code == 2
         assert f"checkpoint {checkpoint}: {problem}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    @pytest.mark.parametrize("dims, scaler, problem", [
+        ((16, 16, 16, 12), "input_scaler", "16 inputs, expected 17"),
+        ((17, 16, 16, 11), "target_scaler", "11 outputs, expected 12"),
+    ])
+    def test_checkpoint_network_of_the_wrong_width_is_exit_two_naming_it(
+        self, trained_run, clean_cohort_dir, tmp_path, capsys, command, dims, scaler, problem
+    ):
+        """A network that agrees with its scalers but does not take the 17
+        features or give the 12 envelope quantities."""
+        extra = json.loads((trained_run / "fold_00.json").read_text())["extra"]
+        extra[scaler] = {bound: values[:-1] for bound, values in extra[scaler].items()}
+        checkpoint = tmp_path / "narrow.json"
+        nn.save_checkpoint(nn.init_model(dims, seed=0), checkpoint, extra)
+        argv, out = checkpoint_call(command, checkpoint, clean_cohort_dir, tmp_path)
+        assert main(argv) == 2
+        assert f"checkpoint {checkpoint}: the model has {problem}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_non_finite_checkpoint_parameter_is_exit_two(
+        self, trained_run, clean_cohort_dir, tmp_path, capsys, command
+    ):
+        model, extra = nn.load_checkpoint(trained_run / "fold_00.json")
+        model.vector[5] = np.nan
+        checkpoint = tmp_path / "nan.json"
+        nn.save_checkpoint(model, checkpoint, extra)
+        argv, out = checkpoint_call(command, checkpoint, clean_cohort_dir, tmp_path)
+        assert main(argv) == 2
+        assert f"checkpoint {checkpoint} holds non-finite parameters" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_non_finite_predicted_state_is_exit_two_naming_the_building(
+        self, trained_run, clean_cohort_dir, tmp_path, capsys, command
+    ):
+        """Parameters scaled by 1e200 are finite but overflow in the forward
+        pass of every building; no numpy warning is raised on the way."""
+        model, extra = nn.load_checkpoint(trained_run / "fold_00.json")
+        model.vector *= 1e200
+        checkpoint = tmp_path / "huge.json"
+        nn.save_checkpoint(model, checkpoint, extra)
+        argv, out = checkpoint_call(command, checkpoint, clean_cohort_dir, tmp_path)
+        assert main(argv) == 2
+        with open(clean_cohort_dir / "land.csv", newline="") as handle:
+            numbers = [row["cadastre_number"] for row in csv.DictReader(handle)]
+        first = argv[argv.index("--building") + 1] if command == "predict" else min(numbers)
+        assert (f"checkpoint {checkpoint} predicts a non-finite envelope state "
+                f"for building {first}\n") in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("junk", [None, ("north", "", "1e400")], ids=["deleted", "junk"])

@@ -1193,6 +1193,69 @@ def test_integer_cell_without_a_float_value_is_a_bad_cell(tmp_path):
     )
 
 
+def _building_cells(st):
+    """Strategy for the six FEATURE_FIELDS of one building as cell strings.
+    At most one numeric cell breaks its cell rule: the two entry paths check
+    the cells in different orders, so with two bad cells each may name a
+    different one."""
+    ints = st.one_of(st.integers(-3, 40).map(str), st.integers(-10**20, 10**20).map(str),
+                     st.sampled_from(["0", "-0", " 7 ", str(10**300)]))
+    floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                       st.integers(-5, 5).map(str), st.sampled_from(["0", "-0.0", " 2.5 ", "1e3"]))
+    bad_ints = st.sampled_from([str(10**400), str(-10**400), "2.0", "1e3", "", "x", "nan"])
+    bad_floats = st.sampled_from(["inf", "-inf", "nan", "1e400", "", "abc", "1,5"])
+    good = {"useful_area": floats, "total_area": floats, "floors": ints, "apartments": ints}
+    bad = {"useful_area": bad_floats, "total_area": bad_floats,
+           "floors": bad_ints, "apartments": bad_ints}
+    names = st.sampled_from(SERIES + ("light", "heavy", "serie_99", "", "a,b", 'say "hi"'))
+
+    @st.composite
+    def cells(draw):
+        broken = draw(st.one_of(st.none(), st.sampled_from(list(good))))
+        return {name: draw((bad if name == broken else good).get(name, names))
+                for name in data.FEATURE_FIELDS}
+
+    return cells()
+
+
+def test_land_row_and_predict_building_share_the_rules(tmp_path_factory):
+    """The same six cells, as a one-row land.csv and as a --building JSON:
+    both load with equal values, or both fail with equal text after the
+    location ("row 2, column" against "field")."""
+    hypothesis = pytest.importorskip("hypothesis")
+    directory = tmp_path_factory.mktemp("entry_paths")
+    land, building = directory / "land.csv", directory / "building.json"
+
+    def outcome(load, prefix):
+        """("loaded", the fields with floats in hex) or ("error", the
+        message after prefix, its cell location worded as a field)."""
+        try:
+            fields = load()
+        except DataError as exc:
+            text = str(exc)
+            assert text.startswith(prefix)
+            rest, cell = text[len(prefix):], ", column "
+            return "error", ", field " + rest.removeprefix(cell) if rest.startswith(cell) else rest
+        return "loaded", {name: _comparable([value])[0] for name, value in fields.items()}
+
+    def land_fields():
+        table = load_dataset(land, LAND_SCHEMA)
+        return {name: table[name][0] for name in data.FEATURE_FIELDS}
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(_building_cells(hypothesis.strategies))
+    def check(cells):
+        with open(land, "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle, lineterminator="\n").writerows(
+                [["cadastre_number", *cells], ["01", *cells.values()]])
+        building.write_text(json.dumps(cells), encoding="utf-8")
+        from_json = outcome(
+            lambda: data.parse_building(json.loads(building.read_text()), building), str(building))
+        assert outcome(land_fields, f"{land} row 2") == from_json
+
+    check()
+
+
 # ---------------------------------------------------------------------------
 # load_cohort -> build_matrices against a record-wise reference join.
 

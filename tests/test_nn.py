@@ -36,7 +36,7 @@ class TestInitModel:
         17*256 + 256 = 4608, 256*256 + 256 = 65792, 256*12 + 12 = 3084,
         total 73484 parameters."""
         model = init_model((17, 256, 256, 12), seed=0)
-        assert model.parameter_count() == 73484
+        assert model.vector.size == 73484
 
     def test_same_seed_same_weights(self):
         a = init_model((4, 8, 2), seed=7)
@@ -374,7 +374,7 @@ class TestFlatLayout:
 
     def test_init_model_parameters_are_views(self):
         model = init_model((5, 7, 3), seed=0)
-        assert model.vector.size == model.parameter_count() == 5 * 7 + 7 + 7 * 3 + 3
+        assert model.vector.size == 5 * 7 + 7 + 7 * 3 + 3
         self.assert_views_tile_the_vector(model, model.parameters())
 
     def test_loaded_parameters_are_views(self, tmp_path):
@@ -393,7 +393,7 @@ class TestFlatLayout:
     def test_set_parameters_shape_mismatch_is_dimension_error(self):
         model = init_model((2, 3, 1), seed=0)
         with pytest.raises(DimensionError):
-            model.set_parameters(np.zeros(model.parameter_count() + 1))
+            model.set_parameters(np.zeros(model.vector.size + 1))
 
     def test_backward_matches_per_array_reference_bitwise(self):
         model = init_model((17, 64, 32, 12), seed=3)

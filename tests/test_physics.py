@@ -109,13 +109,6 @@ class TestEnvelopeState:
         with pytest.raises(DomainError, match="negative"):
             state.validate()
 
-    def test_clamped_floors_negatives_at_zero(self):
-        state = single_component_state()
-        state.areas[3] = -5.0
-        clamped = state.clamped()
-        assert clamped.areas[3] == 0.0
-        assert clamped.areas[0] == 100.0
-
     def test_to_dict_uses_component_names(self):
         payload = single_component_state().to_dict()
         assert set(payload["areas"]) == set(COMPONENTS)
