@@ -367,6 +367,11 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    # A report holds non-ASCII text (±); under a locale that cannot encode
+    # it, print an escape rather than fail a finished run.
+    reconfigure = getattr(sys.stdout, "reconfigure", None)
+    if reconfigure is not None:
+        reconfigure(errors="backslashreplace")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

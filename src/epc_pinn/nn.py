@@ -334,13 +334,14 @@ class EarlyStopState:
 
 @contextmanager
 def atomic_write(path: str | Path) -> Iterator[TextIO]:
-    """Write text to a temporary file beside path that replaces path when
-    the block completes and is removed if it raises, so path never holds
-    a partial write. The name is unique per process and thread."""
+    """Write UTF-8 text to a temporary file beside path that replaces path
+    when the block completes and is removed if it raises, so path never
+    holds a partial write. Newlines are written as given, whatever the
+    locale. The name is unique per process and thread."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        handle = open(tmp, "w")
+        handle = open(tmp, "w", encoding="utf-8", newline="")
     except FileNotFoundError as exc:  # a missing directory: name the target
         raise FileNotFoundError(exc.errno, exc.strerror, str(path)) from None
     try:

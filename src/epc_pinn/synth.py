@@ -12,13 +12,14 @@ audit noise creates genuine model mismatch.
 
 Output is the exact CSV layout the ingestion side reads, plus a monthly
 consumption file whose rows sum to the annual totals. Building i draws
-from its own generator, seeded with [seed, i], in a fixed order; those
-draws are all the randomness, so cohorts are reproducible byte for byte.
-Everything else (geometry, physics, noise, monthly split) is computed once
-over whole-cohort arrays, and each file is streamed out with every row
-formatted as one line: numbers through str, the same text csv.writer
-writes, and each distinct string (header, serie name, building type,
-component, material) quoted once by csv itself.
+from its own generator, seeded with [seed, i], in a fixed order and in
+four calls (serie, floors, all uniforms, all normals); those draws are all
+the randomness, so cohorts are reproducible byte for byte. Everything else
+(geometry, physics, noise, monthly split) is computed once over
+whole-cohort arrays, and each file is written atomically with one write
+per building: every row formatted as one line, numbers through str, the
+same text csv.writer writes, and each distinct string (header, serie
+name, building type, component, material) quoted once by csv itself.
 
 reference_energy is this module's second job: a deliberately plain,
 scalar re-derivation of the annual energy balance sharing no code with
@@ -36,6 +37,7 @@ import numpy as np
 
 from .config import JsonConfig
 from .errors import ConfigError, DataError, DomainError
+from .nn import atomic_write
 from .physics import (
     COMPONENTS,
     N_COMPONENTS,
@@ -200,35 +202,45 @@ class GeneratorConfig(JsonConfig):
         _check_range("roof_factor", self.roof_factor, low_ok=1.0)
         if not self.years:
             raise ConfigError("need at least one consumption year")
+        if len(set(self.years)) != len(self.years):
+            raise ConfigError(f"years must not repeat, got {list(self.years)}")
 
 
 def _draw(config: GeneratorConfig) -> tuple[np.ndarray, list[int], np.ndarray]:
     """Every random draw of the cohort: serie indices, floors, and one row
     of floats per building in the order drawn. Building i draws from its
     own generator seeded with [seed, i]; the draw order below is fixed, and
-    changing it changes every cohort."""
-    serie, floors, draws = [], [], []
-    for i in range(config.n_buildings):
+    changing it changes every cohort.
+
+    A building makes four calls: the serie, the floors, its fifteen
+    uniforms in one call with its serie's bound arrays, and all its
+    normals in one call. Both batched calls give bitwise the draws of one
+    call per value: an array-bound uniform takes high - low per element
+    with the same float64 subtraction, and a sized normal reads the same
+    stream in order."""
+    # Per serie, the uniforms' (low, high) in draw order: footprint, aspect,
+    # roof, window, door, five U factors, air, gains, apartment area,
+    # latitude, longitude.
+    bounds = [np.array([
+        profile.footprint, config.aspect_ratio, config.roof_factor,
+        profile.window_fraction, profile.door_fraction,
+        *[(1.0 - profile.u_spread, 1.0 + profile.u_spread)] * N_COMPONENTS,
+        profile.air_exchange, profile.heat_gains, profile.apartment_area,
+        (56.90, 57.05), (24.00, 24.30),
+    ], dtype=float).T for profile in config.series]
+    n_uniform = bounds[0].shape[1]
+    n_normal = len(config.years) + 2 * N_COMPONENTS  # consumption noise, then audit noise
+    serie, floors = [], []
+    draws = np.empty((config.n_buildings, n_uniform + n_normal))
+    for i, row in enumerate(draws):
         rng = np.random.default_rng([config.seed, i])
         serie.append(int(rng.integers(len(config.series))))
         profile = config.series[serie[-1]]
         floors.append(int(rng.integers(profile.floors[0], profile.floors[1] + 1)))
-        draws.append([
-            rng.uniform(*profile.footprint),
-            rng.uniform(*config.aspect_ratio),
-            rng.uniform(*config.roof_factor),
-            rng.uniform(*profile.window_fraction),
-            rng.uniform(*profile.door_fraction),
-            *rng.uniform(1.0 - profile.u_spread, 1.0 + profile.u_spread, size=N_COMPONENTS),
-            rng.uniform(*profile.air_exchange),
-            rng.uniform(*profile.heat_gains),
-            rng.uniform(*profile.apartment_area),
-            rng.uniform(56.90, 57.05),  # latitude
-            rng.uniform(24.00, 24.30),  # longitude
-            *rng.normal(0.0, 1.0, size=len(config.years)),  # consumption noise
-            *rng.normal(0.0, 1.0, size=2 * N_COMPONENTS),  # audit noise
-        ])
-    return np.array(serie), floors, np.array(draws)
+        low, high = bounds[serie[-1]]
+        row[:n_uniform] = rng.uniform(low, high)
+        row[n_uniform:] = rng.normal(0.0, 1.0, size=n_normal)
+    return np.array(serie), floors, draws
 
 
 def _csv_field(text: str) -> str:
@@ -240,10 +252,11 @@ def _csv_field(text: str) -> str:
 
 
 def _write_csv(path: Path, header: list[str], lines) -> None:
-    """lines are the rows, each formatted as one line from plain Python
-    values; str(float) round-trips exactly, which both the oracle-closure
-    check and byte-identical regeneration rely on."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    """lines are the rows, formatted from plain Python values, one string
+    per building; str(float) round-trips exactly, which both the
+    oracle-closure check and byte-identical regeneration rely on. The file
+    is written atomically: an error mid-file leaves path as it was."""
+    with atomic_write(path) as handle:
         handle.write(",".join(map(_csv_field, header)) + "\n")
         handle.writelines(lines)
 
@@ -288,6 +301,7 @@ def generate_cohort(config: GeneratorConfig, out_dir: str | Path) -> dict[str, P
     audit_areas = np.maximum(areas * audit_factors[:, :N_COMPONENTS], 1e-6)
     audit_u = np.maximum(u_values * audit_factors[:, N_COMPONENTS:], 1e-6)
     coefficients = audit_u * audit_areas
+    coefficient_totals = coefficients.sum(axis=1)
     c_env = config.constants.delta_t * config.constants.degree_hour_factor
     # each component row carries its annual loss, area and heat loss coefficient
     per_component = np.stack([coefficients * c_env, audit_areas, coefficients], axis=-1)
@@ -305,7 +319,7 @@ def generate_cohort(config: GeneratorConfig, out_dir: str | Path) -> dict[str, P
         "apartments": np.maximum(1.0, np.round(per_floor)) * floors_f,
         "energy consumption": true_energy, "component heat loss": per_component[..., 0],
         "audited area": audit_areas, "heat loss coefficient": coefficients,
-        "total heat loss coefficient": coefficients.sum(axis=1),
+        "total heat loss coefficient": coefficient_totals,
         "measured consumption": measured, "monthly consumption": months,
     }
     not_finite = {k: ~np.isfinite(v.reshape(len(v), -1)).all(axis=1) for k, v in written.items()}
@@ -321,7 +335,8 @@ def generate_cohort(config: GeneratorConfig, out_dir: str | Path) -> dict[str, P
 
     # Each row is one f-string: numbers and the literal strings never need
     # quoting, and csv quotes each serie name, building type, component and
-    # material once.
+    # material once. Each building's rows are joined into one string, so a
+    # file takes one write per building.
     series = serie.tolist()
     quoted = [(_csv_field(p.name), _csv_field(p.building_type), [
         f"{_csv_field(name)},{_csv_field(_MATERIALS[p.building_type][name])}"
@@ -329,6 +344,12 @@ def generate_cohort(config: GeneratorConfig, out_dir: str | Path) -> dict[str, P
     ]) for p in config.series]
     names, btypes, components = zip(*(quoted[i] for i in series))
     useful, total = useful_area.tolist(), total_area.tolist()
+    # Shared parts are formatted once: the totals that end each of a
+    # building's component rows, and the year and month of the monthly rows.
+    tails = (f",district,{c},{t},{e}\n" for c, t, e in zip(
+        coefficient_totals.tolist(), total, true_energy.tolist()))
+    heads = [f",{year},{month}," for year in config.years
+             for month in range(1, len(MONTH_WEIGHTS) + 1)]
     lines = {
         "land": (
             f"{number},{f},{lat},{lon},{u},RECT {a:.2f}x{b:.2f},{apt},{name},{t},"
@@ -348,22 +369,19 @@ def generate_cohort(config: GeneratorConfig, out_dir: str | Path) -> dict[str, P
             )
         ),
         "audit_components": (
-            f"{number},{component},{loss},{area},{coefficient},district,{c},{t},{e}\n"
-            for number, fields, block, c, t, e in zip(
-                numbers, components, per_component, coefficients.sum(axis=1).tolist(), total,
-                true_energy.tolist(),
-            )
-            for component, (loss, area, coefficient) in zip(fields, block.tolist())
+            "".join([
+                f"{number},{component},{loss},{area},{coefficient}{tail}"
+                for component, (loss, area, coefficient) in zip(fields, block.tolist())
+            ])
+            for number, fields, block, tail in zip(numbers, components, per_component, tails)
         ),
         "consumption": (
             f"{number},{','.join(map(str, values.tolist()))}\n"
             for number, values in zip(numbers, measured)
         ),
         "consumption_monthly": (
-            f"{number},{year},{month},{value}\n"
-            for number, per_year in zip(numbers, months)
-            for year, values in zip(config.years, per_year.tolist())
-            for month, value in enumerate(values, start=1)
+            "".join([f"{number}{head}{value}\n" for head, value in zip(heads, values.tolist())])
+            for number, values in zip(numbers, months.reshape(len(months), -1))
         ),
     }
     headers = {

@@ -7,7 +7,11 @@ the printed output and the files written. The exit-code contract is:
 
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -952,3 +956,36 @@ class TestArgumentHandling:
 
     def test_unknown_flag_is_exit_one(self, capsys):
         assert main(["generate", "--seed", "1", "--explode"]) == 1
+
+
+class TestLocale:
+    """Every file the program writes is UTF-8, whatever the locale: a run
+    under an ASCII locale writes the bytes of a run under a UTF-8 one."""
+
+    LOCALES = {"ascii": {"PYTHONUTF8": "0", "LC_ALL": "C"},
+               "utf8": {"PYTHONUTF8": "1", "LC_ALL": "C.UTF-8"}}
+
+    @staticmethod
+    def epc_pinn(locale, *argv):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("PYTHONIOENCODING", "LANG", "LC_CTYPE")}
+        env.update(locale, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        return subprocess.run([sys.executable, "-m", "epc_pinn.cli", *argv], env=env,
+                              capture_output=True, timeout=300)
+
+    def test_generate_and_train_write_the_same_bytes_under_an_ascii_locale(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"train": {"hidden_dims": [16, 16], "max_epochs": 2}}))
+        trees = {}
+        for name, locale in self.LOCALES.items():
+            cohort, run = tmp_path / name / "cohort", tmp_path / name / "run"
+            for argv in (["generate", "--seed", "5", "--n", "40", "--out", str(cohort)],
+                         ["train", "--config", str(config), "--seed", "0", "--data", str(cohort),
+                          "--out", str(run)]):
+                done = self.epc_pinn(locale, *argv)
+                assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
+            trees[name] = {path.relative_to(tmp_path / name): path.read_bytes()
+                           for path in sorted((tmp_path / name).rglob("*")) if path.is_file()}
+        assert len(trees["ascii"]) == 5 + 13  # the cohort; results, report, drops, 10 folds
+        assert trees["ascii"] == trees["utf8"]
+        assert "±".encode("utf-8") in trees["ascii"][Path("run", "report.txt")]

@@ -270,6 +270,8 @@ LEAKS = [
      "generate: series[1].building_type: unknown building type 'light'; known types: heavy"),
     ("train", {"physics": {"time_constants": {"heavy": 3.0}}},
      "unknown building type 'light'; known types: heavy"),
+    ("generate", {"generate": {"years": [2017, 2018, 2017]}},
+     "generate: years must not repeat, got [2017, 2018, 2017]"),
 ]
 
 

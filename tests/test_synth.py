@@ -13,6 +13,7 @@ import json
 import numpy as np
 import pytest
 
+from epc_pinn import synth
 from epc_pinn.cli import main
 
 from epc_pinn.data import (
@@ -167,6 +168,24 @@ class TestGenerateCohort:
         generate_cohort(zero_noise_config(seed=19), b_dir)
         for name in FILE_NAMES:
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
+
+    @pytest.mark.parametrize("old", ["cadastre_number\n0100\n", None], ids=["old", "none"])
+    def test_an_interrupted_write_leaves_the_old_file_or_none(self, tmp_path, old):
+        path = tmp_path / "land.csv"
+        if old is not None:
+            path.write_text(old, encoding="utf-8")
+
+        def rows():
+            yield "01000000000\n"
+            raise OSError(28, "No space left on device")
+
+        with pytest.raises(OSError, match="No space left"):
+            synth._write_csv(path, ["cadastre_number"], rows())
+        if old is None:
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert list(tmp_path.iterdir()) == [path]
+            assert path.read_text(encoding="utf-8") == old
 
     def test_seed_changes_the_cohort(self, tmp_path):
         a_dir = tmp_path / "a"

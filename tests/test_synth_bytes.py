@@ -3,7 +3,7 @@
 generate_cohort draws each building from its own generator seeded with
 [seed, index] and computes everything else over whole-cohort arrays. Two
 checks hold it to the files of the earlier per-building generator: the
-sha256 of every file for four fixed configs, and a differential property
+sha256 of every file for five fixed configs, and a differential property
 test against that per-building generator, kept below as the reference.
 """
 
@@ -71,6 +71,17 @@ PINNED = {
             "consumption": "2c622efbfdabda8c14c94c4cedbcc98bf5e564ab08716e8df704566f2ddc9c3c",
             "consumption_monthly":
                 "5ea5b685ab5520b2c2f7487c1d422ba4794e626ae46a993f0aa0e9af7f2db8d1",
+        },
+    ),
+    "heldout-5000": (  # the benchmark's held-out cohort, generate --seed 2025 --n 5000
+        GeneratorConfig(n_buildings=5000, seed=2025),
+        {
+            "land": "6c0300ea3c253a67fe0fdc53aba6300db03edf4e05dde8b571016d1a861cceff",
+            "audit_buildings": "a3a9468385b5444af54cf9b1ec9a597f8e810dc7ae1f20a7060a0d08fa540833",
+            "audit_components": "cf4f48e3696326f91ceef735c132907c7a1a59718385ab65da324fd5b02b8069",
+            "consumption": "2508b1a56e0381a849f3bf1ad57fce6cd40e9ff3016763560c821e3ca7fbf8de",
+            "consumption_monthly":
+                "d3c73e5601dc4aebc96ae18ab57beb844db671931688492a248bcf6398677890",
         },
     ),
     "zero-noise-1": (

@@ -552,7 +552,7 @@ class TestSaveRunOutputs:
         payload = json.loads(paths["results"].read_text())
         assert payload["config"]["k_folds"] == 10
         assert len(payload["folds"]) == 10
-        report_text = paths["report"].read_text()
+        report_text = paths["report"].read_text(encoding="utf-8")
         assert "energy_consumption" in report_text
         assert "±" in report_text
 
