@@ -221,6 +221,8 @@ def cmd_predict(args) -> int:
     fields = data.parse_building(building, args.building)
     _check_checkpoint_types(constants, [fields["building_type"]], args.checkpoint)
     features = data.encode_features(**{name: [value] for name, value in fields.items()})
+    for line in data.outside_training_range(fields, features[0], scalers[0]):
+        print(f"{PROG}: warning: {args.building}: {line}", file=sys.stderr)
     states = _predict_states(args.checkpoint, model, *scalers, features, [args.building])
     state = EnvelopeState.from_vector(states[0])
     breakdown = energy_consumption(

@@ -15,15 +15,23 @@ needs the columns listed, in any order, and every other column is ignored:
                            .. _2020; without it, consumption_monthly.csv:
                            cadastre_number, year, month, energy_consumption
 
-Each file is parsed column by column into a Table: csv.reader rows are
-streamed in chunks of CHUNK_ROWS, each column of a chunk goes through one
-map of its cell rule, and the record invariants are vector predicates
-over the chunk's columns. The first problem in row order is reported (on
-that row: a short row or bad cell in schema order, then an invariant,
-then a duplicate key), worded by re-running the cell rules and invariant
-messages on that one row, so chunk boundaries never show. The files are
-UTF-8, with or without a leading byte-order mark; a file that cannot be
-read or decoded is a DataError naming it (exit 2 on the command line).
+Each file is read and decoded whole, then parsed column by column into a
+Table. A file with no double quote, carriage return or NUL and no line
+longer than csv.field_size_limit() holds nothing csv treats specially, so
+its rows come from str.split on newlines and commas; any other file goes
+through csv.reader, the one path that handles quoting. Either way the
+rows are taken in chunks of CHUNK_ROWS, each column of a chunk goes
+through one map of its cell rule, and the record invariants are vector
+predicates over the chunk's columns. A split file's lines are held until
+the parse ends (its text is dropped once split), up to about three times
+the file's size in memory, and the cyclic GC is paused meanwhile: the
+parse makes one list per row and no reference cycles. The first problem
+in row order is reported (on that row: a short row or bad cell in schema
+order, then an invariant, then a duplicate key), worded by re-running
+the cell rules and invariant messages on that one row, so chunk
+boundaries never show. The files are UTF-8, with or without a leading
+byte-order mark; a file that cannot be read or decoded is a DataError
+naming it (exit 2 on the command line).
 
 The cadastre number is the primary key throughout. join_on_cadastre keeps
 the buildings with a land record, a building audit, all five envelope
@@ -48,12 +56,14 @@ train/validation split used for scheduling and early stopping.
 from __future__ import annotations
 
 import csv
+import gc
+import io
 import itertools
 import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -334,7 +344,7 @@ MONTHLY_SCHEMA = TableSchema(
          lambda v: f"month must be in 1..12, got {v['month']}"),
         _at_least("energy_consumption", 0),
     ),
-    key=(),  # several rows per building by design
+    key=("cadastre_number", "year", "month"),
 )
 
 
@@ -351,9 +361,36 @@ def load_dataset(path: str | Path, schema: TableSchema) -> Table:
         raise DataError(f"{schema.name} file not found: {path}")
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
-            return _read_table(path, schema, csv.reader(handle))
+            text = handle.read()
+        reader = _csv_rows(text)
+        del text
+        # The parse makes one list per row and no reference cycles, so the
+        # collections those lists would trigger only cost time.
+        gc_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return _read_table(path, schema, reader)
+        finally:
+            if gc_enabled:
+                gc.enable()
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: cannot read {schema.name} file: {exc}") from None
+
+
+def _csv_rows(text: str) -> Iterator[list[str]]:
+    """The rows csv.reader gives for a file's text. A file without quotes,
+    carriage returns, NULs (an error to csv before Python 3.11) or a line
+    over csv.field_size_limit() has no cell that csv would treat
+    specially, so str.split gives the same rows faster; a blank line is []
+    either way, and the empty string after a final newline is no line.
+    Any other file goes through csv.reader."""
+    if '"' not in text and "\r" not in text and "\0" not in text:
+        lines = text.split("\n")
+        if max(map(len, lines)) <= csv.field_size_limit():
+            if not lines[-1]:
+                lines.pop()
+            return (line.split(",") if line else [] for line in lines)
+    return csv.reader(io.StringIO(text, newline=""))
 
 
 def _read_table(path: Path, schema: TableSchema, reader) -> Table:
@@ -532,6 +569,32 @@ def encode_features(
     features[:, 4] = [_BUILDING_TYPE_CODE[t] for t in building_type]
     features[np.arange(len(serie)), [5 + _SERIE_INDEX[s] for s in serie]] = 1.0
     return features
+
+
+def outside_training_range(fields: dict, features: np.ndarray, scaler: MinMaxScaler) -> list[str]:
+    """One line for each of a building's FEATURE_FIELDS whose encoded
+    features (one row of encode_features) lie outside the input scaler's
+    fitted [data_min, data_max]: a number outside the range the model was
+    trained on, or a building type or serie no training building had."""
+    lo, hi = scaler.data_min_, scaler.data_max_
+    outside = (features < lo) | (features > hi)
+    # FEATURE_FIELDS follow the feature layout, serie as the one-hot block from column 5
+    flagged = [*outside[:5], outside[5:].any()]
+    seen = {
+        "building_type": [t for t, code in _BUILDING_TYPE_CODE.items() if lo[4] <= code <= hi[4]],
+        "serie": [s for s, i in _SERIE_INDEX.items() if hi[5 + i] == 1.0],
+    }
+    lines = []
+    for i, name in enumerate(FEATURE_FIELDS):
+        if not flagged[i]:
+            continue
+        if name in seen:
+            lines.append(f"{name} {fields[name]!r} is outside the training range "
+                         f"({', '.join(seen[name])})")
+        else:
+            lines.append(f"{name} {fields[name]} is outside the training range "
+                         f"[{lo[i]}, {hi[i]}]")
+    return lines
 
 
 def parse_building(payload: dict, source: str | Path) -> dict:

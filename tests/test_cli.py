@@ -18,6 +18,7 @@ import pytest
 
 from epc_pinn import cli, nn
 from epc_pinn.cli import PROG, main
+from epc_pinn.data import SERIES
 from epc_pinn.physics import COMPONENTS, EnvelopeState, PhysicsConstants, energy_consumption
 
 
@@ -401,6 +402,30 @@ class TestPredict:
         assert output["breakdown"]["energy_consumption"] == pytest.approx(
             recomputed.energy_consumption, rel=1e-12
         )
+
+    def test_building_outside_the_training_range_is_flagged(self, trained_run, tmp_path, capsys):
+        """One stderr line per field outside the input scaler's fitted
+        range, and the prediction printed and exit 0 as for any building;
+        a building at the fitted bounds gets no line."""
+        checkpoint = trained_run / "fold_00.json"
+        bounds = json.loads(checkpoint.read_text())["extra"]["input_scaler"]
+        lo, hi = bounds["data_min"], bounds["data_max"]
+        building = tmp_path / "building.json"
+        building.write_text(json.dumps(building_payload(
+            useful_area=lo[0], total_area=hi[1], floors=int(lo[2]), apartments=int(hi[3]),
+            building_type="heavy" if hi[4] == 1.0 else "light",
+            serie=SERIES[hi[5:].index(1.0)])))
+        argv = ["predict", "--checkpoint", str(checkpoint), "--building", str(building)]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        payload = json.loads(building.read_text())
+        payload["useful_area"] = 1e12
+        building.write_text(json.dumps(payload))
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == (f"{PROG}: warning: {building}: useful_area 1000000000000.0 is outside "
+                       f"the training range [{lo[0]!r}, {hi[0]!r}]\n")
+        assert json.loads(out)["breakdown"]["energy_consumption"] > 0
 
     def test_out_flag_writes_the_file(self, trained_run, tmp_path):
         building = tmp_path / "building.json"

@@ -7,7 +7,10 @@ checked by hand and by roundtrip; the splits are checked as exact
 partitions.
 """
 
+import contextlib
 import csv
+import gc
+import io
 import json
 import shutil
 from unittest import mock
@@ -302,7 +305,7 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="row 2"):
             load_dataset(path, CONSUMPTION_SCHEMA)
 
-    def test_monthly_rows_load_without_key_uniqueness(self, tmp_path):
+    def test_monthly_rows_are_keyed_by_building_year_and_month(self, tmp_path):
         path = tmp_path / "monthly.csv"
         write(
             path,
@@ -312,7 +315,17 @@ class TestLoadDataset:
         monthly = load_dataset(path, MONTHLY_SCHEMA)
         assert len(monthly) == 2
         assert monthly["month"][1] == 2
-        assert monthly.index == {}
+        assert monthly.index == {("01000000001", 2018, 1): 0, ("01000000001", 2018, 2): 1}
+
+    def test_repeated_monthly_row_is_data_error(self, tmp_path):
+        """A repeated month would be summed twice into its year's total."""
+        path = tmp_path / "monthly.csv"
+        write(path, "cadastre_number,year,month,energy_consumption",
+              ["01,2018,1,100.0", "01,2018,1,100.0", "01,2018,2,50.0"])
+        with pytest.raises(DataError) as err:
+            load_dataset(path, MONTHLY_SCHEMA)
+        assert str(err.value) == (
+            f"{path} row 3: duplicate key ('01', 2018, 1) (first seen at row 2)")
 
     def test_monthly_month_out_of_range_is_data_error(self, tmp_path):
         path = tmp_path / "monthly.csv"
@@ -480,6 +493,25 @@ class TestEncodeFeatures:
         with pytest.raises(ConfigError, match="'serie_98'"):
             encode_features([850.0] * 3, [1000.0] * 3, [3] * 3, [24] * 3,
                             ["heavy", "heavy", "mixed"], ["serie_01", "serie_98", "serie_99"])
+
+    def test_outside_training_range_names_each_field(self):
+        """A scaler fitted on two heavy buildings of serie_01 and serie_02:
+        a larger useful area, a light building and serie_05 are each one
+        line; the floors and apartments at the fitted bounds are none."""
+        scaler = MinMaxScaler().fit(encode_features(
+            [100.0, 200.0], [150.0, 250.0], [2, 5], [4, 10], ["heavy"] * 2,
+            ["serie_01", "serie_02"]))
+        fields = dict(useful_area=300.0, total_area=250.0, floors=2, apartments=10,
+                      building_type="light", serie="serie_05")
+        [features] = encode_features(**{name: [value] for name, value in fields.items()})
+        assert data.outside_training_range(fields, features, scaler) == [
+            "useful_area 300.0 is outside the training range [100.0, 200.0]",
+            "building_type 'light' is outside the training range (heavy)",
+            "serie 'serie_05' is outside the training range (serie_01, serie_02)",
+        ]
+        fields.update(useful_area=100.0, building_type="heavy", serie="serie_02")
+        [features] = encode_features(**{name: [value] for name, value in fields.items()})
+        assert data.outside_training_range(fields, features, scaler) == []
 
 
 class TestJoinOnCadastre:
@@ -1070,7 +1102,12 @@ def _reference_outcome(path, schema):
 
 
 def _tables(st):
-    """Strategy for (schema, file text, rows per chunk) triples."""
+    """Strategy for (schema, file text, rows per chunk, csv field size
+    limit or None) tuples. Most files are quote-free, which load_dataset
+    splits with str.split; the rest hold what only csv.reader parses:
+    quoted cells (with a delimiter, a doubled quote, a line break or a NUL
+    inside), CRLF or lone CR line endings, or a line longer than a field
+    size limit lowered to the longest cell."""
     schemas = st.sampled_from([LAND_SCHEMA, AUDIT_BUILDINGS_SCHEMA,
                                AUDIT_COMPONENTS_SCHEMA, CONSUMPTION_SCHEMA, MONTHLY_SCHEMA])
     number = st.one_of(
@@ -1089,6 +1126,9 @@ def _tables(st):
             return text
         return number
 
+    def quoted(value):
+        return '"' + value.replace('"', '""') + '"'
+
     @st.composite
     def table(draw):
         schema = draw(schemas)
@@ -1105,16 +1145,37 @@ def _tables(st):
                 lines.append("")
                 continue
             row = [draw(cell(name)) for name in header]
+            if row and draw(st.integers(0, 11)) == 0:  # a cell only csv.reader parses
+                j = draw(st.integers(0, len(row) - 1))
+                row[j] = draw(st.sampled_from(
+                    [quoted(row[j] + c) for c in ("", ",", '"', "\n", "\r\n")] + [row[j] + "\0"]))
             cut = draw(st.integers(0, 8))
             if cut == 0:
                 row = row[: draw(st.integers(0, len(row)))]
             elif cut == 1:
                 row.append(draw(text))
             lines.append(",".join(row))
-        content = "\n".join(lines) + ("\n" if lines and draw(st.booleans()) else "")
-        return schema, content, draw(st.sampled_from([1, 2, 3, data.CHUNK_ROWS]))
+        lines = [""] * draw(st.sampled_from([0, 0, 0, 0, 1, 2])) + lines
+        newline = draw(st.sampled_from(["\n"] * 6 + ["\r\n", "\r"]))
+        content = newline.join(lines) + (newline if lines and draw(st.booleans()) else "")
+        limit = None
+        if draw(st.integers(0, 4)) == 0:
+            cells = csv.reader(io.StringIO(content, newline=""))
+            limit = max([1] + [len(c) for row in cells for c in row])
+        return schema, content, draw(st.sampled_from([1, 2, 3, data.CHUNK_ROWS])), limit
 
     return table()
+
+
+@contextlib.contextmanager
+def _field_size_limit(limit):
+    """csv's field size limit set to limit (None: left as it is) for the block."""
+    previous = csv.field_size_limit()
+    csv.field_size_limit(limit or previous)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(previous)
 
 
 def test_generated_tables_load_or_raise_data_error(tmp_path_factory):
@@ -1124,9 +1185,10 @@ def test_generated_tables_load_or_raise_data_error(tmp_path_factory):
     @hypothesis.settings(max_examples=300, deadline=None)
     @hypothesis.given(_tables(hypothesis.strategies))
     def check(case):
-        schema, text, chunk_rows = case
-        path.write_text(text, encoding="utf-8")
-        kind, _ = _outcome(path, schema, chunk_rows)
+        schema, text, chunk_rows, limit = case
+        path.write_bytes(text.encode("utf-8"))
+        with _field_size_limit(limit):
+            kind, _ = _outcome(path, schema, chunk_rows)
         assert kind in ("error", "table")
 
     check()
@@ -1135,18 +1197,54 @@ def test_generated_tables_load_or_raise_data_error(tmp_path_factory):
 def test_loader_matches_a_dict_reader_reference(tmp_path_factory):
     """Equal columns (floats compared by hex) and key index, or equal
     DataError messages with the same row numbers, on every generated
-    table, whatever the chunk size."""
+    table, whatever the chunk size and whichever tokenizer it takes."""
     hypothesis = pytest.importorskip("hypothesis")
     path = tmp_path_factory.mktemp("differential") / "table.csv"
 
     @hypothesis.settings(max_examples=300, deadline=None)
     @hypothesis.given(_tables(hypothesis.strategies))
     def check(case):
-        schema, text, chunk_rows = case
-        path.write_text(text, encoding="utf-8")
-        assert _outcome(path, schema, chunk_rows) == _reference_outcome(path, schema)
+        schema, text, chunk_rows, limit = case
+        path.write_bytes(text.encode("utf-8"))
+        with _field_size_limit(limit):
+            assert _outcome(path, schema, chunk_rows) == _reference_outcome(path, schema)
 
     check()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("floors", ["3", "x"])
+def test_the_cyclic_gc_is_paused_while_a_file_parses(tmp_path, enabled, floors):
+    """Off while the rows parse, and back as it was afterwards, also after
+    the DataError of a bad cell."""
+    path = tmp_path / "land.csv"
+    write(path, LAND_HEADER, [land_row(floors=floors)])
+    read_table = data._read_table
+
+    def paused_read_table(*args):
+        assert not gc.isenabled()
+        return read_table(*args)
+
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with mock.patch.object(data, "_read_table", paused_read_table):
+            try:
+                load_dataset(path, LAND_SCHEMA)
+            except DataError:
+                assert floors == "x"
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+
+
+def test_quote_free_files_never_construct_a_csv_reader(clean_cohort_dir, tmp_path):
+    with mock.patch.object(csv, "reader", wraps=csv.reader) as reader:
+        load_cohort(clean_cohort_dir)
+        assert reader.call_count == 0
+        path = tmp_path / "land.csv"
+        write(path, LAND_HEADER, [land_row().replace("Main St 1", '"Main St, 1"')])
+        assert load_dataset(path, LAND_SCHEMA)["cadastre_number"] == ["01000000001"]
+        assert reader.call_count == 1
 
 
 @pytest.mark.parametrize("rows, expected", [
