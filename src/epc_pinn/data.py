@@ -20,18 +20,19 @@ Table. A file with no double quote, carriage return or NUL and no line
 longer than csv.field_size_limit() holds nothing csv treats specially, so
 its rows come from str.split on newlines and commas; any other file goes
 through csv.reader, the one path that handles quoting. Either way the
-rows are taken in chunks of CHUNK_ROWS, each column of a chunk goes
-through one map of its cell rule, and the record invariants are vector
-predicates over the chunk's columns. A split file's lines are held until
+rows are taken in chunks of CHUNK_ROWS. The fast path parses a chunk all
+or nothing: one map of its cell rule per column, the record invariants
+as vector predicates over the columns, and keys new to the file. A chunk
+that fails anywhere goes whole to the one row checker, _check_rows, which
+raises the first problem in row order (on that row: a short row or bad
+cell in schema order, then an invariant, then a duplicate key), so chunk
+boundaries never show; a line csv cannot read is reported only after the
+rows before it pass their checks. A split file's lines are held until
 the parse ends (its text is dropped once split), up to about three times
 the file's size in memory, and the cyclic GC is paused meanwhile: the
-parse makes one list per row and no reference cycles. The first problem
-in row order is reported (on that row: a short row or bad cell in schema
-order, then an invariant, then a duplicate key), worded by re-running
-the cell rules and invariant messages on that one row, so chunk
-boundaries never show. The files are UTF-8, with or without a leading
-byte-order mark; a file that cannot be read or decoded is a DataError
-naming it (exit 2 on the command line).
+parse makes one list per row and no reference cycles. The files are
+UTF-8, with or without a leading byte-order mark; a file that cannot be
+read or decoded is a DataError naming it (exit 2 on the command line).
 
 The cadastre number is the primary key throughout. join_on_cadastre keeps
 the buildings with a land record, a building audit, all five envelope
@@ -235,13 +236,15 @@ def _row_means(totals: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class TableSchema:
     """The columns of one CSV file, its record invariants in the order a
-    row is checked, its key (attribute names; none for a file with several
-    rows per building) and what to derive from the parsed columns."""
+    row is checked, its key (the attributes no two rows share) and what to
+    derive from the parsed columns. The fast path checks a chunk's columns
+    at once; the one row checker, _check_rows, words a failed chunk's first
+    problem row by row."""
 
     name: str
     columns: tuple[Column, ...]
     rules: tuple[tuple[Callable[[dict], np.ndarray], Callable[[dict], str]], ...]
-    key: tuple[str, ...] = ()
+    key: tuple[str, ...]
     derive: Callable[[dict], None] = lambda columns: None
 
 
@@ -250,7 +253,7 @@ class Table:
     """One parsed CSV file: each schema attribute (and derived column) to
     its values in row order, float64 arrays for the float rules and lists
     otherwise, and each key to its 0-based row (file row number - 2, blank
-    lines not counted; empty without a key)."""
+    lines not counted)."""
 
     columns: dict[str, list | np.ndarray]
     index: dict[object, int]
@@ -396,7 +399,10 @@ def _csv_rows(text: str) -> Iterator[list[str]]:
 def _read_table(path: Path, schema: TableSchema, reader) -> Table:
     """The chunk loop of load_dataset. Rows are read as csv.DictReader
     would present them: blank lines are skipped and not counted, a repeated
-    header name refers to its last column, and extra columns are ignored."""
+    header name refers to its last column, and extra columns are ignored.
+    Each chunk takes the fast path, _parse_chunk; a line csv cannot read
+    cuts its chunk short, and the csv.Error is raised once the rows before
+    it pass the one row checker, _check_rows."""
     header = next(reader, None)
     if header is None:
         raise DataError(f"{path}: empty file, expected a header row")
@@ -408,10 +414,17 @@ def _read_table(path: Path, schema: TableSchema, reader) -> Table:
     parts: list[dict] = []
     index: dict[object, int] = {}
     rows = filter(None, reader)
-    done = 0
-    while chunk := list(itertools.islice(rows, CHUNK_ROWS)):
-        parts.append(_parse_chunk(path, schema, plan, chunk, done, index))
-        done += len(chunk)
+    while True:
+        chunk: list = []
+        try:
+            # On CPython, extend keeps the rows read before a csv.Error.
+            chunk.extend(itertools.islice(rows, CHUNK_ROWS))
+        except csv.Error:
+            _check_rows(path, schema, plan, chunk, index)
+            raise
+        if not chunk:
+            break
+        parts.append(_parse_chunk(path, schema, plan, chunk, index))
     columns = {}
     for c in schema.columns:
         values = [part[c.attr] for part in parts] or [_parse_column(c.parse, [])]
@@ -421,83 +434,55 @@ def _read_table(path: Path, schema: TableSchema, reader) -> Table:
     return Table(columns, index)
 
 
-def _parse_chunk(
-    path: Path, schema: TableSchema, plan: list, chunk: list, done: int, index: dict
-) -> dict:
-    """The parsed columns of the chunk after the first done rows, its keys
-    added to index; raises the DataError of the chunk's first problem.
-    Columns are parsed over the good rows, those before the first short
-    row or bad cell; invariants and keys are checked on those rows."""
-    good, width = len(chunk), 1 + max(i for i, _ in plan)
-    if min(map(len, chunk)) < width:
-        good = next(j for j, row in enumerate(chunk) if len(row) < width)
-    rows = chunk[:good]
-    columns = {}
-    for i, column in plan:
-        cells = list(map(operator.itemgetter(i), rows))
-        try:
-            columns[column.attr] = _parse_column(column.parse, cells)
-        except ValueError:
-            good = next(j for j, cell in enumerate(cells) if not _parses(column.parse, cell))
-            rows = chunk[:good]
-            columns[column.attr] = _parse_column(column.parse, cells[:good])
-    columns = {attr: values[:good] for attr, values in columns.items()}
-    broken = np.logical_or.reduce([rule(columns) for rule, _ in schema.rules])
-    problem = int(np.argmax(broken)) if broken.any() else good
-    keys = _keys(schema.key, columns)
-    new = dict(zip(keys, range(done, done + good)))
-    if len(new) < len(keys) or not index.keys().isdisjoint(new):
-        earlier: dict = {}  # the first row of each key in the chunk
-        problem = min(problem, next(
-            j for j, key in enumerate(keys) if key in index or earlier.setdefault(key, j) != j))
-    if problem < len(chunk):
-        index.update(zip(keys[:problem], range(done, done + problem)))
-        raise _row_problem(path, schema, plan, chunk[problem], done + problem + 2, index)
-    index.update(new)
-    return columns
+def _parse_chunk(path: Path, schema: TableSchema, plan: list, chunk: list, index: dict) -> dict:
+    """The parsed columns of the chunk that follows the rows keyed in
+    index, its keys added to index. All or nothing: a short row, a bad
+    cell, a broken invariant or a repeated key anywhere in the chunk hands
+    it to _check_rows, which raises the DataError of its first problem."""
+    try:
+        columns = {c.attr: _parse_column(c.parse, list(map(operator.itemgetter(i), chunk)))
+                   for i, c in plan}
+    except (IndexError, ValueError):  # a short row, a bad cell
+        pass
+    else:
+        broken = np.logical_or.reduce([rule(columns) for rule, _ in schema.rules])
+        new = dict(zip(_keys(schema.key, columns), itertools.count(len(index))))
+        if not broken.any() and len(new) == len(chunk) and index.keys().isdisjoint(new):
+            index.update(new)
+            return columns
+    _check_rows(path, schema, plan, chunk, index)
+    raise AssertionError(f"{path}: a chunk failed to parse, yet every row passes its checks")
 
 
 def _keys(key: tuple[str, ...], columns: dict) -> list:
-    if not key:
-        return []
     if len(key) == 1:
         return columns[key[0]]
     return list(zip(*(columns[attr] for attr in key)))
 
 
-def _parses(parse: Callable[[str], object], cell: str) -> bool:
-    try:
-        parse(cell)
-    except ValueError:
-        return False
-    return True
-
-
-def _row_problem(
-    path: Path, schema: TableSchema, plan: list, row: list[str], row_num: int, index: dict
-) -> DataError:
-    """The DataError of one row known to hold a problem, checked as a
-    row-wise loader would: a short row or bad cell in schema order, then
-    the record invariants in order, then a key index holds for an earlier
-    row."""
-    values = {}
-    for i, column in plan:
-        if i >= len(row):
-            return DataError(
-                f"{path} row {row_num}: short row, no value for column {column.name!r}"
-            )
-        try:
-            values[column.attr] = column.parse(row[i])
-        except ValueError as exc:
-            return DataError(f"{path} row {row_num}, column {column.name!r}: {exc}")
-    one_row = {column.attr: _parse_column(column.parse, [row[i]]) for i, column in plan}
-    for rule, message in schema.rules:
-        if rule(one_row)[0]:
-            return DataError(f"{path} row {row_num}: {message(values)}")
-    [key] = _keys(schema.key, one_row)
-    return DataError(
-        f"{path} row {row_num}: duplicate key {key!r} (first seen at row {index[key] + 2})"
-    )
+def _check_rows(path: Path, schema: TableSchema, plan: list, rows: list, index: dict) -> None:
+    """Raise the DataError of the first problem in rows, which follow the
+    rows keyed in index, checked one by one as a row-wise loader would: a
+    short row or bad cell in schema order, then the record invariants in
+    order, then a key that index holds for an earlier row. Each row's key
+    is added to index. Every row-level DataError is worded here."""
+    for row_num, row in enumerate(rows, start=len(index) + 2):
+        where, values = f"{path} row {row_num}", {}
+        for i, column in plan:
+            if i >= len(row):
+                raise DataError(f"{where}: short row, no value for column {column.name!r}")
+            try:
+                values[column.attr] = column.parse(row[i])
+            except ValueError as exc:
+                raise DataError(f"{where}, column {column.name!r}: {exc}") from None
+        one_row = {column.attr: _parse_column(column.parse, [row[i]]) for i, column in plan}
+        for rule, message in schema.rules:
+            if rule(one_row)[0]:
+                raise DataError(f"{where}: {message(values)}")
+        [key] = _keys(schema.key, one_row)
+        first = index.setdefault(key, row_num - 2)
+        if first != row_num - 2:
+            raise DataError(f"{where}: duplicate key {key!r} (first seen at row {first + 2})")
 
 
 def aggregate_consumption(monthly: Table) -> Table:

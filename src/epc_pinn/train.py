@@ -94,8 +94,9 @@ class TrainConfig(JsonConfig):
             raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
         if not 0 < self.learning_rate < np.inf:
             raise ConfigError(f"learning_rate must be in (0, inf), got {self.learning_rate}")
-        if not np.isfinite(self.min_lr):
-            raise ConfigError(f"min_lr must be finite, got {self.min_lr}")
+        if not 0 <= self.min_lr <= self.learning_rate:
+            raise ConfigError(f"min_lr must be in [0, learning_rate {self.learning_rate}], "
+                              f"got {self.min_lr}")
         if not 0 < self.scheduler_factor < 1:
             raise ConfigError(f"scheduler_factor must be in (0, 1), got {self.scheduler_factor}")
         if self.batch_size is not None and self.batch_size < 1:

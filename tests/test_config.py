@@ -272,6 +272,8 @@ LEAKS = [
      "unknown building type 'light'; known types: heavy"),
     ("generate", {"generate": {"years": [2017, 2018, 2017]}},
      "generate: years must not repeat, got [2017, 2018, 2017]"),
+    ("train", {"train": {"min_lr": 0.5}},
+     "train: min_lr must be in [0, learning_rate 0.001], got 0.5"),
 ]
 
 

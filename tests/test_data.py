@@ -1099,6 +1099,8 @@ def _reference_outcome(path, schema):
         return "table", _reference_load(path, schema)
     except DataError as exc:
         return "error", str(exc)
+    except csv.Error as exc:
+        return "error", f"{path}: cannot read {schema.name} file: {exc}"
 
 
 def _tables(st):
@@ -1107,7 +1109,8 @@ def _tables(st):
     splits with str.split; the rest hold what only csv.reader parses:
     quoted cells (with a delimiter, a doubled quote, a line break or a NUL
     inside), CRLF or lone CR line endings, or a line longer than a field
-    size limit lowered to the longest cell."""
+    size limit lowered to the longest cell or below it, so that csv cannot
+    read the line of that cell."""
     schemas = st.sampled_from([LAND_SCHEMA, AUDIT_BUILDINGS_SCHEMA,
                                AUDIT_COMPONENTS_SCHEMA, CONSUMPTION_SCHEMA, MONTHLY_SCHEMA])
     number = st.one_of(
@@ -1161,7 +1164,8 @@ def _tables(st):
         limit = None
         if draw(st.integers(0, 4)) == 0:
             cells = csv.reader(io.StringIO(content, newline=""))
-            limit = max([1] + [len(c) for row in cells for c in row])
+            longest = max([1] + [len(c) for row in cells for c in row])
+            limit = max(1, longest - draw(st.integers(0, 2)))
         return schema, content, draw(st.sampled_from([1, 2, 3, data.CHUNK_ROWS])), limit
 
     return table()
@@ -1268,6 +1272,9 @@ def test_quote_free_files_never_construct_a_csv_reader(clean_cohort_dir, tmp_pat
      "row 3: 'apartments' must be >= 0, got -5000000"),
     ([land_row("01"), land_row("02", floors="0", apartments="-1")],
      "row 3: 'floors' must be >= 1, got 0"),
+    # a bad cell (row 3) before a line csv cannot read (4, a cell over the field size limit)
+    ([land_row("01"), land_row("02", floors="x"), land_row("03") + "," + "a" * 200_000],
+     "row 3, column 'floors': not an integer: 'x'"),
 ])
 def test_first_problem_in_row_order_whatever_the_chunks(tmp_path, rows, expected):
     path = tmp_path / "land.csv"
