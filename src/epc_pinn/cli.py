@@ -11,10 +11,13 @@ Subcommands:
 A JSON config file (--config) holds at most the top-level keys "seed" and
 "n" (integers) and "data" and "out" (strings), which the flags override,
 and the objects "generate", "train" and "physics"; config.from_json checks
-every value against its setting's type and rejects unknown keys. Exit
-codes: 0 success; 1 usage or configuration, naming a bad config key by its
-path before any file is written or any fold trains; 2 data problems,
-checkpoint physics constants included; 3 runtime failures.
+every value against its setting's type and rejects unknown keys. The seed,
+the cohort size and the physics constants are set at the top level only,
+so a section naming "seed", "constants" or "n_buildings" is an unknown key.
+Exit codes: 0 success; 1 usage or configuration, naming a bad config key
+by its path or an --out that is or lies under a file, before any file is
+written or any fold trains; 2 data problems, checkpoint physics constants
+included; 3 runtime failures.
 EPC_PINN_THREADS caps how many folds train in parallel (default 1); while
 parallel folds train, OpenBLAS runs single-threaded, and its previous
 thread count is restored afterwards.
@@ -121,9 +124,20 @@ def _required(args, config: ConfigFile, name: str):
 
 def _section(cls, name: str, config: ConfigFile, **settings):
     """The config's name section as cls, with the top-level settings and
-    the physics constants merged in."""
-    payload = {"constants": config.physics, **getattr(config, name), **settings}
-    return from_json(cls, payload, name)
+    the physics constants merged in; the section may not name them."""
+    section, top = getattr(config, name), {"constants": config.physics, **settings}
+    if restated := sorted(section.keys() & top.keys()):
+        raise ConfigError(f"unknown key(s): {', '.join(f'{name}.{k}' for k in restated)}")
+    return from_json(cls, {**section, **top}, name)
+
+
+def _out_dir(args, config: ConfigFile) -> Path:
+    """The output directory, which must not be or lie under a file."""
+    out_dir = Path(_setting(args, config, "out", "."))
+    existing = next(p for p in (out_dir, *out_dir.parents) if os.path.lexists(p))
+    if not existing.is_dir():
+        raise ConfigError(f"output directory {out_dir}: {existing} is not a directory")
+    return out_dir
 
 
 def _thread_count() -> int:
@@ -144,9 +158,9 @@ def _thread_count() -> int:
 def cmd_generate(args) -> int:
     config = _load_config(args)
     seed = _required(args, config, "seed")
-    n = _setting(args, config, "n", config.generate.get("n_buildings", 256))
+    n = _setting(args, config, "n", 256)
     generator_config = _section(synth.GeneratorConfig, "generate", config, seed=seed, n_buildings=n)
-    out_dir = Path(_setting(args, config, "out", "."))
+    out_dir = _out_dir(args, config)
     paths = synth.generate_cohort(generator_config, out_dir)
     for name in sorted(paths):
         print(f"{name}: {paths[name]}")
@@ -158,6 +172,7 @@ def cmd_train(args) -> int:
     seed = _required(args, config, "seed")
     data_dir = _required(args, config, "data")
     train_config = _section(TrainConfig, "train", config, seed=seed)
+    out_dir = _out_dir(args, config)
 
     joined, dropped = data.load_cohort(data_dir)
     if not joined:
@@ -166,7 +181,6 @@ def cmd_train(args) -> int:
     train_config.constants.check_building_types(arrays.building_types)
     result = cross_validate(arrays, train_config, max_workers=_thread_count())
 
-    out_dir = Path(_setting(args, config, "out", "."))
     paths = save_run_outputs(result, train_config, out_dir)
     with atomic_write(out_dir / "drop_report.txt") as handle:
         handle.write("".join(f"{number}: {reason}\n" for number, reason in dropped))
@@ -219,8 +233,8 @@ def cmd_predict(args) -> int:
     model, *scalers, constants = _checkpoint_bundle(args.checkpoint)
     building = _load_json(args.building, "building")
     fields = data.parse_building(building, args.building)
-    _check_checkpoint_types(constants, [fields["building_type"]], args.checkpoint)
     features = data.encode_features(**{name: [value] for name, value in fields.items()})
+    _check_checkpoint_types(constants, [fields["building_type"]], args.checkpoint)
     for line in data.outside_training_range(fields, features[0], scalers[0]):
         print(f"{PROG}: warning: {args.building}: {line}", file=sys.stderr)
     states = _predict_states(args.checkpoint, model, *scalers, features, [args.building])

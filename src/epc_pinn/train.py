@@ -63,12 +63,6 @@ from .nn import (
 from .physics import STATE_DIM, PhysicsConstants, energy_consumption_batch
 
 
-# With the default batch_size=None, training sets up to this many rows use
-# one full-batch update per epoch; larger sets are chunked so the epochs
-# keep enough updates for patience-based scheduling to make sense.
-FULL_BATCH_LIMIT = 256
-
-
 @dataclass
 class TrainConfig(JsonConfig):
     k_folds: int = 10
@@ -79,15 +73,17 @@ class TrainConfig(JsonConfig):
     min_lr: float = 1e-7
     early_stop_patience: int = 8
     max_epochs: int = 500
-    batch_size: int | None = None  # None = full batch up to FULL_BATCH_LIMIT
+    # A training part of up to batch_size rows takes one full-batch update per
+    # epoch; a larger one runs in minibatches, so patience counts enough updates.
+    batch_size: int = 256
     hidden_dims: tuple[int, ...] = (256, 256)
     seed: int = 0
     physics_weight: float = 1.0
     constants: PhysicsConstants = field(default_factory=PhysicsConstants)
 
     def __post_init__(self) -> None:
-        for name, low in (("k_folds", 2), ("scheduler_patience", 1),
-                          ("early_stop_patience", 1), ("max_epochs", 1), ("seed", 0)):
+        for name, low in (("k_folds", 2), ("scheduler_patience", 1), ("early_stop_patience", 1),
+                          ("max_epochs", 1), ("batch_size", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not 0 < self.val_fraction < 1:
@@ -99,8 +95,6 @@ class TrainConfig(JsonConfig):
                               f"got {self.min_lr}")
         if not 0 < self.scheduler_factor < 1:
             raise ConfigError(f"scheduler_factor must be in (0, 1), got {self.scheduler_factor}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not self.hidden_dims or any(d < 1 for d in self.hidden_dims):
             raise ConfigError(f"bad hidden_dims {self.hidden_dims}")
         if not 0 <= self.physics_weight < np.inf:
@@ -231,10 +225,7 @@ def train_fold(
     history = TrainHistory()
     updated = np.zeros(arrays.n, dtype=bool)
 
-    batch_size = config.batch_size
-    if batch_size is None:
-        batch_size = min(n_train, FULL_BATCH_LIMIT)
-    full_batch = batch_size >= n_train
+    full_batch = config.batch_size >= n_train
     if full_batch:
         _, cache = forward(model, x_fit[:n_train])
     try:
@@ -244,8 +235,8 @@ def train_fold(
             else:
                 order = shuffle_rng.permutation(n_train)
                 batches = [
-                    order[start : start + batch_size]
-                    for start in range(0, n_train, batch_size)
+                    order[start : start + config.batch_size]
+                    for start in range(0, n_train, config.batch_size)
                 ]
             weighted = 0.0
             for rows in batches:

@@ -18,7 +18,7 @@ import pytest
 
 from epc_pinn import cli, nn
 from epc_pinn.cli import PROG, main
-from epc_pinn.data import SERIES
+from epc_pinn.data import BUILDING_TYPES, SERIES
 from epc_pinn.physics import COMPONENTS, EnvelopeState, PhysicsConstants, energy_consumption
 
 
@@ -512,6 +512,21 @@ class TestPredict:
              "--building", str(building)]
         )
         assert code == 1
+
+    def test_unknown_building_type_is_exit_one_before_the_checkpoint_check(
+        self, trained_run, tmp_path, capsys
+    ):
+        building = tmp_path / "building.json"
+        building.write_text(json.dumps(building_payload(building_type="medium")))
+        code = main(
+            ["predict", "--checkpoint", str(trained_run / "fold_00.json"),
+             "--building", str(building)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"{PROG}: error: unknown building_type 'medium'; "
+            f"expected one of: {', '.join(BUILDING_TYPES)}\n"
+        )
 
     def test_missing_checkpoint_is_exit_two(self, tmp_path):
         building = tmp_path / "building.json"

@@ -82,10 +82,10 @@ class TestTypeRules:
                 "x.name: expected a string, got 5")
 
     def test_optional_is_null_or_the_type(self):
-        assert from_json(TrainConfig, {"batch_size": None}).batch_size is None
-        assert from_json(TrainConfig, {"batch_size": 8}).batch_size == 8
-        rejects(TrainConfig, {"batch_size": 1.5},
-                "x.batch_size: expected an integer, got 1.5")
+        assert from_json(cli.ConfigFile, {"seed": None}).seed is None
+        assert from_json(cli.ConfigFile, {"seed": 8}).seed == 8
+        rejects(cli.ConfigFile, {"seed": 1.5}, "x.seed: expected an integer, got 1.5")
+        rejects(TrainConfig, {"batch_size": None}, "x.batch_size: expected an integer, got None")
 
     def test_variable_tuple_checks_each_entry(self):
         assert from_json(TrainConfig, {"hidden_dims": [8, 4]}).hidden_dims == (8, 4)
@@ -150,7 +150,7 @@ class TestRoundTripKeepsTypes:
     so a config's results.json serializes exactly as it was given."""
 
     @pytest.mark.parametrize("built", [
-        TrainConfig(learning_rate=1, physics_weight=1, batch_size=None,
+        TrainConfig(learning_rate=1, physics_weight=1, batch_size=32,
                     constants=PhysicsConstants(delta_t=20, time_constants={"heavy": 3})),
         PhysicsConstants(heating_days=200, bridge_fraction=0),
         GeneratorConfig(n_buildings=3, seed=1, consumption_noise=0, storey_height=3),
@@ -274,6 +274,13 @@ LEAKS = [
      "generate: years must not repeat, got [2017, 2018, 2017]"),
     ("train", {"train": {"min_lr": 0.5}},
      "train: min_lr must be in [0, learning_rate 0.001], got 0.5"),
+    # the seed, the cohort size and the physics constants are set at the top level only
+    ("generate", {"generate": {"seed": 2}}, "unknown key(s): generate.seed"),
+    ("generate", {"generate": {"n_buildings": 5}}, "unknown key(s): generate.n_buildings"),
+    ("generate", {"generate": {"constants": {}}}, "unknown key(s): generate.constants"),
+    ("train", {"train": {"seed": 2}}, "unknown key(s): train.seed"),
+    ("train", {"train": {"constants": {"delta_t": 20}}}, "unknown key(s): train.constants"),
+    ("train", {"train": {"batch_size": None}}, "train.batch_size: expected an integer, got None"),
 ]
 
 
@@ -291,6 +298,26 @@ class TestConfigLeaks:
         assert capsys.readouterr().err == f"epc-pinn: error: {message}\n"
         assert len(stubs.configs) == calls
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_out_under_a_file_is_exit_one_before_the_data_loads(
+        self, stubs, clean_cohort_dir, tmp_path, capsys, monkeypatch, command, under
+    ):
+        def no_load(*args):
+            raise AssertionError("the cohort was loaded")
+
+        monkeypatch.setattr(data, "load_cohort", no_load)
+        existing = tmp_path / "existing"
+        existing.write_text("keep")
+        out = existing / "run" if under else existing
+        calls = len(stubs.configs)
+        code = run(argv_for(command, clean_cohort_dir, out), BASE, tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"epc-pinn: error: output directory {out}: {existing} is not a directory\n")
+        assert len(stubs.configs) == calls
+        assert existing.read_text() == "keep"
 
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     @pytest.mark.parametrize("constants, message", [

@@ -38,7 +38,6 @@ from epc_pinn.physics import PhysicsConstants, energy_consumption, EnvelopeState
 from epc_pinn.synth import GeneratorConfig, generate_cohort
 from epc_pinn import train
 from epc_pinn.train import (
-    FULL_BATCH_LIMIT,
     TrainConfig,
     cross_validate,
     predict_physical,
@@ -82,9 +81,8 @@ class TestTrainConfig:
         assert config.learning_rate == 0.001
         assert config.scheduler_patience == 5
         assert config.early_stop_patience == 8
-        assert config.batch_size is None
+        assert config.batch_size == 256
         assert config.hidden_dims == (256, 256)
-        assert FULL_BATCH_LIMIT == 256
 
     def test_bad_values_are_config_errors(self):
         with pytest.raises(ConfigError):
@@ -294,7 +292,7 @@ def reference_epochs(arrays, test_indices, config, fold_index=0):
     stopper = EarlyStopState(patience=config.early_stop_patience)
     shuffle_rng = np.random.default_rng(shuffle_seed)
     n_train = train_idx.shape[0]
-    batch_size = config.batch_size or min(n_train, FULL_BATCH_LIMIT)
+    batch_size = config.batch_size
     history = {"train_loss": [], "val_loss": [], "learning_rate": []}
     for epoch in range(config.max_epochs):
         if batch_size >= n_train:
