@@ -18,8 +18,9 @@ Exit codes: 0 success; 1 usage or configuration, naming a bad config key
 by its path or an --out that is or lies under a file, before any file is
 written or any fold trains; 2 data problems, checkpoint physics constants
 included; 3 runtime failures.
-EPC_PINN_THREADS caps how many folds train in parallel (default 1); while
-parallel folds train, OpenBLAS runs single-threaded, and its previous
+EPC_PINN_THREADS caps how many folds train in parallel (default 1); it
+is checked, like the config, before any data is read. While parallel
+folds train, OpenBLAS runs single-threaded, and its previous
 thread count is restored afterwards.
 """
 
@@ -173,13 +174,14 @@ def cmd_train(args) -> int:
     data_dir = _required(args, config, "data")
     train_config = _section(TrainConfig, "train", config, seed=seed)
     out_dir = _out_dir(args, config)
+    threads = _thread_count()
 
     joined, dropped = data.load_cohort(data_dir)
     if not joined:
         raise DataError(f"no usable samples in {data_dir}")
     arrays = data.build_matrices(joined)
     train_config.constants.check_building_types(arrays.building_types)
-    result = cross_validate(arrays, train_config, max_workers=_thread_count())
+    result = cross_validate(arrays, train_config, max_workers=threads)
 
     paths = save_run_outputs(result, train_config, out_dir)
     with atomic_write(out_dir / "drop_report.txt") as handle:

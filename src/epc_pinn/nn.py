@@ -13,8 +13,7 @@ out (W0, b0, W1, b1, ...), and backward writes into views of one gradient
 vector with that layout. Adam is thus one fused in-place update over whole
 vectors, with the textbook per-element operations in their order, and the
 early-stop snapshot (into one reused buffer) and checkpoint encoding are
-single vector copies. ForwardCache.head views the cache of a batch's
-leading rows, so one forward pass can serve two consumers.
+single vector copies.
 
 Checkpoints are JSON: layer sizes and activation in the clear, the flat
 parameter vector as base64-encoded little-endian float64 bytes, plus an
@@ -131,11 +130,6 @@ class ForwardCache:
     model_id: int
     model_version: int
     activations: list[np.ndarray]
-
-    def head(self, n: int) -> "ForwardCache":
-        """The cache of the first n batch rows, as views."""
-        views = [a[:n] for a in self.activations]
-        return ForwardCache(self.model_id, self.model_version, views)
 
 
 def forward(model: MlpModel, inputs: np.ndarray) -> tuple[np.ndarray, ForwardCache]:

@@ -36,6 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import JsonConfig
+from .data import CONSUMPTION_YEARS
 from .errors import ConfigError, DataError, DomainError
 from .nn import atomic_write
 from .physics import (
@@ -181,7 +182,6 @@ class GeneratorConfig(JsonConfig):
     useful_fraction: float = 0.85  # useful over gross floor area
     aspect_ratio: tuple[float, float] = (1.2, 1.8)
     roof_factor: tuple[float, float] = (1.0, 1.15)  # roof over footprint
-    years: tuple[int, ...] = (2017, 2018, 2019, 2020)
 
     def __post_init__(self) -> None:
         for name, low in (("n_buildings", 1), ("seed", 0)):
@@ -200,10 +200,6 @@ class GeneratorConfig(JsonConfig):
             raise ConfigError("bad storey_height or useful_fraction")
         _check_range("aspect_ratio", self.aspect_ratio, low_ok=1.0)
         _check_range("roof_factor", self.roof_factor, low_ok=1.0)
-        if not self.years:
-            raise ConfigError("need at least one consumption year")
-        if len(set(self.years)) != len(self.years):
-            raise ConfigError(f"years must not repeat, got {list(self.years)}")
 
 
 def _draw(config: GeneratorConfig) -> tuple[np.ndarray, list[int], np.ndarray]:
@@ -229,7 +225,7 @@ def _draw(config: GeneratorConfig) -> tuple[np.ndarray, list[int], np.ndarray]:
         (56.90, 57.05), (24.00, 24.30),
     ], dtype=float).T for profile in config.series]
     n_uniform = bounds[0].shape[1]
-    n_normal = len(config.years) + 2 * N_COMPONENTS  # consumption noise, then audit noise
+    n_normal = len(CONSUMPTION_YEARS) + 2 * N_COMPONENTS  # consumption noise, then audit noise
     serie, floors = [], []
     draws = np.empty((config.n_buildings, n_uniform + n_normal))
     for i, row in enumerate(draws):
@@ -348,7 +344,7 @@ def generate_cohort(config: GeneratorConfig, out_dir: str | Path) -> dict[str, P
     # building's component rows, and the year and month of the monthly rows.
     tails = (f",district,{c},{t},{e}\n" for c, t, e in zip(
         coefficient_totals.tolist(), total, true_energy.tolist()))
-    heads = [f",{year},{month}," for year in config.years
+    heads = [f",{year},{month}," for year in CONSUMPTION_YEARS
              for month in range(1, len(MONTH_WEIGHTS) + 1)]
     lines = {
         "land": (
@@ -402,7 +398,7 @@ def generate_cohort(config: GeneratorConfig, out_dir: str | Path) -> dict[str, P
             "total_energy_consumption",
         ],
         "consumption": ["cadastre_number"]
-        + [f"total_energy_consumption_{y}" for y in config.years],
+        + [f"total_energy_consumption_{y}" for y in CONSUMPTION_YEARS],
         "consumption_monthly": ["cadastre_number", "year", "month", "energy_consumption"],
     }
     paths = {name: out_dir / f"{name}.csv" for name in headers}

@@ -10,12 +10,8 @@ scored. A fold records which sample indices reached scaler fitting and
 parameter updates, so leakage is checkable after the fact.
 
 The loss inputs are derived once per fold, training rows then validation
-rows. A full-batch epoch ends with one forward pass over both: it gives
-the validation loss (computed without gradient) and, as the parameters
-hold until the next Adam step, that step's predictions and cache. Rows
-propagate independently, so this matches separate passes bit for bit
-wherever the BLAS runs the same kernel on the stack as on each part, as
-it does at the default settings.
+rows. Each epoch runs one forward pass per batch, then one over the
+validation rows, whose loss is computed without gradient.
 
 Everything is deterministic given the config seed: the fold partition,
 the per-fold splits, initialization and batch shuffling all derive their
@@ -225,38 +221,24 @@ def train_fold(
     history = TrainHistory()
     updated = np.zeros(arrays.n, dtype=bool)
 
-    full_batch = config.batch_size >= n_train
-    if full_batch:
-        _, cache = forward(model, x_fit[:n_train])
     try:
         for epoch in range(config.max_epochs):
-            if full_batch:
-                batches = [slice(n_train)]
+            if config.batch_size >= n_train:
+                order = np.arange(n_train)
             else:
                 order = shuffle_rng.permutation(n_train)
-                batches = [
-                    order[start : start + config.batch_size]
-                    for start in range(0, n_train, config.batch_size)
-                ]
             weighted = 0.0
-            for rows in batches:
-                if full_batch:
-                    batch_cache = cache.head(n_train)
-                else:
-                    _, batch_cache = forward(model, x_fit[rows])
-                pred = batch_cache.activations[-1]
+            for start in range(0, n_train, config.batch_size):
+                rows = order[start : start + config.batch_size]
+                pred, cache = forward(model, x_fit[rows])
                 value = loss_at(pred, rows)
-                grads = backward(model, batch_cache, value.gradient_wrt_predictions)
+                grads = backward(model, cache, value.gradient_wrt_predictions)
                 adam_step(model, grads, optimizer, context=f"epoch {epoch}")
                 weighted += value.total * pred.shape[0]
                 updated[train_idx[rows]] = True
             train_loss = weighted / n_train
 
-            if full_batch:  # also the next update's predictions and cache
-                out, cache = forward(model, x_fit)
-                val_pred = out[n_train:]
-            else:
-                val_pred, _ = forward(model, x_fit[n_train:])
+            val_pred, _ = forward(model, x_fit[n_train:])
             val_loss = loss_at(val_pred, np.s_[n_train:], with_gradient=False).total
 
             stop = stopper.step(val_loss, model, epoch)

@@ -310,6 +310,22 @@ class TestTrain:
         )
         assert code == 1
 
+    def test_bad_thread_count_is_exit_one_before_the_data_loads(
+        self, clean_cohort_dir, tmp_path, monkeypatch, capsys
+    ):
+        loads = []
+        monkeypatch.setattr(cli.data, "load_cohort", lambda *args: loads.append(args))
+        monkeypatch.setenv("EPC_PINN_THREADS", "x")
+        code = main(
+            ["train", "--seed", "1", "--data", str(clean_cohort_dir),
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "epc-pinn: error: EPC_PINN_THREADS must be an integer, got 'x'\n")
+        assert loads == []
+        assert not (tmp_path / "out").exists()
+
     def test_missing_data_directory_is_exit_two(self, tmp_path, capsys):
         code = main(
             ["train", "--seed", "1", "--data", str(tmp_path / "nowhere"),

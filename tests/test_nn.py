@@ -745,36 +745,3 @@ def test_backward_matches_central_differences_on_random_networks():
             assert abs(fd - grads.vector[j]) <= 1e-6 * max(1.0, abs(grads.vector[j]))
 
     check()
-
-
-@pytest.mark.parametrize("n_head,n_tail", [(196, 35), (256, 45)])
-@pytest.mark.parametrize("blas", ["default", "single-threaded"])
-def test_stacked_forward_equals_separate_passes_bitwise(n_head, n_tail, blas):
-    """Rows propagate independently through the production shape
-    17-256-256-12, so one pass over [head; tail] gives bitwise the
-    outputs and activations of a pass over each part, and the head of
-    its cache is the head pass's cache. Training's shared end-of-epoch
-    pass depends on this, under either BLAS thread setting it uses. The
-    shapes are a 256-building fold (196 training and 35 validation rows)
-    and the largest default full batch (256 training rows at
-    val_fraction 0.15)."""
-    hypothesis = pytest.importorskip("hypothesis")
-    from contextlib import nullcontext
-
-    from epc_pinn.train import _single_threaded_blas
-
-    @hypothesis.settings(max_examples=20)
-    @hypothesis.given(seed=hypothesis.strategies.integers(0, 2**32 - 1))
-    def check(seed):
-        model = init_model((17, 256, 256, 12), seed=seed)
-        x = np.random.default_rng(seed).uniform(size=(n_head + n_tail, 17))
-        with _single_threaded_blas() if blas == "single-threaded" else nullcontext():
-            out, cache = forward(model, x)
-            head_out, head_cache = forward(model, x[:n_head])
-            tail_out, _ = forward(model, x[n_head:])
-        assert out[:n_head].tobytes() == head_out.tobytes()
-        assert out[n_head:].tobytes() == tail_out.tobytes()
-        for shared, alone in zip(cache.head(n_head).activations, head_cache.activations):
-            assert shared.tobytes() == alone.tobytes()
-
-    check()

@@ -22,6 +22,7 @@ except ImportError:  # pragma: no cover - hypothesis is in the test extra
     hypothesis = None
 
 from epc_pinn import synth
+from epc_pinn.data import CONSUMPTION_YEARS
 from epc_pinn.errors import DomainError
 from epc_pinn.physics import COMPONENTS, EnvelopeState, PhysicsConstants, energy_consumption
 from epc_pinn.synth import (
@@ -37,7 +38,7 @@ TABLES = ("land", "audit_buildings", "audit_components", "consumption", "consump
 
 
 def quoted_serie_config():
-    """One serie whose name needs csv quoting, two years, taller storeys."""
+    """One serie whose name needs csv quoting, taller storeys."""
     serie = SerieProfile(
         name='era "7", panel', building_type="light", floors=(1, 3),
         footprint=(120.0, 240.0), apartment_area=(45.0, 70.0),
@@ -45,8 +46,7 @@ def quoted_serie_config():
         window_fraction=(0.1, 0.2), door_fraction=(0.01, 0.02),
         air_exchange=(0.4, 0.9), heat_gains=(12.0, 21.0),
     )
-    return GeneratorConfig(n_buildings=17, seed=31, series=(serie,), years=(2021, 2023),
-                           storey_height=3.05)
+    return GeneratorConfig(n_buildings=17, seed=31, series=(serie,), storey_height=3.05)
 
 
 # sha256 of each file, as the per-building generator wrote them.
@@ -100,10 +100,10 @@ PINNED = {
         {
             "land": "71787797cfad0ad3906aebd329ff3f711d2efc863aca2b1fe30c78143e5896a3",
             "audit_buildings": "58169accfcfb61ab99e050f02d8d82ab1e0efdba07570c45aa5a73902ca1df01",
-            "audit_components": "d515d74c877d310ace27238d79d76c2e5c318cf6649928c51d88132373792fb2",
-            "consumption": "294c3701eb5a2f06dd3f2cce165a8c036d91c74f540faa523e8b7b844be7b0de",
+            "audit_components": "6c47514688a59cbe1d216f5bfb320be1011b00fe796df041c8fbd76aa96a3315",
+            "consumption": "f08465cd1f0e154e977d7fe017cb353c9567d9787e81100da835489344640dc3",
             "consumption_monthly":
-                "3626de2bddbb63b4369cfd12002fdb1e626073ef8d2e0c298cb3004640f1d793",
+                "37e4423f86697abbb9068b4a4f66ee3ff8e7d78050cfe4f046d12596b2a325a9",
         },
     ),
 }
@@ -173,7 +173,7 @@ def _reference_building(config, index):
     apartment_area = rng.uniform(*profile.apartment_area)
     latitude = rng.uniform(56.90, 57.05)
     longitude = rng.uniform(24.00, 24.30)
-    consumption_eps = rng.normal(0.0, 1.0, size=len(config.years))
+    consumption_eps = rng.normal(0.0, 1.0, size=len(CONSUMPTION_YEARS))
     audit_eps = rng.normal(0.0, 1.0, size=2 * len(COMPONENTS))
 
     length = np.sqrt(footprint * aspect)
@@ -200,7 +200,7 @@ def _reference_building(config, index):
     ).energy_consumption
     measured = {
         year: max(0.0, true_energy * (1.0 + config.consumption_noise * eps))
-        for year, eps in zip(config.years, consumption_eps)
+        for year, eps in zip(CONSUMPTION_YEARS, consumption_eps)
     }
     audit_areas = np.maximum(
         areas * (1.0 + config.audit_noise * audit_eps[: len(COMPONENTS)]), 1e-6
@@ -232,6 +232,8 @@ HEADERS = {
         "total_structure_heat_loss_coefficient", "total_area",
         "total_energy_consumption",
     ],
+    "consumption": ["cadastre_number"]
+    + [f"total_energy_consumption_{y}" for y in CONSUMPTION_YEARS],
     "consumption_monthly": ["cadastre_number", "year", "month", "energy_consumption"],
 }
 
@@ -260,8 +262,8 @@ def reference_tables(config):
                 b["audit_areas"][j], coefficients[j], "district",
                 float(coefficients.sum()), b["total_area"], b["true_energy"],
             ])
-        tables["consumption"].append([number] + [b["measured"][y] for y in config.years])
-        for year in config.years:
+        tables["consumption"].append([number] + [b["measured"][y] for y in CONSUMPTION_YEARS])
+        for year in CONSUMPTION_YEARS:
             annual = b["measured"][year]
             first_eleven = [annual * w for w in MONTH_WEIGHTS[:-1]]
             months = first_eleven + [annual - sum(first_eleven)]
@@ -271,9 +273,7 @@ def reference_tables(config):
     for table, rows in tables.items():
         handle = io.StringIO()
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(HEADERS[table] if table != "consumption" else
-                        ["cadastre_number"]
-                        + [f"total_energy_consumption_{y}" for y in config.years])
+        writer.writerow(HEADERS[table])
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
         texts[table] = handle.getvalue().encode("utf-8")
@@ -337,8 +337,6 @@ if hypothesis is not None:
             useful_fraction=draw(st.floats(0.1, 1.0) | st.just(1)),
             aspect_ratio=draw(_range(1.0, 4.0)),
             roof_factor=draw(_range(1.0, 2.0)),
-            years=tuple(draw(st.lists(st.integers(1990, 2030), min_size=1, max_size=4,
-                                      unique=True))),
         )
 
     @hypothesis.settings(max_examples=200, deadline=None)

@@ -326,8 +326,10 @@ def reference_epochs(arrays, test_indices, config, fold_index=0):
              early_stop_patience=4, learning_rate=0.05),
         # minibatches of 8 rows
         dict(hidden_dims=(32, 32), max_epochs=6, batch_size=8),
+        # full batch with a 1-row validation part
+        dict(hidden_dims=(32, 32), max_epochs=20, val_fraction=0.02),
     ],
-    ids=["full-batch", "minibatch"],
+    ids=["full-batch", "minibatch", "one-val-row"],
 )
 def test_train_fold_matches_the_separate_pass_reference(arrays, monkeypatch, overrides):
     """Bitwise-equal histories, early-stop snapshot and final parameters."""
