@@ -13,7 +13,9 @@ A JSON config file (--config) holds at most the top-level keys "seed" and
 and the objects "generate", "train" and "physics"; config.from_json checks
 every value against its setting's type and rejects unknown keys. The seed,
 the cohort size and the physics constants are set at the top level only,
-so a section naming "seed", "constants" or "n_buildings" is an unknown key.
+so a section naming "seed", "constants" or "n_buildings" is an unknown key
+whichever command runs, but only the section a command uses is built.
+Every JSON input is read by nn.read_json.
 Exit codes: 0 success; 1 usage or configuration, naming a bad config key
 by its path or an --out that is or lies under a file, before any file is
 written or any fold trains; 2 data problems, checkpoint physics constants
@@ -27,6 +29,7 @@ thread count is restored afterwards.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -47,7 +50,7 @@ from .errors import (
     UndefinedMetricError,
 )
 from .metrics import fold_report, format_metrics_table, format_report_table
-from .nn import atomic_write, load_checkpoint, write_json
+from .nn import atomic_write, load_checkpoint, read_json, write_json
 from .physics import (
     COMPONENTS,
     STATE_DIM,
@@ -73,27 +76,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _load_json(path: str | Path, what: str) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"{what} file not found: {path}")
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8-sig"))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"{what} file {path} cannot be read: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
-    if not isinstance(payload, dict):
-        raise DataError(f"{path}: expected a JSON object at the top level")
-    return payload
-
-
 @dataclass
 class ConfigFile:
-    """The top level of a --config file. The generate and train sections
-    are built once the top-level settings are merged in."""
+    """The top level of a --config file; a command builds the section it uses."""
 
     seed: int | None = None
     n: int | None = None
@@ -104,9 +89,19 @@ class ConfigFile:
     physics: PhysicsConstants = field(default_factory=PhysicsConstants)
 
 
+# Each section's dataclass, and the top-level settings merged into it.
+_SECTIONS = {"generate": (synth.GeneratorConfig, ("constants", "seed", "n_buildings")),
+             "train": (TrainConfig, ("constants", "seed"))}
+
+
 def _load_config(args) -> ConfigFile:
-    payload = _load_json(args.config, "config") if getattr(args, "config", None) else {}
-    return from_json(ConfigFile, payload)
+    payload = read_json(args.config, "config") if getattr(args, "config", None) else {}
+    config = from_json(ConfigFile, payload)
+    for name, (cls, merged) in _SECTIONS.items():
+        settable = {f.name for f in dataclasses.fields(cls)} - set(merged)
+        if unknown := sorted(getattr(config, name).keys() - settable):
+            raise ConfigError(f"unknown key(s): {', '.join(f'{name}.{k}' for k in unknown)}")
+    return config
 
 
 def _setting(args, config: ConfigFile, name: str, default=None):
@@ -123,13 +118,10 @@ def _required(args, config: ConfigFile, name: str):
     return value
 
 
-def _section(cls, name: str, config: ConfigFile, **settings):
-    """The config's name section as cls, with the top-level settings and
-    the physics constants merged in; the section may not name them."""
-    section, top = getattr(config, name), {"constants": config.physics, **settings}
-    if restated := sorted(section.keys() & top.keys()):
-        raise ConfigError(f"unknown key(s): {', '.join(f'{name}.{k}' for k in restated)}")
-    return from_json(cls, {**section, **top}, name)
+def _section(name: str, config: ConfigFile, **settings):
+    """The config's name section, built with the top-level settings merged in."""
+    cls, _ = _SECTIONS[name]
+    return from_json(cls, {**getattr(config, name), "constants": config.physics, **settings}, name)
 
 
 def _out_dir(args, config: ConfigFile) -> Path:
@@ -160,7 +152,7 @@ def cmd_generate(args) -> int:
     config = _load_config(args)
     seed = _required(args, config, "seed")
     n = _setting(args, config, "n", 256)
-    generator_config = _section(synth.GeneratorConfig, "generate", config, seed=seed, n_buildings=n)
+    generator_config = _section("generate", config, seed=seed, n_buildings=n)
     out_dir = _out_dir(args, config)
     paths = synth.generate_cohort(generator_config, out_dir)
     for name in sorted(paths):
@@ -172,7 +164,7 @@ def cmd_train(args) -> int:
     config = _load_config(args)
     seed = _required(args, config, "seed")
     data_dir = _required(args, config, "data")
-    train_config = _section(TrainConfig, "train", config, seed=seed)
+    train_config = _section("train", config, seed=seed)
     out_dir = _out_dir(args, config)
     threads = _thread_count()
 
@@ -231,9 +223,17 @@ def _check_checkpoint_types(constants: PhysicsConstants, building_types, path) -
         raise DataError(f"checkpoint {path}: {exc}") from None
 
 
+def _balance(path, state, useful_area, building_type, constants):
+    """energy_consumption, its DomainError naming the input file."""
+    try:
+        return energy_consumption(state, useful_area, building_type, constants)
+    except DomainError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def cmd_predict(args) -> int:
     model, *scalers, constants = _checkpoint_bundle(args.checkpoint)
-    building = _load_json(args.building, "building")
+    building = read_json(args.building, "building")
     fields = data.parse_building(building, args.building)
     features = data.encode_features(**{name: [value] for name, value in fields.items()})
     _check_checkpoint_types(constants, [fields["building_type"]], args.checkpoint)
@@ -241,9 +241,8 @@ def cmd_predict(args) -> int:
         print(f"{PROG}: warning: {args.building}: {line}", file=sys.stderr)
     states = _predict_states(args.checkpoint, model, *scalers, features, [args.building])
     state = EnvelopeState.from_vector(states[0])
-    breakdown = energy_consumption(
-        state, fields["useful_area"], fields["building_type"], constants
-    )
+    breakdown = _balance(args.building, state, fields["useful_area"], fields["building_type"],
+                         constants)
     output = {
         "cadastre_number": building.get("cadastre_number"),
         "state": state.to_dict(),
@@ -291,16 +290,14 @@ def _state_from_payload(payload: dict, path) -> tuple[EnvelopeState, float, str]
         air_exchange_rate=number("air_exchange_rate"),
         specific_heat_gains=number("specific_heat_gains"),
     )
-    state.validate()
     return state, number("useful_area"), str(payload["building_type"])
 
 
 def cmd_audit(args) -> int:
     config = _load_config(args)
-    payload = _load_json(args.envelope, "envelope")
+    payload = read_json(args.envelope, "envelope")
     state, useful_area, building_type = _state_from_payload(payload, args.envelope)
-    constants = config.physics
-    breakdown = energy_consumption(state, useful_area, building_type, constants)
+    breakdown = _balance(args.envelope, state, useful_area, building_type, config.physics)
     for name, area, u, loss in zip(
         COMPONENTS, state.areas, state.u_values, breakdown.envelope_by_component
     ):

@@ -30,9 +30,10 @@ boundaries never show; a line csv cannot read is reported only after the
 rows before it pass their checks. A split file's lines are held until
 the parse ends (its text is dropped once split), up to about three times
 the file's size in memory, and the cyclic GC is paused meanwhile: the
-parse makes one list per row and no reference cycles. The files are
-UTF-8, with or without a leading byte-order mark; a file that cannot be
-read or decoded is a DataError naming it (exit 2 on the command line).
+parse makes one list per row and no reference cycles. Each file is read
+by nn.read_text, as every input is: UTF-8, with or without a leading
+byte-order mark; a file that is missing or cannot be read or decoded is a
+DataError naming it (exit 2 on the command line).
 
 The cadastre number is the primary key throughout. join_on_cadastre keeps
 the buildings with a land record, a building audit, all five envelope
@@ -69,6 +70,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, UsageError
+from .nn import read_text
 from .physics import COMPONENTS, EnvelopeState, u_value
 
 # The twelve construction-era categories. Synthetic cohorts use these
@@ -360,24 +362,20 @@ def load_dataset(path: str | Path, schema: TableSchema) -> Table:
     cannot be read or decoded at all.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"{schema.name} file not found: {path}")
+    text = read_text(path, schema.name)
+    reader = _csv_rows(text)
+    del text
+    # The parse makes one list per row and no reference cycles, so the
+    # collections those lists would trigger only cost time.
+    gc_enabled = gc.isenabled()
+    gc.disable()
     try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            text = handle.read()
-        reader = _csv_rows(text)
-        del text
-        # The parse makes one list per row and no reference cycles, so the
-        # collections those lists would trigger only cost time.
-        gc_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return _read_table(path, schema, reader)
-        finally:
-            if gc_enabled:
-                gc.enable()
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        return _read_table(path, schema, reader)
+    except csv.Error as exc:
         raise DataError(f"{path}: cannot read {schema.name} file: {exc}") from None
+    finally:
+        if gc_enabled:
+            gc.enable()
 
 
 def _csv_rows(text: str) -> Iterator[list[str]]:

@@ -19,7 +19,9 @@ Checkpoints are JSON: layer sizes and activation in the clear, the flat
 parameter vector as base64-encoded little-endian float64 bytes, plus an
 extra JSON payload for callers. write_json writes them, as every JSON
 output, atomically (temporary file, then rename); loading rejects
-non-finite parameters.
+non-finite parameters. Every input file, CSV or JSON, is read by
+read_text (read_json adds the JSON decode), with one wording for a file
+that is missing, unreadable or not UTF-8.
 """
 
 from __future__ import annotations
@@ -354,6 +356,30 @@ def write_json(path: str | Path, payload) -> None:
         handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def read_text(path: str | Path, what: str) -> str:
+    """The text of the what input file at path: UTF-8, a leading byte-order
+    mark dropped, newlines kept as written; a DataError names the file."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            return handle.read()
+    except FileNotFoundError:
+        raise DataError(f"{what} file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot read {what} file: {exc}") from None
+
+
+def read_json(path: str | Path, what: str) -> dict:
+    """The JSON object in the what input file at path, read by read_text."""
+    try:
+        payload = json.loads(read_text(path, what))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
+                        f"{exc.msg}") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: expected a JSON object at the top level")
+    return payload
+
+
 def save_checkpoint(model: MlpModel, path: str | Path, extra: dict | None = None) -> None:
     """Serialize the model (and an optional extra payload) to JSON."""
     write_json(path, {
@@ -370,45 +396,29 @@ def save_checkpoint(model: MlpModel, path: str | Path, extra: dict | None = None
 
 def load_checkpoint(path: str | Path) -> tuple[MlpModel, dict]:
     """Rebuild a model from save_checkpoint output; returns (model, extra)."""
-    try:
-        # bytes, decoded once: JSON needs no newline translation, and a BOM
-        # still fails as invalid JSON
-        payload = json.loads(Path(path).read_bytes().decode("utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"checkpoint {path} cannot be read: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise DataError(f"checkpoint {path} must contain a JSON object")
+    payload = read_json(path, "checkpoint")
     for key in ("format_version", "layer_dims", "activation", "dtype", "parameters_b64"):
         if key not in payload:
             raise DataError(f"checkpoint {path} is missing field {key!r}")
-    if payload["format_version"] != CHECKPOINT_FORMAT_VERSION:
-        raise DataError(
-            f"unsupported checkpoint format version {payload['format_version']!r}"
-        )
-    if payload["dtype"] != CHECKPOINT_DTYPE:
-        raise DataError(f"unsupported checkpoint dtype {payload['dtype']!r}")
-    dims, activation = payload["layer_dims"], payload["activation"]
-    if not (
-        isinstance(dims, list)
-        and len(dims) >= 2
-        and all(type(d) is int and d >= 1 for d in dims)
-    ):
+    fixed = {"format_version": CHECKPOINT_FORMAT_VERSION, "dtype": CHECKPOINT_DTYPE,
+             "activation": ACTIVATION}
+    for key, expected in fixed.items():  # of its type too: true == 1
+        if type(payload[key]) is not type(expected) or payload[key] != expected:
+            raise DataError(f"checkpoint {path} has unsupported {key} {payload[key]!r}")
+    dims = payload["layer_dims"]
+    if not (isinstance(dims, list) and len(dims) >= 2
+            and all(type(d) is int and d >= 1 for d in dims)):
         raise DataError(f"checkpoint {path} has invalid layer_dims {dims!r}")
-    if activation != ACTIVATION:
-        raise DataError(f"checkpoint {path} has unknown activation {activation!r}")
     try:
         raw = base64.b64decode(payload["parameters_b64"], validate=True)
     except (ValueError, TypeError) as exc:
         raise DataError(f"checkpoint {path} has corrupt parameter encoding") from exc
-    flat = np.frombuffer(raw, dtype=CHECKPOINT_DTYPE).astype(float)
     dims = tuple(dims)
-    if flat.size != _parameter_total(dims):
-        raise DataError(
-            f"checkpoint {path} holds {flat.size} parameters, "
-            f"model needs {_parameter_total(dims)}"
-        )
+    needed = _parameter_total(dims) * np.dtype(CHECKPOINT_DTYPE).itemsize
+    if len(raw) != needed:
+        raise DataError(f"checkpoint {path} holds {len(raw)} bytes of parameters, "
+                        f"model needs {needed}")
+    flat = np.frombuffer(raw, dtype=CHECKPOINT_DTYPE).astype(float)
     if not np.isfinite(flat).all():
         raise DataError(f"checkpoint {path} holds non-finite parameters")
     model = MlpModel(layer_dims=dims, vector=flat)

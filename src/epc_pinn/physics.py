@@ -384,18 +384,18 @@ def _one_building(
     consts: PhysicsConstants,
     with_gradient: bool = False,
 ) -> BatchEnergy:
-    """energy_consumption_batch of one building that meets its invariants."""
+    """energy_consumption_batch of one building that meets its invariants;
+    a balance that overflows the float range is a DomainError."""
     state.validate()
     if useful_area < 0:
         raise DomainError(f"useful_area must be >= 0, got {useful_area}")
     tau = consts.time_constant_for(building_type)
-    return energy_consumption_batch(
-        state.to_vector()[None, :],
-        np.array([float(useful_area)]),
-        np.array([tau]),
-        consts,
-        with_gradient=with_gradient,
-    )
+    with np.errstate(all="ignore"):
+        batch = energy_consumption_batch(state.to_vector()[None, :], np.array([float(useful_area)]),
+                                         np.array([tau]), consts, with_gradient=with_gradient)
+    if not all(np.isfinite(v).all() for v in vars(batch).values() if v is not None):
+        raise DomainError("the energy balance overflows the float range")
+    return batch
 
 
 def energy_consumption(

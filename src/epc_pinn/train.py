@@ -373,12 +373,14 @@ def cross_validate(
                     pool.submit(train_fold, arrays, test_indices, config, i)
                     for i, test_indices in enumerate(folds)
                 ]
-                # After the first failure, drop the folds still queued
-                # instead of training them, then raise the failure of the
-                # lowest fold that ran.
-                wait(futures, return_when=FIRST_EXCEPTION)
-                for f in futures:
-                    f.cancel()
+                # After the first failure, or an interrupt, drop the folds
+                # still queued instead of training them, then raise the
+                # interrupt or the failure of the lowest fold that ran.
+                try:
+                    wait(futures, return_when=FIRST_EXCEPTION)
+                finally:
+                    for f in futures:
+                        f.cancel()
                 results = [f.result() for f in futures if not f.cancelled()]
     else:
         results = [

@@ -5,12 +5,14 @@ the printed output and the files written. The exit-code contract is:
 0 success, 1 usage or configuration, 2 data problems, 3 runtime failures.
 """
 
+import base64
 import csv
 import json
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -583,17 +585,6 @@ class TestPredict:
         assert b"\r\n" in checkpoint.read_bytes()
         assert outputs[0] == outputs[1]
 
-    def test_bom_checkpoint_is_exit_two(self, trained_run, tmp_path, capsys):
-        checkpoint = tmp_path / "fold_00.json"
-        checkpoint.write_bytes(b"\xef\xbb\xbf" + (trained_run / "fold_00.json").read_bytes())
-        building = tmp_path / "building.json"
-        building.write_text(json.dumps(building_payload()))
-        code = main(
-            ["predict", "--checkpoint", str(checkpoint), "--building", str(building)]
-        )
-        assert code == 2
-        assert f"checkpoint {checkpoint} is not valid JSON" in capsys.readouterr().err
-
     def test_undecodable_checkpoint_is_exit_two(self, trained_run, tmp_path, capsys):
         checkpoint = tmp_path / "fold_00.json"
         checkpoint.write_bytes(b"\xff" + (trained_run / "fold_00.json").read_bytes())
@@ -604,6 +595,60 @@ class TestPredict:
         )
         assert code == 2
         assert str(checkpoint) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "checkpoint file not found: {path}"),
+        (b"\xff{}", "{path}: cannot read checkpoint file: 'utf-8' codec can't decode byte "
+                    "0xff in position 0: invalid start byte"),
+        (b'{"format_version":\n}', "{path}: invalid JSON at line 2 column 1: Expecting value"),
+        (b"[1]", "{path}: expected a JSON object at the top level"),
+    ], ids=["missing", "undecodable", "invalid", "not-an-object"])
+    def test_checkpoint_read_errors_take_the_wording_of_every_input(
+        self, tmp_path, capsys, content, message
+    ):
+        checkpoint = tmp_path / "fold_00.json"
+        if content is not None:
+            checkpoint.write_bytes(content)
+        building = tmp_path / "building.json"
+        building.write_text(json.dumps(building_payload()))
+        code = main(["predict", "--checkpoint", str(checkpoint), "--building", str(building)])
+        assert code == 2
+        expected = message.format(path=checkpoint)
+        assert capsys.readouterr().err == f"{PROG}: error: {expected}\n"
+
+    @pytest.mark.parametrize("field", ["parameters_b64", "format_version"])
+    def test_malformed_checkpoint_field_is_exit_two_naming_it(
+        self, trained_run, tmp_path, capsys, field
+    ):
+        """A parameter encoding of a byte count that is no whole number of
+        float64 values, and a format version of true (which == 1)."""
+        payload = json.loads((trained_run / "fold_00.json").read_text())
+        truncated = base64.b64encode(base64.b64decode(payload["parameters_b64"])[:-4])
+        payload[field] = truncated.decode("ascii") if field == "parameters_b64" else True
+        checkpoint = tmp_path / "fold_00.json"
+        checkpoint.write_text(json.dumps(payload))
+        building = tmp_path / "building.json"
+        building.write_text(json.dumps(building_payload()))
+        code = main(["predict", "--checkpoint", str(checkpoint), "--building", str(building)])
+        assert code == 2
+        assert f"error: checkpoint {checkpoint} " in capsys.readouterr().err
+
+    def test_overflowing_balance_is_exit_two_naming_the_building(
+        self, trained_run, tmp_path, capsys
+    ):
+        """A finite useful area whose heat balance overflows the float
+        range: no inf or NaN output and no floating-point warning."""
+        building = tmp_path / "building.json"
+        building.write_text(json.dumps(building_payload(useful_area=1e200)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["predict", "--checkpoint", str(trained_run / "fold_00.json"),
+                         "--building", str(building)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"{PROG}: error: {building}: the energy balance overflows the float range\n")
 
     def test_failed_out_write_keeps_the_old_file(self, trained_run, tmp_path, failing_write):
         building = tmp_path / "building.json"
@@ -681,6 +726,16 @@ class TestAudit:
         assert main(
             ["audit", "--envelope", str(envelope), "--config", str(config)]
         ) == 1
+
+    def test_overflowing_balance_is_exit_two_naming_the_envelope(self, tmp_path, capsys):
+        envelope = tmp_path / "envelope.json"
+        envelope.write_text(json.dumps(envelope_payload(areas=[1e308] * 5)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["audit", "--envelope", str(envelope)])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", f"{PROG}: error: {envelope}: the energy balance overflows the float range\n")
 
     def test_negative_area_is_exit_two(self, tmp_path):
         envelope = tmp_path / "envelope.json"
@@ -975,6 +1030,20 @@ class TestJsonInputsWithByteOrderMark:
             lambda enc: building.write_text(json.dumps(building_payload()), encoding=enc),
             ["predict", "--checkpoint", str(trained_run / "fold_00.json"),
              "--building", str(building)],
+        )
+        assert with_bom == plain and plain[0] == 0
+
+    def test_checkpoint(self, trained_run, tmp_path, capsys):
+        checkpoint = tmp_path / "fold_00.json"
+        original = (trained_run / "fold_00.json").read_bytes()
+        building = tmp_path / "building.json"
+        building.write_text(json.dumps(building_payload()))
+        plain, with_bom = self.outputs(
+            capsys,
+            lambda enc: checkpoint.write_bytes(
+                (b"\xef\xbb\xbf" if enc == "utf-8-sig" else b"") + original
+            ),
+            ["predict", "--checkpoint", str(checkpoint), "--building", str(building)],
         )
         assert with_bom == plain and plain[0] == 0
 

@@ -279,6 +279,11 @@ LEAKS = [
     ("train", {"train": {"seed": 2}}, "unknown key(s): train.seed"),
     ("train", {"train": {"constants": {"delta_t": 20}}}, "unknown key(s): train.constants"),
     ("train", {"train": {"batch_size": None}}, "train.batch_size: expected an integer, got None"),
+    # every section's keys are checked, whichever section the command builds
+    ("train", {"generate": {"bogus": 1}}, "unknown key(s): generate.bogus"),
+    ("generate", {"train": {"bogus": 1}}, "unknown key(s): train.bogus"),
+    ("audit", {"train": {"bogus": 1}}, "unknown key(s): train.bogus"),
+    ("audit", {"generate": {"n_buildings": 5}}, "unknown key(s): generate.n_buildings"),
 ]
 
 
@@ -296,6 +301,17 @@ class TestConfigLeaks:
         assert capsys.readouterr().err == f"epc-pinn: error: {message}\n"
         assert len(stubs.configs) == calls
         assert not out.exists()
+
+    def test_an_unused_section_is_not_built(self, tmp_path, capsys):
+        """Physics constants for heavy buildings only suit a heavy
+        envelope; the default generator series, which hold light
+        buildings too, are not built for audit."""
+        envelope = tmp_path / "envelope.json"
+        envelope.write_text(json.dumps({**ENVELOPE, "building_type": "heavy"}))
+        code = run(["audit", "--envelope", str(envelope)],
+                   {"physics": {"time_constants": {"heavy": 3.0}}}, tmp_path)
+        assert code == 0
+        assert "consumption" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["generate", "train"])
     @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])

@@ -499,6 +499,28 @@ class TestBlasThreadCap:
             cross_validate(arrays, quick_config(), max_workers=2)
         assert blas_threads() == 2
 
+    def test_interrupt_drops_the_queued_folds(self, arrays, monkeypatch, blas_threads):
+        """Ctrl-C while two folds train: those two finish, no queued fold
+        starts, and the previous thread count comes back."""
+        started, both_running = [], threading.Event()
+
+        def fold(arrays, test_indices, config, fold_index):
+            started.append(fold_index)
+            if len(started) == 2:
+                both_running.set()
+            time.sleep(0.2)
+
+        def interrupted(futures, return_when):
+            assert both_running.wait(timeout=30)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(train, "train_fold", fold)
+        monkeypatch.setattr(train, "wait", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cross_validate(arrays, quick_config(), max_workers=2)
+        assert sorted(started) == [0, 1]
+        assert blas_threads() == 2
+
     def test_serial_folds_leave_the_pool_alone(self, arrays, seen, blas_threads):
         cross_validate(arrays, quick_config(max_epochs=1), max_workers=1)
         assert seen == [2] * 10
