@@ -20,12 +20,8 @@ from .errors import (
 )
 from .physics import (
     COMPONENTS,
-    EnvelopeState,
-    LossBreakdown,
     PhysicsConstants,
     energy_consumption,
-    energy_consumption_gradient,
-    heat_gain_usage_factor,
     u_value,
 )
 from .data import JoinedCohort, MinMaxScaler, encode_features, join_on_cadastre
@@ -43,11 +39,9 @@ __all__ = [
     "DataError",
     "DimensionError",
     "DomainError",
-    "EnvelopeState",
     "EpcPinnError",
     "GeneratorConfig",
     "JoinedCohort",
-    "LossBreakdown",
     "LossValue",
     "MinMaxScaler",
     "MlpModel",
@@ -60,11 +54,9 @@ __all__ = [
     "cross_validate",
     "encode_features",
     "energy_consumption",
-    "energy_consumption_gradient",
     "enhanced_loss",
     "forward",
     "generate_cohort",
-    "heat_gain_usage_factor",
     "init_model",
     "join_on_cadastre",
     "load_checkpoint",

@@ -52,11 +52,13 @@ from .errors import (
 from .metrics import fold_report, format_metrics_table, format_report_table
 from .nn import atomic_write, load_checkpoint, read_json, write_json
 from .physics import (
+    AREA_SLICE,
     COMPONENTS,
     STATE_DIM,
-    EnvelopeState,
+    U_SLICE,
     PhysicsConstants,
     energy_consumption,
+    state_dict,
 )
 from .train import (
     TrainConfig,
@@ -224,9 +226,9 @@ def _check_checkpoint_types(constants: PhysicsConstants, building_types, path) -
 
 
 def _balance(path, state, useful_area, building_type, constants):
-    """energy_consumption, its DomainError naming the input file."""
+    """energy_consumption of one building, its DomainError naming the input file."""
     try:
-        return energy_consumption(state, useful_area, building_type, constants)
+        return energy_consumption(state[None], [useful_area], [building_type], constants)
     except DomainError as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -239,14 +241,13 @@ def cmd_predict(args) -> int:
     _check_checkpoint_types(constants, [fields["building_type"]], args.checkpoint)
     for line in data.outside_training_range(fields, features[0], scalers[0]):
         print(f"{PROG}: warning: {args.building}: {line}", file=sys.stderr)
-    states = _predict_states(args.checkpoint, model, *scalers, features, [args.building])
-    state = EnvelopeState.from_vector(states[0])
+    state = _predict_states(args.checkpoint, model, *scalers, features, [args.building])[0]
     breakdown = _balance(args.building, state, fields["useful_area"], fields["building_type"],
                          constants)
     output = {
         "cadastre_number": building.get("cadastre_number"),
-        "state": state.to_dict(),
-        "breakdown": breakdown.to_dict(),
+        "state": state_dict(state),
+        "breakdown": breakdown.row_dict(0),
     }
     if args.out:
         write_json(args.out, output)
@@ -256,7 +257,7 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _state_from_payload(payload: dict, path) -> tuple[EnvelopeState, float, str]:
+def _state_from_payload(payload: dict, path) -> tuple[np.ndarray, float, str]:
     for key in ("areas", "u_values", "air_exchange_rate", "specific_heat_gains",
                 "useful_area", "building_type"):
         if key not in payload:
@@ -284,12 +285,8 @@ def _state_from_payload(payload: dict, path) -> tuple[EnvelopeState, float, str]
             for name, v in zip(COMPONENTS, value)
         ])
 
-    state = EnvelopeState(
-        areas=five("areas"),
-        u_values=five("u_values"),
-        air_exchange_rate=number("air_exchange_rate"),
-        specific_heat_gains=number("specific_heat_gains"),
-    )
+    state = np.concatenate([five("areas"), five("u_values"),
+                            [number("air_exchange_rate"), number("specific_heat_gains")]])
     return state, number("useful_area"), str(payload["building_type"])
 
 
@@ -297,21 +294,20 @@ def cmd_audit(args) -> int:
     config = _load_config(args)
     payload = read_json(args.envelope, "envelope")
     state, useful_area, building_type = _state_from_payload(payload, args.envelope)
-    breakdown = _balance(args.envelope, state, useful_area, building_type, config.physics)
-    for name, area, u, loss in zip(
-        COMPONENTS, state.areas, state.u_values, breakdown.envelope_by_component
-    ):
+    breakdown = _balance(args.envelope, state, useful_area, building_type,
+                         config.physics).row_dict(0)
+    for name, area, u in zip(COMPONENTS, state[AREA_SLICE], state[U_SLICE]):
         print(
             f"{name:<16} area {area:10.2f} m2   U {u:6.3f} W/(m2K)   "
-            f"loss {loss:12.2f} kWh/yr"
+            f"loss {breakdown['envelope_by_component'][name]:12.2f} kWh/yr"
         )
-    print(f"{'envelope total':<16} {breakdown.envelope_total:12.2f} kWh/yr")
-    print(f"{'thermal bridges':<16} {breakdown.thermal_bridges:12.2f} kWh/yr")
-    print(f"{'ventilation':<16} {breakdown.ventilation:12.2f} kWh/yr")
-    print(f"{'total heat loss':<16} {breakdown.heat_loss_total:12.2f} kWh/yr")
-    print(f"{'total heat gains':<16} {breakdown.heat_gains_total:12.2f} kWh/yr")
-    print(f"{'usage factor':<16} {breakdown.hguf:12.4f}")
-    print(f"{'consumption':<16} {breakdown.energy_consumption:12.2f} kWh/yr")
+    print(f"{'envelope total':<16} {breakdown['envelope_total']:12.2f} kWh/yr")
+    print(f"{'thermal bridges':<16} {breakdown['thermal_bridges']:12.2f} kWh/yr")
+    print(f"{'ventilation':<16} {breakdown['ventilation']:12.2f} kWh/yr")
+    print(f"{'total heat loss':<16} {breakdown['heat_loss_total']:12.2f} kWh/yr")
+    print(f"{'total heat gains':<16} {breakdown['heat_gains_total']:12.2f} kWh/yr")
+    print(f"{'usage factor':<16} {breakdown['hguf']:12.4f}")
+    print(f"{'consumption':<16} {breakdown['energy_consumption']:12.2f} kWh/yr")
     return 0
 
 
@@ -324,12 +320,18 @@ def cmd_evaluate(args) -> int:
     _check_checkpoint_types(constants, arrays.building_types, args.checkpoint)
     predictions = _predict_states(
         args.checkpoint, model, *scalers, arrays.features, arrays.cadastre_numbers)
-    energy = reconstruct_energy(
-        predictions, arrays.useful_area, arrays.building_types, constants
-    )
-    report = fold_report(
-        arrays.targets, predictions, arrays.measured_energy, energy
-    )
+    with np.errstate(all="ignore"):
+        energy = reconstruct_energy(
+            predictions, arrays.useful_area, arrays.building_types, constants
+        )
+    broken = ~np.isfinite(energy)
+    if broken.any():
+        raise DataError(f"checkpoint {args.checkpoint}: the energy balance overflows the float "
+                        f"range for building {arrays.cadastre_numbers[int(np.argmax(broken))]}")
+    try:
+        report = fold_report(arrays.targets, predictions, arrays.measured_energy, energy)
+    except UndefinedMetricError as exc:
+        raise UndefinedMetricError(f"checkpoint {args.checkpoint}: {exc}") from None
     print(format_metrics_table(report), end="")
     print(f"\nsamples: {arrays.n} (dropped: {len(dropped)})")
     if args.out:

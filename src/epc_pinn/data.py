@@ -71,7 +71,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, UsageError
 from .nn import read_text
-from .physics import COMPONENTS, EnvelopeState, u_value
+from .physics import COMPONENTS, check_states, u_value
 
 # The twelve construction-era categories. Synthetic cohorts use these
 # names; real data must use them too for the one-hot encoding to apply.
@@ -718,7 +718,7 @@ class TrainingArrays:
 
     cadastre_numbers: list[str]
     features: np.ndarray  # (n, 17)
-    targets: np.ndarray  # (n, 12), flattened EnvelopeState order
+    targets: np.ndarray  # (n, 12) envelope states
     measured_energy: np.ndarray  # (n,)
     useful_area: np.ndarray  # (n,)
     building_types: list[str]
@@ -747,10 +747,10 @@ def build_matrices(joined: JoinedCohort) -> TrainingArrays:
         targets = np.hstack([areas, coefficients / areas, rates])
     # A negative coefficient is checked on its own: its quotient can round to -0.0.
     bad = ~(coefficients >= 0).all(axis=1) | ~(np.isfinite(targets) & (targets >= 0)).all(axis=1)
-    if bad.any():  # the per-building path: u_value, then validate
+    if bad.any():  # the per-building path: u_value, then check_states
         j = int(np.argmax(bad))
         u_values = [u_value(c, a) for c, a in zip(coefficients[j].tolist(), areas[j].tolist())]
-        EnvelopeState(areas[j], np.array(u_values), *rates[j]).validate()
+        check_states(np.concatenate([areas[j], u_values, rates[j]])[None])
     return TrainingArrays(
         cadastre_numbers=joined.cadastre_numbers,
         features=encode_features(**registry),

@@ -49,35 +49,45 @@ def _check_pair(true: np.ndarray, pred: np.ndarray) -> tuple[np.ndarray, np.ndar
     return true, pred
 
 
+def _finite(name: str, value: float) -> float:
+    if not np.isfinite(value):
+        raise UndefinedMetricError(f"{name} is not finite ({value})")
+    return value
+
+
 def r_squared(true: np.ndarray, pred: np.ndarray) -> float:
     """Coefficient of determination, 1 - SS_res/SS_tot.
 
     Undefined (and raised as such) for fewer than two values or a
-    constant truth vector, where SS_tot vanishes.
+    constant truth vector, where SS_tot vanishes. Like rmse and nrmse it
+    raises rather than return a value that is not finite.
     """
     true, pred = _check_pair(true, pred)
     if true.shape[0] < 2:
         raise UndefinedMetricError("r_squared needs at least two values")
-    ss_tot = float(np.sum((true - true.mean()) ** 2))
-    if ss_tot == 0:
-        raise UndefinedMetricError("r_squared is undefined for a constant truth vector")
-    ss_res = float(np.sum((true - pred) ** 2))
-    return 1.0 - ss_res / ss_tot
+    with np.errstate(all="ignore"):
+        ss_tot = float(np.sum((true - true.mean()) ** 2))
+        if ss_tot == 0:
+            raise UndefinedMetricError("r_squared is undefined for a constant truth vector")
+        ss_res = float(np.sum((true - pred) ** 2))
+        return _finite("r_squared", 1.0 - ss_res / ss_tot)
 
 
 def rmse(true: np.ndarray, pred: np.ndarray) -> float:
     """Root mean squared error in the arrays' own units."""
     true, pred = _check_pair(true, pred)
-    return float(np.sqrt(np.mean((true - pred) ** 2)))
+    with np.errstate(all="ignore"):
+        return _finite("rmse", float(np.sqrt(np.mean((true - pred) ** 2))))
 
 
 def nrmse(true: np.ndarray, pred: np.ndarray) -> float:
     """RMSE normalized by the range of the true values."""
     true, pred = _check_pair(true, pred)
-    span = float(true.max() - true.min())
+    with np.errstate(all="ignore"):
+        span = float(true.max() - true.min())
     if span == 0:
         raise UndefinedMetricError("nrmse is undefined for a zero-range truth vector")
-    return rmse(true, pred) / span
+    return _finite("nrmse", rmse(true, pred) / span)
 
 
 @dataclass

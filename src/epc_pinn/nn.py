@@ -88,8 +88,6 @@ class MlpModel(_FlatLayers):
 
     version: int = 0
 
-    parameters = _FlatLayers.arrays
-
     @property
     def n_layers(self) -> int:
         return len(self.weights)
@@ -163,8 +161,6 @@ def forward(model: MlpModel, inputs: np.ndarray) -> tuple[np.ndarray, ForwardCac
 @dataclass(eq=False)
 class Gradients(_FlatLayers):
     """Parameter gradients in the model layout."""
-
-    flat = _FlatLayers.arrays
 
 
 def backward(model: MlpModel, cache: ForwardCache, output_grad: np.ndarray) -> Gradients:
@@ -351,9 +347,11 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
 
 def write_json(path: str | Path, payload) -> None:
     """Write payload atomically as indented JSON with sorted keys and a
-    final newline, the one format of every JSON file the program writes."""
+    final newline, the one format of every JSON file the program writes.
+    A NaN or infinity is a ValueError, raised before any file is opened."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with atomic_write(path) as handle:
-        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        handle.write(text)
 
 
 def read_text(path: str | Path, what: str) -> str:

@@ -18,15 +18,16 @@ converting W to kWh over the season), V the useful area, h the air
 exchange rate, Q the specific heat gains in kWh/(m2*yr) and tau a
 building-type-dependent exponent.
 
-Every operation here is a pure function; in addition to scalar entry
-points there is a batched evaluator with exact analytic gradients of the
-consumption with respect to all twelve envelope parameters, used by the
-training loss.
+Every envelope state is a row of an (n, 12) array, laid out as below.
+energy_consumption_batch evaluates the balance of n buildings, with exact
+analytic gradients of the consumption with respect to all twelve
+parameters for the training loss; energy_consumption is the same balance
+over checked inputs, for scoring. Every operation here is a pure function.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -122,84 +123,31 @@ def _by_component(values: np.ndarray) -> dict[str, float]:
     return {name: float(v) for name, v in zip(COMPONENTS, values)}
 
 
-@dataclass(eq=False)
-class EnvelopeState:
-    """The twelve predicted physical quantities of one building.
-
-    areas: per-component areas [m2], COMPONENTS order.
-    u_values: per-component thermal transmittances [W/(m2*K)], same order.
-    air_exchange_rate: indoor-air replacements per hour [1/h].
-    specific_heat_gains: internal gains per useful area [kWh/(m2*yr)].
-    """
-
-    areas: np.ndarray
-    u_values: np.ndarray
-    air_exchange_rate: float
-    specific_heat_gains: float
-
-    def __post_init__(self) -> None:
-        for name in ("areas", "u_values"):
-            values = np.asarray(getattr(self, name), dtype=float)
-            if values.shape != (N_COMPONENTS,):
-                raise DimensionError(f"expected {N_COMPONENTS} {name}, got shape {values.shape}")
-            setattr(self, name, values)
-        self.air_exchange_rate = float(self.air_exchange_rate)
-        self.specific_heat_gains = float(self.specific_heat_gains)
-
-    def validate(self) -> None:
-        """Raise DomainError if any quantity is negative or non-finite."""
-        vec = self.to_vector()
-        if not np.all(np.isfinite(vec)):
-            raise DomainError("envelope state contains non-finite values")
-        if np.any(vec < 0):
-            bad = int(np.argmin(vec))
-            raise DomainError(
-                f"envelope state entry {bad} is negative ({vec[bad]}); "
-                "all areas, U-values, air exchange rate and heat gains must be >= 0"
-            )
-
-    def to_vector(self) -> np.ndarray:
-        """Flatten to the canonical 12-vector (5 areas, 5 U-values, h, Q)."""
-        return np.concatenate(
-            [self.areas, self.u_values, [self.air_exchange_rate, self.specific_heat_gains]]
-        )
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray) -> "EnvelopeState":
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (STATE_DIM,):
-            raise DimensionError(f"expected a {STATE_DIM}-vector, got shape {vec.shape}")
-        return cls(
-            areas=vec[AREA_SLICE].copy(),
-            u_values=vec[U_SLICE].copy(),
-            air_exchange_rate=float(vec[AIR_EXCHANGE_INDEX]),
-            specific_heat_gains=float(vec[HEAT_GAINS_INDEX]),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "areas": _by_component(self.areas),
-            "u_values": _by_component(self.u_values),
-            "air_exchange_rate": self.air_exchange_rate,
-            "specific_heat_gains": self.specific_heat_gains,
-        }
+def check_states(states: np.ndarray) -> None:
+    """Raise the DomainError of the first row of the (n, 12) states that has
+    a non-finite or negative entry."""
+    states = np.asarray(states, dtype=float)
+    bad = ~(np.isfinite(states) & (states >= 0)).all(axis=1)
+    if not bad.any():
+        return
+    vec = states[int(np.argmax(bad))]
+    if not np.all(np.isfinite(vec)):
+        raise DomainError("envelope state contains non-finite values")
+    k = int(np.argmin(vec))
+    raise DomainError(
+        f"envelope state entry {k} is negative ({vec[k]}); "
+        "all areas, U-values, air exchange rate and heat gains must be >= 0"
+    )
 
 
-@dataclass(eq=False)
-class LossBreakdown:
-    """Full decomposition of one building's annual heating balance [kWh/yr]."""
-
-    envelope_by_component: np.ndarray
-    envelope_total: float
-    thermal_bridges: float
-    ventilation: float
-    heat_loss_total: float
-    heat_gains_total: float
-    hguf: float
-    energy_consumption: float
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "envelope_by_component": _by_component(self.envelope_by_component)}
+def state_dict(state: np.ndarray) -> dict:
+    """One 12-vector as a JSON object keyed by quantity and component."""
+    return {
+        "areas": _by_component(state[AREA_SLICE]),
+        "u_values": _by_component(state[U_SLICE]),
+        "air_exchange_rate": float(state[AIR_EXCHANGE_INDEX]),
+        "specific_heat_gains": float(state[HEAT_GAINS_INDEX]),
+    }
 
 
 def u_value(structure_heat_loss_coefficient: float, area: float) -> float:
@@ -213,32 +161,6 @@ def u_value(structure_heat_loss_coefficient: float, area: float) -> float:
             f"got {structure_heat_loss_coefficient}"
         )
     return structure_heat_loss_coefficient / area
-
-
-def heat_gain_usage_factor(
-    heat_gains_total: float,
-    heat_loss_total: float,
-    tau: float,
-    eps: float = 1e-6,
-) -> float:
-    """Fraction of the gains that offset losses.
-
-    With r = gains/losses this is (1 - r^tau) / (1 - r^(tau+1)); inside
-    |r - 1| <= eps the analytic limit tau/(tau+1) is used, which keeps the
-    value continuous across the removable singularity at r = 1.
-    """
-    if heat_loss_total <= 0:
-        raise DomainError(
-            f"heat_loss_total must be positive, got {heat_loss_total} "
-            "(degenerate building)"
-        )
-    if heat_gains_total < 0:
-        raise DomainError(f"heat_gains_total must be >= 0, got {heat_gains_total}")
-    if tau <= 0:
-        raise DomainError(f"time constant must be positive, got {tau}")
-    r = np.array([heat_gains_total / heat_loss_total])
-    f, _, _ = _usage_factor_and_slopes(r, np.array([float(tau)]), eps, slopes=False)
-    return float(f[0])
 
 
 def _usage_factor_and_slopes(
@@ -307,6 +229,14 @@ class BatchEnergy:
     energy_consumption: np.ndarray
     gradient: np.ndarray | None = None
 
+    def row_dict(self, i: int) -> dict:
+        """Building i's balance as a JSON object, the envelope loss keyed by
+        component and every other term one float."""
+        return {
+            "envelope_by_component": _by_component(self.envelope_by_component[i]),
+            **{f.name: float(getattr(self, f.name)[i]) for f in fields(self)[1:-1]},
+        }
+
 
 def energy_consumption_batch(
     states: np.ndarray,
@@ -320,8 +250,9 @@ def energy_consumption_batch(
     states must be (n, 12) with nonnegative entries (callers on the
     training path clamp first), useful_area and time_constants length n.
     The gradient rows follow the flattening order and are zero wherever
-    the zero floor on consumption is active or losses vanish, matching the
-    subgradient convention of the scalar API.
+    the zero floor on consumption is active (the all-zero state included)
+    or losses vanish; inside the near-1 band of the gains/losses ratio the
+    usage factor is treated as locally constant.
     """
     states = np.asarray(states, dtype=float)
     if states.ndim != 2 or states.shape[1] != STATE_DIM:
@@ -377,58 +308,28 @@ def energy_consumption_batch(
     )
 
 
-def _one_building(
-    state: EnvelopeState,
-    useful_area: float,
-    building_type: str,
+def energy_consumption(
+    states: np.ndarray,
+    useful_area: np.ndarray,
+    building_types: list[str],
     consts: PhysicsConstants,
-    with_gradient: bool = False,
 ) -> BatchEnergy:
-    """energy_consumption_batch of one building that meets its invariants;
-    a balance that overflows the float range is a DomainError."""
-    state.validate()
-    if useful_area < 0:
-        raise DomainError(f"useful_area must be >= 0, got {useful_area}")
-    tau = consts.time_constant_for(building_type)
+    """energy_consumption_batch of buildings that meet its invariants.
+
+    The states must pass check_states and every useful area be >= 0 (a
+    DomainError otherwise); each building type is looked up in consts (a
+    ConfigError names an unknown one). A vanishing total heat loss is a
+    degenerate building: the usage factor is 1 and the consumption 0. A
+    balance that overflows the float range is a DomainError.
+    """
+    check_states(states)
+    useful_area = np.asarray(useful_area, dtype=float)
+    if (negative := useful_area < 0).any():
+        first = float(useful_area[np.argmax(negative)])
+        raise DomainError(f"useful_area must be >= 0, got {first}")
+    taus = np.array([consts.time_constant_for(t) for t in building_types], dtype=float)
     with np.errstate(all="ignore"):
-        batch = energy_consumption_batch(state.to_vector()[None, :], np.array([float(useful_area)]),
-                                         np.array([tau]), consts, with_gradient=with_gradient)
+        batch = energy_consumption_batch(states, useful_area, taus, consts)
     if not all(np.isfinite(v).all() for v in vars(batch).values() if v is not None):
         raise DomainError("the energy balance overflows the float range")
     return batch
-
-
-def energy_consumption(
-    state: EnvelopeState,
-    useful_area: float,
-    building_type: str,
-    consts: PhysicsConstants,
-) -> LossBreakdown:
-    """Annual consumption with its full decomposition for one building.
-
-    The state must satisfy its invariants (all entries >= 0). A vanishing
-    total heat loss is treated as a degenerate building: the usage factor
-    is 1 and the consumption 0. The consumption is floored at zero.
-    """
-    batch = _one_building(state, useful_area, building_type, consts)
-    # Every field after envelope_by_component is one float per building.
-    return LossBreakdown(
-        envelope_by_component=batch.envelope_by_component[0],
-        **{f.name: float(getattr(batch, f.name)[0]) for f in fields(LossBreakdown)[1:]},
-    )
-
-
-def energy_consumption_gradient(
-    state: EnvelopeState,
-    useful_area: float,
-    building_type: str,
-    consts: PhysicsConstants,
-) -> np.ndarray:
-    """Exact partial derivatives of the annual consumption with respect to
-    the flattened 12-vector.
-
-    Where the zero floor on consumption is active (including the all-zero
-    state) the gradient is the zero vector; inside the near-1 band of the
-    gains/losses ratio the usage factor is treated as locally constant.
-    """
-    return _one_building(state, useful_area, building_type, consts, with_gradient=True).gradient[0]

@@ -42,8 +42,8 @@ from .nn import atomic_write
 from .physics import (
     COMPONENTS,
     N_COMPONENTS,
-    EnvelopeState,
     PhysicsConstants,
+    check_states,
     energy_consumption,  # noqa: F401 - perfbench traces synth.energy_consumption by name
     energy_consumption_batch,
 )
@@ -323,7 +323,7 @@ def generate_cohort(config: GeneratorConfig, out_dir: str | Path) -> dict[str, P
                                 *not_finite.values()])
     if bad.any():  # the first bad building raises its DomainError
         j = int(np.argmax(bad))
-        EnvelopeState.from_vector(states[j]).validate()
+        check_states(states[j:j + 1])
         name = next(name for name, mask in not_finite.items() if mask[j])
         raise DomainError(f"building {numbers[j]}: {name} overflows the float range")
     # Python ints: the product can exceed int64.

@@ -5,7 +5,7 @@ failure points directly at the broken area:
 
   01  physics engine agrees with an independently coded scalar reference
   02  hand-checked worked example for the full energy balance
-  03  heat gain usage factor properties (value at zero, continuity, shape)
+  03  the heat gain usage factor itself (value at zero, continuity, shape)
   04  analytic gradients match finite differences at three levels
   05  optimizer, scheduler and early-stop traces match closed forms
   06  the network can overfit a tiny noise-free cohort
@@ -39,12 +39,14 @@ from epc_pinn.nn import (
     init_model,
 )
 from epc_pinn.physics import (
+    AIR_EXCHANGE_INDEX,
+    AREA_SLICE,
     COMPONENTS,
-    EnvelopeState,
-    PhysicsConstants,
+    HEAT_GAINS_INDEX,
+    U_SLICE,
+    _usage_factor_and_slopes,
     energy_consumption,
-    energy_consumption_gradient,
-    heat_gain_usage_factor,
+    energy_consumption_batch,
 )
 from epc_pinn.synth import GeneratorConfig, generate_cohort, reference_energy
 from epc_pinn.train import TrainConfig, cross_validate
@@ -55,13 +57,10 @@ def report(number, message):
 
 
 def random_state(rng):
-    """A plausible envelope state away from degenerate corners."""
-    return EnvelopeState(
-        areas=rng.uniform(50.0, 200.0, size=5),
-        u_values=rng.uniform(0.2, 2.5, size=5),
-        air_exchange_rate=rng.uniform(0.3, 1.5),
-        specific_heat_gains=rng.uniform(5.0, 25.0),
-    )
+    """A plausible envelope state away from degenerate corners: five
+    areas, five U-values, the air exchange rate, the heat gains."""
+    return np.concatenate([rng.uniform(50.0, 200.0, size=5), rng.uniform(0.2, 2.5, size=5),
+                           [rng.uniform(0.3, 1.5), rng.uniform(5.0, 25.0)]])
 
 
 def generate_arrays(tmp_dir, n, seed, noise):
@@ -89,15 +88,16 @@ class TestAcceptance:
             useful_area = rng.uniform(200.0, 2000.0)
             building_type = "heavy" if i % 2 == 0 else "light"
             model_value = energy_consumption(
-                state, useful_area, building_type, constants
-            ).energy_consumption
+                state[None], [useful_area], [building_type], constants
+            ).energy_consumption[0]
+            areas, u_values = state[AREA_SLICE], state[U_SLICE]
             reference = reference_energy(
                 components={
-                    name: (state.areas[j], state.areas[j] * state.u_values[j])
+                    name: (areas[j], areas[j] * u_values[j])
                     for j, name in enumerate(COMPONENTS)
                 },
-                air_exchange_rate=state.air_exchange_rate,
-                specific_heat_gains=state.specific_heat_gains,
+                air_exchange_rate=state[AIR_EXCHANGE_INDEX],
+                specific_heat_gains=state[HEAT_GAINS_INDEX],
                 useful_area=useful_area,
                 tau=constants.time_constant_for(building_type),
             )
@@ -114,37 +114,39 @@ class TestAcceptance:
         bridges 3% = 130.6368, losses 4485.1968, gains 20*100 = 2000,
         r = 2000/4485.1968, usage factor 1/(1+r) for tau 1, consumption
         4485.1968 - 2000/(1+r) = 3101.9861008273856."""
-        state = EnvelopeState(
-            areas=np.array([100.0, 0.0, 0.0, 0.0, 0.0]),
-            u_values=np.array([0.5, 0.0, 0.0, 0.0, 0.0]),
-            air_exchange_rate=0.0,
-            specific_heat_gains=20.0,
-        )
-        breakdown = energy_consumption(state, 100.0, "light", constants)
-        assert breakdown.envelope_total == pytest.approx(4354.56)
-        assert breakdown.thermal_bridges == pytest.approx(130.6368)
-        assert breakdown.ventilation == 0.0
-        assert breakdown.heat_loss_total == pytest.approx(4485.1968)
-        assert breakdown.heat_gains_total == pytest.approx(2000.0)
+        state = np.zeros(12)
+        state[[0, 5, 11]] = 100.0, 0.5, 20.0  # basement/slab area and U-value, gains
+        breakdown = energy_consumption(state[None], [100.0], ["light"], constants).row_dict(0)
+        assert breakdown["envelope_total"] == pytest.approx(4354.56)
+        assert breakdown["thermal_bridges"] == pytest.approx(130.6368)
+        assert breakdown["ventilation"] == 0.0
+        assert breakdown["heat_loss_total"] == pytest.approx(4485.1968)
+        assert breakdown["heat_gains_total"] == pytest.approx(2000.0)
         ratio = 2000.0 / 4485.1968
         expected = 4485.1968 - 2000.0 / (1.0 + ratio)
         assert expected == pytest.approx(3101.9861008273856, abs=1e-9)
-        assert breakdown.energy_consumption == pytest.approx(expected, abs=1e-3)
-        report(2, f"energy consumption {breakdown.energy_consumption:.4f} "
+        assert breakdown["energy_consumption"] == pytest.approx(expected, abs=1e-3)
+        report(2, f"energy consumption {breakdown['energy_consumption']:.4f} "
                   f"kWh/yr matches the hand-derived chain")
 
-    def test_criterion_03_usage_factor_properties(self):
+    def test_criterion_03_usage_factor_properties(self, constants):
         """hguf(0) is exactly 1, the removable singularity at r=1 is
         filled with tau/(tau+1) to 1e-6, and the factor is strictly
         decreasing in the gains/losses ratio."""
         grid = np.arange(0.0, 10.0 + 0.005, 0.01)
+
+        def usage_factor(ratios, tau):
+            ratios = np.atleast_1d(np.asarray(ratios, dtype=float))
+            f, _, _ = _usage_factor_and_slopes(ratios, np.full(ratios.shape, tau),
+                                               constants.near_one_epsilon, slopes=False)
+            return f
+
         for tau in (0.5, 1.0, 2.0, 3.0):
-            assert heat_gain_usage_factor(0.0, 1.0, tau) == 1.0
+            assert usage_factor(0.0, tau)[0] == 1.0
             limit = tau / (tau + 1.0)
-            for ratio in (1.0 - 5e-7, 1.0, 1.0 + 5e-7):
-                assert abs(heat_gain_usage_factor(ratio, 1.0, tau) - limit) <= 1e-6
-            values = np.array([heat_gain_usage_factor(r, 1.0, tau) for r in grid])
-            assert np.all(np.diff(values) < 0.0)
+            near_one = usage_factor([1.0 - 5e-7, 1.0, 1.0 + 5e-7], tau)
+            assert np.all(np.abs(near_one - limit) <= 1e-6)
+            assert np.all(np.diff(usage_factor(grid, tau)) < 0.0)
         report(3, "value at zero, continuity at one and strict monotone "
                   "decrease hold for tau in {0.5, 1, 2, 3}")
 
@@ -164,30 +166,27 @@ class TestAcceptance:
             state = random_state(rng)
             useful_area = float(rng.uniform(200.0, 2000.0))
             building_type = "heavy" if accepted % 2 == 0 else "light"
-            breakdown = energy_consumption(state, useful_area, building_type, constants)
-            ratio = breakdown.heat_gains_total / breakdown.heat_loss_total
-            if abs(ratio - 1.0) < 1e-3 or breakdown.energy_consumption < 1.0:
+            tau = [constants.time_constant_for(building_type)]
+            breakdown = energy_consumption_batch(
+                state[None], [useful_area], tau, constants, with_gradient=True)
+            ratio = breakdown.heat_gains_total[0] / breakdown.heat_loss_total[0]
+            if abs(ratio - 1.0) < 1e-3 or breakdown.energy_consumption[0] < 1.0:
                 continue
             accepted += 1
-            analytic = energy_consumption_gradient(
-                state, useful_area, building_type, constants
-            )
-            vector = state.to_vector()
-            for j in range(vector.size):
-                step = 1e-6 * max(1.0, abs(vector[j]))
-                plus = vector.copy()
-                minus = vector.copy()
+            analytic = breakdown.gradient[0]
+            for j in range(state.size):
+                step = 1e-6 * max(1.0, abs(state[j]))
+                plus = state.copy()
+                minus = state.copy()
                 plus[j] += step
                 minus[j] -= step
                 numeric = (
                     energy_consumption(
-                        EnvelopeState.from_vector(plus), useful_area,
-                        building_type, constants,
-                    ).energy_consumption
+                        plus[None], [useful_area], [building_type], constants,
+                    ).energy_consumption[0]
                     - energy_consumption(
-                        EnvelopeState.from_vector(minus), useful_area,
-                        building_type, constants,
-                    ).energy_consumption
+                        minus[None], [useful_area], [building_type], constants,
+                    ).energy_consumption[0]
                 ) / (2.0 * step)
                 err = abs(analytic[j] - numeric) / max(1.0, abs(analytic[j]))
                 worst_physics = max(worst_physics, err)
@@ -240,8 +239,6 @@ class TestAcceptance:
         )
         useful_area = rng.uniform(200.0, 2000.0, size=5)
         building_types = ["heavy", "light", "heavy", "light", "heavy"]
-        from epc_pinn.physics import energy_consumption_batch
-
         taus = np.array([constants.time_constant_for(t) for t in building_types])
         measured = energy_consumption_batch(
             targets, useful_area, taus, constants

@@ -21,7 +21,8 @@ import pytest
 from epc_pinn import cli, nn
 from epc_pinn.cli import PROG, main
 from epc_pinn.data import BUILDING_TYPES, SERIES
-from epc_pinn.physics import COMPONENTS, EnvelopeState, PhysicsConstants, energy_consumption
+from epc_pinn.physics import COMPONENTS, PhysicsConstants
+from epc_pinn.synth import reference_energy
 
 
 @pytest.fixture(scope="module")
@@ -409,17 +410,16 @@ class TestPredict:
         assert code == 0
         output = json.loads(capsys.readouterr().out)
         assert output["cadastre_number"] == "01000000123"
-        state = EnvelopeState(
-            areas=np.array([output["state"]["areas"][n] for n in COMPONENTS]),
-            u_values=np.array([output["state"]["u_values"][n] for n in COMPONENTS]),
-            air_exchange_rate=output["state"]["air_exchange_rate"],
-            specific_heat_gains=output["state"]["specific_heat_gains"],
+        state = output["state"]
+        areas, u_values = state["areas"], state["u_values"]
+        assert min(*areas.values(), *u_values.values(), state["air_exchange_rate"],
+                   state["specific_heat_gains"]) >= 0.0
+        recomputed = reference_energy(
+            {name: (areas[name], areas[name] * u_values[name]) for name in COMPONENTS},
+            state["air_exchange_rate"], state["specific_heat_gains"], 850.0,
+            PhysicsConstants().time_constant_for("heavy"),
         )
-        assert np.all(state.to_vector() >= 0.0)
-        recomputed = energy_consumption(state, 850.0, "heavy", PhysicsConstants())
-        assert output["breakdown"]["energy_consumption"] == pytest.approx(
-            recomputed.energy_consumption, rel=1e-12
-        )
+        assert output["breakdown"]["energy_consumption"] == pytest.approx(recomputed, rel=1e-12)
 
     def test_building_outside_the_training_range_is_flagged(self, trained_run, tmp_path, capsys):
         """One stderr line per field outside the input scaler's fitted
@@ -988,6 +988,38 @@ class TestEvaluate:
         first = argv[argv.index("--building") + 1] if command == "predict" else min(numbers)
         assert (f"checkpoint {checkpoint} predicts a non-finite envelope state "
                 f"for building {first}\n") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, hours", [("evaluate", 1e300), ("evaluate", 1e306),
+                                                ("predict", 1e306)])
+    def test_overflowing_checkpoint_physics_is_exit_two(
+        self, trained_run, clean_cohort_dir, tmp_path, capsys, command, hours
+    ):
+        """A checkpoint hours_per_day of 1e306 overflows every building's
+        energy balance. At 1e300 the consumptions are finite (about 5e303)
+        but their squared errors overflow the metrics. Either way the
+        command names the checkpoint (predict: the building file), writes
+        no --out and raises no numpy warning."""
+        model, extra = nn.load_checkpoint(trained_run / "fold_00.json")
+        extra["constants"]["hours_per_day"] = hours
+        checkpoint = tmp_path / "hours.json"
+        nn.save_checkpoint(model, checkpoint, extra)
+        argv, out = checkpoint_call(command, checkpoint, clean_cohort_dir, tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        if command == "predict":
+            building = argv[argv.index("--building") + 1]
+            assert err == (f"{PROG}: error: {building}: "
+                           "the energy balance overflows the float range\n")
+        elif hours == 1e306:
+            with open(clean_cohort_dir / "land.csv", newline="") as handle:
+                first = min(row["cadastre_number"] for row in csv.DictReader(handle))
+            assert err == (f"{PROG}: error: checkpoint {checkpoint}: the energy balance "
+                           f"overflows the float range for building {first}\n")
+        else:
+            assert err.startswith(
+                f"{PROG}: error: checkpoint {checkpoint}: r_squared is not finite")
         assert not out.exists()
 
 

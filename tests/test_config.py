@@ -415,6 +415,11 @@ def with_value(payload, path, value):
     return payload
 
 
+def reject_constant(token):
+    """json.loads's parse_constant hook: NaN and Infinity are not JSON."""
+    raise ValueError(f"{token} in program output")
+
+
 if given is not None:
     json_values = st.recursive(
         st.none() | st.booleans() | st.text(max_size=4)
@@ -461,6 +466,8 @@ if given is not None:
                 out = work / "out.json"
                 code = main([*argv, "--checkpoint", str(checkpoint), "--out", str(out)])
                 assert code in (0, 1, 2), (argv[0], constants)
-                if code == 1:
+                if code:
                     assert not out.exists()
+                else:  # strict JSON: no NaN or Infinity token
+                    json.loads(out.read_text(), parse_constant=reject_constant)
                 out.unlink(missing_ok=True)

@@ -39,7 +39,7 @@ from epc_pinn.data import (
     train_val_split,
 )
 from epc_pinn.errors import ConfigError, DataError, DomainError, UsageError
-from epc_pinn.physics import COMPONENTS, EnvelopeState, u_value
+from epc_pinn.physics import COMPONENTS, check_states, u_value
 
 LAND_HEADER = (
     "cadastre_number,floors,latitude_centroid,longitude_centroid,useful_area,"
@@ -525,11 +525,11 @@ class TestJoinOnCadastre:
         assert len(cohort) == 1
         arrays = build_matrices(cohort)
         assert arrays.cadastre_numbers == ["01000000001"]
-        state = EnvelopeState.from_vector(arrays.targets[0])
-        assert np.all(state.areas == 200.0)
-        assert np.all(state.u_values == 0.5)
-        assert state.air_exchange_rate == 0.8
-        assert state.specific_heat_gains == 15.0
+        state = arrays.targets[0]
+        assert np.all(state[:5] == 200.0)
+        assert np.all(state[5:10] == 0.5)
+        assert state[10] == 0.8
+        assert state[11] == 15.0
         assert arrays.measured_energy[0] == pytest.approx(1000.0)
         assert arrays.useful_area[0] == 850.0
         assert arrays.building_types == ["heavy"]
@@ -676,8 +676,7 @@ class TestLoadCohort:
         cohort, dropped = load_cohort(clean_cohort_dir)
         assert dropped == []
         assert len(cohort) == 40
-        for targets in build_matrices(cohort).targets:
-            EnvelopeState.from_vector(targets).validate()
+        check_states(build_matrices(cohort).targets)
 
     def test_monthly_fallback_matches_annual_totals(self, clean_cohort_dir, tmp_path):
         """With consumption.csv removed, the loader aggregates the monthly

@@ -22,6 +22,7 @@ from epc_pinn.nn import (
     init_model,
     load_checkpoint,
     save_checkpoint,
+    write_json,
 )
 
 
@@ -41,7 +42,7 @@ class TestInitModel:
     def test_same_seed_same_weights(self):
         a = init_model((4, 8, 2), seed=7)
         b = init_model((4, 8, 2), seed=7)
-        for pa, pb in zip(a.parameters(), b.parameters()):
+        for pa, pb in zip(a.arrays(), b.arrays()):
             assert np.array_equal(pa, pb)
 
     def test_different_seed_different_weights(self):
@@ -178,7 +179,7 @@ class TestBackward:
         x = np.random.default_rng(3).normal(size=(4, 3))
         _, cache = forward(model, x)
         grads = backward(model, cache, np.zeros((4, 2)))
-        for g in grads.flat():
+        for g in grads.arrays():
             assert np.all(g == 0.0)
 
     def test_batch_gradient_is_sum_of_rows(self):
@@ -189,13 +190,13 @@ class TestBackward:
         g = rng.normal(size=(6, 2))
         _, cache = forward(model, x)
         batch_grads = backward(model, cache, g)
-        summed = [np.zeros_like(p) for p in batch_grads.flat()]
+        summed = [np.zeros_like(p) for p in batch_grads.arrays()]
         for i in range(6):
             _, row_cache = forward(model, x[i : i + 1])
             row_grads = backward(model, row_cache, g[i : i + 1])
-            for acc, rg in zip(summed, row_grads.flat()):
+            for acc, rg in zip(summed, row_grads.arrays()):
                 acc += rg
-        for bg, acc in zip(batch_grads.flat(), summed):
+        for bg, acc in zip(batch_grads.arrays(), summed):
             assert bg == pytest.approx(acc, abs=1e-12)
 
     def test_matches_finite_differences(self):
@@ -213,7 +214,7 @@ class TestBackward:
             return float(np.mean((out - y) ** 2))
 
         step = 1e-6
-        for p, g in zip(model.parameters(), grads.flat()):
+        for p, g in zip(model.arrays(), grads.arrays()):
             flat_p = p.ravel()
             flat_g = g.ravel()
             for j in range(flat_p.size):
@@ -375,20 +376,20 @@ class TestFlatLayout:
     def test_init_model_parameters_are_views(self):
         model = init_model((5, 7, 3), seed=0)
         assert model.vector.size == 5 * 7 + 7 + 7 * 3 + 3
-        self.assert_views_tile_the_vector(model, model.parameters())
+        self.assert_views_tile_the_vector(model, model.arrays())
 
     def test_loaded_parameters_are_views(self, tmp_path):
         path = tmp_path / "model.json"
         save_checkpoint(init_model((4, 6, 6, 3), seed=2), path)
         restored, _ = load_checkpoint(path)
-        self.assert_views_tile_the_vector(restored, restored.parameters())
+        self.assert_views_tile_the_vector(restored, restored.arrays())
 
     def test_gradients_are_views(self):
         model = init_model((3, 4, 2), seed=1)
         _, cache = forward(model, np.ones((2, 3)))
         grads = backward(model, cache, np.ones((2, 2)))
         assert grads.vector.shape == model.vector.shape
-        self.assert_views_tile_the_vector(grads, grads.flat())
+        self.assert_views_tile_the_vector(grads, grads.arrays())
 
     def test_set_parameters_shape_mismatch_is_dimension_error(self):
         model = init_model((2, 3, 1), seed=0)
@@ -403,8 +404,8 @@ class TestFlatLayout:
         _, cache = forward(model, x)
         grads = backward(model, cache, g)
         expected = reference_backward(model, cache, g)
-        assert len(grads.flat()) == len(expected)
-        for got, want in zip(grads.flat(), expected):
+        assert len(grads.arrays()) == len(expected)
+        for got, want in zip(grads.arrays(), expected):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
@@ -413,7 +414,7 @@ class TestFlatLayout:
         magnitude (and exact zeros), with the learning rate cut midway:
         parameters and both moments stay bitwise equal."""
         model = init_model((17, 32, 16, 12), seed=5)
-        reference = [p.copy() for p in model.parameters()]
+        reference = [p.copy() for p in model.arrays()]
         ref_m = [np.zeros_like(p) for p in reference]
         ref_v = [np.zeros_like(p) for p in reference]
         state = AdamState(learning_rate=0.003)
@@ -426,7 +427,7 @@ class TestFlatLayout:
             vector[rng.random(model.vector.size) < 0.05] = 0.0
             grads = Gradients(layer_dims=model.layer_dims, vector=vector)
             adam_step(model, grads, state)
-            reference_adam_step(reference, grads.flat(), ref_m, ref_v, t, state.learning_rate)
+            reference_adam_step(reference, grads.arrays(), ref_m, ref_v, t, state.learning_rate)
             assert model.vector.tobytes() == concatenated(reference).tobytes()
             assert state.m.tobytes() == concatenated(ref_m).tobytes()
             assert state.v.tobytes() == concatenated(ref_v).tobytes()
@@ -461,7 +462,7 @@ class TestFlatLayout:
         stopper.restore_best(model)
         assert model.vector is vector  # restored in place, views still valid
         assert model.vector.tobytes() == snapshot
-        assert concatenated(model.parameters()).tobytes() == snapshot
+        assert concatenated(model.arrays()).tobytes() == snapshot
 
 
 class TestPlateauScheduler:
@@ -546,12 +547,12 @@ class TestEarlyStop:
         model = init_model((2, 3, 1), seed=1)
         stopper = EarlyStopState()
         stopper.step(0.5, model, 0)
-        best = [p.copy() for p in model.parameters()]
+        best = [p.copy() for p in model.arrays()]
         adam_step(model, unit_gradients(model), AdamState())
         stopper.step(0.7, model, 1)
         assert not np.array_equal(model.weights[0], best[0])
         stopper.restore_best(model)
-        for p, snap in zip(model.parameters(), best):
+        for p, snap in zip(model.arrays(), best):
             assert np.array_equal(p, snap)
         assert stopper.best_epoch == 0
 
@@ -572,7 +573,7 @@ class TestCheckpoint:
         restored, extra = load_checkpoint(path)
         assert restored.layer_dims == model.layer_dims
         assert '"activation": "relu"' in path.read_text()
-        for a, b in zip(model.parameters(), restored.parameters()):
+        for a, b in zip(model.arrays(), restored.arrays()):
             assert np.array_equal(a, b)
         assert extra == {"note": "x", "values": [1, 2.5]}
 
@@ -645,6 +646,22 @@ class TestCheckpoint:
         assert list(tmp_path.iterdir()) == [path]
         assert path.read_bytes() == before
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_json_value_raises_and_writes_nothing(self, tmp_path, value):
+        """NaN and Infinity are not JSON: write_json raises on them and
+        leaves neither the target nor a temporary file; an existing target
+        keeps its bytes."""
+        path = tmp_path / "out.json"
+        with pytest.raises(ValueError):
+            write_json(path, {"metrics": {"rmse": [1.0, value]}})
+        assert list(tmp_path.iterdir()) == []
+        write_json(path, {"metrics": {"rmse": [1.0]}})
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            write_json(path, {"metrics": {"rmse": [value]}})
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == before
+
     def test_truncated_parameters_is_data_error(self, tmp_path):
         import base64
         import json
@@ -678,7 +695,7 @@ class TestFullModelGradient:
 
         step = 1e-6
         worst = 0.0
-        for p, g in zip(model.parameters(), grads.flat()):
+        for p, g in zip(model.arrays(), grads.arrays()):
             flat_p = p.ravel()
             flat_g = g.ravel()
             for j in range(flat_p.size):

@@ -1,26 +1,31 @@
 """Unit tests for the annual heating-energy model.
 
-Covers the constants, the envelope state container, every loss term with
-hand-checked arithmetic, the heat gain usage factor including its
-removable singularity at gains/losses = 1, the full consumption chain,
-the batch evaluator against the scalar oracle synth.reference_energy, and
-the analytic gradient against central finite differences.
+Covers the constants, the checks and JSON form of an envelope state (a
+12-vector), every loss term with hand-checked arithmetic, the heat gain
+usage factor including its removable singularity at gains/losses = 1,
+the full consumption chain, the batch evaluator against the scalar
+oracle synth.reference_energy, and the analytic gradient against central
+finite differences.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from epc_pinn.errors import ConfigError, DimensionError, DomainError
 from epc_pinn.physics import (
+    AIR_EXCHANGE_INDEX,
     COMPONENTS,
     HEAT_GAINS_INDEX,
     STATE_DIM,
-    EnvelopeState,
+    U_SLICE,
     PhysicsConstants,
+    _usage_factor_and_slopes,
+    check_states,
     energy_consumption,
     energy_consumption_batch,
-    energy_consumption_gradient,
-    heat_gain_usage_factor,
+    state_dict,
     u_value,
 )
 from epc_pinn.synth import reference_energy
@@ -28,22 +33,42 @@ from epc_pinn.synth import reference_energy
 
 def single_component_state(area=100.0, u=0.5, air=0.0, gains=20.0):
     """One basement/slab panel, everything else zero."""
-    return EnvelopeState(
-        areas=np.array([area, 0.0, 0.0, 0.0, 0.0]),
-        u_values=np.array([u, 0.0, 0.0, 0.0, 0.0]),
-        air_exchange_rate=air,
-        specific_heat_gains=gains,
-    )
+    state = np.zeros(STATE_DIM)
+    state[[0, U_SLICE.start, AIR_EXCHANGE_INDEX, HEAT_GAINS_INDEX]] = area, u, air, gains
+    return state
+
+
+def zero_state(gains=0.0):
+    """No envelope and no ventilation, only the given specific heat gains."""
+    return single_component_state(area=0.0, u=0.0, gains=gains)
 
 
 def random_state(rng):
-    """A plausible random building, all entries well inside the domain."""
-    return EnvelopeState(
-        areas=rng.uniform(50.0, 200.0, size=5),
-        u_values=rng.uniform(0.2, 2.5, size=5),
-        air_exchange_rate=rng.uniform(0.3, 1.5),
-        specific_heat_gains=rng.uniform(5.0, 25.0),
-    )
+    """A plausible random building, all entries well inside the domain:
+    five areas, five U-values, the air exchange rate, the heat gains."""
+    return np.concatenate([rng.uniform(50.0, 200.0, size=5), rng.uniform(0.2, 2.5, size=5),
+                           [rng.uniform(0.3, 1.5), rng.uniform(5.0, 25.0)]])
+
+
+def balance(state, useful_area, building_type, constants):
+    """The checked energy_consumption of one building, each term of its
+    one row (the envelope loss by component an array of five)."""
+    batch = energy_consumption(state[None], [useful_area], [building_type], constants)
+    return SimpleNamespace(**{k: v[0] for k, v in vars(batch).items() if v is not None})
+
+
+def gradient(state, useful_area, building_type, constants):
+    """The analytic gradient of one building's consumption."""
+    tau = constants.time_constant_for(building_type)
+    return energy_consumption_batch(state[None], [useful_area], [tau], constants,
+                                    with_gradient=True).gradient[0]
+
+
+def usage_factor(gains, losses, tau, eps=1e-6):
+    """The heat gain usage factor at gains/losses."""
+    f, _, _ = _usage_factor_and_slopes(np.array([gains / losses]), np.array([float(tau)]),
+                                       eps, slopes=False)
+    return float(f[0])
 
 
 class TestPhysicsConstants:
@@ -74,45 +99,30 @@ class TestPhysicsConstants:
 
 
 class TestEnvelopeState:
-    def test_vector_roundtrip(self):
-        """to_vector lays out [5 areas, 5 U-values, air rate, gains]."""
-        state = EnvelopeState(
-            areas=np.arange(1.0, 6.0),
-            u_values=np.arange(10.0, 15.0),
-            air_exchange_rate=0.7,
-            specific_heat_gains=16.0,
-        )
-        vec = state.to_vector()
-        assert vec.shape == (STATE_DIM,)
-        assert list(vec[:5]) == [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert list(vec[5:10]) == [10.0, 11.0, 12.0, 13.0, 14.0]
-        assert vec[10] == 0.7 and vec[11] == 16.0
-        back = EnvelopeState.from_vector(vec)
-        assert np.array_equal(back.to_vector(), vec)
-
-    def test_wrong_vector_length_is_dimension_error(self):
+    def test_wrong_vector_length_is_dimension_error(self, constants):
         with pytest.raises(DimensionError):
-            EnvelopeState.from_vector(np.zeros(11))
-
-    def test_wrong_area_count_is_dimension_error(self):
-        with pytest.raises(DimensionError):
-            EnvelopeState(
-                areas=np.zeros(4),
-                u_values=np.zeros(5),
-                air_exchange_rate=0.5,
-                specific_heat_gains=10.0,
-            )
+            energy_consumption(np.zeros((1, 11)), [100.0], ["light"], constants)
 
     def test_validate_rejects_negative_entries(self):
-        state = single_component_state()
-        state.u_values[2] = -0.1
-        with pytest.raises(DomainError, match="negative"):
-            state.validate()
+        """check_states names the most negative entry of the first bad row."""
+        states = np.stack([single_component_state()] * 3)
+        states[1, 7] = -0.1
+        states[2, 0] = -5.0
+        with pytest.raises(DomainError, match=r"^envelope state entry 7 is negative \(-0\.1\); "):
+            check_states(states)
+        states[0, 3] = np.nan
+        with pytest.raises(DomainError, match="^envelope state contains non-finite values$"):
+            check_states(states)
+        check_states(np.abs(states[1:]))
 
     def test_to_dict_uses_component_names(self):
-        payload = single_component_state().to_dict()
-        assert set(payload["areas"]) == set(COMPONENTS)
+        payload = state_dict(single_component_state(air=0.7))
+        assert set(payload["areas"]) == set(payload["u_values"]) == set(COMPONENTS)
         assert payload["areas"]["Basement/Slab"] == 100.0
+        assert payload["u_values"]["Basement/Slab"] == 0.5
+        assert payload["air_exchange_rate"] == 0.7 and payload["specific_heat_gains"] == 20.0
+        assert all(type(v) is float for part in ("areas", "u_values")
+                   for v in payload[part].values())
 
 
 class TestUValue:
@@ -131,7 +141,7 @@ class TestUValue:
 
 def breakdown(state, useful_area, constants):
     """The energy_consumption breakdown of a light building."""
-    return energy_consumption(state, useful_area, "light", constants)
+    return balance(state, useful_area, "light", constants)
 
 
 class TestEnvelopeHeatLoss:
@@ -146,14 +156,14 @@ class TestEnvelopeHeatLoss:
         """Adding 20 m2 of U 0.5 roof contributes 20 * 0.5 * 18.9 * 4.608
         = 870.912, for a total of 5225.472."""
         state = single_component_state()
-        state.areas[1] = 20.0
-        state.u_values[1] = 0.5
+        state[1] = 20.0
+        state[U_SLICE.start + 1] = 0.5
         result = breakdown(state, 100.0, constants)
         assert result.envelope_by_component[1] == pytest.approx(870.912, abs=1e-9)
         assert result.envelope_total == pytest.approx(4354.56 + 870.912, abs=1e-9)
 
     def test_all_zero_state(self, constants):
-        state = EnvelopeState(np.zeros(5), np.zeros(5), 0.0, 0.0)
+        state = zero_state()
         result = breakdown(state, 100.0, constants)
         assert result.envelope_total == 0.0
         assert np.all(result.envelope_by_component == 0.0)
@@ -166,7 +176,7 @@ class TestThermalBridgeLoss:
         assert result.thermal_bridges == pytest.approx(130.6368, abs=1e-9)
 
     def test_zero_envelope_gives_zero(self, constants):
-        state = EnvelopeState(np.zeros(5), np.zeros(5), 0.0, 0.0)
+        state = zero_state()
         assert breakdown(state, 100.0, constants).thermal_bridges == 0.0
 
 
@@ -202,19 +212,19 @@ class TestHeatGainUsageFactor:
     def test_zero_gains_gives_exactly_one(self):
         """r = 0 makes (1 - 0) / (1 - 0) = 1 for any tau."""
         for tau in (0.5, 1.0, 2.0, 3.0):
-            assert heat_gain_usage_factor(0.0, 1000.0, tau) == 1.0
+            assert usage_factor(0.0, 1000.0, tau) == 1.0
 
     def test_hand_value_at_half(self):
         """r = 0.5, tau = 1: (1 - 0.5) / (1 - 0.25) = 2/3."""
-        assert heat_gain_usage_factor(500.0, 1000.0, 1.0) == pytest.approx(
+        assert usage_factor(500.0, 1000.0, 1.0) == pytest.approx(
             2.0 / 3.0, abs=1e-12
         )
 
     def test_limit_at_one(self):
         """Inside the band around r = 1 the factor is tau / (tau + 1):
         0.5 for tau 1, 0.75 for tau 3."""
-        assert heat_gain_usage_factor(1000.0, 1000.0, 1.0) == pytest.approx(0.5)
-        assert heat_gain_usage_factor(1000.0, 1000.0, 3.0) == pytest.approx(0.75)
+        assert usage_factor(1000.0, 1000.0, 1.0) == pytest.approx(0.5)
+        assert usage_factor(1000.0, 1000.0, 3.0) == pytest.approx(0.75)
 
     def test_continuity_across_the_band(self):
         """Approaching r = 1 from either side, the direct formula stays
@@ -222,7 +232,7 @@ class TestHeatGainUsageFactor:
         for tau in (0.5, 1.0, 2.0, 3.0):
             limit = tau / (tau + 1.0)
             for r in (1.0 - 5e-7, 1.0 + 5e-7):
-                value = heat_gain_usage_factor(r * 1000.0, 1000.0, tau, eps=1e-9)
+                value = usage_factor(r * 1000.0, 1000.0, tau, eps=1e-9)
                 assert abs(value - limit) <= 1e-6
 
     def test_strictly_decreasing_in_r(self):
@@ -230,7 +240,7 @@ class TestHeatGainUsageFactor:
         the grid r = 0, 0.01, ..., 10 for every default tau."""
         grid = np.arange(0.0, 10.0 + 1e-9, 0.01)
         for tau in (0.5, 1.0, 2.0, 3.0):
-            values = [heat_gain_usage_factor(r * 1000.0, 1000.0, tau) for r in grid]
+            values = [usage_factor(r * 1000.0, 1000.0, tau) for r in grid]
             diffs = np.diff(values)
             assert np.all(diffs < 0.0)
 
@@ -239,20 +249,8 @@ class TestHeatGainUsageFactor:
         for _ in range(200):
             r = rng.uniform(0.0, 20.0)
             tau = rng.uniform(0.3, 5.0)
-            f = heat_gain_usage_factor(r * 500.0, 500.0, tau)
+            f = usage_factor(r * 500.0, 500.0, tau)
             assert 0.0 < f <= 1.0
-
-    def test_nonpositive_losses_are_domain_error(self):
-        with pytest.raises(DomainError):
-            heat_gain_usage_factor(100.0, 0.0, 1.0)
-
-    def test_negative_gains_are_domain_error(self):
-        with pytest.raises(DomainError):
-            heat_gain_usage_factor(-1.0, 100.0, 1.0)
-
-    def test_nonpositive_tau_is_domain_error(self):
-        with pytest.raises(DomainError):
-            heat_gain_usage_factor(100.0, 200.0, 0.0)
 
 
 class TestEnergyConsumption:
@@ -269,7 +267,7 @@ class TestEnergyConsumption:
             hguf        = (1 - r) / (1 - r^2) = 1 / (1 + r)
             consumption = 4485.1968 - 2000 / (1 + r) = 3101.986100...
         """
-        breakdown = energy_consumption(single_component_state(), 100.0, "light", constants)
+        breakdown = balance(single_component_state(), 100.0, "light", constants)
         assert breakdown.envelope_total == pytest.approx(4354.56, abs=1e-9)
         assert breakdown.thermal_bridges == pytest.approx(130.6368, abs=1e-9)
         assert breakdown.ventilation == 0.0
@@ -286,8 +284,8 @@ class TestEnergyConsumption:
     def test_zero_state_is_degenerate(self, constants):
         """No envelope, no ventilation, no gains: losses 0, usage factor
         pinned at 1, consumption 0."""
-        state = EnvelopeState(np.zeros(5), np.zeros(5), 0.0, 0.0)
-        breakdown = energy_consumption(state, 100.0, "heavy", constants)
+        state = zero_state()
+        breakdown = balance(state, 100.0, "heavy", constants)
         assert breakdown.heat_loss_total == 0.0
         assert breakdown.hguf == 1.0
         assert breakdown.energy_consumption == 0.0
@@ -297,7 +295,7 @@ class TestEnergyConsumption:
         1 / (1 + r), so consumption = L - G L / (L + G) = L^2 / (L + G),
         a tiny positive residual rather than a negative value."""
         state = single_component_state(area=1.0, u=0.1, gains=500.0)
-        breakdown = energy_consumption(state, 1000.0, "light", constants)
+        breakdown = balance(state, 1000.0, "light", constants)
         losses = breakdown.heat_loss_total
         gains = breakdown.heat_gains_total
         assert gains > losses
@@ -308,8 +306,8 @@ class TestEnergyConsumption:
     def test_zero_losses_with_gains_floors_at_zero(self, constants):
         """A building with no loss paths but positive gains hits the zero
         floor: raw consumption would be -gains."""
-        state = EnvelopeState(np.zeros(5), np.zeros(5), 0.0, 5.0)
-        breakdown = energy_consumption(state, 100.0, "heavy", constants)
+        state = zero_state(gains=5.0)
+        breakdown = balance(state, 100.0, "heavy", constants)
         assert breakdown.heat_loss_total == 0.0
         assert breakdown.heat_gains_total == 500.0
         assert breakdown.energy_consumption == 0.0
@@ -320,7 +318,7 @@ class TestEnergyConsumption:
             state = random_state(rng)
             area = rng.uniform(100.0, 3000.0)
             btype = "heavy" if rng.uniform() < 0.5 else "light"
-            breakdown = energy_consumption(state, area, btype, constants)
+            breakdown = balance(state, area, btype, constants)
             assert breakdown.energy_consumption >= 0.0
 
     def test_breakdown_terms_are_consistent(self, constants):
@@ -330,7 +328,7 @@ class TestEnergyConsumption:
         for _ in range(100):
             state = random_state(rng)
             area = rng.uniform(200.0, 2000.0)
-            b = energy_consumption(state, area, "heavy", constants)
+            b = balance(state, area, "heavy", constants)
             assert b.heat_loss_total == pytest.approx(
                 b.envelope_total + b.thermal_bridges + b.ventilation, rel=1e-12
             )
@@ -344,41 +342,42 @@ class TestEnergyConsumption:
         for _ in range(100):
             state = random_state(rng)
             area = rng.uniform(200.0, 2000.0)
-            before = energy_consumption(state, area, "light", constants).energy_consumption
+            before = balance(state, area, "light", constants).energy_consumption
             j = int(rng.integers(5))
-            state.u_values[j] *= 0.8
-            after = energy_consumption(state, area, "light", constants).energy_consumption
+            state[U_SLICE.start + j] *= 0.8
+            after = balance(state, area, "light", constants).energy_consumption
             assert after <= before + 1e-9
 
     def test_unknown_building_type_is_config_error(self, constants):
         with pytest.raises(ConfigError):
-            energy_consumption(single_component_state(), 100.0, "granite", constants)
+            balance(single_component_state(), 100.0, "granite", constants)
 
     def test_negative_useful_area_is_domain_error(self, constants):
         with pytest.raises(DomainError):
-            energy_consumption(single_component_state(), -1.0, "light", constants)
+            balance(single_component_state(), -1.0, "light", constants)
 
     def test_invalid_state_is_domain_error(self, constants):
         state = single_component_state()
-        state.areas[0] = -1.0
+        state[0] = -1.0
         with pytest.raises(DomainError):
-            energy_consumption(state, 100.0, "light", constants)
+            balance(state, 100.0, "light", constants)
 
 
 class TestEnergyConsumptionBatch:
     def test_matches_scalar_evaluation(self, constants):
+        """Each row of a 50-building batch equals its one-building call."""
         rng = np.random.default_rng(21)
         states = [random_state(rng) for _ in range(50)]
         areas = rng.uniform(200.0, 2000.0, size=50)
         types = ["heavy" if rng.uniform() < 0.5 else "light" for _ in range(50)]
         batch = energy_consumption_batch(
-            np.stack([s.to_vector() for s in states]),
+            np.stack(states),
             areas,
             np.array([constants.time_constant_for(t) for t in types]),
             constants,
         )
         for i, state in enumerate(states):
-            scalar = energy_consumption(state, areas[i], types[i], constants)
+            scalar = balance(state, areas[i], types[i], constants)
             assert batch.energy_consumption[i] == pytest.approx(
                 scalar.energy_consumption, rel=1e-12, abs=1e-9
             )
@@ -396,7 +395,7 @@ class TestEnergyConsumptionBatch:
         above the near-one band and at zero gains."""
         rng = np.random.default_rng(23)
         n = 400
-        states = np.stack([random_state(rng).to_vector() for _ in range(n)])
+        states = np.stack([random_state(rng) for _ in range(n)])
         areas = rng.uniform(200.0, 2000.0, size=n)
         taus = rng.choice([1.0, 3.0], size=n)
         losses = energy_consumption_batch(states, areas, taus, constants).heat_loss_total
@@ -415,8 +414,8 @@ class TestEnergyConsumptionBatch:
     def test_gradient_rows_zero_where_floored(self, constants):
         """A zero-loss building with gains sits on the zero floor; its
         gradient row must be all zero while a live row is not."""
-        live = single_component_state().to_vector()
-        floored = EnvelopeState(np.zeros(5), np.zeros(5), 0.0, 5.0).to_vector()
+        live = single_component_state()
+        floored = zero_state(gains=5.0)
         batch = energy_consumption_batch(
             np.stack([live, floored]),
             np.array([100.0, 1000.0]),
@@ -471,12 +470,8 @@ def finite_difference_gradient(vec, useful_area, btype, constants, rel_step=1e-6
         plus[j] += h
         minus = vec.copy()
         minus[j] -= h
-        e_plus = energy_consumption(
-            EnvelopeState.from_vector(plus), useful_area, btype, constants
-        ).energy_consumption
-        e_minus = energy_consumption(
-            EnvelopeState.from_vector(minus), useful_area, btype, constants
-        ).energy_consumption
+        e_plus = balance(plus, useful_area, btype, constants).energy_consumption
+        e_minus = balance(minus, useful_area, btype, constants).energy_consumption
         grad[j] = (e_plus - e_minus) / (2.0 * h)
     return grad
 
@@ -487,14 +482,14 @@ class TestEnergyConsumptionGradient:
         d(consumption)/d(area 0) = 1.03 * U0 * 18.9 * 4.608
         = 1.03 * 0.5 * 87.0912 = 44.851968."""
         state = single_component_state(gains=0.0)
-        grad = energy_consumption_gradient(state, 100.0, "light", constants)
+        grad = gradient(state, 100.0, "light", constants)
         assert grad[0] == pytest.approx(44.851968, abs=1e-9)
 
     def test_floored_state_has_zero_gradient(self, constants):
         """No loss paths, positive gains: consumption is pinned at the
         zero floor and the subgradient convention returns all zeros."""
-        state = EnvelopeState(np.zeros(5), np.zeros(5), 0.0, 5.0)
-        grad = energy_consumption_gradient(state, 1000.0, "light", constants)
+        state = zero_state(gains=5.0)
+        grad = gradient(state, 1000.0, "light", constants)
         assert np.all(grad == 0.0)
 
     def test_matches_finite_differences(self, constants):
@@ -509,12 +504,12 @@ class TestEnergyConsumptionGradient:
             state = random_state(rng)
             area = rng.uniform(200.0, 2000.0)
             btype = "heavy" if rng.uniform() < 0.5 else "light"
-            b = energy_consumption(state, area, btype, constants)
+            b = balance(state, area, btype, constants)
             ratio = b.heat_gains_total / b.heat_loss_total
             if abs(ratio - 1.0) < 1e-3 or b.energy_consumption < 1.0:
                 continue
-            analytic = energy_consumption_gradient(state, area, btype, constants)
-            fd = finite_difference_gradient(state.to_vector(), area, btype, constants)
+            analytic = gradient(state, area, btype, constants)
+            fd = finite_difference_gradient(state, area, btype, constants)
             scale = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1.0)
             assert np.all(np.abs(analytic - fd) / scale <= 1e-5)
             checked += 1
@@ -526,8 +521,8 @@ class TestEnergyConsumptionGradient:
         for _ in range(50):
             state = random_state(rng)
             area = rng.uniform(200.0, 2000.0)
-            b = energy_consumption(state, area, "heavy", constants)
+            b = balance(state, area, "heavy", constants)
             if b.energy_consumption <= 0.0:
                 continue
-            grad = energy_consumption_gradient(state, area, "heavy", constants)
+            grad = gradient(state, area, "heavy", constants)
             assert grad[11] <= 1e-12

@@ -25,7 +25,12 @@ from epc_pinn.data import (
     load_dataset,
 )
 from epc_pinn.errors import ConfigError, DataError, DomainError
-from epc_pinn.physics import COMPONENTS, EnvelopeState, PhysicsConstants, energy_consumption
+from epc_pinn.physics import (
+    COMPONENTS,
+    PhysicsConstants,
+    energy_consumption,
+    energy_consumption_batch,
+)
 from epc_pinn.synth import (
     DEFAULT_SERIES,
     MAX_FLOORS,
@@ -202,25 +207,15 @@ class TestGenerateCohort:
         joined, dropped = load_cohort(clean_cohort_dir)
         assert dropped == []
         arrays = build_matrices(joined)
-        consts = PhysicsConstants()
-        for i in range(arrays.n):
-            reconstructed = energy_consumption(
-                EnvelopeState.from_vector(arrays.targets[i]), arrays.useful_area[i],
-                arrays.building_types[i], consts,
-            ).energy_consumption
+        for i, reconstructed in enumerate(batch_energy(arrays)):
             assert reconstructed == arrays.measured_energy[i]
 
     def test_noise_perturbs_measured_but_not_below_zero(self, tmp_path):
         config = GeneratorConfig(n_buildings=30, seed=23)
         generate_cohort(config, tmp_path)
         arrays = build_matrices(load_cohort(tmp_path)[0])
-        consts = PhysicsConstants()
         diffs = []
-        for i in range(arrays.n):
-            reconstructed = energy_consumption(
-                EnvelopeState.from_vector(arrays.targets[i]), arrays.useful_area[i],
-                arrays.building_types[i], consts,
-            ).energy_consumption
+        for i, reconstructed in enumerate(batch_energy(arrays)):
             diffs.append(abs(reconstructed - arrays.measured_energy[i]))
             assert arrays.measured_energy[i] >= 0.0
         assert max(diffs) > 0.0
@@ -297,11 +292,20 @@ class TestGenerateCohort:
             )
 
 
+def batch_energy(arrays):
+    """The batch kernel's consumption of every building's targets."""
+    consts = PhysicsConstants()
+    taus = [consts.time_constant_for(t) for t in arrays.building_types]
+    return energy_consumption_batch(arrays.targets, arrays.useful_area, taus,
+                                    consts).energy_consumption
+
+
 def oracle_components(state):
-    """(area, heat loss coefficient) pairs as an audit would list them."""
+    """(area, heat loss coefficient) pairs of a 12-vector, as an audit
+    would list them."""
     return {
         name: (float(a), float(a * u))
-        for name, a, u in zip(COMPONENTS, state.areas, state.u_values)
+        for name, a, u in zip(COMPONENTS, state[:5], state[5:10])
     }
 
 
@@ -376,19 +380,17 @@ class TestReferenceEnergy:
         rng = np.random.default_rng(71)
         consts = PhysicsConstants()
         for _ in range(300):
-            state = EnvelopeState(
-                areas=rng.uniform(10.0, 400.0, size=5),
-                u_values=rng.uniform(0.1, 3.0, size=5),
-                air_exchange_rate=rng.uniform(0.0, 2.0),
-                specific_heat_gains=rng.uniform(0.0, 40.0),
-            )
+            state = np.concatenate([rng.uniform(10.0, 400.0, size=5),
+                                    rng.uniform(0.1, 3.0, size=5),
+                                    [rng.uniform(0.0, 2.0), rng.uniform(0.0, 40.0)]])
             useful_area = rng.uniform(50.0, 4000.0)
             btype = "heavy" if rng.uniform() < 0.5 else "light"
-            model = energy_consumption(state, useful_area, btype, consts).energy_consumption
+            model = energy_consumption(state[None], [useful_area], [btype],
+                                       consts).energy_consumption[0]
             oracle = reference_energy(
                 oracle_components(state),
-                state.air_exchange_rate,
-                state.specific_heat_gains,
+                state[10],
+                state[11],
                 useful_area,
                 consts.time_constant_for(btype),
             )

@@ -24,7 +24,7 @@ except ImportError:  # pragma: no cover - hypothesis is in the test extra
 from epc_pinn import synth
 from epc_pinn.data import CONSUMPTION_YEARS
 from epc_pinn.errors import DomainError
-from epc_pinn.physics import COMPONENTS, EnvelopeState, PhysicsConstants, energy_consumption
+from epc_pinn.physics import COMPONENTS, PhysicsConstants, check_states, energy_consumption
 from epc_pinn.synth import (
     DEFAULT_SERIES,
     MAX_FLOORS,
@@ -188,16 +188,15 @@ def _reference_building(config, index):
     useful_area = config.useful_fraction * total_area
     per_floor = footprint / apartment_area
     apartments = max(1, round(per_floor)) * floors if math.isfinite(per_floor) else math.inf
-    state = EnvelopeState(areas=areas, u_values=u_values, air_exchange_rate=air,
-                          specific_heat_gains=gains)
-    state.validate()  # the envelope first, then the sizes
+    state = np.concatenate([areas, u_values, [air, gains]])[None]
+    check_states(state)  # the envelope first, then the sizes
     for name, size in (("total_area", total_area), ("useful_area", useful_area),
                        ("apartments", apartments)):
         if not _in_float_range(size):
             raise DomainError(f"building 0100{index:07d}: {name} overflows the float range")
     true_energy = energy_consumption(
-        state, useful_area, profile.building_type, config.constants
-    ).energy_consumption
+        state, [useful_area], [profile.building_type], config.constants
+    ).energy_consumption[0]
     measured = {
         year: max(0.0, true_energy * (1.0 + config.consumption_noise * eps))
         for year, eps in zip(CONSUMPTION_YEARS, consumption_eps)

@@ -34,8 +34,8 @@ from epc_pinn.nn import (
     init_model,
     load_checkpoint,
 )
-from epc_pinn.physics import PhysicsConstants, energy_consumption, EnvelopeState
-from epc_pinn.synth import GeneratorConfig, generate_cohort
+from epc_pinn.physics import COMPONENTS, PhysicsConstants
+from epc_pinn.synth import GeneratorConfig, generate_cohort, reference_energy
 from epc_pinn import train
 from epc_pinn.train import (
     TrainConfig,
@@ -368,13 +368,12 @@ class TestPredictionHelpers:
         energy = reconstruct_energy(
             rows, arrays.useful_area[:6], arrays.building_types[:6], consts
         )
-        for i in range(6):
-            scalar = energy_consumption(
-                EnvelopeState.from_vector(rows[i]),
-                arrays.useful_area[i],
-                arrays.building_types[i],
-                consts,
-            ).energy_consumption
+        for i, row in enumerate(rows):
+            scalar = reference_energy(
+                {name: (a, a * u) for name, a, u in zip(COMPONENTS, row[:5], row[5:10])},
+                row[10], row[11], arrays.useful_area[i],
+                consts.time_constant_for(arrays.building_types[i]),
+            )
             assert energy[i] == pytest.approx(scalar, rel=1e-12)
 
 
