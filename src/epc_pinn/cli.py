@@ -19,7 +19,7 @@ Every JSON input is read by nn.read_json.
 Exit codes: 0 success; 1 usage or configuration, naming a bad config key
 by its path or an --out that is or lies under a file, before any file is
 written or any fold trains; 2 data problems, checkpoint physics constants
-included; 3 runtime failures.
+and train ones that overflow the loss included; 3 runtime failures.
 EPC_PINN_THREADS caps how many folds train in parallel (default 1); it
 is checked, like the config, before any data is read. While parallel
 folds train, OpenBLAS runs single-threaded, and its previous
@@ -62,6 +62,7 @@ from .physics import (
 )
 from .train import (
     TrainConfig,
+    check_loss_is_finite,
     cross_validate,
     predict_physical,
     reconstruct_energy,
@@ -175,6 +176,7 @@ def cmd_train(args) -> int:
         raise DataError(f"no usable samples in {data_dir}")
     arrays = data.build_matrices(joined)
     train_config.constants.check_building_types(arrays.building_types)
+    check_loss_is_finite(arrays, train_config)
     result = cross_validate(arrays, train_config, max_workers=threads)
 
     paths = save_run_outputs(result, train_config, out_dir)

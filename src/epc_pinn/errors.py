@@ -32,7 +32,12 @@ class UsageError(EpcPinnError, RuntimeError):
 
 
 class TrainingError(EpcPinnError, RuntimeError):
-    """Non-finite values or other failures during optimization."""
+    """Non-finite values or other failures during optimization; row is
+    the first offending batch row, where known."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class UndefinedMetricError(EpcPinnError, ValueError):

@@ -119,7 +119,7 @@ def enhanced_loss(
         checked = (batch.energy_consumption[:, None], diff[:, None], pred, gradient)
         finite = [np.isfinite(a).all(axis=1) for a in checked if a is not None]
         row = int(np.argmin(np.all(finite, axis=0)))  # the first row not finite
-        raise TrainingError(f"non-finite loss contribution at batch row {row}")
+        raise TrainingError(f"non-finite loss contribution at batch row {row}", row)
     return LossValue(
         total=total, mse_z=mse_z, mse_y=mse_y, gradient_wrt_predictions=gradient
     )

@@ -4,9 +4,9 @@ The model maps a feature vector to the twelve envelope quantities through
 dense layers with ReLU activations on the hidden layers and an identity
 output layer. Everything is plain numpy: forward returns a cache of
 intermediate activations, backward consumes it to produce exact parameter
-gradients, and Adam with bias correction performs the update. A plateau
-scheduler and an early stopper with best-weights snapshotting drive the
-training loop.
+gradients, and Adam with bias correction performs the update. One plateau
+tracker on the validation loss (EarlyStopState) cuts the learning rate,
+stops training and snapshots the best weights.
 
 Every weight and bias is a view into one contiguous float64 vector laid
 out (W0, b0, W1, b1, ...), and backward writes into views of one gradient
@@ -264,48 +264,25 @@ def adam_step(
 
 
 @dataclass(eq=False)
-class PlateauSchedulerState:
-    """Reduce the learning rate when a monitored loss stops improving.
-
-    A call improves when loss < best. After patience
-    consecutive non-improving calls the rate is multiplied by factor
-    (floored at min_lr) and the counter resets; best is never reset, so a
-    long plateau keeps decaying the rate.
-    """
-
-    patience: int = 5
-    factor: float = 0.1
-    min_lr: float = 1e-7
-    best: float = np.inf
-    bad_epochs: int = 0
-
-    def step(self, loss: float, optimizer: AdamState) -> bool:
-        """Record one epoch's loss; returns True if the rate was reduced."""
-        if loss < self.best:
-            self.best = loss
-            self.bad_epochs = 0
-            return False
-        self.bad_epochs += 1
-        if self.bad_epochs >= self.patience:
-            optimizer.learning_rate = max(optimizer.learning_rate * self.factor, self.min_lr)
-            self.bad_epochs = 0
-            return True
-        return False
-
-
-@dataclass(eq=False)
 class EarlyStopState:
-    """Stop training after patience epochs without improvement, keeping a
-    snapshot of the best parameters seen."""
+    """The plateau tracker: an epoch improves when loss < best (never at
+    NaN), and bad_epochs counts the epochs since. Each multiple of
+    lr_patience it reaches cuts the rate by lr_factor, floored at min_lr
+    (best is kept, so a long plateau keeps cutting); reaching patience
+    stops training, after that epoch's cut. The best parameters are kept."""
 
     patience: int = 8
+    lr_patience: int = 5
+    lr_factor: float = 0.1
+    min_lr: float = 1e-7
     best: float = np.inf
     bad_epochs: int = 0
     best_parameters: np.ndarray | None = None
     best_epoch: int = -1
 
-    def step(self, loss: float, model: MlpModel, epoch: int) -> bool:
-        """Record one epoch's loss; returns True when training should stop."""
+    def step(self, loss: float, model: MlpModel, epoch: int, optimizer: AdamState) -> bool:
+        """Record one epoch's loss, cutting optimizer's rate on a plateau;
+        returns True when training should stop."""
         if loss < self.best:
             self.best = loss
             self.bad_epochs = 0
@@ -316,6 +293,8 @@ class EarlyStopState:
             self.best_epoch = epoch
             return False
         self.bad_epochs += 1
+        if self.bad_epochs % self.lr_patience == 0:
+            optimizer.learning_rate = max(optimizer.learning_rate * self.lr_factor, self.min_lr)
         return self.bad_epochs >= self.patience
 
     def restore_best(self, model: MlpModel) -> None:

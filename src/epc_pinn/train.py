@@ -4,10 +4,11 @@ One outer k-fold split over the joined samples; within each fold the
 non-test pool is split again into training and validation parts, the
 three scalers (inputs, 12 targets, energy) are fitted on the training
 part only, and the network trains with the two-term loss. The validation
-loss drives both the plateau scheduler and early stopping; the best
-snapshot is restored before the fold's test predictions are made and
-scored. A fold records which sample indices reached scaler fitting and
-parameter updates, so leakage is checkable after the fact.
+loss drives one plateau tracker (nn.EarlyStopState), which cuts the
+learning rate and stops the fold; the best snapshot is restored before
+the fold's test predictions are made and scored. A fold records its
+training indices, which alone fit the scalers, and which sample indices
+fed parameter updates, so leakage is checkable after the fact.
 
 The loss inputs are derived once per fold, training rows then validation
 rows. Each epoch runs one forward pass per batch, then one over the
@@ -34,7 +35,7 @@ import numpy as np
 
 from .config import JsonConfig
 from .data import MinMaxScaler, TrainingArrays, kfold_split, train_val_split
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, DataError, TrainingError
 from .loss import enhanced_loss
 from .metrics import (
     AggregateReport,
@@ -47,7 +48,6 @@ from .nn import (
     AdamState,
     EarlyStopState,
     MlpModel,
-    PlateauSchedulerState,
     adam_step,
     backward,
     forward,
@@ -121,9 +121,8 @@ class FoldResult:
     energy_scaler: MinMaxScaler
     history: TrainHistory
     test_indices: np.ndarray
-    train_indices: np.ndarray
+    train_indices: np.ndarray  # the only rows the scalers were fitted on
     val_indices: np.ndarray
-    scaler_fit_indices: np.ndarray
     update_indices: np.ndarray  # every sample index that fed a parameter update
     predictions_physical: np.ndarray  # (n_test, 12), clamped at 0
     reconstructed_energy: np.ndarray  # (n_test,)
@@ -156,6 +155,24 @@ def reconstruct_energy(
     return energy_consumption_batch(
         states_physical, np.asarray(useful_area, dtype=float), taus, consts
     ).energy_consumption
+
+
+def check_loss_is_finite(arrays: TrainingArrays, config: TrainConfig) -> None:
+    """Raise DataError naming the first building if the loss, with its
+    gradient, is not finite at the cohort's audit targets under scalers
+    fitted on the whole cohort; no numpy warning is raised."""
+    target_scaler = MinMaxScaler().fit(arrays.targets)
+    energy_scaler = MinMaxScaler().fit(arrays.measured_energy)
+    z = target_scaler.transform(arrays.targets)
+    measured = energy_scaler.transform(arrays.measured_energy)
+    taus = np.array([config.constants.time_constant_for(t) for t in arrays.building_types])
+    try:
+        with np.errstate(all="ignore"):
+            enhanced_loss(z, z, arrays.useful_area, taus, measured, target_scaler,
+                          energy_scaler, config.constants, config.physics_weight)
+    except TrainingError as exc:
+        raise DataError(f"the training loss at the audit targets is not finite for building "
+                        f"{arrays.cadastre_numbers[exc.row]}") from None
 
 
 def train_fold(
@@ -211,12 +228,9 @@ def train_fold(
 
     model = init_model((arrays.features.shape[1], *config.hidden_dims, STATE_DIM), init_seed)
     optimizer = AdamState(learning_rate=config.learning_rate)
-    scheduler = PlateauSchedulerState(
-        patience=config.scheduler_patience,
-        factor=config.scheduler_factor,
-        min_lr=config.min_lr,
-    )
-    stopper = EarlyStopState(patience=config.early_stop_patience)
+    stopper = EarlyStopState(patience=config.early_stop_patience,
+                             lr_patience=config.scheduler_patience,
+                             lr_factor=config.scheduler_factor, min_lr=config.min_lr)
     shuffle_rng = np.random.default_rng(shuffle_seed)
     history = TrainHistory()
     updated = np.zeros(arrays.n, dtype=bool)
@@ -241,8 +255,7 @@ def train_fold(
             val_pred, _ = forward(model, x_fit[n_train:])
             val_loss = loss_at(val_pred, np.s_[n_train:], with_gradient=False).total
 
-            stop = stopper.step(val_loss, model, epoch)
-            scheduler.step(val_loss, optimizer)
+            stop = stopper.step(val_loss, model, epoch, optimizer)
             history.train_loss.append(float(train_loss))
             history.val_loss.append(float(val_loss))
             history.learning_rate.append(float(optimizer.learning_rate))
@@ -281,7 +294,6 @@ def train_fold(
         test_indices=test_indices,
         train_indices=train_idx,
         val_indices=val_idx,
-        scaler_fit_indices=train_idx.copy(),
         update_indices=np.flatnonzero(updated),
         predictions_physical=predictions,
         reconstructed_energy=energy,

@@ -7,7 +7,7 @@ failure points directly at the broken area:
   02  hand-checked worked example for the full energy balance
   03  the heat gain usage factor itself (value at zero, continuity, shape)
   04  analytic gradients match finite differences at three levels
-  05  optimizer, scheduler and early-stop traces match closed forms
+  05  optimizer and plateau-tracker traces match closed forms
   06  the network can overfit a tiny noise-free cohort
   07  cross-validated generalization on a large synthetic cohort
   08  metric implementations against hand arithmetic
@@ -32,7 +32,6 @@ from epc_pinn.metrics import nrmse, r_squared, rmse
 from epc_pinn.nn import (
     AdamState,
     EarlyStopState,
-    PlateauSchedulerState,
     adam_step,
     backward,
     forward,
@@ -282,9 +281,10 @@ class TestAcceptance:
 
     def test_criterion_05_optimizer_traces(self):
         """Closed-form checks: one Adam step on a zero parameter with
-        unit gradient moves it to -lr/(1+eps); a constant loss trims the
-        learning rate tenfold at call 6 (patience 5) and again at 11;
-        early stopping with patience 8 first fires at call 9."""
+        unit gradient moves it to -lr/(1+eps); under a constant loss the
+        plateau tracker trims the learning rate tenfold at call 6
+        (lr_patience 5) and again at 11, and with patience 8 first
+        signals the stop at call 9."""
         model = init_model((1, 1), seed=0)
         out, cache = forward(model, np.array([[1.0]]))
         grads = backward(model, cache, np.array([[1.0]]))
@@ -295,24 +295,19 @@ class TestAcceptance:
         assert first_step == pytest.approx(-0.000999999, abs=1e-8)
 
         optimizer = AdamState(learning_rate=0.001)
-        scheduler = PlateauSchedulerState(patience=5, factor=0.1)
-        reduced_at = [
-            call
-            for call in range(1, 12)
-            if scheduler.step(1.0, optimizer)
-        ]
+        stopper = EarlyStopState(patience=8, lr_patience=5, lr_factor=0.1)
+        probe = init_model((1, 1), seed=0)
+        reduced_at, fired_at = [], []
+        for call in range(1, 12):
+            rate = optimizer.learning_rate
+            if stopper.step(1.0, probe, call, optimizer):
+                fired_at.append(call)
+            if optimizer.learning_rate < rate:
+                reduced_at.append(call)
         assert reduced_at == [6, 11]
         assert optimizer.learning_rate == pytest.approx(1e-5)
-
-        stopper = EarlyStopState(patience=8)
-        probe = init_model((1, 1), seed=0)
-        fired_at = [
-            call
-            for call in range(1, 10)
-            if stopper.step(1.0, probe, epoch=call)
-        ]
-        assert fired_at == [9]
-        report(5, "Adam first step, scheduler reductions at calls 6 and "
+        assert fired_at[0] == 9
+        report(5, "Adam first step, rate reductions at calls 6 and "
                   "11, early stop at call 9")
 
     def test_criterion_06_overfits_tiny_cohort(self, tmp_path, constants):
@@ -415,20 +410,21 @@ class TestAcceptance:
 
     def test_criterion_10_no_test_fold_leakage(self, clean_cohort_dir):
         """In every fold the held-out indices are disjoint from both the
-        scaler-fit set and the weight-update set, and refitting a scaler
-        on the recorded fit indices reproduces the stored bounds."""
+        training rows (the scaler-fit set) and the weight-update set, and
+        refitting a scaler on the training rows reproduces the stored
+        bounds."""
         samples, _ = load_cohort(clean_cohort_dir)
         arrays = build_matrices(samples)
         config = TrainConfig(hidden_dims=(16, 16), max_epochs=3, seed=0)
         result = cross_validate(arrays, config)
         for fold in result.folds:
             test = set(fold.test_indices.tolist())
-            assert test.isdisjoint(fold.scaler_fit_indices.tolist())
+            assert test.isdisjoint(fold.train_indices.tolist())
             assert test.isdisjoint(fold.update_indices.tolist())
             assert set(fold.val_indices.tolist()).isdisjoint(
                 fold.update_indices.tolist()
             )
-            refit = MinMaxScaler().fit(arrays.features[fold.scaler_fit_indices])
+            refit = MinMaxScaler().fit(arrays.features[fold.train_indices])
             assert np.array_equal(refit.data_min_, fold.input_scaler.data_min_)
             assert np.array_equal(refit.data_max_, fold.input_scaler.data_max_)
         report(10, "held-out indices never reach scaler fits or updates "

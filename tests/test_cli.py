@@ -262,6 +262,34 @@ class TestTrain:
         assert "train.learning_rate: expected a finite number, got nan" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("hours", [1e300, 1e306])
+    def test_overflowing_physics_is_exit_two_before_any_fold_trains(
+        self, clean_cohort_dir, tmp_path, monkeypatch, capsys, hours
+    ):
+        """At an hours_per_day of 1e300 the balance at the audit targets is
+        finite but the square of the loss's scaled residual is not; at 1e306
+        the balance itself overflows. Either way no fold trains, the first
+        building is named, nothing is written and no numpy warning is raised."""
+        runs = []
+        monkeypatch.setattr(cli, "cross_validate", lambda *args, **kwargs: runs.append(args))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "physics": {"hours_per_day": hours},
+            "train": {"k_folds": 2, "max_epochs": 3, "hidden_dims": [8]},
+        }))
+        out = tmp_path / "out"
+        code = main(["train", "--config", str(config_path), "--seed", "0",
+                     "--data", str(clean_cohort_dir), "--out", str(out)])
+        assert code == 2
+        with open(clean_cohort_dir / "land.csv", newline="") as handle:
+            first = min(row["cadastre_number"] for row in csv.DictReader(handle))
+        assert capsys.readouterr().err == (
+            f"{PROG}: error: the training loss at the audit targets is not finite "
+            f"for building {first}\n")
+        assert runs == []
+        assert not out.exists()
+
     def test_identical_runs_write_identical_results(self, clean_cohort_dir, tmp_path):
         config_path = tmp_path / "config.json"
         config_path.write_text(

@@ -1,10 +1,10 @@
-"""Unit tests for the dense network, backprop, Adam, the schedulers and
-checkpointing.
+"""Unit tests for the dense network, backprop, Adam, the plateau tracker
+and checkpointing.
 
 The backward pass is verified against central finite differences, Adam
 against its closed-form first steps (constant gradient keeps both bias
-corrections at exactly 1), and the plateau scheduler / early stopper
-against hand-counted call traces.
+corrections at exactly 1), and the plateau tracker's learning-rate cuts
+and early stop against hand-counted call traces.
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ from epc_pinn.nn import (
     AdamState,
     EarlyStopState,
     Gradients,
-    PlateauSchedulerState,
     adam_step,
     backward,
     forward,
@@ -451,11 +450,11 @@ class TestFlatLayout:
 
         for _ in range(3):
             step()
-        stopper.step(0.5, model, 3)
+        stopper.step(0.5, model, 3, state)
         snapshot = model.vector.tobytes()
         for epoch in range(4, 8):
             step()
-            stopper.step(0.9, model, epoch)
+            stopper.step(0.9, model, epoch, state)
         assert model.vector.tobytes() != snapshot
         assert stopper.best_parameters.tobytes() == snapshot
         vector = model.vector
@@ -465,91 +464,94 @@ class TestFlatLayout:
         assert concatenated(model.arrays()).tobytes() == snapshot
 
 
+def lr_trace(stopper, losses, learning_rate=0.001):
+    """(stop flags, learning rate after each call) of stopper over losses."""
+    optimizer = AdamState(learning_rate=learning_rate)
+    model = init_model((2, 2), seed=0)
+    stops, rates = [], []
+    for epoch, loss in enumerate(losses):
+        stops.append(stopper.step(loss, model, epoch, optimizer))
+        rates.append(optimizer.learning_rate)
+    return stops, rates
+
+
+def cut_calls(rates, learning_rate=0.001):
+    """1-based calls after which the learning rate fell."""
+    before = [learning_rate, *rates[:-1]]
+    return [call for call, (a, b) in enumerate(zip(before, rates), 1) if b < a]
+
+
 class TestPlateauScheduler:
+    """The learning-rate cut of the plateau tracker."""
+
     def test_improving_losses_keep_the_rate(self):
-        scheduler = PlateauSchedulerState()
-        optimizer = AdamState(learning_rate=0.001)
-        for loss in (1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4):
-            assert scheduler.step(loss, optimizer) is False
-        assert optimizer.learning_rate == 0.001
+        stops, rates = lr_trace(EarlyStopState(), (1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4))
+        assert not any(stops)
+        assert rates == [0.001] * 7
 
     def test_constant_loss_reduces_at_sixth_and_eleventh_call(self):
         """Call 1 improves on +inf; calls 2..6 are non-improving, so the
         5th bad call (call 6 overall) triggers the first reduction to
-        1e-4; the counter resets and call 11 triggers the second, to
-        1e-5."""
-        scheduler = PlateauSchedulerState()
-        optimizer = AdamState(learning_rate=0.001)
-        reduced_at = []
-        for call in range(1, 12):
-            if scheduler.step(1.0, optimizer):
-                reduced_at.append(call)
-        assert reduced_at == [6, 11]
-        assert optimizer.learning_rate == pytest.approx(1e-5, rel=1e-12)
+        1e-4; the 10th bad call (call 11) triggers the second, to 1e-5.
+        Training would stop at call 9, the 8th bad call."""
+        stops, rates = lr_trace(EarlyStopState(), [1.0] * 11)
+        assert cut_calls(rates) == [6, 11]
+        assert rates[-1] == pytest.approx(1e-5, rel=1e-12)
+        assert stops.index(True) == 8
 
     def test_rate_floors_at_min_lr(self):
-        scheduler = PlateauSchedulerState(patience=1, min_lr=1e-7)
-        optimizer = AdamState(learning_rate=0.001)
-        scheduler.step(1.0, optimizer)
-        for _ in range(20):
-            scheduler.step(1.0, optimizer)
-        assert optimizer.learning_rate == 1e-7
+        stopper = EarlyStopState(patience=100, lr_patience=1, min_lr=1e-7)
+        _, rates = lr_trace(stopper, [1.0] * 21)
+        assert rates[-1] == 1e-7
 
     def test_improvement_resets_the_counter(self):
-        scheduler = PlateauSchedulerState()
-        optimizer = AdamState(learning_rate=0.001)
-        for loss in (1.0, 1.0, 1.0, 1.0, 0.5):
-            scheduler.step(loss, optimizer)
-        for loss in (0.5, 0.5, 0.5, 0.5):
-            assert scheduler.step(loss, optimizer) is False
-        assert optimizer.learning_rate == 0.001
-        assert scheduler.step(0.5, optimizer) is True
+        stopper = EarlyStopState()
+        _, rates = lr_trace(stopper, (1.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5))
+        assert cut_calls(rates) == [10]
+        assert rates[-2] == 0.001
 
     def test_best_is_not_reset_by_a_reduction(self):
         """A loss that only recovers to its old best after a reduction is
         still non-improving; the plateau keeps decaying the rate."""
-        scheduler = PlateauSchedulerState(patience=2)
-        optimizer = AdamState(learning_rate=0.001)
-        scheduler.step(0.5, optimizer)
-        scheduler.step(0.6, optimizer)
-        assert scheduler.step(0.6, optimizer) is True
-        scheduler.step(0.5, optimizer)
-        assert scheduler.step(0.5, optimizer) is True
+        stopper = EarlyStopState(lr_patience=2)
+        _, rates = lr_trace(stopper, (0.5, 0.6, 0.6, 0.5, 0.5))
+        assert cut_calls(rates) == [3, 5]
+        assert stopper.best == 0.5 and stopper.best_epoch == 0
+
+    def test_cut_on_the_stop_epoch_is_applied(self):
+        """With patience twice lr_patience, the second cut falls on the
+        stop call (call 11, the 10th bad one) and is applied before the
+        stop is returned."""
+        stopper = EarlyStopState(patience=10, lr_patience=5)
+        stops, rates = lr_trace(stopper, [1.0] * 11)
+        assert stops == [False] * 10 + [True]
+        assert cut_calls(rates) == [6, 11]
+        assert rates[-1] == pytest.approx(1e-5, rel=1e-12)
 
 
 class TestEarlyStop:
     def test_decreasing_losses_never_stop(self):
-        stopper = EarlyStopState()
-        model = init_model((2, 2), seed=0)
-        for epoch, loss in enumerate(np.linspace(1.0, 0.1, 30)):
-            assert stopper.step(float(loss), model, epoch) is False
+        stops, _ = lr_trace(EarlyStopState(), [float(x) for x in np.linspace(1.0, 0.1, 30)])
+        assert stops == [False] * 30
 
     def test_constant_loss_stops_at_ninth_call(self):
         """Call 1 improves on +inf; the 8th consecutive non-improving
         call is call 9 overall and returns True."""
-        stopper = EarlyStopState()
-        model = init_model((2, 2), seed=0)
-        stops = [stopper.step(1.0, model, epoch) for epoch in range(9)]
+        stops, _ = lr_trace(EarlyStopState(), [1.0] * 9)
         assert stops == [False] * 8 + [True]
 
     def test_improvement_resets_the_counter(self):
-        stopper = EarlyStopState()
-        model = init_model((2, 2), seed=0)
-        for epoch in range(8):
-            assert stopper.step(1.0, model, epoch) is False
-        assert stopper.step(0.5, model, 8) is False
-        for epoch in range(9, 16):
-            assert stopper.step(0.5, model, epoch) is False
-        assert stopper.step(0.5, model, 16) is True
+        stops, _ = lr_trace(EarlyStopState(), [1.0] * 8 + [0.5] * 9)
+        assert stops == [False] * 16 + [True]
 
     def test_restore_best_rolls_parameters_back(self):
         """The snapshot taken at the best epoch survives later updates."""
         model = init_model((2, 3, 1), seed=1)
         stopper = EarlyStopState()
-        stopper.step(0.5, model, 0)
+        stopper.step(0.5, model, 0, AdamState())
         best = [p.copy() for p in model.arrays()]
         adam_step(model, unit_gradients(model), AdamState())
-        stopper.step(0.7, model, 1)
+        stopper.step(0.7, model, 1, AdamState())
         assert not np.array_equal(model.weights[0], best[0])
         stopper.restore_best(model)
         for p, snap in zip(model.arrays(), best):
@@ -559,7 +561,7 @@ class TestEarlyStop:
     def test_restore_bumps_version(self):
         model = init_model((2, 2), seed=0)
         stopper = EarlyStopState()
-        stopper.step(0.5, model, 0)
+        stopper.step(0.5, model, 0, AdamState())
         before = model.version
         stopper.restore_best(model)
         assert model.version == before + 1
@@ -717,10 +719,10 @@ def test_improving_snapshots_reuse_one_buffer():
     """Each improvement copies into the buffer of the first snapshot."""
     model = init_model((2, 3, 1), seed=1)
     stopper = EarlyStopState()
-    stopper.step(0.5, model, 0)
+    stopper.step(0.5, model, 0, AdamState())
     buffer = stopper.best_parameters
     adam_step(model, unit_gradients(model), AdamState())
-    stopper.step(0.4, model, 1)
+    stopper.step(0.4, model, 1, AdamState())
     assert stopper.best_parameters is buffer
     assert buffer.tobytes() == model.vector.tobytes()
 

@@ -27,7 +27,6 @@ from epc_pinn.metrics import REPORT_VARIABLES
 from epc_pinn.nn import (
     AdamState,
     EarlyStopState,
-    PlateauSchedulerState,
     adam_step,
     backward,
     forward,
@@ -154,18 +153,18 @@ class TestTrainFold:
         fold = train_fold(arrays, np.arange(4), quick_config())
         test_set = set(fold.test_indices.tolist())
         assert test_set.isdisjoint(fold.update_indices.tolist())
-        assert test_set.isdisjoint(fold.scaler_fit_indices.tolist())
+        assert test_set.isdisjoint(fold.train_indices.tolist())
         assert set(fold.val_indices.tolist()).isdisjoint(fold.update_indices.tolist())
         assert set(fold.update_indices.tolist()) == set(fold.train_indices.tolist())
 
     def test_scalers_were_fitted_on_the_training_rows_only(self, arrays):
         fold = train_fold(arrays, np.arange(4), quick_config())
-        refit = MinMaxScaler().fit(arrays.features[fold.scaler_fit_indices])
+        refit = MinMaxScaler().fit(arrays.features[fold.train_indices])
         assert np.array_equal(refit.data_min_, fold.input_scaler.data_min_)
         assert np.array_equal(refit.data_max_, fold.input_scaler.data_max_)
-        refit_t = MinMaxScaler().fit(arrays.targets[fold.scaler_fit_indices])
+        refit_t = MinMaxScaler().fit(arrays.targets[fold.train_indices])
         assert np.array_equal(refit_t.data_min_, fold.target_scaler.data_min_)
-        refit_e = MinMaxScaler().fit(arrays.measured_energy[fold.scaler_fit_indices])
+        refit_e = MinMaxScaler().fit(arrays.measured_energy[fold.train_indices])
         assert np.array_equal(refit_e.data_min_, fold.energy_scaler.data_min_)
 
     def test_deterministic_given_the_seed(self, arrays):
@@ -252,12 +251,38 @@ class TestTrainFold:
         assert calls == []
 
 
+class TwoCounters:
+    """The validation schedule written out apart from nn, as a scheduler
+    and an early stopper side by side, each with its own count of epochs
+    since the last improvement (loss < best). The scheduler's count
+    restarts at each cut; a cut comes before a stop on the same epoch."""
+
+    def __init__(self, patience, lr_patience, lr_factor, min_lr):
+        self.patience, self.lr_patience = patience, lr_patience
+        self.lr_factor, self.min_lr = lr_factor, min_lr
+        self.best, self.stop_count, self.lr_count = np.inf, 0, 0
+        self.best_epoch, self.snapshot = -1, None
+
+    def step(self, loss, model, epoch, optimizer):
+        if loss < self.best:
+            self.best, self.stop_count, self.lr_count = loss, 0, 0
+            self.best_epoch, self.snapshot = epoch, model.vector.copy()
+            return False
+        self.stop_count += 1
+        self.lr_count += 1
+        if self.lr_count >= self.lr_patience:
+            optimizer.learning_rate = max(optimizer.learning_rate * self.lr_factor, self.min_lr)
+            self.lr_count = 0
+        return self.stop_count >= self.patience
+
+
 def reference_epochs(arrays, test_indices, config, fold_index=0):
     """train_fold's epoch loop written out with separate passes: a forward
     pass per batch and one over the validation rows, the validation loss
-    with its gradient, and tau and the scaled measured energy derived on
-    every loss call. Returns the history lists, the early-stop snapshot
-    and the parameters before the snapshot is restored."""
+    with its gradient, tau and the scaled measured energy derived on
+    every loss call, and the schedule kept by TwoCounters. Returns the
+    history lists, the early-stop snapshot and the parameters before the
+    snapshot is restored."""
     mask = np.ones(arrays.n, dtype=bool)
     mask[test_indices] = False
     split_seed, init_seed, shuffle_seed = (
@@ -286,10 +311,8 @@ def reference_epochs(arrays, test_indices, config, fold_index=0):
 
     model = init_model((arrays.features.shape[1], *config.hidden_dims, 12), init_seed)
     optimizer = AdamState(learning_rate=config.learning_rate)
-    scheduler = PlateauSchedulerState(
-        config.scheduler_patience, config.scheduler_factor, config.min_lr
-    )
-    stopper = EarlyStopState(patience=config.early_stop_patience)
+    schedule = TwoCounters(config.early_stop_patience, config.scheduler_patience,
+                           config.scheduler_factor, config.min_lr)
     shuffle_rng = np.random.default_rng(shuffle_seed)
     n_train = train_idx.shape[0]
     batch_size = config.batch_size
@@ -308,14 +331,13 @@ def reference_epochs(arrays, test_indices, config, fold_index=0):
             weighted += value.total * rows.shape[0]
         val_pred, _ = forward(model, x_val)
         val_loss = loss_at(val_pred, z_val, val_idx).total
-        stop = stopper.step(val_loss, model, epoch)
-        scheduler.step(val_loss, optimizer)
+        stop = schedule.step(val_loss, model, epoch, optimizer)
         history["train_loss"].append(float(weighted / n_train))
         history["val_loss"].append(float(val_loss))
         history["learning_rate"].append(float(optimizer.learning_rate))
         if stop:
             break
-    return history, stopper.best_parameters.copy(), model.vector.copy()
+    return history, schedule.snapshot, model.vector.copy()
 
 
 @pytest.mark.parametrize(
@@ -351,6 +373,38 @@ def test_train_fold_matches_the_separate_pass_reference(arrays, monkeypatch, ove
     assert seen["snapshot"].tobytes() == snapshot.tobytes()
     assert seen["final"].tobytes() == final.tobytes()
     assert fold.model.vector.tobytes() == snapshot.tobytes()
+
+
+def test_plateau_tracker_matches_the_two_counter_reference():
+    """Over loss sequences with ties and NaN, and patiences in either
+    order, EarlyStopState gives TwoCounters' learning-rate trace, stop
+    epoch and best epoch."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.given(
+        losses=st.lists(st.sampled_from([0.5, 0.6, 0.7, 1.0, float("nan")]), max_size=80),
+        patience=st.integers(1, 12),
+        lr_patience=st.integers(1, 12),
+        lr_factor=st.sampled_from([0.1, 0.5]),
+        min_lr=st.sampled_from([0.0, 1e-5, 1e-4]),
+    )
+    def check(losses, patience, lr_patience, lr_factor, min_lr):
+        model = init_model((1, 1), seed=0)
+        runs = []
+        for tracker in (EarlyStopState(patience, lr_patience, lr_factor, min_lr),
+                        TwoCounters(patience, lr_patience, lr_factor, min_lr)):
+            optimizer = AdamState(learning_rate=0.001)
+            rates = []
+            for epoch, loss in enumerate(losses):
+                stop = tracker.step(loss, model, epoch, optimizer)
+                rates.append(optimizer.learning_rate)
+                if stop:
+                    break
+            runs.append((rates, tracker.best_epoch))  # len(rates) is the stop epoch
+        assert runs[0] == runs[1]
+
+    check()
 
 
 class TestPredictionHelpers:
