@@ -17,9 +17,11 @@ so a section naming "seed", "constants" or "n_buildings" is an unknown key
 whichever command runs, but only the section a command uses is built.
 Every JSON input is read by nn.read_json.
 Exit codes: 0 success; 1 usage or configuration, naming a bad config key
-by its path or an --out that is or lies under a file, before any file is
-written or any fold trains; 2 data problems, checkpoint physics constants
-and train ones that overflow the loss included; 3 runtime failures.
+by its path, an --out directory that is or lies under a file, or an --out
+file that is a directory or lies under a file, before any cohort or
+checkpoint is read; 2 data problems, a cohort whose scored truth takes one
+value, checkpoint physics constants and train ones that overflow the loss
+included; 3 runtime failures.
 EPC_PINN_THREADS caps how many folds train in parallel (default 1); it
 is checked, like the config, before any data is read. While parallel
 folds train, OpenBLAS runs single-threaded, and its previous
@@ -49,7 +51,7 @@ from .errors import (
     EpcPinnError,
     UndefinedMetricError,
 )
-from .metrics import fold_report, format_metrics_table, format_report_table
+from .metrics import check_scorable, fold_report, format_metrics_table, format_report_table
 from .nn import atomic_write, load_checkpoint, read_json, write_json
 from .physics import (
     AREA_SLICE,
@@ -127,13 +129,21 @@ def _section(name: str, config: ConfigFile, **settings):
     return from_json(cls, {**getattr(config, name), "constants": config.physics, **settings}, name)
 
 
+def _check_out(path: Path, kind: str) -> Path:
+    """path, an output directory or file, which must not lie under a file;
+    an output file must not be a directory. A missing directory is left to
+    the write."""
+    existing = next(p for p in (path, *path.parents) if os.path.lexists(p))
+    if kind == "file" and existing == path:
+        if path.is_dir():
+            raise ConfigError(f"output file {path} is a directory")
+    elif not existing.is_dir():
+        raise ConfigError(f"output {kind} {path}: {existing} is not a directory")
+    return path
+
+
 def _out_dir(args, config: ConfigFile) -> Path:
-    """The output directory, which must not be or lie under a file."""
-    out_dir = Path(_setting(args, config, "out", "."))
-    existing = next(p for p in (out_dir, *out_dir.parents) if os.path.lexists(p))
-    if not existing.is_dir():
-        raise ConfigError(f"output directory {out_dir}: {existing} is not a directory")
-    return out_dir
+    return _check_out(Path(_setting(args, config, "out", ".")), "directory")
 
 
 def _thread_count() -> int:
@@ -236,6 +246,8 @@ def _balance(path, state, useful_area, building_type, constants):
 
 
 def cmd_predict(args) -> int:
+    if args.out:
+        _check_out(Path(args.out), "file")
     model, *scalers, constants = _checkpoint_bundle(args.checkpoint)
     building = read_json(args.building, "building")
     fields = data.parse_building(building, args.building)
@@ -314,11 +326,14 @@ def cmd_audit(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.out:
+        _check_out(Path(args.out), "file")
     model, *scalers, constants = _checkpoint_bundle(args.checkpoint)
     joined, dropped = data.load_cohort(args.data)
     if not joined:
         raise DataError(f"no usable samples in {args.data}")
     arrays = data.build_matrices(joined)
+    check_scorable(arrays.targets, arrays.measured_energy, args.data)
     _check_checkpoint_types(constants, arrays.building_types, args.checkpoint)
     predictions = _predict_states(
         args.checkpoint, model, *scalers, arrays.features, arrays.cadastre_numbers)
@@ -337,7 +352,7 @@ def cmd_evaluate(args) -> int:
     print(format_metrics_table(report), end="")
     print(f"\nsamples: {arrays.n} (dropped: {len(dropped)})")
     if args.out:
-        write_json(args.out, report.to_dict())
+        write_json(args.out, report)
         print(f"metrics: {Path(args.out)}")
     return 0
 

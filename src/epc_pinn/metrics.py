@@ -4,16 +4,15 @@ Metrics are computed in physical units after inverse scaling, per fold on
 that fold's test set, then aggregated as mean plus population standard
 deviation across folds. The report row order is fixed: the five areas,
 the five U-values, air exchange rate, specific heat gains, and last the
-reconstructed annual energy consumption.
+reconstructed annual energy consumption. Reports are the plain dicts that
+results.json and evaluate --out hold, and the two table formatters read.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
 import numpy as np
 
-from .errors import ConfigError, DimensionError, UndefinedMetricError, UsageError
+from .errors import ConfigError, DataError, DimensionError, UndefinedMetricError, UsageError
 from .physics import STATE_DIM
 
 # Fixed report order: 12 envelope quantities then the energy row.
@@ -59,15 +58,16 @@ def r_squared(true: np.ndarray, pred: np.ndarray) -> float:
     """Coefficient of determination, 1 - SS_res/SS_tot.
 
     Undefined (and raised as such) for fewer than two values or a
-    constant truth vector, where SS_tot vanishes. Like rmse and nrmse it
-    raises rather than return a value that is not finite.
+    constant truth vector, where SS_tot vanishes; constancy is read from
+    the range, as a rounded mean leaves SS_tot just above 0. Like rmse and
+    nrmse it raises rather than return a value that is not finite.
     """
     true, pred = _check_pair(true, pred)
     if true.shape[0] < 2:
         raise UndefinedMetricError("r_squared needs at least two values")
     with np.errstate(all="ignore"):
         ss_tot = float(np.sum((true - true.mean()) ** 2))
-        if ss_tot == 0:
+        if ss_tot == 0 or true.max() == true.min():
             raise UndefinedMetricError("r_squared is undefined for a constant truth vector")
         ss_res = float(np.sum((true - pred) ** 2))
         return _finite("r_squared", 1.0 - ss_res / ss_tot)
@@ -90,37 +90,16 @@ def nrmse(true: np.ndarray, pred: np.ndarray) -> float:
     return _finite("nrmse", rmse(true, pred) / span)
 
 
-@dataclass
-class VariableMetrics:
-    r_squared: float
-    rmse: float
-    nrmse: float
-    y_max: float
-    y_min: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass
-class MetricsReport:
-    """Per-variable metrics for one evaluated set, in fixed row order."""
-
-    variables: dict[str, VariableMetrics]
-
-    def to_dict(self) -> dict:
-        return {name: vm.to_dict() for name, vm in self.variables.items()}
-
-
-def variable_metrics(true: np.ndarray, pred: np.ndarray) -> VariableMetrics:
+def variable_metrics(true: np.ndarray, pred: np.ndarray) -> dict[str, float]:
+    """{"r_squared", "rmse", "nrmse", "y_max", "y_min"} of one variable."""
     true = np.asarray(true, dtype=float)
-    return VariableMetrics(
-        r_squared=r_squared(true, pred),
-        rmse=rmse(true, pred),
-        nrmse=nrmse(true, pred),
-        y_max=float(true.max()),
-        y_min=float(true.min()),
-    )
+    return {
+        "r_squared": r_squared(true, pred),
+        "rmse": rmse(true, pred),
+        "nrmse": nrmse(true, pred),
+        "y_max": float(true.max()),
+        "y_min": float(true.min()),
+    }
 
 
 def fold_report(
@@ -128,8 +107,9 @@ def fold_report(
     targets_pred: np.ndarray,
     energy_true: np.ndarray,
     energy_pred: np.ndarray,
-) -> MetricsReport:
-    """Metrics for one fold: the 12 physical targets plus energy."""
+) -> dict[str, dict[str, float]]:
+    """variable_metrics of the 12 physical targets plus energy, keyed by
+    variable in report order; an UndefinedMetricError names the variable."""
     targets_true = np.asarray(targets_true, dtype=float)
     targets_pred = np.asarray(targets_pred, dtype=float)
     if targets_true.shape != targets_pred.shape or targets_true.shape[1:] != (STATE_DIM,):
@@ -137,55 +117,48 @@ def fold_report(
             f"expected matching (n, {STATE_DIM}) target matrices, got "
             f"{targets_true.shape} and {targets_pred.shape}"
         )
-    variables = {}
-    for j, name in enumerate(TARGET_VARIABLES):
-        variables[name] = variable_metrics(targets_true[:, j], targets_pred[:, j])
-    variables[ENERGY_VARIABLE] = variable_metrics(energy_true, energy_pred)
-    return MetricsReport(variables=variables)
+    pairs = [(targets_true[:, j], targets_pred[:, j]) for j in range(STATE_DIM)]
+    report = {}
+    for name, (true, pred) in zip(REPORT_VARIABLES, [*pairs, (energy_true, energy_pred)]):
+        try:
+            report[name] = variable_metrics(true, pred)
+        except UndefinedMetricError as exc:
+            raise UndefinedMetricError(f"{name}: {exc}") from None
+    return report
 
 
-@dataclass
-class AggregateCell:
-    mean: float
-    std: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass
-class AggregateReport:
-    """Cross-fold mean and population standard deviation per cell."""
-
-    n_folds: int
-    variables: dict[str, dict[str, AggregateCell]]
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def cell(self, variable: str, metric: str) -> AggregateCell:
-        return self.variables[variable][metric]
+def check_scorable(targets_true: np.ndarray, energy_true: np.ndarray, where: str) -> None:
+    """Raise DataError naming where if the truth alone leaves a metric of a
+    report variable undefined, whatever the predictions: fewer than two
+    values, or one value throughout."""
+    try:
+        fold_report(targets_true, targets_true, energy_true, energy_true)
+    except UndefinedMetricError as exc:
+        raise DataError(f"{where}: {exc}") from None
 
 
-def aggregate_folds(reports: list[MetricsReport]) -> AggregateReport:
-    """Mean and population std of every metric across fold reports."""
+def mean_std(values) -> dict[str, float]:
+    """{"mean", "std"} of values, the standard deviation the population one."""
+    values = np.array(values)
+    return {"mean": float(values.mean()), "std": float(values.std())}
+
+
+def aggregate_folds(reports: list[dict]) -> dict:
+    """{"n_folds", "variables": {variable: {metric: mean_std}}} across
+    fold_report dicts."""
     if len(reports) < 2:
         raise ConfigError(f"need at least 2 fold reports, got {len(reports)}")
-    names = list(reports[0].variables)
-    for report in reports[1:]:
-        if list(report.variables) != names:
-            raise UsageError("fold reports cover inconsistent variable sets")
-    variables: dict[str, dict[str, AggregateCell]] = {}
-    for name in names:
-        variables[name] = {}
-        for metric in METRIC_NAMES:
-            values = np.array(
-                [getattr(report.variables[name], metric) for report in reports]
-            )
-            variables[name][metric] = AggregateCell(
-                mean=float(values.mean()), std=float(values.std())
-            )
-    return AggregateReport(n_folds=len(reports), variables=variables)
+    names = list(reports[0])
+    if any(list(report) != names for report in reports[1:]):
+        raise UsageError("fold reports cover inconsistent variable sets")
+    return {
+        "n_folds": len(reports),
+        "variables": {
+            name: {metric: mean_std([report[name][metric] for report in reports])
+                   for metric in METRIC_NAMES}
+            for name in names
+        },
+    }
 
 
 def _table(widths: tuple[int, ...], rows) -> str:
@@ -197,22 +170,23 @@ def _table(widths: tuple[int, ...], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_metrics_table(report: MetricsReport) -> str:
-    """Fixed-width text table for a single evaluated set."""
+def format_metrics_table(report: dict) -> str:
+    """Fixed-width text table of a fold_report."""
     return _table((22, 12, 16, 12), (
-        (name, f"{vm.r_squared:.4f}", f"{vm.rmse:.2f}", f"{vm.nrmse:.4f}")
-        for name, vm in report.variables.items()
+        (name, f"{m['r_squared']:.4f}", f"{m['rmse']:.2f}", f"{m['nrmse']:.4f}")
+        for name, m in report.items()
     ))
 
 
-def format_report_table(aggregate: AggregateReport) -> str:
-    """Fixed-width text table: Variable, R2, RMSE, NRMSE as mean ± std."""
+def format_report_table(aggregate: dict) -> str:
+    """Fixed-width text table of an aggregate_folds dict: R2, RMSE, NRMSE
+    as mean ± std."""
 
-    def cell(variable: str, metric: str, decimals: int) -> str:
-        c = aggregate.cell(variable, metric)
-        return f"{c.mean:.{decimals}f} ± {c.std:.{decimals}f}"
+    def cell(cells: dict, metric: str, decimals: int) -> str:
+        c = cells[metric]
+        return f"{c['mean']:.{decimals}f} ± {c['std']:.{decimals}f}"
 
     return _table((22, 20, 24, 20), (
-        (name, cell(name, "r_squared", 4), cell(name, "rmse", 2), cell(name, "nrmse", 4))
-        for name in aggregate.variables
+        (name, cell(cells, "r_squared", 4), cell(cells, "rmse", 2), cell(cells, "nrmse", 4))
+        for name, cells in aggregate["variables"].items()
     ))

@@ -10,6 +10,12 @@ the fold's test predictions are made and scored. A fold records its
 training indices, which alone fit the scalers, and which sample indices
 fed parameter updates, so leakage is checkable after the fact.
 
+Before any fold trains, every fold's test rows are checked to be
+scorable: a target or the measured energy that takes one value there
+would leave its R^2 undefined. The fold reports and their aggregate are
+the metrics dicts that results.json holds; the final-training and
+best-validation loss summaries are computed when the payload is built.
+
 The loss inputs are derived once per fold, training rows then validation
 rows. Each epoch runs one forward pass per batch, then one over the
 validation rows, whose loss is computed without gradient.
@@ -38,11 +44,11 @@ from .data import MinMaxScaler, TrainingArrays, kfold_split, train_val_split
 from .errors import ConfigError, DataError, TrainingError
 from .loss import enhanced_loss
 from .metrics import (
-    AggregateReport,
-    MetricsReport,
     aggregate_folds,
+    check_scorable,
     fold_report,
     format_report_table,
+    mean_std,
 )
 from .nn import (
     AdamState,
@@ -126,7 +132,7 @@ class FoldResult:
     update_indices: np.ndarray  # every sample index that fed a parameter update
     predictions_physical: np.ndarray  # (n_test, 12), clamped at 0
     reconstructed_energy: np.ndarray  # (n_test,)
-    report: MetricsReport
+    report: dict  # fold_report of the test rows
 
 
 def _derive_seed(*parts: int) -> int:
@@ -355,17 +361,14 @@ def _single_threaded_blas():
 @dataclass(eq=False)
 class CrossValidationResult:
     folds: list[FoldResult]
-    aggregate: AggregateReport
-    final_train_loss_mean: float
-    final_train_loss_std: float
-    best_val_loss_mean: float
-    best_val_loss_std: float
+    aggregate: dict  # aggregate_folds of the fold reports
 
 
 def cross_validate(
     arrays: TrainingArrays, config: TrainConfig, max_workers: int = 1
 ) -> CrossValidationResult:
-    """Run all folds (optionally in parallel threads) and aggregate.
+    """Check every fold's test rows are scorable, run all folds
+    (optionally in parallel threads) and aggregate their reports.
 
     Parallel folds run OpenBLAS single-threaded, since fold threads are
     the one source of parallelism. The fold partition, and therefore
@@ -378,6 +381,9 @@ def cross_validate(
             f"need at least 2 * k_folds = {2 * config.k_folds} samples, got {arrays.n}"
         )
     folds = kfold_split(arrays.n, config.k_folds, seed=config.seed)
+    for i, test_indices in enumerate(folds):
+        check_scorable(arrays.targets[test_indices], arrays.measured_energy[test_indices],
+                       f"fold {i}")
     if max_workers > 1:
         with _single_threaded_blas():
             with ThreadPoolExecutor(max_workers=max_workers) as pool:
@@ -399,17 +405,7 @@ def cross_validate(
             train_fold(arrays, test_indices, config, i)
             for i, test_indices in enumerate(folds)
         ]
-    aggregate = aggregate_folds([r.report for r in results])
-    final_losses = np.array([r.history.train_loss[-1] for r in results])
-    best_vals = np.array([r.history.best_val_loss for r in results])
-    return CrossValidationResult(
-        folds=results,
-        aggregate=aggregate,
-        final_train_loss_mean=float(final_losses.mean()),
-        final_train_loss_std=float(final_losses.std()),
-        best_val_loss_mean=float(best_vals.mean()),
-        best_val_loss_std=float(best_vals.std()),
-    )
+    return CrossValidationResult(results, aggregate_folds([r.report for r in results]))
 
 
 def results_payload(result: CrossValidationResult, config: TrainConfig) -> dict:
@@ -417,21 +413,15 @@ def results_payload(result: CrossValidationResult, config: TrainConfig) -> dict:
     time- or machine-dependent, so identical runs serialize identically."""
     return {
         "config": config.to_dict(),
-        "aggregate": result.aggregate.to_dict(),
-        "final_train_loss": {
-            "mean": result.final_train_loss_mean,
-            "std": result.final_train_loss_std,
-        },
-        "best_val_loss": {
-            "mean": result.best_val_loss_mean,
-            "std": result.best_val_loss_std,
-        },
+        "aggregate": result.aggregate,
+        "final_train_loss": mean_std([r.history.train_loss[-1] for r in result.folds]),
+        "best_val_loss": mean_std([r.history.best_val_loss for r in result.folds]),
         "folds": [
             {
                 "fold": r.fold_index,
                 "test_indices": [int(i) for i in r.test_indices],
                 "history": r.history.to_dict(),
-                "metrics": r.report.to_dict(),
+                "metrics": r.report,
             }
             for r in result.folds
         ],
@@ -445,17 +435,17 @@ def save_run_outputs(
     through a temporary file, so none is ever left half written."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    payload = results_payload(result, config)
     results_path = out_dir / "results.json"
-    write_json(results_path, results_payload(result, config))
+    write_json(results_path, payload)
     report_path = out_dir / "report.txt"
+    final, best = payload["final_train_loss"], payload["best_val_loss"]
     with atomic_write(report_path) as handle:
         handle.write(
-            format_report_table(result.aggregate)
-            + f"\nfolds: {len(result.folds)}\n"
-            + "final training loss: "
-            + f"{result.final_train_loss_mean:.4f} ± {result.final_train_loss_std:.4f}\n"
-            + "best validation loss: "
-            + f"{result.best_val_loss_mean:.4f} ± {result.best_val_loss_std:.4f}\n"
+            format_report_table(payload["aggregate"])
+            + f"\nfolds: {len(payload['folds'])}\n"
+            + f"final training loss: {final['mean']:.4f} ± {final['std']:.4f}\n"
+            + f"best validation loss: {best['mean']:.4f} ± {best['std']:.4f}\n"
         )
     paths = {"results": results_path, "report": report_path}
     for r in result.folds:

@@ -352,20 +352,20 @@ class TestAcceptance:
 
         noisy = generate_arrays(tmp_path / "noisy", n=1000, seed=2024, noise=0.05)
         noisy_result = cross_validate(noisy, config, max_workers=4)
-        noisy_energy = noisy_result.aggregate.variables["energy_consumption"]
-        assert noisy_energy["r_squared"].mean >= 0.85
-        assert noisy_energy["nrmse"].mean <= 0.10
+        noisy_energy = noisy_result.aggregate["variables"]["energy_consumption"]
+        assert noisy_energy["r_squared"]["mean"] >= 0.85
+        assert noisy_energy["nrmse"]["mean"] <= 0.10
 
         clean = generate_arrays(tmp_path / "clean", n=1000, seed=2024, noise=0.0)
         clean_result = cross_validate(clean, config, max_workers=4)
-        clean_energy = clean_result.aggregate.variables["energy_consumption"]
-        assert clean_energy["r_squared"].mean >= 0.95
+        clean_energy = clean_result.aggregate["variables"]["energy_consumption"]
+        assert clean_energy["r_squared"]["mean"] >= 0.95
 
         elapsed = time.perf_counter() - started
         assert elapsed <= 300.0
-        report(7, f"noisy R^2 {noisy_energy['r_squared'].mean:.4f}, NRMSE "
-                  f"{noisy_energy['nrmse'].mean:.4f}; clean R^2 "
-                  f"{clean_energy['r_squared'].mean:.4f} in {elapsed:.0f} s")
+        report(7, f"noisy R^2 {noisy_energy['r_squared']['mean']:.4f}, NRMSE "
+                  f"{noisy_energy['nrmse']['mean']:.4f}; clean R^2 "
+                  f"{clean_energy['r_squared']['mean']:.4f} in {elapsed:.0f} s")
 
     def test_criterion_08_metric_hand_checks(self):
         """true=[0,2], pred=[1,1]: residual and total sums of squares

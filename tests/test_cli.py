@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from epc_pinn import cli, nn
+from epc_pinn import cli, data, nn, train
 from epc_pinn.cli import PROG, main
 from epc_pinn.data import BUILDING_TYPES, SERIES
 from epc_pinn.physics import COMPONENTS, PhysicsConstants
@@ -112,6 +112,24 @@ def unread_columns_cohort(source, target, junk):
             ]
         with open(target / name, "w", newline="", encoding="utf-8") as handle:
             csv.writer(handle, lineterminator="\n").writerows(rows)
+    return target
+
+
+def unscorable_cohort(source, target, one_building):
+    """A copy of a cohort whose audits all give specific_heat_gains 15.0,
+    or (one_building) whose land.csv keeps only its first building."""
+    shutil.copytree(source, target)
+    name = "land.csv" if one_building else "audit_buildings.csv"
+    with open(target / name, newline="", encoding="utf-8") as handle:
+        header, *rows = csv.reader(handle)
+    if one_building:
+        rows = rows[:1]
+    else:
+        column = header.index("specific_heat_gains")
+        for row in rows:
+            row[column] = "15.0"
+    with open(target / name, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerows([header, *rows])
     return target
 
 
@@ -288,6 +306,27 @@ class TestTrain:
             f"{PROG}: error: the training loss at the audit targets is not finite "
             f"for building {first}\n")
         assert runs == []
+        assert not out.exists()
+
+    def test_constant_truth_column_is_exit_two_before_any_fold_trains(
+        self, clean_cohort_dir, tmp_path, monkeypatch, capsys
+    ):
+        """With every audited specific_heat_gains at 15.0 no fold's R^2 of
+        that variable is defined: the first fold and the variable are named,
+        no fold trains and nothing is written."""
+        trained = []
+        monkeypatch.setattr(train, "train_fold", lambda *args: trained.append(args))
+        cohort = unscorable_cohort(clean_cohort_dir, tmp_path / "cohort", one_building=False)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"train": {"k_folds": 2, "hidden_dims": [8]}}))
+        out = tmp_path / "out"
+        code = main(["train", "--config", str(config_path), "--seed", "0",
+                     "--data", str(cohort), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"{PROG}: error: fold 0: specific_heat_gains: r_squared is undefined "
+            "for a constant truth vector\n")
+        assert trained == []
         assert not out.exists()
 
     def test_identical_runs_write_identical_results(self, clean_cohort_dir, tmp_path):
@@ -940,6 +979,49 @@ class TestEvaluate:
         assert "'nowhere/metrics.json'" in err and ".tmp" not in err
 
 
+    @pytest.mark.parametrize("one_building, problem", [
+        (False, "specific_heat_gains: r_squared is undefined for a constant truth vector"),
+        (True, "area_basement_slab: r_squared needs at least two values")],
+        ids=["constant", "one-building"])
+    def test_unscorable_cohort_is_exit_two_naming_the_data(
+        self, trained_run, clean_cohort_dir, tmp_path, capsys, one_building, problem
+    ):
+        """A variable whose truth takes one value over the cohort has no
+        R^2: the cohort, not the checkpoint, is named and nothing written."""
+        cohort = unscorable_cohort(clean_cohort_dir, tmp_path / "cohort", one_building)
+        argv, out = checkpoint_call("evaluate", trained_run / "fold_00.json", cohort, tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"{PROG}: error: {cohort}: {problem}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    @pytest.mark.parametrize("under", [False, True], ids=["directory", "under-file"])
+    def test_out_that_is_a_directory_or_under_a_file_is_exit_one_before_any_read(
+        self, trained_run, clean_cohort_dir, tmp_path, monkeypatch, capsys, command, under
+    ):
+        def no_read(*args):
+            raise AssertionError("an input was read")
+
+        monkeypatch.setattr(cli, "load_checkpoint", no_read)
+        monkeypatch.setattr(data, "load_cohort", no_read)
+        existing = tmp_path / "existing"
+        if under:
+            existing.write_text("keep")
+            out = existing / "x.json"
+        else:
+            existing.mkdir()
+            out = existing
+        argv, _ = checkpoint_call(command, trained_run / "fold_00.json", clean_cohort_dir,
+                                  tmp_path)
+        argv[argv.index("--out") + 1] = str(out)
+        assert main(argv) == 1
+        problem = f": {existing} is not a directory" if under else " is a directory"
+        assert capsys.readouterr().err == f"{PROG}: error: output file {out}{problem}\n"
+        if under:
+            assert existing.read_text() == "keep"
+        else:
+            assert list(existing.iterdir()) == []
+
     @pytest.mark.parametrize("scaler, corrupt, problem", [
         ("input_scaler", lambda s: s["data_max"].__setitem__(0, float("nan")),
          "scaler bounds must be finite with data_min <= data_max"),
@@ -1046,8 +1128,8 @@ class TestEvaluate:
             assert err == (f"{PROG}: error: checkpoint {checkpoint}: the energy balance "
                            f"overflows the float range for building {first}\n")
         else:
-            assert err.startswith(
-                f"{PROG}: error: checkpoint {checkpoint}: r_squared is not finite")
+            assert err.startswith(f"{PROG}: error: checkpoint {checkpoint}: "
+                                  "energy_consumption: r_squared is not finite")
         assert not out.exists()
 
 

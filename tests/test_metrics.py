@@ -8,14 +8,19 @@ population (not sample) standard deviation.
 import numpy as np
 import pytest
 
-from epc_pinn.errors import ConfigError, DimensionError, UndefinedMetricError, UsageError
+from epc_pinn.errors import (
+    ConfigError,
+    DataError,
+    DimensionError,
+    UndefinedMetricError,
+    UsageError,
+)
 from epc_pinn.metrics import (
     ENERGY_VARIABLE,
     REPORT_VARIABLES,
     TARGET_VARIABLES,
-    MetricsReport,
-    VariableMetrics,
     aggregate_folds,
+    check_scorable,
     fold_report,
     format_metrics_table,
     format_report_table,
@@ -44,6 +49,12 @@ class TestRSquared:
     def test_constant_truth_is_undefined(self):
         with pytest.raises(UndefinedMetricError):
             r_squared(np.array([5.0, 5.0, 5.0]), np.array([4.0, 5.0, 6.0]))
+
+    def test_constant_truth_with_a_rounded_mean_is_undefined(self):
+        """Three 0.1s average to 0.1 plus a rounding error, which leaves
+        SS_tot at about 6e-34 rather than 0."""
+        with pytest.raises(UndefinedMetricError, match="constant truth vector"):
+            r_squared(np.full(3, 0.1), np.array([0.1, 0.2, 0.3]))
 
     def test_single_value_is_undefined(self):
         with pytest.raises(UndefinedMetricError):
@@ -112,10 +123,11 @@ class TestNrmse:
 class TestVariableMetrics:
     def test_records_the_observed_range(self):
         vm = variable_metrics(np.array([2.0, 8.0, 5.0]), np.array([2.0, 8.0, 5.0]))
-        assert vm.y_max == 8.0
-        assert vm.y_min == 2.0
-        assert vm.r_squared == pytest.approx(1.0)
-        assert vm.rmse == 0.0
+        assert list(vm) == ["r_squared", "rmse", "nrmse", "y_max", "y_min"]
+        assert vm["y_max"] == 8.0
+        assert vm["y_min"] == 2.0
+        assert vm["r_squared"] == pytest.approx(1.0)
+        assert vm["rmse"] == 0.0
 
 
 class TestFoldReport:
@@ -130,7 +142,7 @@ class TestFoldReport:
     def test_covers_all_thirteen_variables_in_order(self):
         true, pred, e_true, e_pred = self.make_arrays()
         report = fold_report(true, pred, e_true, e_pred)
-        assert tuple(report.variables) == REPORT_VARIABLES
+        assert tuple(report) == REPORT_VARIABLES
         assert REPORT_VARIABLES[-1] == ENERGY_VARIABLE
         assert len(TARGET_VARIABLES) == 12
 
@@ -138,10 +150,10 @@ class TestFoldReport:
         true, pred, e_true, e_pred = self.make_arrays()
         report = fold_report(true, pred, e_true, e_pred)
         for j, name in enumerate(TARGET_VARIABLES):
-            assert report.variables[name].rmse == pytest.approx(
+            assert report[name]["rmse"] == pytest.approx(
                 rmse(true[:, j], pred[:, j]), rel=1e-12
             )
-        assert report.variables[ENERGY_VARIABLE].r_squared == pytest.approx(
+        assert report[ENERGY_VARIABLE]["r_squared"] == pytest.approx(
             r_squared(e_true, e_pred), rel=1e-12
         )
 
@@ -150,51 +162,84 @@ class TestFoldReport:
         with pytest.raises(DimensionError):
             fold_report(true[:, :11], pred[:, :11], e_true, e_pred)
 
+    @pytest.mark.parametrize("column", [3, 11, 12])
+    def test_undefined_metric_names_the_variable(self, column):
+        true, pred, e_true, e_pred = self.make_arrays()
+        if column == 12:
+            e_true[:] = 5e4
+        else:
+            true[:, column] = 15.0
+        with pytest.raises(UndefinedMetricError) as caught:
+            fold_report(true, pred, e_true, e_pred)
+        assert str(caught.value) == (f"{REPORT_VARIABLES[column]}: r_squared is undefined "
+                                     "for a constant truth vector")
+
+
+class TestCheckScorable:
+    def test_varying_truth_passes(self):
+        rng = np.random.default_rng(97)
+        check_scorable(rng.uniform(size=(3, 12)), rng.uniform(size=3), "cohort")
+
+    @pytest.mark.parametrize("columns, named", [
+        ([11], "specific_heat_gains"),
+        ([12], "energy_consumption"),
+        ([7, 2], "area_walls"),
+    ])
+    def test_first_constant_variable_is_named(self, columns, named):
+        rng = np.random.default_rng(98)
+        truth = rng.uniform(size=(4, 13))
+        truth[:, columns] = 2.5
+        with pytest.raises(DataError) as caught:
+            check_scorable(truth[:, :12], truth[:, 12], "fold 3")
+        assert str(caught.value) == (
+            f"fold 3: {named}: r_squared is undefined for a constant truth vector")
+
+    def test_one_row_names_the_first_variable(self):
+        with pytest.raises(DataError, match="^d: area_basement_slab: r_squared needs at "
+                                            "least two values$"):
+            check_scorable(np.ones((1, 12)), np.ones(1), "d")
+
 
 def report_with(value):
     """A one-variable report whose metrics are simple multiples of value."""
-    vm = VariableMetrics(
-        r_squared=value, rmse=2.0 * value, nrmse=value / 2.0, y_max=1.0, y_min=0.0
-    )
-    return MetricsReport(variables={"x": vm})
+    vm = {"r_squared": value, "rmse": 2.0 * value, "nrmse": value / 2.0,
+          "y_max": 1.0, "y_min": 0.0}
+    return {"x": vm}
 
 
 class TestAggregateFolds:
     def test_identical_folds_have_zero_std(self):
         aggregate = aggregate_folds([report_with(0.9)] * 4)
-        cell = aggregate.cell("x", "r_squared")
-        assert cell.mean == pytest.approx(0.9)
-        assert cell.std == 0.0
-        assert aggregate.n_folds == 4
+        cell = aggregate["variables"]["x"]["r_squared"]
+        assert cell["mean"] == pytest.approx(0.9)
+        assert cell["std"] == 0.0
+        assert aggregate["n_folds"] == 4
 
     def test_population_std_of_two_folds(self):
         """R2 of 0.8 and 0.9: mean 0.85, population std 0.05 (the sample
         std would be 0.0707)."""
         aggregate = aggregate_folds([report_with(0.8), report_with(0.9)])
-        cell = aggregate.cell("x", "r_squared")
-        assert cell.mean == pytest.approx(0.85)
-        assert cell.std == pytest.approx(0.05, abs=1e-12)
-        assert aggregate.cell("x", "rmse").mean == pytest.approx(1.7)
-        assert aggregate.cell("x", "nrmse").std == pytest.approx(0.025, abs=1e-12)
+        cells = aggregate["variables"]["x"]
+        assert cells["r_squared"]["mean"] == pytest.approx(0.85)
+        assert cells["r_squared"]["std"] == pytest.approx(0.05, abs=1e-12)
+        assert cells["rmse"]["mean"] == pytest.approx(1.7)
+        assert cells["nrmse"]["std"] == pytest.approx(0.025, abs=1e-12)
 
     def test_single_fold_is_config_error(self):
         with pytest.raises(ConfigError):
             aggregate_folds([report_with(0.9)])
 
     def test_inconsistent_variables_is_usage_error(self):
-        other = MetricsReport(
-            variables={
-                "y": VariableMetrics(
-                    r_squared=0.5, rmse=1.0, nrmse=0.1, y_max=1.0, y_min=0.0
-                )
-            }
-        )
+        other = {"y": report_with(0.5)["x"]}
         with pytest.raises(UsageError):
             aggregate_folds([report_with(0.9), other])
 
     def test_dict_payload_structure(self):
-        payload = aggregate_folds([report_with(0.8), report_with(0.9)]).to_dict()
+        payload = aggregate_folds([report_with(0.8), report_with(0.9)])
+        assert list(payload) == ["n_folds", "variables"]
         assert payload["n_folds"] == 2
+        assert list(payload["variables"]["x"]) == ["r_squared", "rmse", "nrmse"]
+        assert list(payload["variables"]["x"]["r_squared"]) == ["mean", "std"]
         assert payload["variables"]["x"]["r_squared"]["mean"] == pytest.approx(0.85)
 
 

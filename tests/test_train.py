@@ -188,7 +188,7 @@ class TestTrainFold:
 
     def test_report_covers_all_variables(self, arrays):
         fold = train_fold(arrays, np.arange(4), quick_config())
-        assert tuple(fold.report.variables) == REPORT_VARIABLES
+        assert tuple(fold.report) == REPORT_VARIABLES
 
     def test_small_noise_free_cohort_converges(self, tmp_path):
         """50 noise-free buildings, batch size 8 (so each epoch makes
@@ -439,14 +439,16 @@ class TestCrossValidate:
         assert sorted(joined.tolist()) == list(range(arrays.n))
 
     def test_aggregate_and_losses_are_consistent(self, arrays):
-        result = cross_validate(arrays, quick_config(max_epochs=2))
-        assert result.aggregate.n_folds == 10
-        assert tuple(result.aggregate.variables) == REPORT_VARIABLES
+        config = quick_config(max_epochs=2)
+        result = cross_validate(arrays, config)
+        assert result.aggregate["n_folds"] == 10
+        assert tuple(result.aggregate["variables"]) == REPORT_VARIABLES
+        payload = results_payload(result, config)
         finals = [f.history.train_loss[-1] for f in result.folds]
-        assert result.final_train_loss_mean == pytest.approx(np.mean(finals))
-        assert result.final_train_loss_std == pytest.approx(np.std(finals))
+        assert payload["final_train_loss"]["mean"] == pytest.approx(np.mean(finals))
+        assert payload["final_train_loss"]["std"] == pytest.approx(np.std(finals))
         bests = [f.history.best_val_loss for f in result.folds]
-        assert result.best_val_loss_mean == pytest.approx(np.mean(bests))
+        assert payload["best_val_loss"]["mean"] == pytest.approx(np.mean(bests))
 
     def test_payload_is_deterministic(self, arrays):
         config = quick_config(max_epochs=3)
