@@ -15,7 +15,8 @@ every value against its setting's type and rejects unknown keys. The seed,
 the cohort size and the physics constants are set at the top level only,
 so a section naming "seed", "constants" or "n_buildings" is an unknown key
 whichever command runs, but only the section a command uses is built.
-Every JSON input is read by nn.read_json.
+Every JSON input is read by nn.read_json; a checkpoint's extra payload is
+checked by config.from_json as a train.FoldCheckpoint.
 Exit codes: 0 success; 1 usage or configuration, naming a bad config key
 by its path, an --out directory that is or lies under a file, or an --out
 file that is a directory or lies under a file, before any cohort or
@@ -63,6 +64,7 @@ from .physics import (
     state_dict,
 )
 from .train import (
+    FoldCheckpoint,
     TrainConfig,
     check_loss_is_finite,
     cross_validate,
@@ -173,6 +175,14 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _load_cohort(data_dir: str | Path) -> tuple[data.TrainingArrays, list[tuple[str, str]]]:
+    """The usable buildings in data_dir as matrices, and the dropped ones."""
+    joined, dropped = data.load_cohort(data_dir)
+    if not joined:
+        raise DataError(f"no usable samples in {data_dir}")
+    return data.build_matrices(joined), dropped
+
+
 def cmd_train(args) -> int:
     config = _load_config(args)
     seed = _required(args, config, "seed")
@@ -181,10 +191,7 @@ def cmd_train(args) -> int:
     out_dir = _out_dir(args, config)
     threads = _thread_count()
 
-    joined, dropped = data.load_cohort(data_dir)
-    if not joined:
-        raise DataError(f"no usable samples in {data_dir}")
-    arrays = data.build_matrices(joined)
+    arrays, dropped = _load_cohort(data_dir)
     train_config.constants.check_building_types(arrays.building_types)
     check_loss_is_finite(arrays, train_config)
     result = cross_validate(arrays, train_config, max_workers=threads)
@@ -201,22 +208,19 @@ def cmd_train(args) -> int:
 
 def _checkpoint_bundle(path: str | Path):
     model, extra = load_checkpoint(path)
+    try:
+        bundle = from_json(FoldCheckpoint, extra, "extra")
+    except ConfigError as exc:
+        raise DataError(f"checkpoint {path}: {exc}") from None
     layers = {"input_scaler": (model.layer_dims[0], data.N_FEATURES, "inputs"),
               "target_scaler": (model.layer_dims[-1], STATE_DIM, "outputs")}
-    try:
-        scalers = [data.MinMaxScaler.from_dict(extra[name]) for name in layers]
-        constants = from_json(PhysicsConstants, extra["constants"], "constants")
-    except KeyError as exc:
-        raise DataError(f"checkpoint {path} is missing extra field {exc}") from None
-    except (ConfigError, DataError) as exc:
-        raise DataError(f"checkpoint {path}: {exc}") from None
-    for (name, (width, expected, side)), scaler in zip(layers.items(), scalers):
-        if scaler.divisor.shape != (width,):
-            raise DataError(f"checkpoint {path}: {name} has {scaler.divisor.size} columns, "
-                            f"the model {width}")
+    for name, (width, expected, side) in layers.items():
+        columns = getattr(bundle, name).divisor.size
+        if columns != width:
+            raise DataError(f"checkpoint {path}: {name} has {columns} columns, the model {width}")
         if width != expected:
             raise DataError(f"checkpoint {path}: the model has {width} {side}, expected {expected}")
-    return model, *scalers, constants
+    return model, bundle.input_scaler, bundle.target_scaler, bundle.constants
 
 
 def _predict_states(path, model, input_scaler, target_scaler, features, names) -> np.ndarray:
@@ -329,10 +333,7 @@ def cmd_evaluate(args) -> int:
     if args.out:
         _check_out(Path(args.out), "file")
     model, *scalers, constants = _checkpoint_bundle(args.checkpoint)
-    joined, dropped = data.load_cohort(args.data)
-    if not joined:
-        raise DataError(f"no usable samples in {args.data}")
-    arrays = data.build_matrices(joined)
+    arrays, dropped = _load_cohort(args.data)
     check_scorable(arrays.targets, arrays.measured_energy, args.data)
     _check_checkpoint_types(constants, arrays.building_types, args.checkpoint)
     predictions = _predict_states(

@@ -51,7 +51,10 @@ both run it after their cell rules. The audits supply only targets, and
 where their copies of registry columns disagree the registry wins.
 
 Scaling is plain min-max per column with a guarded divisor for constant
-columns; splitting covers shuffled k-fold partitions and the
+columns. A MinMaxScaler only exists fitted: MinMaxScaler.fit makes one
+from a matrix, and its two fields, the column bounds, are what a
+checkpoint stores, written by to_dict and read by config.from_json like
+every config. Splitting covers shuffled k-fold partitions and the
 train/validation split used for scheduling and early stopping.
 """
 
@@ -69,7 +72,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, UsageError
+from .config import JsonConfig
+from .errors import ConfigError, DataError
 from .nn import read_text
 from .physics import COMPONENTS, check_states, u_value
 
@@ -559,7 +563,7 @@ def outside_training_range(fields: dict, features: np.ndarray, scaler: MinMaxSca
     features (one row of encode_features) lie outside the input scaler's
     fitted [data_min, data_max]: a number outside the range the model was
     trained on, or a building type or serie no training building had."""
-    lo, hi = scaler.data_min_, scaler.data_max_
+    lo, hi = np.array(scaler.data_min), np.array(scaler.data_max)
     outside = (features < lo) | (features > hi)
     # FEATURE_FIELDS follow the feature layout, serie as the one-hot block from column 5
     flagged = [*outside[:5], outside[5:].any()]
@@ -765,36 +769,40 @@ def build_matrices(joined: JoinedCohort) -> TrainingArrays:
 # Scaling
 
 
-class MinMaxScaler:
-    """Per-column affine map onto [0, 1] over the fit data.
+@dataclass(frozen=True)
+class MinMaxScaler(JsonConfig):
+    """A fitted per-column affine map onto [0, 1]: data_min and data_max
+    are the fit data's column bounds, as a checkpoint stores them.
 
     Columns that are constant in the fit data get a divisor of 1, so they
-    transform to 0 and still invert exactly.
+    transform to 0 and still invert exactly. The arrays that transform,
+    inverse_transform and divisor use are derived once, on construction.
     """
 
-    def __init__(self) -> None:
-        self.data_min_: np.ndarray | None = None
-        self.data_max_: np.ndarray | None = None
-        self._divisor: np.ndarray | None = None
+    data_min: tuple[float, ...]
+    data_max: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        lo, hi = np.array(self.data_min, dtype=float), np.array(self.data_max, dtype=float)
+        if lo.shape != hi.shape or not (np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)).all():
+            raise ConfigError("expected finite data_min and data_max of equal length "
+                              "with data_min <= data_max")
+        object.__setattr__(self, "_lo", lo)
+        object.__setattr__(self, "divisor", np.where(hi == lo, 1.0, hi - lo))
 
     @staticmethod
     def _as_columns(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return x[:, None] if x.ndim == 1 else x
 
-    def fit(self, x: np.ndarray) -> "MinMaxScaler":
-        cols = self._as_columns(x)
+    @classmethod
+    def fit(cls, x: np.ndarray) -> MinMaxScaler:
+        cols = cls._as_columns(x)
         if cols.size == 0:
             raise ConfigError("cannot fit a scaler on an empty matrix")
         if not np.all(np.isfinite(cols)):
             raise ConfigError("cannot fit a scaler on non-finite values")
-        return self._set_bounds(cols.min(axis=0), cols.max(axis=0))
-
-    def _set_bounds(self, lo: np.ndarray, hi: np.ndarray) -> "MinMaxScaler":
-        """Fitted to finite per-column bounds lo <= hi."""
-        self.data_min_, self.data_max_ = lo, hi
-        self._divisor = np.where(hi == lo, 1.0, hi - lo)
-        return self
+        return cls(tuple(cols.min(axis=0).tolist()), tuple(cols.max(axis=0).tolist()))
 
     def _check(self, x: np.ndarray) -> np.ndarray:
         cols, width = self._as_columns(x), self.divisor.shape[0]
@@ -804,41 +812,14 @@ class MinMaxScaler:
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         cols = self._check(x)
-        out = (cols - self.data_min_) / self._divisor
+        out = (cols - self._lo) / self.divisor
         return out[:, 0] if np.asarray(x).ndim == 1 else out
 
     def inverse_transform(self, x: np.ndarray) -> np.ndarray:
+        """The inverse map; divisor is its per-column slope (the guarded range)."""
         cols = self._check(x)
-        out = cols * self._divisor + self.data_min_
+        out = cols * self.divisor + self._lo
         return out[:, 0] if np.asarray(x).ndim == 1 else out
-
-    @property
-    def divisor(self) -> np.ndarray:
-        """Per-column slope of inverse_transform (the guarded range)."""
-        if self._divisor is None:
-            raise UsageError("scaler used before fit")
-        return self._divisor
-
-    def to_dict(self) -> dict:
-        if self._divisor is None:
-            raise UsageError("scaler used before fit")
-        return {
-            "data_min": [float(v) for v in self.data_min_],
-            "data_max": [float(v) for v in self.data_max_],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MinMaxScaler":
-        try:
-            lo = np.asarray(payload["data_min"], dtype=float)
-            hi = np.asarray(payload["data_max"], dtype=float)
-        except (KeyError, TypeError, ValueError):
-            raise DataError(f"malformed scaler payload: {payload!r}") from None
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise DataError(f"malformed scaler payload: {payload!r}")
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all() and (lo <= hi).all()):
-            raise DataError(f"scaler bounds must be finite with data_min <= data_max: {payload!r}")
-        return cls()._set_bounds(lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ class DimensionError(EpcPinnError, ValueError):
 
 
 class UsageError(EpcPinnError, RuntimeError):
-    """API misuse: transform before fit, backward with a stale cache."""
+    """API misuse: backward with a stale cache, fold reports that disagree."""
 
 
 class TrainingError(EpcPinnError, RuntimeError):

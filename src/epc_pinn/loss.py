@@ -67,8 +67,8 @@ def enhanced_loss(
     predictions_scaled/targets_scaled are (n, 12) in scaled units;
     useful_area (n,) in m2, time_constants (n,) the tau of each row's
     building type, and measured_scaled (n,) the measured consumption
-    through energy_scaler. The scalers must be fitted (target scaler on
-    the 12 columns, energy scaler on one column). Raises TrainingError
+    through energy_scaler. The target scaler has the 12 columns, the
+    energy scaler one column. Raises TrainingError
     naming the first offending row if the value (or the gradient) is
     non-finite.
     """

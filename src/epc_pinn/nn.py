@@ -17,11 +17,13 @@ single vector copies.
 
 Checkpoints are JSON: layer sizes and activation in the clear, the flat
 parameter vector as base64-encoded little-endian float64 bytes, plus an
-extra JSON payload for callers. write_json writes them, as every JSON
-output, atomically (temporary file, then rename); loading rejects
-non-finite parameters. Every input file, CSV or JSON, is read by
-read_text (read_json adds the JSON decode), with one wording for a file
-that is missing, unreadable or not UTF-8.
+extra JSON object for callers, which load_checkpoint returns unread.
+write_json writes them, as every JSON output, atomically (temporary file,
+then rename). Loading reads the top level through config.from_json, so a
+malformed field is named by its key, then checks the fixed format values,
+the parameter byte count and the parameters' finiteness. Every input
+file, CSV or JSON, is read by read_text (read_json adds the JSON decode),
+with one wording for a file that is missing, unreadable or not UTF-8.
 """
 
 from __future__ import annotations
@@ -33,16 +35,20 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Any, Iterator, TextIO
 
 import numpy as np
 
+from .config import from_json
 from .errors import ConfigError, DataError, DimensionError, TrainingError, UsageError
 
 ACTIVATION = "relu"  # of every hidden layer; checkpoints record it
 
 CHECKPOINT_FORMAT_VERSION = 1
 CHECKPOINT_DTYPE = "<f8"  # little-endian float64, fixed for portability
+# The values every checkpoint holds, and loading requires.
+_FIXED = {"format_version": CHECKPOINT_FORMAT_VERSION, "dtype": CHECKPOINT_DTYPE,
+          "activation": ACTIVATION}
 
 
 def _parameter_total(layer_dims: tuple[int, ...]) -> int:
@@ -360,10 +366,8 @@ def read_json(path: str | Path, what: str) -> dict:
 def save_checkpoint(model: MlpModel, path: str | Path, extra: dict | None = None) -> None:
     """Serialize the model (and an optional extra payload) to JSON."""
     write_json(path, {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
+        **_FIXED,
         "layer_dims": list(model.layer_dims),
-        "activation": ACTIVATION,
-        "dtype": CHECKPOINT_DTYPE,
         "parameters_b64": base64.b64encode(
             model.vector.astype(CHECKPOINT_DTYPE).tobytes()
         ).decode("ascii"),
@@ -371,26 +375,34 @@ def save_checkpoint(model: MlpModel, path: str | Path, extra: dict | None = None
     })
 
 
+@dataclass
+class _CheckpointFile:
+    """The top level of a checkpoint file, as save_checkpoint writes it."""
+
+    format_version: int
+    layer_dims: tuple[int, ...]
+    activation: str
+    dtype: str
+    parameters_b64: str
+    extra: dict[str, Any] = field(default_factory=dict)
+
+
 def load_checkpoint(path: str | Path) -> tuple[MlpModel, dict]:
     """Rebuild a model from save_checkpoint output; returns (model, extra)."""
-    payload = read_json(path, "checkpoint")
-    for key in ("format_version", "layer_dims", "activation", "dtype", "parameters_b64"):
-        if key not in payload:
-            raise DataError(f"checkpoint {path} is missing field {key!r}")
-    fixed = {"format_version": CHECKPOINT_FORMAT_VERSION, "dtype": CHECKPOINT_DTYPE,
-             "activation": ACTIVATION}
-    for key, expected in fixed.items():  # of its type too: true == 1
-        if type(payload[key]) is not type(expected) or payload[key] != expected:
-            raise DataError(f"checkpoint {path} has unsupported {key} {payload[key]!r}")
-    dims = payload["layer_dims"]
-    if not (isinstance(dims, list) and len(dims) >= 2
-            and all(type(d) is int and d >= 1 for d in dims)):
-        raise DataError(f"checkpoint {path} has invalid layer_dims {dims!r}")
     try:
-        raw = base64.b64decode(payload["parameters_b64"], validate=True)
-    except (ValueError, TypeError) as exc:
+        payload = from_json(_CheckpointFile, read_json(path, "checkpoint"))
+    except ConfigError as exc:
+        raise DataError(f"checkpoint {path}: {exc}") from None
+    for key in ("format_version", "dtype", "activation"):
+        if getattr(payload, key) != _FIXED[key]:
+            raise DataError(f"checkpoint {path} has unsupported {key} {getattr(payload, key)!r}")
+    dims = payload.layer_dims
+    if len(dims) < 2 or min(dims) < 1:
+        raise DataError(f"checkpoint {path} has invalid layer_dims {list(dims)!r}")
+    try:
+        raw = base64.b64decode(payload.parameters_b64, validate=True)
+    except ValueError as exc:
         raise DataError(f"checkpoint {path} has corrupt parameter encoding") from exc
-    dims = tuple(dims)
     needed = _parameter_total(dims) * np.dtype(CHECKPOINT_DTYPE).itemsize
     if len(raw) != needed:
         raise DataError(f"checkpoint {path} holds {len(raw)} bytes of parameters, "
@@ -398,8 +410,4 @@ def load_checkpoint(path: str | Path) -> tuple[MlpModel, dict]:
     flat = np.frombuffer(raw, dtype=CHECKPOINT_DTYPE).astype(float)
     if not np.isfinite(flat).all():
         raise DataError(f"checkpoint {path} holds non-finite parameters")
-    model = MlpModel(layer_dims=dims, vector=flat)
-    extra = payload.get("extra", {})
-    if not isinstance(extra, dict):
-        raise DataError(f"checkpoint {path} extra payload must be a JSON object")
-    return model, extra
+    return MlpModel(layer_dims=dims, vector=flat), payload.extra

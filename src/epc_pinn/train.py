@@ -23,6 +23,11 @@ validation rows, whose loss is computed without gradient.
 Everything is deterministic given the config seed: the fold partition,
 the per-fold splits, initialization and batch shuffling all derive their
 seeds from (seed, fold index, stream index).
+
+save_run_outputs writes results.json, with each fold's TrainHistory,
+report.txt and one checkpoint per fold. A checkpoint's extra payload is a
+FoldCheckpoint: the fold index, the three fitted scalers and the physics
+constants, written by to_dict and read back by config.from_json.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import os
 import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -104,7 +109,7 @@ class TrainConfig(JsonConfig):
 
 
 @dataclass
-class TrainHistory:
+class TrainHistory(JsonConfig):
     """Per-epoch traces; list lengths equal the number of epochs run."""
 
     train_loss: list[float] = field(default_factory=list)
@@ -114,8 +119,17 @@ class TrainHistory:
     best_val_loss: float = np.inf
     best_epoch: int = -1
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+
+@dataclass
+class FoldCheckpoint(JsonConfig):
+    """The extra payload of a fold checkpoint: what predict and evaluate
+    need besides the network to score a building."""
+
+    fold: int
+    input_scaler: MinMaxScaler
+    target_scaler: MinMaxScaler
+    energy_scaler: MinMaxScaler
+    constants: PhysicsConstants
 
 
 @dataclass(eq=False)
@@ -167,8 +181,8 @@ def check_loss_is_finite(arrays: TrainingArrays, config: TrainConfig) -> None:
     """Raise DataError naming the first building if the loss, with its
     gradient, is not finite at the cohort's audit targets under scalers
     fitted on the whole cohort; no numpy warning is raised."""
-    target_scaler = MinMaxScaler().fit(arrays.targets)
-    energy_scaler = MinMaxScaler().fit(arrays.measured_energy)
+    target_scaler = MinMaxScaler.fit(arrays.targets)
+    energy_scaler = MinMaxScaler.fit(arrays.measured_energy)
     z = target_scaler.transform(arrays.targets)
     measured = energy_scaler.transform(arrays.measured_energy)
     taus = np.array([config.constants.time_constant_for(t) for t in arrays.building_types])
@@ -205,9 +219,9 @@ def train_fold(
     shuffle_seed = _derive_seed(config.seed, fold_index, 2)
     train_idx, val_idx = train_val_split(pool, config.val_fraction, split_seed)
 
-    input_scaler = MinMaxScaler().fit(arrays.features[train_idx])
-    target_scaler = MinMaxScaler().fit(arrays.targets[train_idx])
-    energy_scaler = MinMaxScaler().fit(arrays.measured_energy[train_idx])
+    input_scaler = MinMaxScaler.fit(arrays.features[train_idx])
+    target_scaler = MinMaxScaler.fit(arrays.targets[train_idx])
+    energy_scaler = MinMaxScaler.fit(arrays.measured_energy[train_idx])
 
     building_types = np.array(arrays.building_types)
     n_train = train_idx.shape[0]
@@ -450,16 +464,8 @@ def save_run_outputs(
     paths = {"results": results_path, "report": report_path}
     for r in result.folds:
         checkpoint_path = out_dir / f"fold_{r.fold_index:02d}.json"
-        save_checkpoint(
-            r.model,
-            checkpoint_path,
-            extra={
-                "fold": r.fold_index,
-                "input_scaler": r.input_scaler.to_dict(),
-                "target_scaler": r.target_scaler.to_dict(),
-                "energy_scaler": r.energy_scaler.to_dict(),
-                "constants": config.constants.to_dict(),
-            },
-        )
+        extra = FoldCheckpoint(r.fold_index, r.input_scaler, r.target_scaler, r.energy_scaler,
+                               config.constants)
+        save_checkpoint(r.model, checkpoint_path, extra=extra.to_dict())
         paths[f"fold_{r.fold_index:02d}"] = checkpoint_path
     return paths

@@ -698,7 +698,8 @@ class TestPredict:
         building.write_text(json.dumps(building_payload()))
         code = main(["predict", "--checkpoint", str(checkpoint), "--building", str(building)])
         assert code == 2
-        assert f"error: checkpoint {checkpoint} " in capsys.readouterr().err
+        problem = {"parameters_b64": " holds ", "format_version": ": format_version: "}[field]
+        assert f"error: checkpoint {checkpoint}{problem}" in capsys.readouterr().err
 
     def test_overflowing_balance_is_exit_two_naming_the_building(
         self, trained_run, tmp_path, capsys
@@ -1022,30 +1023,40 @@ class TestEvaluate:
         else:
             assert list(existing.iterdir()) == []
 
-    @pytest.mark.parametrize("scaler, corrupt, problem", [
+    @pytest.mark.parametrize("key, corrupt, problem", [
         ("input_scaler", lambda s: s["data_max"].__setitem__(0, float("nan")),
-         "scaler bounds must be finite with data_min <= data_max"),
+         "extra.input_scaler.data_max[0]: expected a finite number, got nan"),
         ("input_scaler", lambda s: s.update(data_min=s["data_max"], data_max=s["data_min"]),
-         "scaler bounds must be finite with data_min <= data_max"),
+         "extra.input_scaler: expected finite data_min and data_max of equal length with "
+         "data_min <= data_max"),
         ("input_scaler", lambda s: s.update(data_min=s["data_min"][:-1],
                                             data_max=s["data_max"][:-1]),
          "input_scaler has 16 columns, the model 17"),
         ("target_scaler", lambda s: s.update(data_min=s["data_min"] + [0.0],
                                              data_max=s["data_max"] + [1.0]),
          "target_scaler has 13 columns, the model 12"),
-    ])
+        ("input_scaler", lambda s: s["data_max"].__setitem__(0, "0"),
+         "extra.input_scaler.data_max[0]: expected a finite number, got '0'"),
+        ("target_scaler", lambda s: s["data_min"].__setitem__(3, True),
+         "extra.target_scaler.data_min[3]: expected a finite number, got True"),
+        (None, lambda e: e.update(fold=True), "extra.fold: expected an integer, got True"),
+        (None, lambda e: e.pop("energy_scaler"), "missing key(s): extra.energy_scaler"),
+        (None, lambda e: e.update(note="x"), "unknown key(s): extra.note"),
+    ], ids=["nan", "swapped", "narrow", "wide", "string", "true", "true-fold",
+            "no-energy-scaler", "unknown-key"])
     def test_bad_checkpoint_scaler_is_exit_two_naming_the_checkpoint(
-        self, trained_run, clean_cohort_dir, tmp_path, capsys, scaler, corrupt, problem
+        self, trained_run, clean_cohort_dir, tmp_path, capsys, key, corrupt, problem
     ):
-        """A non-finite bound, swapped bounds, or a scaler narrower or wider
-        than the model's layer sizes is a checkpoint problem."""
+        """A non-finite, non-numeric or boolean bound, swapped bounds, a
+        scaler narrower or wider than the model's layer sizes, or an extra
+        payload of the wrong shape is a checkpoint problem."""
         payload = json.loads((trained_run / "fold_00.json").read_text())
-        corrupt(payload["extra"][scaler])
+        corrupt(payload["extra"][key] if key else payload["extra"])
         checkpoint = tmp_path / "fold_00.json"
         checkpoint.write_text(json.dumps(payload))
         code = main(["evaluate", "--checkpoint", str(checkpoint), "--data", str(clean_cohort_dir)])
         assert code == 2
-        assert f"checkpoint {checkpoint}: {problem}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"{PROG}: error: checkpoint {checkpoint}: {problem}\n"
 
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     @pytest.mark.parametrize("dims, scaler, problem", [

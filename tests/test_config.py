@@ -17,6 +17,7 @@ import pytest
 from epc_pinn import cli, config, data, synth
 from epc_pinn.cli import main
 from epc_pinn.config import from_json
+from epc_pinn.data import MinMaxScaler
 from epc_pinn.errors import ConfigError
 from epc_pinn.physics import PhysicsConstants
 from epc_pinn.synth import DEFAULT_SERIES, GeneratorConfig, SerieProfile
@@ -155,7 +156,8 @@ class TestRoundTripKeepsTypes:
         PhysicsConstants(heating_days=200, bridge_fraction=0),
         GeneratorConfig(n_buildings=3, seed=1, consumption_noise=0, storey_height=3),
         dataclasses.replace(DEFAULT_SERIES[0], u_spread=0, footprint=(200, 450)),
-    ], ids=["train", "physics", "generate", "serie"])
+        MinMaxScaler(data_min=(0, -1.5), data_max=(2, -1.5)),
+    ], ids=["train", "physics", "generate", "serie", "scaler"])
     def test_round_trip(self, built):
         payload = built.to_dict()
         restored = type(built).from_dict(payload).to_dict()
@@ -335,10 +337,10 @@ class TestConfigLeaks:
 
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     @pytest.mark.parametrize("constants, message", [
-        ("abc", "constants: expected an object, got 'abc'"),
-        ({"gravity": 9.81}, "unknown key(s): constants.gravity"),
-        ({"delta_t": "x"}, "constants.delta_t: expected a finite number, got 'x'"),
-        ({"vent_coefficient": -5}, "constants: vent_coefficient must be >= 0, got -5"),
+        ("abc", "extra.constants: expected an object, got 'abc'"),
+        ({"gravity": 9.81}, "unknown key(s): extra.constants.gravity"),
+        ({"delta_t": "x"}, "extra.constants.delta_t: expected a finite number, got 'x'"),
+        ({"vent_coefficient": -5}, "extra.constants: vent_coefficient must be >= 0, got -5"),
         ({"time_constants": {"light": 1.0}}, "unknown building type 'heavy'; known types: light"),
     ])
     def test_bad_checkpoint_constants_are_exit_two(

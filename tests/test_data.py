@@ -38,7 +38,8 @@ from epc_pinn.data import (
     load_dataset,
     train_val_split,
 )
-from epc_pinn.errors import ConfigError, DataError, DomainError, UsageError
+from epc_pinn.config import from_json
+from epc_pinn.errors import ConfigError, DataError, DomainError
 from epc_pinn.physics import COMPONENTS, check_states, u_value
 
 LAND_HEADER = (
@@ -498,7 +499,7 @@ class TestEncodeFeatures:
         """A scaler fitted on two heavy buildings of serie_01 and serie_02:
         a larger useful area, a light building and serie_05 are each one
         line; the floors and apartments at the fitted bounds are none."""
-        scaler = MinMaxScaler().fit(encode_features(
+        scaler = MinMaxScaler.fit(encode_features(
             [100.0, 200.0], [150.0, 250.0], [2, 5], [4, 10], ["heavy"] * 2,
             ["serie_01", "serie_02"]))
         fields = dict(useful_area=300.0, total_area=250.0, floors=2, apartments=10,
@@ -790,7 +791,7 @@ class TestRegistryInputs:
 class TestMinMaxScaler:
     def test_hand_scaling(self):
         """Fit on [0, 10]: 5 maps to 0.5 and the endpoints to 0 and 1."""
-        scaler = MinMaxScaler().fit(np.array([0.0, 10.0]))
+        scaler = MinMaxScaler.fit(np.array([0.0, 10.0]))
         assert scaler.transform(np.array([5.0]))[0] == pytest.approx(0.5)
         out = scaler.transform(np.array([0.0, 10.0]))
         assert out[0] == 0.0 and out[1] == 1.0
@@ -798,12 +799,12 @@ class TestMinMaxScaler:
     def test_fit_data_maps_into_unit_interval(self):
         rng = np.random.default_rng(61)
         x = rng.normal(size=(50, 4)) * 100.0
-        scaled = MinMaxScaler().fit(x).transform(x)
+        scaled = MinMaxScaler.fit(x).transform(x)
         assert scaled.min() >= 0.0 and scaled.max() <= 1.0
 
     def test_constant_column_transforms_to_zero(self):
         x = np.column_stack([np.full(5, 7.0), np.arange(5.0)])
-        scaler = MinMaxScaler().fit(x)
+        scaler = MinMaxScaler.fit(x)
         scaled = scaler.transform(x)
         assert np.all(scaled[:, 0] == 0.0)
         back = scaler.inverse_transform(scaled)
@@ -812,12 +813,12 @@ class TestMinMaxScaler:
     def test_roundtrip_is_exact_to_float_noise(self):
         rng = np.random.default_rng(62)
         x = rng.uniform(-50.0, 150.0, size=(30, 3))
-        scaler = MinMaxScaler().fit(x)
+        scaler = MinMaxScaler.fit(x)
         back = scaler.inverse_transform(scaler.transform(x))
         assert back == pytest.approx(x, abs=1e-10)
 
     def test_one_dimensional_convenience(self):
-        scaler = MinMaxScaler().fit(np.array([2.0, 6.0]))
+        scaler = MinMaxScaler.fit(np.array([2.0, 6.0]))
         out = scaler.transform(np.array([4.0]))
         assert out.shape == (1,)
         assert out[0] == pytest.approx(0.5)
@@ -825,48 +826,60 @@ class TestMinMaxScaler:
     def test_divisor_is_the_guarded_range(self):
         """Range 4 for a spread column, 1 for a constant one."""
         x = np.column_stack([np.array([2.0, 6.0]), np.array([3.0, 3.0])])
-        scaler = MinMaxScaler().fit(x)
+        scaler = MinMaxScaler.fit(x)
         assert scaler.divisor[0] == 4.0
         assert scaler.divisor[1] == 1.0
 
-    def test_use_before_fit_is_usage_error(self):
-        with pytest.raises(UsageError):
-            MinMaxScaler().transform(np.array([1.0]))
-        with pytest.raises(UsageError):
-            MinMaxScaler().divisor
-
     def test_column_count_mismatch_is_config_error(self):
-        scaler = MinMaxScaler().fit(np.zeros((3, 2)) + np.arange(2.0))
+        scaler = MinMaxScaler.fit(np.zeros((3, 2)) + np.arange(2.0))
         with pytest.raises(ConfigError):
             scaler.transform(np.zeros((3, 5)))
 
     def test_non_finite_fit_is_config_error(self):
         with pytest.raises(ConfigError):
-            MinMaxScaler().fit(np.array([1.0, np.nan]))
+            MinMaxScaler.fit(np.array([1.0, np.nan]))
 
     def test_dict_roundtrip(self):
         rng = np.random.default_rng(63)
         x = rng.uniform(0.0, 10.0, size=(20, 3))
-        scaler = MinMaxScaler().fit(x)
-        restored = MinMaxScaler.from_dict(scaler.to_dict())
+        scaler = MinMaxScaler.fit(x)
+        restored = from_json(MinMaxScaler, scaler.to_dict())
+        assert restored == scaler
         assert np.array_equal(restored.transform(x), scaler.transform(x))
 
-    def test_malformed_dict_is_data_error(self):
-        with pytest.raises(DataError):
-            MinMaxScaler.from_dict({"data_min": [0.0]})
+    @pytest.mark.parametrize("payload, problem", [
+        ({"data_min": [0.0]}, "missing key(s): s.data_max"),
+        ({"data_min": [0.0], "data_max": ["1"]}, "s.data_max[0]: expected a finite number"),
+        ({"data_min": [True], "data_max": [1.0]}, "s.data_min[0]: expected a finite number"),
+        ({"data_min": 0.0, "data_max": [1.0]}, "s.data_min: expected a list"),
+        ({"data_min": [0.0], "data_max": [1.0], "mean": [0.5]}, "unknown key(s): s.mean"),
+    ])
+    def test_malformed_payload_is_config_error_naming_the_key(self, payload, problem):
+        with pytest.raises(ConfigError) as caught:
+            from_json(MinMaxScaler, payload, "s")
+        assert str(caught.value).startswith(problem)
 
     @pytest.mark.parametrize("data_min, data_max", [
         ([0.0, 1.0], [1.0, float("nan")]),
         ([0.0, float("-inf")], [1.0, 2.0]),
         ([0.0, 3.0], [1.0, 2.0]),  # data_min above data_max
+        ([0.0, 1.0], [1.0]),
     ])
-    def test_bad_bounds_are_data_error(self, data_min, data_max):
-        with pytest.raises(DataError, match="finite with data_min <= data_max"):
-            MinMaxScaler.from_dict({"data_min": data_min, "data_max": data_max})
+    def test_bad_bounds_are_config_error(self, data_min, data_max):
+        with pytest.raises(ConfigError):
+            from_json(MinMaxScaler, {"data_min": data_min, "data_max": data_max})
+        with pytest.raises(ConfigError, match="data_min <= data_max"):
+            MinMaxScaler(tuple(data_min), tuple(data_max))
 
-    def test_dict_roundtrip_through_json_is_bitwise(self):
-        """The fitted bounds and divisors come back bit for bit, for
-        constant columns, -0.0, subnormals and drawn matrices alike."""
+    def test_a_fitted_value_is_frozen(self):
+        scaler = MinMaxScaler.fit(np.array([0.0, 1.0]))
+        with pytest.raises(AttributeError):
+            scaler.data_max = (2.0,)
+
+    def test_json_roundtrip_transforms_and_inverts_bitwise(self):
+        """A scaler read back from its JSON transforms and inverts bit for
+        bit like the fitted one, for constant columns, -0.0, subnormals,
+        1-D input and drawn matrices alike."""
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
@@ -875,19 +888,31 @@ class TestMinMaxScaler:
         finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
         def same_bits(x):
-            scaler = MinMaxScaler().fit(x)
-            restored = MinMaxScaler.from_dict(json.loads(json.dumps(scaler.to_dict())))
-            for attr in ("data_min_", "data_max_", "divisor"):
-                assert getattr(restored, attr).tobytes() == getattr(scaler, attr).tobytes()
+            scaler = MinMaxScaler.fit(x)
+            restored = from_json(MinMaxScaler, json.loads(json.dumps(scaler.to_dict())))
+            for bounds in ("data_min", "data_max"):
+                assert (np.array(getattr(restored, bounds)).tobytes()
+                        == np.array(getattr(scaler, bounds)).tobytes())
+            assert restored.divisor.tobytes() == scaler.divisor.tobytes()
+            with np.errstate(all="ignore"):
+                scaled = scaler.transform(x)
+                assert restored.transform(x).tobytes() == scaled.tobytes()
+                back = scaler.inverse_transform(scaled)
+                assert restored.inverse_transform(scaled).tobytes() == back.tobytes()
+            assert back.shape == x.shape
 
         same_bits(fixed)
-        assert MinMaxScaler().fit(fixed).divisor[:2].tolist() == [1.0, 1.0]
+        same_bits(fixed[:, 1])
+        assert MinMaxScaler.fit(fixed).divisor[:2].tolist() == [1.0, 1.0]
+
+        rows = st.integers(1, 4).flatmap(
+            lambda k: st.lists(st.lists(finite, min_size=k, max_size=k), min_size=1, max_size=5))
 
         @hypothesis.settings(max_examples=200, deadline=None)
-        @hypothesis.given(st.integers(1, 4).flatmap(
-            lambda k: st.lists(st.lists(finite, min_size=k, max_size=k), min_size=1, max_size=5)))
-        def check(rows):
-            same_bits(np.array(rows))
+        @hypothesis.given(rows, st.booleans())
+        def check(rows, one_dimensional):
+            x = np.array(rows)
+            same_bits(x[:, 0] if one_dimensional else x)
 
         check()
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from epc_pinn.data import MinMaxScaler
-from epc_pinn.errors import DimensionError, TrainingError, UsageError
+from epc_pinn.errors import DimensionError, TrainingError
 from epc_pinn.loss import enhanced_loss, mse
 from epc_pinn.physics import PhysicsConstants, energy_consumption_batch
 
@@ -34,8 +34,8 @@ def make_batch(n, seed):
     measured = energy_consumption_batch(
         targets_physical, useful_area, taus, consts
     ).energy_consumption
-    target_scaler = MinMaxScaler().fit(targets_physical)
-    energy_scaler = MinMaxScaler().fit(measured)
+    target_scaler = MinMaxScaler.fit(targets_physical)
+    energy_scaler = MinMaxScaler.fit(measured)
     return {
         "targets_physical": targets_physical,
         "targets_scaled": target_scaler.transform(targets_physical),
@@ -187,20 +187,6 @@ class TestEnhancedLoss:
             expected_row, rel=1e-12
         )
         assert value.mse_y > 0.0
-
-    def test_unfitted_scaler_is_usage_error(self):
-        batch = make_batch(3, seed=51)
-        with pytest.raises(UsageError):
-            enhanced_loss(
-                predictions_scaled=batch["targets_scaled"],
-                targets_scaled=batch["targets_scaled"],
-                useful_area=batch["useful_area"],
-                time_constants=batch["taus"],
-                measured_scaled=batch["energy_scaler"].transform(batch["measured"]),
-                target_scaler=MinMaxScaler(),
-                energy_scaler=batch["energy_scaler"],
-                consts=batch["consts"],
-            )
 
     def test_shape_mismatch_is_dimension_error(self):
         batch = make_batch(3, seed=52)

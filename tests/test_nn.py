@@ -618,6 +618,10 @@ class TestCheckpoint:
             ("layer_dims", [2, "2"], "layer_dims"),
             ("layer_dims", "2,2", "layer_dims"),
             ("activation", "tanh", "activation"),
+            ("format_version", True, "format_version: expected an integer, got True"),
+            ("parameters_b64", 5, "parameters_b64: expected a string, got 5"),
+            ("extra", [1], "extra: expected an object, got \\[1\\]"),
+            ("comment", "x", "unknown key\\(s\\): comment"),
         ],
     )
     def test_invalid_architecture_is_data_error(self, tmp_path, field, value, message):

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from epc_pinn.config import from_json
 from epc_pinn.data import (
     MinMaxScaler,
     TrainingArrays,
@@ -159,13 +160,9 @@ class TestTrainFold:
 
     def test_scalers_were_fitted_on_the_training_rows_only(self, arrays):
         fold = train_fold(arrays, np.arange(4), quick_config())
-        refit = MinMaxScaler().fit(arrays.features[fold.train_indices])
-        assert np.array_equal(refit.data_min_, fold.input_scaler.data_min_)
-        assert np.array_equal(refit.data_max_, fold.input_scaler.data_max_)
-        refit_t = MinMaxScaler().fit(arrays.targets[fold.train_indices])
-        assert np.array_equal(refit_t.data_min_, fold.target_scaler.data_min_)
-        refit_e = MinMaxScaler().fit(arrays.measured_energy[fold.train_indices])
-        assert np.array_equal(refit_e.data_min_, fold.energy_scaler.data_min_)
+        assert MinMaxScaler.fit(arrays.features[fold.train_indices]) == fold.input_scaler
+        assert MinMaxScaler.fit(arrays.targets[fold.train_indices]) == fold.target_scaler
+        assert MinMaxScaler.fit(arrays.measured_energy[fold.train_indices]) == fold.energy_scaler
 
     def test_deterministic_given_the_seed(self, arrays):
         config = quick_config(max_epochs=8)
@@ -291,9 +288,9 @@ def reference_epochs(arrays, test_indices, config, fold_index=0):
     train_idx, val_idx = train_val_split(
         np.flatnonzero(mask), config.val_fraction, split_seed
     )
-    input_scaler = MinMaxScaler().fit(arrays.features[train_idx])
-    target_scaler = MinMaxScaler().fit(arrays.targets[train_idx])
-    energy_scaler = MinMaxScaler().fit(arrays.measured_energy[train_idx])
+    input_scaler = MinMaxScaler.fit(arrays.features[train_idx])
+    target_scaler = MinMaxScaler.fit(arrays.targets[train_idx])
+    energy_scaler = MinMaxScaler.fit(arrays.measured_energy[train_idx])
     x_train = input_scaler.transform(arrays.features[train_idx])
     z_train = target_scaler.transform(arrays.targets[train_idx])
     x_val = input_scaler.transform(arrays.features[val_idx])
@@ -639,10 +636,31 @@ class TestSaveRunOutputs:
         save_run_outputs(result, config, tmp_path)
         model, extra = load_checkpoint(tmp_path / "fold_00.json")
         assert model.layer_dims == (17, 16, 16, 12)
-        restored = MinMaxScaler.from_dict(extra["input_scaler"])
-        assert np.array_equal(restored.data_min_, result.folds[0].input_scaler.data_min_)
+        assert from_json(MinMaxScaler, extra["input_scaler"]) == result.folds[0].input_scaler
         assert extra["constants"]["delta_t"] == 18.9
         assert extra["fold"] == 0
+
+    def test_checkpoint_extra_keeps_the_hand_written_layout(self, arrays, tmp_path):
+        """The extra payload, which perfbench decodes by hand, is the one
+        save_run_outputs wrote as a literal dict, to the byte."""
+        config = quick_config(max_epochs=1)
+        result = cross_validate(arrays, config)
+        save_run_outputs(result, config, tmp_path)
+
+        def bounds(scaler):
+            return {"data_min": [float(v) for v in scaler.data_min],
+                    "data_max": [float(v) for v in scaler.data_max]}
+
+        for r in result.folds:
+            _, extra = load_checkpoint(tmp_path / f"fold_{r.fold_index:02d}.json")
+            expected = {
+                "fold": r.fold_index,
+                "input_scaler": bounds(r.input_scaler),
+                "target_scaler": bounds(r.target_scaler),
+                "energy_scaler": bounds(r.energy_scaler),
+                "constants": config.constants.to_dict(),
+            }
+            assert json.dumps(extra, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
     def test_failed_write_leaves_no_partial_file(self, arrays, tmp_path, monkeypatch):
         """Serialization that raises midway leaves the earlier results.json
