@@ -4,11 +4,12 @@ from_json checks each value against its field's type before the dataclass
 and its __post_init__ range rules see it: an int is a JSON integer (not a
 bool, not 2.0); a float is an int or a float, not a bool, with a finite
 float value, and an int is kept as given; a str is a string; X | None is
-null or an X; tuple[T, ...] is a list of T, of the exact length for a
-fixed-length tuple; dict[str, T] is an object of T; a dataclass is an
-object, read recursively, or a built instance; Any is any value. Unknown
-keys and missing keys without a default are rejected. Every rejection is
-a ConfigError naming the dotted key path, e.g. train.hidden_dims[0].
+null or an X; tuple[T, ...] and list[T] are a list of T, of the exact
+length for a fixed-length tuple; dict[str, T] is an object of T; a
+dataclass is an object, read recursively, or a built instance; Any is any
+value. Unknown keys and missing keys without a default are rejected.
+Every rejection is a ConfigError naming the dotted key path, e.g.
+train.hidden_dims[0].
 """
 
 from __future__ import annotations
@@ -85,14 +86,14 @@ def _value(tp, value, where: str):
     if origin in (typing.Union, types.UnionType):
         [inner] = [a for a in args if a is not type(None)]
         return None if value is None else _value(inner, value, where)
-    if origin is tuple:
+    if origin in (tuple, list):
         if not isinstance(value, (list, tuple)):
             _reject(where, "a list", value)
-        if args[-1] is Ellipsis:
+        if origin is list or args[-1] is Ellipsis:
             args = (args[0],) * len(value)
         elif len(value) != len(args):
             _reject(where, f"a list of {len(args)} entries", value)
-        return tuple(_value(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(args, value)))
+        return origin(_value(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(args, value)))
     if origin is dict:
         if not isinstance(value, dict):
             _reject(where, "an object", value)

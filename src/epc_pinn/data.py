@@ -740,8 +740,10 @@ def build_matrices(joined: JoinedCohort) -> TrainingArrays:
     first bad building in sorted order."""
     if len(joined) == 0:
         raise DataError("no samples to assemble")
-    land, picked = joined.land, joined.land_rows.tolist()
-    registry = {name: [land[name][i] for i in picked] for name in FEATURE_FIELDS}
+    land_rows, picked = joined.land_rows, joined.land_rows.tolist()
+    columns = {name: joined.land[name] for name in FEATURE_FIELDS}
+    registry = {name: column[land_rows] if isinstance(column, np.ndarray)
+                else [column[i] for i in picked] for name, column in columns.items()}
     audit, rows = joined.audit, joined.audit_rows
 
     areas = joined.components["area"][joined.component_rows]
@@ -760,7 +762,7 @@ def build_matrices(joined: JoinedCohort) -> TrainingArrays:
         features=encode_features(**registry),
         targets=targets,
         measured_energy=joined.consumption["mean_annual"][joined.consumption_rows],
-        useful_area=np.array(registry["useful_area"]),
+        useful_area=registry["useful_area"],
         building_types=registry["building_type"],
     )
 

@@ -6,6 +6,17 @@ deviation across folds. The report row order is fixed: the five areas,
 the five U-values, air exchange rate, specific heat gains, and last the
 reconstructed annual energy consumption. Reports are the plain dicts that
 results.json and evaluate --out hold, and the two table formatters read.
+
+One kernel, _score_rows, scores every variable at once: each variable is
+one row of a C-contiguous (variables, n) matrix and every sum and mean
+runs along that contiguous last axis. numpy reduces such a row with the
+same pairwise sum as a lone 1-D vector, strided or not, so a report's
+values are bitwise those of scoring each variable on its own. Stacking
+the variables as columns instead (a Fortran-ordered matrix) sums across
+rows in sequence and moves the last bits. Only the sign of a zero y_max
+or y_min can differ: numpy's max and min pick 0.0 or -0.0 by the order
+they reduce in, which for a lone column depends on its memory layout.
+r_squared, rmse and nrmse are the kernel's one-row case.
 """
 
 from __future__ import annotations
@@ -34,6 +45,8 @@ ENERGY_VARIABLE = "energy_consumption"
 REPORT_VARIABLES: tuple[str, ...] = TARGET_VARIABLES + (ENERGY_VARIABLE,)
 
 METRIC_NAMES: tuple[str, ...] = ("r_squared", "rmse", "nrmse")
+# What the kernel returns per row: the metrics, then the truth's range.
+SCORE_NAMES: tuple[str, ...] = METRIC_NAMES + ("y_max", "y_min")
 
 
 def _check_pair(true: np.ndarray, pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -48,10 +61,58 @@ def _check_pair(true: np.ndarray, pred: np.ndarray) -> tuple[np.ndarray, np.ndar
     return true, pred
 
 
-def _finite(name: str, value: float) -> float:
-    if not np.isfinite(value):
-        raise UndefinedMetricError(f"{name} is not finite ({value})")
-    return value
+def _score_rows(true: np.ndarray, pred: np.ndarray, metrics: tuple[str, ...],
+                names: tuple[str, ...] | None = None) -> dict[str, np.ndarray]:
+    """SCORE_NAMES to their values per row of C-contiguous (variables, n)
+    truth and prediction matrices, n >= 1.
+
+    r_squared is 1 - SS_res/SS_tot, undefined for fewer than two values or
+    a constant truth, where SS_tot vanishes; constancy is read from the
+    range, as a rounded mean leaves SS_tot just above 0. rmse is in the
+    rows' own units and nrmse is it over the truth's range. A metric that
+    is not finite is undefined too. The first row with an undefined metric
+    among metrics raises UndefinedMetricError, prefixed with its name when
+    names are given; within a row the checks run in the order below.
+    """
+    n = true.shape[1]
+    with np.errstate(all="ignore"):
+        y_max, y_min = true.max(axis=1), true.min(axis=1)
+        ss_tot = np.sum((true - true.mean(axis=1)[:, None]) ** 2, axis=1)
+        ss_res = np.sum((true - pred) ** 2, axis=1)
+        span = y_max - y_min
+        scores = {"r_squared": 1.0 - ss_res / ss_tot, "rmse": np.sqrt(ss_res / n)}
+        scores["nrmse"] = scores["rmse"] / span
+    # Each metric's undefined cases as (metric, failing rows, problem), a
+    # row checked in this order; a problem of None is a value that is not
+    # finite. nrmse is rmse over the range, so it checks rmse's case too. A
+    # zero range implies a constant truth, so checking it before rmse
+    # changes nothing when r_squared is checked, and keeps nrmse's order.
+    checks = (
+        ("r_squared", np.full(len(true), n < 2), "needs at least two values"),
+        ("r_squared", (ss_tot == 0) | (y_max == y_min),
+         "is undefined for a constant truth vector"),
+        ("r_squared", ~np.isfinite(scores["r_squared"]), None),
+        ("nrmse", span == 0, "is undefined for a zero-range truth vector"),
+        ("rmse", ~np.isfinite(scores["rmse"]), None),
+        ("nrmse", ~np.isfinite(scores["nrmse"]), None),
+    )
+    checked = {*metrics, "rmse"} if "nrmse" in metrics else set(metrics)
+    checks = [check for check in checks if check[0] in checked]
+    failed = np.stack([rows for _, rows, _ in checks], axis=1)
+    if failed.any():
+        row = int(np.argmax(failed.any(axis=1)))
+        metric, _, problem = checks[int(np.argmax(failed[row]))]
+        if problem is None:
+            problem = f"is not finite ({float(scores[metric][row])})"
+        message = f"{metric} {problem}"
+        raise UndefinedMetricError(message if names is None else f"{names[row]}: {message}")
+    return {**scores, "y_max": y_max, "y_min": y_min}
+
+
+def _score_pair(true: np.ndarray, pred: np.ndarray, metric: str) -> float:
+    true, pred = _check_pair(true, pred)
+    rows = (np.ascontiguousarray(true[None]), np.ascontiguousarray(pred[None]))
+    return float(_score_rows(*rows, (metric,))[metric][0])
 
 
 def r_squared(true: np.ndarray, pred: np.ndarray) -> float:
@@ -62,44 +123,25 @@ def r_squared(true: np.ndarray, pred: np.ndarray) -> float:
     the range, as a rounded mean leaves SS_tot just above 0. Like rmse and
     nrmse it raises rather than return a value that is not finite.
     """
-    true, pred = _check_pair(true, pred)
-    if true.shape[0] < 2:
-        raise UndefinedMetricError("r_squared needs at least two values")
-    with np.errstate(all="ignore"):
-        ss_tot = float(np.sum((true - true.mean()) ** 2))
-        if ss_tot == 0 or true.max() == true.min():
-            raise UndefinedMetricError("r_squared is undefined for a constant truth vector")
-        ss_res = float(np.sum((true - pred) ** 2))
-        return _finite("r_squared", 1.0 - ss_res / ss_tot)
+    return _score_pair(true, pred, "r_squared")
 
 
 def rmse(true: np.ndarray, pred: np.ndarray) -> float:
     """Root mean squared error in the arrays' own units."""
-    true, pred = _check_pair(true, pred)
-    with np.errstate(all="ignore"):
-        return _finite("rmse", float(np.sqrt(np.mean((true - pred) ** 2))))
+    return _score_pair(true, pred, "rmse")
 
 
 def nrmse(true: np.ndarray, pred: np.ndarray) -> float:
     """RMSE normalized by the range of the true values."""
-    true, pred = _check_pair(true, pred)
-    with np.errstate(all="ignore"):
-        span = float(true.max() - true.min())
-    if span == 0:
-        raise UndefinedMetricError("nrmse is undefined for a zero-range truth vector")
-    return _finite("nrmse", rmse(true, pred) / span)
+    return _score_pair(true, pred, "nrmse")
 
 
-def variable_metrics(true: np.ndarray, pred: np.ndarray) -> dict[str, float]:
-    """{"r_squared", "rmse", "nrmse", "y_max", "y_min"} of one variable."""
-    true = np.asarray(true, dtype=float)
-    return {
-        "r_squared": r_squared(true, pred),
-        "rmse": rmse(true, pred),
-        "nrmse": nrmse(true, pred),
-        "y_max": float(true.max()),
-        "y_min": float(true.min()),
-    }
+def _report_rows(targets: np.ndarray, energy: np.ndarray) -> np.ndarray:
+    """The C-contiguous (13, n) matrix of the targets' columns then the energy."""
+    rows = np.empty((STATE_DIM + 1, energy.shape[0]))
+    rows[:STATE_DIM] = targets.T
+    rows[STATE_DIM] = energy
+    return rows
 
 
 def fold_report(
@@ -108,8 +150,9 @@ def fold_report(
     energy_true: np.ndarray,
     energy_pred: np.ndarray,
 ) -> dict[str, dict[str, float]]:
-    """variable_metrics of the 12 physical targets plus energy, keyed by
-    variable in report order; an UndefinedMetricError names the variable."""
+    """{"r_squared", "rmse", "nrmse", "y_max", "y_min"} of the 12 physical
+    targets plus energy, keyed by variable in report order; an
+    UndefinedMetricError names the first variable with an undefined metric."""
     targets_true = np.asarray(targets_true, dtype=float)
     targets_pred = np.asarray(targets_pred, dtype=float)
     if targets_true.shape != targets_pred.shape or targets_true.shape[1:] != (STATE_DIM,):
@@ -117,14 +160,16 @@ def fold_report(
             f"expected matching (n, {STATE_DIM}) target matrices, got "
             f"{targets_true.shape} and {targets_pred.shape}"
         )
-    pairs = [(targets_true[:, j], targets_pred[:, j]) for j in range(STATE_DIM)]
-    report = {}
-    for name, (true, pred) in zip(REPORT_VARIABLES, [*pairs, (energy_true, energy_pred)]):
-        try:
-            report[name] = variable_metrics(true, pred)
-        except UndefinedMetricError as exc:
-            raise UndefinedMetricError(f"{name}: {exc}") from None
-    return report
+    energy_true, energy_pred = _check_pair(energy_true, energy_pred)
+    if energy_true.shape[0] != targets_true.shape[0]:
+        raise DimensionError(f"{energy_true.shape[0]} energy values for "
+                             f"{targets_true.shape[0]} target rows")
+    scores = _score_rows(_report_rows(targets_true, energy_true),
+                         _report_rows(targets_pred, energy_pred),
+                         METRIC_NAMES, REPORT_VARIABLES)
+    columns = [scores[name].tolist() for name in SCORE_NAMES]
+    return {name: dict(zip(SCORE_NAMES, values))
+            for name, values in zip(REPORT_VARIABLES, zip(*columns))}
 
 
 def check_scorable(targets_true: np.ndarray, energy_true: np.ndarray, where: str) -> None:

@@ -21,7 +21,7 @@ from epc_pinn.data import MinMaxScaler
 from epc_pinn.errors import ConfigError
 from epc_pinn.physics import PhysicsConstants
 from epc_pinn.synth import DEFAULT_SERIES, GeneratorConfig, SerieProfile
-from epc_pinn.train import TrainConfig, cross_validate
+from epc_pinn.train import TrainConfig, TrainHistory, cross_validate
 
 try:
     from hypothesis import given, settings
@@ -157,7 +157,9 @@ class TestRoundTripKeepsTypes:
         GeneratorConfig(n_buildings=3, seed=1, consumption_noise=0, storey_height=3),
         dataclasses.replace(DEFAULT_SERIES[0], u_spread=0, footprint=(200, 450)),
         MinMaxScaler(data_min=(0, -1.5), data_max=(2, -1.5)),
-    ], ids=["train", "physics", "generate", "serie", "scaler"])
+        TrainHistory(train_loss=[0.5, 0.25], val_loss=[0.75, 1], learning_rate=[1e-3, 5e-4],
+                     stop_epoch=2, best_val_loss=0.75, best_epoch=0),
+    ], ids=["train", "physics", "generate", "serie", "scaler", "history"])
     def test_round_trip(self, built):
         payload = built.to_dict()
         restored = type(built).from_dict(payload).to_dict()

@@ -2,12 +2,20 @@
 
 Each metric is checked by hand on tiny vectors, undefined cases must
 raise rather than return NaN, and the aggregation must use the
-population (not sample) standard deviation.
+population (not sample) standard deviation. Random reports must equal,
+bitwise, the per-variable formulas kept here as the reference.
 """
 
 import numpy as np
 import pytest
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # pragma: no cover - hypothesis is in the test extra
+    given = None
+
+from epc_pinn import metrics
 from epc_pinn.errors import (
     ConfigError,
     DataError,
@@ -17,6 +25,7 @@ from epc_pinn.errors import (
 )
 from epc_pinn.metrics import (
     ENERGY_VARIABLE,
+    METRIC_NAMES,
     REPORT_VARIABLES,
     TARGET_VARIABLES,
     aggregate_folds,
@@ -27,7 +36,6 @@ from epc_pinn.metrics import (
     nrmse,
     r_squared,
     rmse,
-    variable_metrics,
 )
 
 
@@ -120,16 +128,6 @@ class TestNrmse:
             nrmse(np.array([2.0, 2.0]), np.array([1.0, 3.0]))
 
 
-class TestVariableMetrics:
-    def test_records_the_observed_range(self):
-        vm = variable_metrics(np.array([2.0, 8.0, 5.0]), np.array([2.0, 8.0, 5.0]))
-        assert list(vm) == ["r_squared", "rmse", "nrmse", "y_max", "y_min"]
-        assert vm["y_max"] == 8.0
-        assert vm["y_min"] == 2.0
-        assert vm["r_squared"] == pytest.approx(1.0)
-        assert vm["rmse"] == 0.0
-
-
 class TestFoldReport:
     def make_arrays(self, n=20, seed=91):
         rng = np.random.default_rng(seed)
@@ -157,10 +155,24 @@ class TestFoldReport:
             r_squared(e_true, e_pred), rel=1e-12
         )
 
+    def test_records_the_observed_range(self):
+        true = np.array([2.0, 8.0, 5.0])
+        energy = np.array([3.0, 1.0, 2.0])
+        report = fold_report(np.repeat(true[:, None], 12, axis=1), np.full((3, 12), 5.0),
+                             energy, energy)
+        vm = report["u_walls"]
+        assert list(vm) == ["r_squared", "rmse", "nrmse", "y_max", "y_min"]
+        assert (vm["y_max"], vm["y_min"]) == (8.0, 2.0)
+        assert vm["rmse"] == np.sqrt(6.0)
+        assert report[ENERGY_VARIABLE]["r_squared"] == 1.0
+        assert report[ENERGY_VARIABLE]["rmse"] == 0.0
+
     def test_shape_mismatch_is_dimension_error(self):
         true, pred, e_true, e_pred = self.make_arrays()
         with pytest.raises(DimensionError):
             fold_report(true[:, :11], pred[:, :11], e_true, e_pred)
+        with pytest.raises(DimensionError, match="^5 energy values for 20 target rows$"):
+            fold_report(true, pred, e_true[:5], e_pred[:5])
 
     @pytest.mark.parametrize("column", [3, 11, 12])
     def test_undefined_metric_names_the_variable(self, column):
@@ -260,3 +272,154 @@ class TestFormatting:
         table = format_report_table(aggregate)
         assert "±" in table
         assert "0.8500 ± 0.0500" in table
+
+
+# ---------------------------------------------------------------------------
+# The kernel against the per-variable formulas
+
+
+def _finite(name, value):
+    if not np.isfinite(value):
+        raise UndefinedMetricError(f"{name} is not finite ({value})")
+    return value
+
+
+def reference_r_squared(true, pred):
+    if true.shape[0] < 2:
+        raise UndefinedMetricError("r_squared needs at least two values")
+    with np.errstate(all="ignore"):
+        ss_tot = float(np.sum((true - true.mean()) ** 2))
+        if ss_tot == 0 or true.max() == true.min():
+            raise UndefinedMetricError("r_squared is undefined for a constant truth vector")
+        return _finite("r_squared", 1.0 - float(np.sum((true - pred) ** 2)) / ss_tot)
+
+
+def reference_rmse(true, pred):
+    with np.errstate(all="ignore"):
+        return _finite("rmse", float(np.sqrt(np.mean((true - pred) ** 2))))
+
+
+def reference_nrmse(true, pred):
+    with np.errstate(all="ignore"):
+        span = float(true.max() - true.min())
+    if span == 0:
+        raise UndefinedMetricError("nrmse is undefined for a zero-range truth vector")
+    return _finite("nrmse", reference_rmse(true, pred) / span)
+
+
+REFERENCES = {"r_squared": reference_r_squared, "rmse": reference_rmse,
+              "nrmse": reference_nrmse}
+
+
+def reference_report(targets_true, targets_pred, energy_true, energy_pred):
+    """fold_report by the per-variable formulas, one 1-D column at a time."""
+    columns = [(targets_true[:, j], targets_pred[:, j]) for j in range(12)]
+    report = {}
+    for name, (true, pred) in zip(REPORT_VARIABLES, [*columns, (energy_true, energy_pred)]):
+        try:
+            report[name] = {metric: f(true, pred) for metric, f in REFERENCES.items()}
+        except UndefinedMetricError as exc:
+            raise UndefinedMetricError(f"{name}: {exc}") from None
+        report[name].update(y_max=float(true.max()), y_min=float(true.min()))
+    return report
+
+
+def outcome(f, *args):
+    """f(*args), a float as float.hex, or the type and message of the
+    error it raised."""
+    try:
+        value = f(*args)
+    except (UndefinedMetricError, DataError) as exc:
+        return type(exc), str(exc)
+    return value.hex() if isinstance(value, float) else value
+
+
+def bits(report):
+    """A report with each value as float.hex, which tells -0.0 from 0.0."""
+    if not isinstance(report, dict):
+        return report
+    return {name: {k: v.hex() for k, v in cells.items()} for name, cells in report.items()}
+
+
+def laid_out(matrix, layout):
+    """matrix as a C-ordered, a Fortran-ordered or a strided array."""
+    if layout == "strided":
+        wide = np.zeros(tuple(2 * d for d in matrix.shape))
+        view = wide[tuple(slice(None, None, 2) for _ in matrix.shape)]
+        view[...] = matrix
+        return view
+    return np.asfortranarray(matrix) if layout == "F" else np.ascontiguousarray(matrix)
+
+
+LAYOUTS = ("C", "F", "strided")
+SPECIAL_VALUES = (0.0, -0.0, 5e-324, 1e-300, 1e300, -1e300, np.nan, np.inf, -np.inf)
+
+if given is not None:
+    @st.composite
+    def truth_and_predictions(draw, max_rows=300):
+        """(n, 13) truth and predictions, the energy last: random columns
+        over many magnitudes, or whole numbers >= 0 with both signed zeros
+        (ties at the bounds); some constant, and a few special values."""
+        n = draw(st.integers(2, max_rows))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        scale = 10.0 ** rng.uniform(-3.0, 6.0, size=13)
+        true = (rng.normal(size=(n, 13)) + rng.normal(size=13)) * scale
+        if draw(st.booleans()):
+            true = np.round(true / scale)
+            true = np.where(true == 0, true, np.abs(true))
+        pred = true + rng.normal(size=(n, 13)) * scale * 10.0 ** rng.uniform(-3.0, 0.0, size=13)
+        for column in draw(st.lists(st.integers(0, 12), max_size=2)):
+            true[:, column] = draw(st.sampled_from([0.1, -0.0, 2.5]))
+        for _ in range(draw(st.integers(0, 3))):
+            matrix = draw(st.sampled_from([true, pred]))
+            row, column = draw(st.integers(0, n - 1)), draw(st.integers(0, 12))
+            matrix[row, column] = draw(st.sampled_from(SPECIAL_VALUES))
+        return true, pred
+
+    @settings(max_examples=300)
+    @given(drawn=truth_and_predictions(), layout=st.sampled_from(LAYOUTS))
+    def test_fold_report_is_bitwise_the_per_variable_reference(drawn, layout):
+        """Every metric is bitwise equal, and an undefined one raises the
+        same message naming the same first variable. y_max and y_min are
+        compared by value: which of 0.0 and -0.0 numpy returns as the bound
+        of a column holding both depends on the memory layout it reduces,
+        so the per-variable formulas gave either. fold_report copies every
+        layout into one, so its own bits do not depend on the layout."""
+        true, pred = drawn
+        args = [laid_out(m, layout) for m in (true[:, :12], pred[:, :12], true[:, 12], pred[:, 12])]
+        expected = outcome(reference_report, *args)
+        got = outcome(fold_report, *args)
+        if isinstance(expected, dict):
+            assert got == expected
+            for name in REPORT_VARIABLES:
+                for metric in METRIC_NAMES:
+                    assert got[name][metric].hex() == expected[name][metric].hex()
+        else:
+            assert got == expected
+        for other in LAYOUTS:
+            others = [laid_out(m, other) for m in (true[:, :12], pred[:, :12],
+                                                   true[:, 12], pred[:, 12])]
+            assert bits(outcome(fold_report, *others)) == bits(got)
+
+    @settings(max_examples=300)
+    @given(drawn=truth_and_predictions(), layout=st.sampled_from(LAYOUTS))
+    def test_check_scorable_is_the_reference_on_the_truth_alone(drawn, layout):
+        true, _ = drawn
+        targets, energy = laid_out(true[:, :12], layout), laid_out(true[:, 12], layout)
+        expected = outcome(reference_report, targets, targets, energy, energy)
+        if isinstance(expected, dict):
+            check_scorable(targets, energy, "cohort")
+        else:
+            with pytest.raises(DataError) as caught:
+                check_scorable(targets, energy, "cohort")
+            assert str(caught.value) == f"cohort: {expected[1]}"
+
+    @settings(max_examples=300)
+    @given(drawn=truth_and_predictions(max_rows=20), rows=st.integers(1, 20),
+           column=st.integers(0, 12), layout=st.sampled_from(LAYOUTS))
+    def test_each_metric_is_the_kernels_one_row_case(drawn, rows, column, layout):
+        """r_squared, rmse and nrmse alone, one row included, keep the
+        reference's value bits and its first undefined case."""
+        true, pred = (laid_out(m[:rows, column], layout) for m in drawn)
+        for metric, reference in REFERENCES.items():
+            assert outcome(getattr(metrics, metric), true, pred) == outcome(reference, true, pred)
