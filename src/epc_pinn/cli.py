@@ -16,7 +16,8 @@ the cohort size and the physics constants are set at the top level only,
 so a section naming "seed", "constants" or "n_buildings" is an unknown key
 whichever command runs, but only the section a command uses is built.
 Every JSON input is read by nn.read_json; a checkpoint's extra payload is
-checked by config.from_json as a train.FoldCheckpoint.
+read back by config.from_json as one train.FoldCheckpoint, whose scalers
+and constants predict and evaluate use.
 Exit codes: 0 success; 1 usage or configuration, naming a bad config key
 by its path, an --out directory that is or lies under a file, or an --out
 file that is a directory or lies under a file, before any cohort or
@@ -53,7 +54,7 @@ from .errors import (
     UndefinedMetricError,
 )
 from .metrics import check_scorable, fold_report, format_metrics_table, format_report_table
-from .nn import atomic_write, load_checkpoint, read_json, write_json
+from .nn import MlpModel, atomic_write, load_checkpoint, read_json, write_json
 from .physics import (
     AREA_SLICE,
     COMPONENTS,
@@ -206,27 +207,27 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _checkpoint_bundle(path: str | Path):
+def _checkpoint_bundle(path: str | Path) -> tuple[MlpModel, FoldCheckpoint]:
     model, extra = load_checkpoint(path)
     try:
-        bundle = from_json(FoldCheckpoint, extra, "extra")
+        fold = from_json(FoldCheckpoint, extra, "extra")
     except ConfigError as exc:
         raise DataError(f"checkpoint {path}: {exc}") from None
     layers = {"input_scaler": (model.layer_dims[0], data.N_FEATURES, "inputs"),
               "target_scaler": (model.layer_dims[-1], STATE_DIM, "outputs")}
     for name, (width, expected, side) in layers.items():
-        columns = getattr(bundle, name).divisor.size
+        columns = getattr(fold, name).divisor.size
         if columns != width:
             raise DataError(f"checkpoint {path}: {name} has {columns} columns, the model {width}")
         if width != expected:
             raise DataError(f"checkpoint {path}: the model has {width} {side}, expected {expected}")
-    return model, bundle.input_scaler, bundle.target_scaler, bundle.constants
+    return model, fold
 
 
-def _predict_states(path, model, input_scaler, target_scaler, features, names) -> np.ndarray:
+def _predict_states(path, model, fold, features, names) -> np.ndarray:
     """predict_physical; a non-finite state is a DataError naming the first such building."""
     with np.errstate(all="ignore"):
-        states = predict_physical(model, input_scaler, target_scaler, features)
+        states = predict_physical(model, fold, features)
     broken = ~np.isfinite(states).all(axis=1)
     if broken.any():
         raise DataError(f"checkpoint {path} predicts a non-finite envelope state "
@@ -252,16 +253,16 @@ def _balance(path, state, useful_area, building_type, constants):
 def cmd_predict(args) -> int:
     if args.out:
         _check_out(Path(args.out), "file")
-    model, *scalers, constants = _checkpoint_bundle(args.checkpoint)
+    model, fold = _checkpoint_bundle(args.checkpoint)
     building = read_json(args.building, "building")
     fields = data.parse_building(building, args.building)
     features = data.encode_features(**{name: [value] for name, value in fields.items()})
-    _check_checkpoint_types(constants, [fields["building_type"]], args.checkpoint)
-    for line in data.outside_training_range(fields, features[0], scalers[0]):
+    _check_checkpoint_types(fold.constants, [fields["building_type"]], args.checkpoint)
+    for line in data.outside_training_range(fields, features[0], fold.input_scaler):
         print(f"{PROG}: warning: {args.building}: {line}", file=sys.stderr)
-    state = _predict_states(args.checkpoint, model, *scalers, features, [args.building])[0]
+    state = _predict_states(args.checkpoint, model, fold, features, [args.building])[0]
     breakdown = _balance(args.building, state, fields["useful_area"], fields["building_type"],
-                         constants)
+                         fold.constants)
     output = {
         "cadastre_number": building.get("cadastre_number"),
         "state": state_dict(state),
@@ -332,15 +333,15 @@ def cmd_audit(args) -> int:
 def cmd_evaluate(args) -> int:
     if args.out:
         _check_out(Path(args.out), "file")
-    model, *scalers, constants = _checkpoint_bundle(args.checkpoint)
+    model, fold = _checkpoint_bundle(args.checkpoint)
     arrays, dropped = _load_cohort(args.data)
     check_scorable(arrays.targets, arrays.measured_energy, args.data)
-    _check_checkpoint_types(constants, arrays.building_types, args.checkpoint)
+    _check_checkpoint_types(fold.constants, arrays.building_types, args.checkpoint)
     predictions = _predict_states(
-        args.checkpoint, model, *scalers, arrays.features, arrays.cadastre_numbers)
+        args.checkpoint, model, fold, arrays.features, arrays.cadastre_numbers)
     with np.errstate(all="ignore"):
         energy = reconstruct_energy(
-            predictions, arrays.useful_area, arrays.building_types, constants
+            predictions, arrays.useful_area, arrays.building_types, fold.constants
         )
     broken = ~np.isfinite(energy)
     if broken.any():

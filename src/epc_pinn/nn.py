@@ -4,9 +4,11 @@ The model maps a feature vector to the twelve envelope quantities through
 dense layers with ReLU activations on the hidden layers and an identity
 output layer. Everything is plain numpy: forward returns a cache of
 intermediate activations, backward consumes it to produce exact parameter
-gradients, and Adam with bias correction performs the update. One plateau
-tracker on the validation loss (EarlyStopState) cuts the learning rate,
-stops training and snapshots the best weights.
+gradients, and Adam with bias correction (beta1, beta2 and epsilon are
+constants) performs the update. One plateau tracker on the validation loss
+(EarlyStopState) cuts the learning rate, stops training and snapshots the
+best weights. The schedule (rate, patiences, cut factor and floor) comes
+from the caller, train.TrainConfig.
 
 Every weight and bias is a view into one contiguous float64 vector laid
 out (W0, b0, W1, b1, ...), and backward writes into views of one gradient
@@ -203,19 +205,22 @@ def backward(model: MlpModel, cache: ForwardCache, output_grad: np.ndarray) -> G
     return grads
 
 
+# Adam's beta1, beta2 and epsilon, the same for every run.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
+
+
 @dataclass(eq=False)
 class AdamState:
     """Adam with bias correction; epsilon sits outside the square root:
 
         step = lr * m_hat / (sqrt(v_hat) + eps)
 
-    m, v and the two scratch rows are flat, allocated on the first step.
+    beta1, beta2 and epsilon are module constants; the learning rate
+    comes from the caller (TrainConfig). m, v and the two scratch rows are
+    flat, allocated on the first step.
     """
 
-    learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    learning_rate: float
     t: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -248,18 +253,18 @@ def adam_step(
     if not np.isfinite(g).all():
         raise TrainingError(f"non-finite gradient before Adam update{where}")
     state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
+    bc1 = 1.0 - ADAM_BETA1**state.t
+    bc2 = 1.0 - ADAM_BETA2**state.t
     m, v, (step, denom) = state.m, state.v, state.scratch
     # In place, elementwise and in this order:
     #   m = b1*m + (1-b1)*g,  v = b2*v + ((1-b2)*g)*g,
     #   p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
-    m *= state.beta1
-    m += np.multiply(g, 1.0 - state.beta1, out=step)
-    v *= state.beta2
-    v += np.multiply(np.multiply(g, 1.0 - state.beta2, out=step), g, out=step)
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=step)
+    v *= ADAM_BETA2
+    v += np.multiply(np.multiply(g, 1.0 - ADAM_BETA2, out=step), g, out=step)
     np.sqrt(np.divide(v, bc2, out=denom), out=denom)
-    denom += state.epsilon
+    denom += ADAM_EPSILON
     np.divide(m, bc1, out=step)
     step *= state.learning_rate
     step /= denom
@@ -275,12 +280,13 @@ class EarlyStopState:
     NaN), and bad_epochs counts the epochs since. Each multiple of
     lr_patience it reaches cuts the rate by lr_factor, floored at min_lr
     (best is kept, so a long plateau keeps cutting); reaching patience
-    stops training, after that epoch's cut. The best parameters are kept."""
+    stops training, after that epoch's cut. The best parameters are kept.
+    The four schedule settings come from the caller (TrainConfig)."""
 
-    patience: int = 8
-    lr_patience: int = 5
-    lr_factor: float = 0.1
-    min_lr: float = 1e-7
+    patience: int
+    lr_patience: int
+    lr_factor: float
+    min_lr: float
     best: float = np.inf
     bad_epochs: int = 0
     best_parameters: np.ndarray | None = None

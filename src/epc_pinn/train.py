@@ -24,10 +24,12 @@ Everything is deterministic given the config seed: the fold partition,
 the per-fold splits, initialization and batch shuffling all derive their
 seeds from (seed, fold index, stream index).
 
-save_run_outputs writes results.json, with each fold's TrainHistory,
-report.txt and one checkpoint per fold. A checkpoint's extra payload is a
-FoldCheckpoint: the fold index, the three fitted scalers and the physics
-constants, written by to_dict and read back by config.from_json.
+A FoldResult carries its FoldCheckpoint, built once when the scalers are
+fitted: the fold index, the three scalers and the physics constants. Its
+TrainHistory is built once, complete, after the best snapshot is restored.
+save_run_outputs writes results.json, with each fold's history,
+report.txt and one checkpoint per fold, whose extra payload is the fold's
+FoldCheckpoint, written by to_dict and read back by config.from_json.
 """
 
 from __future__ import annotations
@@ -112,12 +114,12 @@ class TrainConfig(JsonConfig):
 class TrainHistory(JsonConfig):
     """Per-epoch traces; list lengths equal the number of epochs run."""
 
-    train_loss: list[float] = field(default_factory=list)
-    val_loss: list[float] = field(default_factory=list)
-    learning_rate: list[float] = field(default_factory=list)
-    stop_epoch: int = 0
-    best_val_loss: float = np.inf
-    best_epoch: int = -1
+    train_loss: list[float]
+    val_loss: list[float]
+    learning_rate: list[float]
+    stop_epoch: int
+    best_val_loss: float
+    best_epoch: int
 
 
 @dataclass
@@ -134,11 +136,8 @@ class FoldCheckpoint(JsonConfig):
 
 @dataclass(eq=False)
 class FoldResult:
-    fold_index: int
     model: MlpModel
-    input_scaler: MinMaxScaler
-    target_scaler: MinMaxScaler
-    energy_scaler: MinMaxScaler
+    checkpoint: FoldCheckpoint  # the fold index, its scalers and the constants
     history: TrainHistory
     test_indices: np.ndarray
     train_indices: np.ndarray  # the only rows the scalers were fitted on
@@ -153,15 +152,10 @@ def _derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def predict_physical(
-    model: MlpModel,
-    input_scaler: MinMaxScaler,
-    target_scaler: MinMaxScaler,
-    features: np.ndarray,
-) -> np.ndarray:
+def predict_physical(model: MlpModel, fold: FoldCheckpoint, features: np.ndarray) -> np.ndarray:
     """Scaled forward pass mapped back to clamped physical units, (n, 12)."""
-    scaled, _ = forward(model, input_scaler.transform(np.atleast_2d(features)))
-    return np.maximum(target_scaler.inverse_transform(scaled), 0.0)
+    scaled, _ = forward(model, fold.input_scaler.transform(np.atleast_2d(features)))
+    return np.maximum(fold.target_scaler.inverse_transform(scaled), 0.0)
 
 
 def reconstruct_energy(
@@ -219,18 +213,18 @@ def train_fold(
     shuffle_seed = _derive_seed(config.seed, fold_index, 2)
     train_idx, val_idx = train_val_split(pool, config.val_fraction, split_seed)
 
-    input_scaler = MinMaxScaler.fit(arrays.features[train_idx])
-    target_scaler = MinMaxScaler.fit(arrays.targets[train_idx])
-    energy_scaler = MinMaxScaler.fit(arrays.measured_energy[train_idx])
+    fold = FoldCheckpoint(fold_index, MinMaxScaler.fit(arrays.features[train_idx]),
+                          MinMaxScaler.fit(arrays.targets[train_idx]),
+                          MinMaxScaler.fit(arrays.measured_energy[train_idx]), config.constants)
 
     building_types = np.array(arrays.building_types)
     n_train = train_idx.shape[0]
     fit_idx = np.concatenate([train_idx, val_idx])
-    x_fit = input_scaler.transform(arrays.features[fit_idx])
-    z_fit = target_scaler.transform(arrays.targets[fit_idx])
+    x_fit = fold.input_scaler.transform(arrays.features[fit_idx])
+    z_fit = fold.target_scaler.transform(arrays.targets[fit_idx])
     areas = arrays.useful_area[fit_idx]
     taus = np.array([config.constants.time_constant_for(t) for t in building_types[fit_idx]])
-    measured = energy_scaler.transform(arrays.measured_energy[fit_idx])
+    measured = fold.energy_scaler.transform(arrays.measured_energy[fit_idx])
 
     def loss_at(pred, rows, with_gradient=True):
         return enhanced_loss(
@@ -239,8 +233,8 @@ def train_fold(
             useful_area=areas[rows],
             time_constants=taus[rows],
             measured_scaled=measured[rows],
-            target_scaler=target_scaler,
-            energy_scaler=energy_scaler,
+            target_scaler=fold.target_scaler,
+            energy_scaler=fold.energy_scaler,
             consts=config.constants,
             physics_weight=config.physics_weight,
             with_gradient=with_gradient,
@@ -252,7 +246,7 @@ def train_fold(
                              lr_patience=config.scheduler_patience,
                              lr_factor=config.scheduler_factor, min_lr=config.min_lr)
     shuffle_rng = np.random.default_rng(shuffle_seed)
-    history = TrainHistory()
+    train_losses, val_losses, learning_rates = [], [], []
     updated = np.zeros(arrays.n, dtype=bool)
 
     try:
@@ -276,22 +270,19 @@ def train_fold(
             val_loss = loss_at(val_pred, np.s_[n_train:], with_gradient=False).total
 
             stop = stopper.step(val_loss, model, epoch, optimizer)
-            history.train_loss.append(float(train_loss))
-            history.val_loss.append(float(val_loss))
-            history.learning_rate.append(float(optimizer.learning_rate))
+            train_losses.append(float(train_loss))
+            val_losses.append(float(val_loss))
+            learning_rates.append(float(optimizer.learning_rate))
             if stop:
                 break
     except TrainingError as exc:
         raise TrainingError(f"fold {fold_index}: {exc}") from exc
 
     stopper.restore_best(model)
-    history.stop_epoch = len(history.train_loss)
-    history.best_val_loss = float(stopper.best)
-    history.best_epoch = stopper.best_epoch
+    history = TrainHistory(train_losses, val_losses, learning_rates, len(train_losses),
+                           float(stopper.best), stopper.best_epoch)
 
-    predictions = predict_physical(
-        model, input_scaler, target_scaler, arrays.features[test_indices]
-    )
+    predictions = predict_physical(model, fold, arrays.features[test_indices])
     energy = reconstruct_energy(
         predictions,
         arrays.useful_area[test_indices],
@@ -305,11 +296,8 @@ def train_fold(
         energy,
     )
     return FoldResult(
-        fold_index=fold_index,
         model=model,
-        input_scaler=input_scaler,
-        target_scaler=target_scaler,
-        energy_scaler=energy_scaler,
+        checkpoint=fold,
         history=history,
         test_indices=test_indices,
         train_indices=train_idx,
@@ -432,7 +420,7 @@ def results_payload(result: CrossValidationResult, config: TrainConfig) -> dict:
         "best_val_loss": mean_std([r.history.best_val_loss for r in result.folds]),
         "folds": [
             {
-                "fold": r.fold_index,
+                "fold": r.checkpoint.fold,
                 "test_indices": [int(i) for i in r.test_indices],
                 "history": r.history.to_dict(),
                 "metrics": r.report,
@@ -463,9 +451,7 @@ def save_run_outputs(
         )
     paths = {"results": results_path, "report": report_path}
     for r in result.folds:
-        checkpoint_path = out_dir / f"fold_{r.fold_index:02d}.json"
-        extra = FoldCheckpoint(r.fold_index, r.input_scaler, r.target_scaler, r.energy_scaler,
-                               config.constants)
-        save_checkpoint(r.model, checkpoint_path, extra=extra.to_dict())
-        paths[f"fold_{r.fold_index:02d}"] = checkpoint_path
+        name = f"fold_{r.checkpoint.fold:02d}"
+        paths[name] = out_dir / f"{name}.json"
+        save_checkpoint(r.model, paths[name], extra=r.checkpoint.to_dict())
     return paths

@@ -295,7 +295,7 @@ class TestAcceptance:
         assert first_step == pytest.approx(-0.000999999, abs=1e-8)
 
         optimizer = AdamState(learning_rate=0.001)
-        stopper = EarlyStopState(patience=8, lr_patience=5, lr_factor=0.1)
+        stopper = EarlyStopState(patience=8, lr_patience=5, lr_factor=0.1, min_lr=1e-7)
         probe = init_model((1, 1), seed=0)
         reduced_at, fired_at = [], []
         for call in range(1, 12):
@@ -424,6 +424,7 @@ class TestAcceptance:
             assert set(fold.val_indices.tolist()).isdisjoint(
                 fold.update_indices.tolist()
             )
-            assert MinMaxScaler.fit(arrays.features[fold.train_indices]) == fold.input_scaler
+            assert (MinMaxScaler.fit(arrays.features[fold.train_indices])
+                    == fold.checkpoint.input_scaler)
         report(10, "held-out indices never reach scaler fits or updates "
                    "in any of the 10 folds")

@@ -166,6 +166,23 @@ class TestRoundTripKeepsTypes:
         assert restored == payload
         assert json.dumps(restored, sort_keys=True) == json.dumps(payload, sort_keys=True)
 
+    def test_trained_histories_round_trip(self, clean_cohort_dir):
+        """Every fold's history, as train_fold built it (early stops and
+        rate cuts included), reads back equal and serializes to the same
+        JSON; a history is never built without all its fields."""
+        with pytest.raises(TypeError):
+            TrainHistory()
+        arrays = data.build_matrices(data.load_cohort(clean_cohort_dir)[0])
+        result = cross_validate(arrays, TrainConfig(
+            k_folds=3, hidden_dims=(8,), max_epochs=30, learning_rate=0.05,
+            scheduler_patience=1, early_stop_patience=3))
+        for fold in result.folds:
+            history = fold.history
+            restored = TrainHistory.from_dict(history.to_dict())
+            assert restored == history
+            assert (json.dumps(restored.to_dict(), sort_keys=True)
+                    == json.dumps(history.to_dict(), sort_keys=True))
+
 
 # ---------------------------------------------------------------------------
 # The command line

@@ -234,7 +234,7 @@ class TestBackward:
         x = np.ones((2, 2))
         pred, cache = forward(model, x)
         grads = backward(model, cache, np.ones((2, 1)))
-        adam_step(model, grads, AdamState())
+        adam_step(model, grads, AdamState(learning_rate=0.001))
         with pytest.raises(UsageError, match="stale"):
             backward(model, cache, np.ones((2, 1)))
 
@@ -264,7 +264,7 @@ class TestAdam:
         step = lr * 1 / (1 + eps) and the parameter lands at
         -0.001 / (1 + 1e-8)."""
         model = one_parameter_model()
-        state = AdamState()
+        state = AdamState(learning_rate=0.001)
         adam_step(model, unit_gradients(model), state)
         expected = -0.001 / (1.0 + 1e-8)
         assert model.weights[0][0, 0] == pytest.approx(expected, rel=1e-12)
@@ -275,7 +275,7 @@ class TestAdam:
         """A constant gradient keeps m_hat = v_hat = 1 at every step, so
         after k steps the parameter is -k * lr / (1 + eps)."""
         model = one_parameter_model()
-        state = AdamState()
+        state = AdamState(learning_rate=0.001)
         for _ in range(2):
             adam_step(model, unit_gradients(model), state)
         expected = -2.0 * 0.001 / (1.0 + 1e-8)
@@ -297,13 +297,13 @@ class TestAdam:
         grads = unit_gradients(model)
         grads.weights[0][...] = -1.0
         grads.biases[0][...] = -1.0
-        adam_step(model, grads, AdamState())
+        adam_step(model, grads, AdamState(learning_rate=0.001))
         assert model.weights[0][0, 0] > 0.0
 
     def test_update_bumps_model_version(self):
         model = one_parameter_model()
         before = model.version
-        adam_step(model, unit_gradients(model), AdamState())
+        adam_step(model, unit_gradients(model), AdamState(learning_rate=0.001))
         assert model.version == before + 1
 
     def test_non_finite_gradient_is_training_error_with_context(self):
@@ -311,13 +311,13 @@ class TestAdam:
         grads = unit_gradients(model)
         grads.weights[0][0, 0] = np.nan
         with pytest.raises(TrainingError, match="epoch 3"):
-            adam_step(model, grads, AdamState(), context="epoch 3")
+            adam_step(model, grads, AdamState(learning_rate=0.001), context="epoch 3")
 
     def test_gradient_layout_mismatch_is_dimension_error(self):
         model = init_model((2, 3, 1), seed=0)
         bad = Gradients(layer_dims=(2, 3), vector=np.zeros(9))
         with pytest.raises(DimensionError):
-            adam_step(model, bad, AdamState())
+            adam_step(model, bad, AdamState(learning_rate=0.001))
 
     def test_gradient_vector_of_wrong_length_is_dimension_error(self):
         with pytest.raises(DimensionError, match="13"):
@@ -436,12 +436,12 @@ class TestFlatLayout:
         model = one_parameter_model()
         model.vector[0] = np.inf
         with pytest.raises(TrainingError, match="parameter after Adam update.*epoch 7"):
-            adam_step(model, unit_gradients(model), AdamState(), context="epoch 7")
+            adam_step(model, unit_gradients(model), AdamState(learning_rate=0.001), context="epoch 7")
 
     def test_restore_best_is_bitwise_and_independent_of_later_updates(self):
         model = init_model((6, 8, 3), seed=7)
-        state = AdamState()
-        stopper = EarlyStopState()
+        state = AdamState(learning_rate=0.001)
+        stopper = plateau()
         rng = np.random.default_rng(8)
 
         def step():
@@ -462,6 +462,11 @@ class TestFlatLayout:
         assert model.vector is vector  # restored in place, views still valid
         assert model.vector.tobytes() == snapshot
         assert concatenated(model.arrays()).tobytes() == snapshot
+
+
+def plateau(patience=8, lr_patience=5, lr_factor=0.1, min_lr=1e-7):
+    """A plateau tracker with the schedule that these tests count by hand."""
+    return EarlyStopState(patience, lr_patience, lr_factor, min_lr)
 
 
 def lr_trace(stopper, losses, learning_rate=0.001):
@@ -485,7 +490,7 @@ class TestPlateauScheduler:
     """The learning-rate cut of the plateau tracker."""
 
     def test_improving_losses_keep_the_rate(self):
-        stops, rates = lr_trace(EarlyStopState(), (1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4))
+        stops, rates = lr_trace(plateau(), (1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4))
         assert not any(stops)
         assert rates == [0.001] * 7
 
@@ -494,18 +499,18 @@ class TestPlateauScheduler:
         5th bad call (call 6 overall) triggers the first reduction to
         1e-4; the 10th bad call (call 11) triggers the second, to 1e-5.
         Training would stop at call 9, the 8th bad call."""
-        stops, rates = lr_trace(EarlyStopState(), [1.0] * 11)
+        stops, rates = lr_trace(plateau(), [1.0] * 11)
         assert cut_calls(rates) == [6, 11]
         assert rates[-1] == pytest.approx(1e-5, rel=1e-12)
         assert stops.index(True) == 8
 
     def test_rate_floors_at_min_lr(self):
-        stopper = EarlyStopState(patience=100, lr_patience=1, min_lr=1e-7)
+        stopper = plateau(patience=100, lr_patience=1)
         _, rates = lr_trace(stopper, [1.0] * 21)
         assert rates[-1] == 1e-7
 
     def test_improvement_resets_the_counter(self):
-        stopper = EarlyStopState()
+        stopper = plateau()
         _, rates = lr_trace(stopper, (1.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5))
         assert cut_calls(rates) == [10]
         assert rates[-2] == 0.001
@@ -513,7 +518,7 @@ class TestPlateauScheduler:
     def test_best_is_not_reset_by_a_reduction(self):
         """A loss that only recovers to its old best after a reduction is
         still non-improving; the plateau keeps decaying the rate."""
-        stopper = EarlyStopState(lr_patience=2)
+        stopper = plateau(lr_patience=2)
         _, rates = lr_trace(stopper, (0.5, 0.6, 0.6, 0.5, 0.5))
         assert cut_calls(rates) == [3, 5]
         assert stopper.best == 0.5 and stopper.best_epoch == 0
@@ -522,7 +527,7 @@ class TestPlateauScheduler:
         """With patience twice lr_patience, the second cut falls on the
         stop call (call 11, the 10th bad one) and is applied before the
         stop is returned."""
-        stopper = EarlyStopState(patience=10, lr_patience=5)
+        stopper = plateau(patience=10, lr_patience=5)
         stops, rates = lr_trace(stopper, [1.0] * 11)
         assert stops == [False] * 10 + [True]
         assert cut_calls(rates) == [6, 11]
@@ -531,27 +536,27 @@ class TestPlateauScheduler:
 
 class TestEarlyStop:
     def test_decreasing_losses_never_stop(self):
-        stops, _ = lr_trace(EarlyStopState(), [float(x) for x in np.linspace(1.0, 0.1, 30)])
+        stops, _ = lr_trace(plateau(), [float(x) for x in np.linspace(1.0, 0.1, 30)])
         assert stops == [False] * 30
 
     def test_constant_loss_stops_at_ninth_call(self):
         """Call 1 improves on +inf; the 8th consecutive non-improving
         call is call 9 overall and returns True."""
-        stops, _ = lr_trace(EarlyStopState(), [1.0] * 9)
+        stops, _ = lr_trace(plateau(), [1.0] * 9)
         assert stops == [False] * 8 + [True]
 
     def test_improvement_resets_the_counter(self):
-        stops, _ = lr_trace(EarlyStopState(), [1.0] * 8 + [0.5] * 9)
+        stops, _ = lr_trace(plateau(), [1.0] * 8 + [0.5] * 9)
         assert stops == [False] * 16 + [True]
 
     def test_restore_best_rolls_parameters_back(self):
         """The snapshot taken at the best epoch survives later updates."""
         model = init_model((2, 3, 1), seed=1)
-        stopper = EarlyStopState()
-        stopper.step(0.5, model, 0, AdamState())
+        stopper = plateau()
+        stopper.step(0.5, model, 0, AdamState(learning_rate=0.001))
         best = [p.copy() for p in model.arrays()]
-        adam_step(model, unit_gradients(model), AdamState())
-        stopper.step(0.7, model, 1, AdamState())
+        adam_step(model, unit_gradients(model), AdamState(learning_rate=0.001))
+        stopper.step(0.7, model, 1, AdamState(learning_rate=0.001))
         assert not np.array_equal(model.weights[0], best[0])
         stopper.restore_best(model)
         for p, snap in zip(model.arrays(), best):
@@ -560,8 +565,8 @@ class TestEarlyStop:
 
     def test_restore_bumps_version(self):
         model = init_model((2, 2), seed=0)
-        stopper = EarlyStopState()
-        stopper.step(0.5, model, 0, AdamState())
+        stopper = plateau()
+        stopper.step(0.5, model, 0, AdamState(learning_rate=0.001))
         before = model.version
         stopper.restore_best(model)
         assert model.version == before + 1
@@ -722,11 +727,11 @@ class TestFullModelGradient:
 def test_improving_snapshots_reuse_one_buffer():
     """Each improvement copies into the buffer of the first snapshot."""
     model = init_model((2, 3, 1), seed=1)
-    stopper = EarlyStopState()
-    stopper.step(0.5, model, 0, AdamState())
+    stopper = plateau()
+    stopper.step(0.5, model, 0, AdamState(learning_rate=0.001))
     buffer = stopper.best_parameters
-    adam_step(model, unit_gradients(model), AdamState())
-    stopper.step(0.4, model, 1, AdamState())
+    adam_step(model, unit_gradients(model), AdamState(learning_rate=0.001))
+    stopper.step(0.4, model, 1, AdamState(learning_rate=0.001))
     assert stopper.best_parameters is buffer
     assert buffer.tobytes() == model.vector.tobytes()
 

@@ -14,7 +14,6 @@ import time
 import numpy as np
 import pytest
 
-from epc_pinn.config import from_json
 from epc_pinn.data import (
     MinMaxScaler,
     TrainingArrays,
@@ -36,7 +35,7 @@ from epc_pinn.nn import (
 )
 from epc_pinn.physics import COMPONENTS, PhysicsConstants
 from epc_pinn.synth import GeneratorConfig, generate_cohort, reference_energy
-from epc_pinn import train
+from epc_pinn import cli, train
 from epc_pinn.train import (
     TrainConfig,
     cross_validate,
@@ -78,11 +77,12 @@ class TestTrainConfig:
         config = TrainConfig()
         assert config.k_folds == 10
         assert config.val_fraction == 0.15
-        assert config.learning_rate == 0.001
-        assert config.scheduler_patience == 5
-        assert config.early_stop_patience == 8
         assert config.batch_size == 256
         assert config.hidden_dims == (256, 256)
+        # The whole schedule: nn's Adam and plateau tracker have no defaults.
+        assert (config.learning_rate, config.scheduler_patience, config.scheduler_factor,
+                config.min_lr, config.early_stop_patience, config.max_epochs) == (
+            0.001, 5, 0.1, 1e-7, 8, 500)
 
     def test_bad_values_are_config_errors(self):
         with pytest.raises(ConfigError):
@@ -160,9 +160,11 @@ class TestTrainFold:
 
     def test_scalers_were_fitted_on_the_training_rows_only(self, arrays):
         fold = train_fold(arrays, np.arange(4), quick_config())
-        assert MinMaxScaler.fit(arrays.features[fold.train_indices]) == fold.input_scaler
-        assert MinMaxScaler.fit(arrays.targets[fold.train_indices]) == fold.target_scaler
-        assert MinMaxScaler.fit(arrays.measured_energy[fold.train_indices]) == fold.energy_scaler
+        scalers = fold.checkpoint
+        assert MinMaxScaler.fit(arrays.features[fold.train_indices]) == scalers.input_scaler
+        assert MinMaxScaler.fit(arrays.targets[fold.train_indices]) == scalers.target_scaler
+        assert (MinMaxScaler.fit(arrays.measured_energy[fold.train_indices])
+                == scalers.energy_scaler)
 
     def test_deterministic_given_the_seed(self, arrays):
         config = quick_config(max_epochs=8)
@@ -407,9 +409,7 @@ def test_plateau_tracker_matches_the_two_counter_reference():
 class TestPredictionHelpers:
     def test_predict_physical_clamps(self, arrays):
         fold = train_fold(arrays, np.arange(4), quick_config(max_epochs=1))
-        out = predict_physical(
-            fold.model, fold.input_scaler, fold.target_scaler, arrays.features[:7]
-        )
+        out = predict_physical(fold.model, fold.checkpoint, arrays.features[:7])
         assert out.shape == (7, 12)
         assert np.all(out >= 0.0)
 
@@ -631,14 +631,18 @@ class TestSaveRunOutputs:
         assert "±" in report_text
 
     def test_checkpoints_carry_scalers_and_constants(self, arrays, tmp_path):
-        config = quick_config(max_epochs=2)
+        """Each fold_XX.json reads back as the fold's FoldCheckpoint and a
+        model with its parameters to the bit."""
+        config = quick_config(max_epochs=2, k_folds=3)
         result = cross_validate(arrays, config)
         save_run_outputs(result, config, tmp_path)
-        model, extra = load_checkpoint(tmp_path / "fold_00.json")
-        assert model.layer_dims == (17, 16, 16, 12)
-        assert from_json(MinMaxScaler, extra["input_scaler"]) == result.folds[0].input_scaler
-        assert extra["constants"]["delta_t"] == 18.9
-        assert extra["fold"] == 0
+        for i, r in enumerate(result.folds):
+            model, fold = cli._checkpoint_bundle(tmp_path / f"fold_{i:02d}.json")
+            assert fold == r.checkpoint
+            assert fold.fold == i
+            assert model.layer_dims == (17, 16, 16, 12)
+            assert model.vector.tobytes() == r.model.vector.tobytes()
+            assert fold.constants == config.constants
 
     def test_checkpoint_extra_keeps_the_hand_written_layout(self, arrays, tmp_path):
         """The extra payload, which perfbench decodes by hand, is the one
@@ -651,13 +655,13 @@ class TestSaveRunOutputs:
             return {"data_min": [float(v) for v in scaler.data_min],
                     "data_max": [float(v) for v in scaler.data_max]}
 
-        for r in result.folds:
-            _, extra = load_checkpoint(tmp_path / f"fold_{r.fold_index:02d}.json")
+        for i, r in enumerate(result.folds):
+            _, extra = load_checkpoint(tmp_path / f"fold_{i:02d}.json")
             expected = {
-                "fold": r.fold_index,
-                "input_scaler": bounds(r.input_scaler),
-                "target_scaler": bounds(r.target_scaler),
-                "energy_scaler": bounds(r.energy_scaler),
+                "fold": i,
+                "input_scaler": bounds(r.checkpoint.input_scaler),
+                "target_scaler": bounds(r.checkpoint.target_scaler),
+                "energy_scaler": bounds(r.checkpoint.energy_scaler),
                 "constants": config.constants.to_dict(),
             }
             assert json.dumps(extra, sort_keys=True) == json.dumps(expected, sort_keys=True)
