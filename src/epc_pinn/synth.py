@@ -13,13 +13,14 @@ audit noise creates genuine model mismatch.
 Output is the exact CSV layout the ingestion side reads, plus a monthly
 consumption file whose rows sum to the annual totals. Building i draws
 from its own generator, seeded with [seed, i], in a fixed order and in
-four calls (serie, floors, all uniforms, all normals); those draws are all
+four calls (serie, floors, random(15), all normals); those draws are all
 the randomness, so cohorts are reproducible byte for byte. Everything else
-(geometry, physics, noise, monthly split) is computed once over
-whole-cohort arrays, and each file is written atomically with one write
-per building: every row formatted as one line, numbers through str, the
-same text csv.writer writes, and each distinct string (header, serie
-name, building type, component, material) quoted once by csv itself.
+(the uniforms' scaling low + (high - low) * u, geometry, physics, noise,
+monthly split) is computed once over whole-cohort arrays, and each file
+is written atomically with one write per building: every row formatted
+as one line, numbers through str, the same text csv.writer writes, and
+each distinct string (header, serie name, building type, component,
+material) quoted once by csv itself.
 
 reference_energy is this module's second job: a deliberately plain,
 scalar re-derivation of the annual energy balance sharing no code with
@@ -208,35 +209,36 @@ def _draw(config: GeneratorConfig) -> tuple[np.ndarray, list[int], np.ndarray]:
     own generator seeded with [seed, i]; the draw order below is fixed, and
     changing it changes every cohort.
 
-    A building makes four calls: the serie, the floors, its fifteen
-    uniforms in one call with its serie's bound arrays, and all its
-    normals in one call. Both batched calls give bitwise the draws of one
-    call per value: an array-bound uniform takes high - low per element
-    with the same float64 subtraction, and a sized normal reads the same
-    stream in order."""
+    A building makes four calls: the serie, the floors, random(15) for its
+    fifteen uniforms, and all its normals in one call. The uniforms are
+    scaled once over the whole cohort, as low + (high - low) * u with each
+    building's serie bounds. numpy's uniform computes low + range * u in C,
+    with range = high - low, so these are bitwise its draws on any build
+    that does not fuse that line into one FMA. Here the scaling is two
+    separately rounded ufuncs, so it does not depend on how numpy was
+    compiled. A sized normal reads the same stream as one call per value."""
     # Per serie, the uniforms' (low, high) in draw order: footprint, aspect,
     # roof, window, door, five U factors, air, gains, apartment area,
     # latitude, longitude.
-    bounds = [np.array([
+    bounds = np.array([[
         profile.footprint, config.aspect_ratio, config.roof_factor,
         profile.window_fraction, profile.door_fraction,
         *[(1.0 - profile.u_spread, 1.0 + profile.u_spread)] * N_COMPONENTS,
         profile.air_exchange, profile.heat_gains, profile.apartment_area,
         (56.90, 57.05), (24.00, 24.30),
-    ], dtype=float).T for profile in config.series]
-    n_uniform = bounds[0].shape[1]
+    ] for profile in config.series], dtype=float)
     n_normal = len(CONSUMPTION_YEARS) + 2 * N_COMPONENTS  # consumption noise, then audit noise
-    serie, floors = [], []
-    draws = np.empty((config.n_buildings, n_uniform + n_normal))
-    for i, row in enumerate(draws):
+    serie, floors, uniforms, normals = [], [], [], []
+    for i in range(config.n_buildings):
         rng = np.random.default_rng([config.seed, i])
         serie.append(int(rng.integers(len(config.series))))
         profile = config.series[serie[-1]]
         floors.append(int(rng.integers(profile.floors[0], profile.floors[1] + 1)))
-        low, high = bounds[serie[-1]]
-        row[:n_uniform] = rng.uniform(low, high)
-        row[n_uniform:] = rng.normal(0.0, 1.0, size=n_normal)
-    return np.array(serie), floors, draws
+        uniforms.append(rng.random(bounds.shape[1]))
+        normals.append(rng.normal(0.0, 1.0, size=n_normal))
+    serie = np.array(serie)
+    low, high = bounds[serie, :, 0], bounds[serie, :, 1]
+    return serie, floors, np.hstack([low + (high - low) * np.array(uniforms), np.array(normals)])
 
 
 def _csv_field(text: str) -> str:
@@ -323,7 +325,10 @@ def generate_cohort(config: GeneratorConfig, out_dir: str | Path) -> dict[str, P
                                 *not_finite.values()])
     if bad.any():  # the first bad building raises its DomainError
         j = int(np.argmax(bad))
-        check_states(states[j:j + 1])
+        try:
+            check_states(states[j:j + 1])
+        except DomainError as exc:
+            raise DomainError(f"building {numbers[j]}: {exc}") from None
         name = next(name for name, mask in not_finite.items() if mask[j])
         raise DomainError(f"building {numbers[j]}: {name} overflows the float range")
     # Python ints: the product can exceed int64.

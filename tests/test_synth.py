@@ -279,6 +279,26 @@ class TestGenerateCohort:
         assert f"building 01000000000: {quantity} overflows the float range" in err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("generate, message", [
+        ({"aspect_ratio": [1.0, 1e308]},  # footprint * aspect overflows
+         "envelope state contains non-finite values\n"),
+        ({"series": [dict(DEFAULT_SERIES[0].to_dict(), footprint=[1.0, 1e4],
+                          window_fraction=[0.9845757498341396] * 2,
+                          door_fraction=[0.015424250165860296] * 2)]},  # walls round below 0
+         "envelope state entry 2 is negative ("),
+    ], ids=["non-finite", "negative"])
+    def test_a_bad_envelope_is_exit_two_naming_the_building(
+        self, tmp_path, capsys, generate, message
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"generate": generate}))
+        out = tmp_path / "out"
+        argv = ["generate", "--config", str(config), "--seed", "1", "--n", "3", "--out", str(out)]
+        assert main(argv) == 2
+        assert f"error: building 01000000000: {message}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_wall_area_follows_geometry(self, clean_cohort_dir):
         """Walls plus windows plus doors equals perimeter * floors * 2.7
         for every generated building (audit noise is zero here)."""

@@ -189,7 +189,10 @@ def _reference_building(config, index):
     per_floor = footprint / apartment_area
     apartments = max(1, round(per_floor)) * floors if math.isfinite(per_floor) else math.inf
     state = np.concatenate([areas, u_values, [air, gains]])[None]
-    check_states(state)  # the envelope first, then the sizes
+    try:  # the envelope first, then the sizes
+        check_states(state)
+    except DomainError as exc:
+        raise DomainError(f"building 0100{index:07d}: {exc}") from None
     for name, size in (("total_area", total_area), ("useful_area", useful_area),
                        ("apartments", apartments)):
         if not _in_float_range(size):
@@ -286,6 +289,59 @@ def written(paths):
 def test_reference_matches_the_default_cohort(tmp_path):
     config = GeneratorConfig(n_buildings=40, seed=5)
     assert written(generate_cohort(config, tmp_path)) == reference_tables(config)
+
+
+def _reference_draws(config):
+    """_draw's result from per-building uniform and normal calls."""
+    serie, floors, rows = [], [], []
+    for i in range(config.n_buildings):
+        rng = np.random.default_rng([config.seed, i])
+        serie.append(int(rng.integers(len(config.series))))
+        profile = config.series[serie[-1]]
+        floors.append(int(rng.integers(profile.floors[0], profile.floors[1] + 1)))
+        low, high = np.array([
+            profile.footprint, config.aspect_ratio, config.roof_factor,
+            profile.window_fraction, profile.door_fraction,
+            *[(1.0 - profile.u_spread, 1.0 + profile.u_spread)] * len(COMPONENTS),
+            profile.air_exchange, profile.heat_gains, profile.apartment_area,
+            (56.90, 57.05), (24.00, 24.30),
+        ]).T
+        rows.append(np.concatenate([
+            rng.uniform(low, high),
+            rng.normal(0.0, 1.0, size=len(CONSUMPTION_YEARS) + 2 * len(COMPONENTS)),
+        ]))
+    return serie, floors, np.array(rows)
+
+
+def _edge_range_config(n_buildings, seed):
+    """One serie whose ranges are degenerate (low == high) or wide."""
+    serie = dataclasses.replace(
+        DEFAULT_SERIES[4], footprint=(1e-6, 1e4), apartment_area=(75.0, 75.0), u_spread=0.0,
+        window_fraction=(0.0, 0.5), door_fraction=(0.01, 0.01), heat_gains=(0.0, 60.0),
+    )
+    return GeneratorConfig(n_buildings=n_buildings, seed=seed, series=(serie,),
+                           aspect_ratio=(1.0, 1e4), roof_factor=(1.3, 1.3))
+
+
+@pytest.mark.parametrize("seed", [0, 2024, 2**32, 2**40])
+@pytest.mark.parametrize("make_config", [
+    lambda seed: GeneratorConfig(n_buildings=1, seed=seed),
+    lambda seed: GeneratorConfig(n_buildings=300, seed=seed),
+    lambda seed: _edge_range_config(300, seed),
+], ids=["default-1", "default-300", "edge-ranges-300"])
+def test_draw_is_the_per_building_uniform_and_normal_calls(seed, make_config):
+    """_draw scales random(15) as low + (high - low) * u over the cohort;
+    numpy's uniform computes the same line in C. This states the build
+    assumption the pinned digests rely on: that numpy's C uniform is not
+    fused into one FMA. Where it is, this test fails with them and names
+    the cause, which the digests show only as different bytes."""
+    config = make_config(seed)
+    serie, floors, draws = synth._draw(config)
+    expected_serie, expected_floors, expected = _reference_draws(config)
+    assert serie.tolist() == expected_serie
+    assert floors == expected_floors
+    assert draws.shape == expected.shape
+    assert draws.tobytes() == expected.tobytes()
 
 
 if hypothesis is not None:
