@@ -24,10 +24,10 @@ file that is a directory or lies under a file, before any cohort or
 checkpoint is read; 2 data problems, a cohort whose scored truth takes one
 value, checkpoint physics constants and train ones that overflow the loss
 included; 3 runtime failures.
-EPC_PINN_THREADS caps how many folds train in parallel (default 1); it
-is checked, like the config, before any data is read. While parallel
-folds train, OpenBLAS runs single-threaded, and its previous
-thread count is restored afterwards.
+train runs min(k_folds, CPUs the process may use) folds at once, so
+taskset limits it; results are identical for any count. While parallel
+folds train, OpenBLAS runs single-threaded, and its previous thread
+count is restored afterwards.
 """
 
 from __future__ import annotations
@@ -149,17 +149,6 @@ def _out_dir(args, config: ConfigFile) -> Path:
     return _check_out(Path(_setting(args, config, "out", ".")), "directory")
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("EPC_PINN_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ConfigError(f"EPC_PINN_THREADS must be an integer, got {raw!r}") from None
-    if count < 1:
-        raise ConfigError(f"EPC_PINN_THREADS must be >= 1, got {count}")
-    return count
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -190,12 +179,11 @@ def cmd_train(args) -> int:
     data_dir = _required(args, config, "data")
     train_config = _section("train", config, seed=seed)
     out_dir = _out_dir(args, config)
-    threads = _thread_count()
 
     arrays, dropped = _load_cohort(data_dir)
     train_config.constants.check_building_types(arrays.building_types)
     check_loss_is_finite(arrays, train_config)
-    result = cross_validate(arrays, train_config, max_workers=threads)
+    result = cross_validate(arrays, train_config)
 
     paths = save_run_outputs(result, train_config, out_dir)
     with atomic_write(out_dir / "drop_report.txt") as handle:

@@ -183,9 +183,17 @@ def check_scorable(targets_true: np.ndarray, energy_true: np.ndarray, where: str
 
 
 def mean_std(values) -> dict[str, float]:
-    """{"mean", "std"} of values, the standard deviation the population one."""
+    """{"mean", "std"} of values, the standard deviation the population one.
+    Where finite values overflow either, both are computed on the values
+    scaled by a power of two, which is exact, and scaled back."""
     values = np.array(values)
-    return {"mean": float(values.mean()), "std": float(values.std())}
+    with np.errstate(over="ignore"):
+        mean, std = values.mean(), values.std()
+    if not np.isfinite([mean, std]).all() and values.size and np.isfinite(values).all():
+        exponent = np.frexp(np.abs(values).max())[1]
+        scaled = np.ldexp(values, -exponent)
+        mean, std = np.ldexp(scaled.mean(), exponent), np.ldexp(scaled.std(), exponent)
+    return {"mean": float(mean), "std": float(std)}
 
 
 def aggregate_folds(reports: list[dict]) -> dict:

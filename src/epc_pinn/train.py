@@ -22,7 +22,9 @@ validation rows, whose loss is computed without gradient.
 
 Everything is deterministic given the config seed: the fold partition,
 the per-fold splits, initialization and batch shuffling all derive their
-seeds from (seed, fold index, stream index).
+seeds from (seed, fold index, stream index). Folds train on min(k_folds,
+CPUs the process may use) workers, the calling thread among them, so
+taskset limits them; results are identical for any count.
 
 A FoldResult carries its FoldCheckpoint, built once when the scalers are
 fitted: the fold index, the three scalers and the physics constants. Its
@@ -39,8 +41,8 @@ import functools
 import glob
 import os
 import threading
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from contextlib import contextmanager
+from collections import deque
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -264,10 +266,11 @@ def train_fold(
                 adam_step(model, grads, optimizer, context=f"epoch {epoch}")
                 weighted += value.total * pred.shape[0]
                 updated[train_idx[rows]] = True
+                del pred, cache, value, grads  # freed before the next forward allocates
             train_loss = weighted / n_train
 
-            val_pred, _ = forward(model, x_fit[n_train:])
-            val_loss = loss_at(val_pred, np.s_[n_train:], with_gradient=False).total
+            val_loss = loss_at(forward(model, x_fit[n_train:])[0], np.s_[n_train:],
+                               with_gradient=False).total
 
             stop = stopper.step(val_loss, model, epoch, optimizer)
             train_losses.append(float(train_loss))
@@ -283,18 +286,10 @@ def train_fold(
                            float(stopper.best), stopper.best_epoch)
 
     predictions = predict_physical(model, fold, arrays.features[test_indices])
-    energy = reconstruct_energy(
-        predictions,
-        arrays.useful_area[test_indices],
-        list(building_types[test_indices]),
-        config.constants,
-    )
-    report = fold_report(
-        arrays.targets[test_indices],
-        predictions,
-        arrays.measured_energy[test_indices],
-        energy,
-    )
+    energy = reconstruct_energy(predictions, arrays.useful_area[test_indices],
+                                list(building_types[test_indices]), config.constants)
+    report = fold_report(arrays.targets[test_indices], predictions,
+                         arrays.measured_energy[test_indices], energy)
     return FoldResult(
         model=model,
         checkpoint=fold,
@@ -367,15 +362,16 @@ class CrossValidationResult:
 
 
 def cross_validate(
-    arrays: TrainingArrays, config: TrainConfig, max_workers: int = 1
+    arrays: TrainingArrays, config: TrainConfig, max_workers: int | None = None
 ) -> CrossValidationResult:
-    """Check every fold's test rows are scorable, run all folds
-    (optionally in parallel threads) and aggregate their reports.
+    """Check every fold's test rows are scorable, train all folds on
+    max_workers workers (the calling thread and max_workers - 1 helper
+    threads taking folds from one queue) and aggregate their reports.
 
-    Parallel folds run OpenBLAS single-threaded, since fold threads are
-    the one source of parallelism. The fold partition, and therefore
-    every result, depends only on the data and the config seed, never on
-    max_workers.
+    More than one worker runs OpenBLAS single-threaded; one leaves its
+    pool alone. After a failure or an interrupt no queued fold starts,
+    and the interrupt or the lowest failed fold is raised. Every result
+    depends only on the data and the config seed, never on max_workers.
     """
     # Each test fold needs two rows, or its R^2 is undefined.
     if arrays.n < 2 * config.k_folds:
@@ -386,27 +382,33 @@ def cross_validate(
     for i, test_indices in enumerate(folds):
         check_scorable(arrays.targets[test_indices], arrays.measured_energy[test_indices],
                        f"fold {i}")
-    if max_workers > 1:
-        with _single_threaded_blas():
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                futures = [
-                    pool.submit(train_fold, arrays, test_indices, config, i)
-                    for i, test_indices in enumerate(folds)
-                ]
-                # After the first failure, or an interrupt, drop the folds
-                # still queued instead of training them, then raise the
-                # interrupt or the failure of the lowest fold that ran.
+    if max_workers is None:  # the CPUs the process may run on, which taskset narrows
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        max_workers = min(config.k_folds, cpus or 1)
+    queue, results, failures = deque(enumerate(folds)), [None] * len(folds), {}
+
+    def drain() -> None:
+        with suppress(IndexError):  # popleft on the emptied queue
+            while True:
+                i, test_indices = queue.popleft()
                 try:
-                    wait(futures, return_when=FIRST_EXCEPTION)
-                finally:
-                    for f in futures:
-                        f.cancel()
-                results = [f.result() for f in futures if not f.cancelled()]
-    else:
-        results = [
-            train_fold(arrays, test_indices, config, i)
-            for i, test_indices in enumerate(folds)
-        ]
+                    results[i] = train_fold(arrays, test_indices, config, i)
+                except Exception as exc:
+                    failures[i] = exc
+                    queue.clear()
+
+    helpers = [threading.Thread(target=drain) for _ in range(max_workers - 1)]
+    with _single_threaded_blas() if helpers else nullcontext():
+        for helper in helpers:
+            helper.start()
+        try:
+            drain()
+        finally:
+            queue.clear()  # after a failure or an interrupt no queued fold starts
+            for helper in helpers:
+                helper.join()
+    if failures:
+        raise failures[min(failures)]
     return CrossValidationResult(results, aggregate_folds([r.report for r in results]))
 
 

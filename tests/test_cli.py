@@ -12,6 +12,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from epc_pinn import cli, data, nn, train
 from epc_pinn.cli import PROG, main
 from epc_pinn.data import BUILDING_TYPES, SERIES
 from epc_pinn.physics import COMPONENTS, PhysicsConstants
-from epc_pinn.synth import reference_energy
+from epc_pinn.synth import GeneratorConfig, generate_cohort, reference_energy
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +45,22 @@ def trained_run(clean_cohort_dir, tmp_path_factory):
     )
     assert code == 0
     return out
+
+
+@pytest.fixture
+def blas_threads():
+    """The getter of numpy's OpenBLAS thread count, set to 2 threads, wider
+    than the fold threads' cap also on one-core machines; a getter of None
+    where that thread control is not found."""
+    api = train._openblas_thread_api()
+    if api is None:
+        yield lambda: None
+        return
+    get, set_ = api
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
 
 
 @pytest.fixture
@@ -350,51 +367,64 @@ class TestTrain:
             dirs[0] / "results.json"
         ).read_bytes() == (dirs[1] / "results.json").read_bytes()
 
-    def test_thread_count_does_not_change_results(
-        self, clean_cohort_dir, tmp_path, monkeypatch
+    def test_the_fold_pool_follows_the_usable_cpus(
+        self, clean_cohort_dir, tmp_path, monkeypatch, blas_threads
     ):
+        """On one CPU no thread starts and every fold sees the OpenBLAS pool
+        untouched; on three, two helper threads join the calling one, every
+        fold sees one OpenBLAS thread, and results.json is byte-identical."""
         config_path = tmp_path / "config.json"
         config_path.write_text(
             json.dumps({"train": {"hidden_dims": [8, 8], "max_epochs": 2}})
         )
-        serial_dir = tmp_path / "serial"
-        threaded_dir = tmp_path / "threaded"
-        assert main(
-            ["train", "--config", str(config_path), "--seed", "9",
-             "--data", str(clean_cohort_dir), "--out", str(serial_dir)]
-        ) == 0
-        monkeypatch.setenv("EPC_PINN_THREADS", "3")
-        assert main(
-            ["train", "--config", str(config_path), "--seed", "9",
-             "--data", str(clean_cohort_dir), "--out", str(threaded_dir)]
-        ) == 0
-        assert (
-            serial_dir / "results.json"
-        ).read_bytes() == (threaded_dir / "results.json").read_bytes()
+        started, seen = [], []
+        start, fold = threading.Thread.start, train.train_fold
 
-    def test_bad_thread_count_is_exit_one(self, clean_cohort_dir, tmp_path, monkeypatch):
-        monkeypatch.setenv("EPC_PINN_THREADS", "many")
-        code = main(
-            ["train", "--seed", "1", "--data", str(clean_cohort_dir),
-             "--out", str(tmp_path)]
-        )
-        assert code == 1
+        def recording_start(thread):
+            started.append(thread)
+            start(thread)
 
-    def test_bad_thread_count_is_exit_one_before_the_data_loads(
-        self, clean_cohort_dir, tmp_path, monkeypatch, capsys
-    ):
-        loads = []
-        monkeypatch.setattr(cli.data, "load_cohort", lambda *args: loads.append(args))
-        monkeypatch.setenv("EPC_PINN_THREADS", "x")
-        code = main(
-            ["train", "--seed", "1", "--data", str(clean_cohort_dir),
-             "--out", str(tmp_path / "out")]
-        )
-        assert code == 1
-        assert capsys.readouterr().err == (
-            "epc-pinn: error: EPC_PINN_THREADS must be an integer, got 'x'\n")
-        assert loads == []
-        assert not (tmp_path / "out").exists()
+        def recording_fold(*args):
+            seen.append(blas_threads())
+            return fold(*args)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        monkeypatch.setattr(train, "train_fold", recording_fold)
+
+        def train_on(cpus):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            started.clear()
+            seen.clear()
+            out = tmp_path / f"cpus{cpus}"
+            assert main(["train", "--config", str(config_path), "--seed", "9",
+                         "--data", str(clean_cohort_dir), "--out", str(out)]) == 0
+            return len(started), list(seen), (out / "results.json").read_bytes()
+
+        untouched = blas_threads()
+        one, three = train_on(1), train_on(3)
+        assert one[:2] == (0, [untouched] * 10)
+        assert three[:2] == (2, [1 if untouched else None] * 10)
+        assert one[2] == three[2]
+        assert blas_threads() == untouched
+
+    def test_a_huge_physics_weight_writes_finite_loss_summaries(self, tmp_path, capsys):
+        """At physics_weight 1e200 the fold losses reach about 1e198, whose
+        squared spread overflows a plain standard deviation; the run still
+        exits 0 with finite summaries instead of failing to write JSON."""
+        generate_cohort(GeneratorConfig(n_buildings=256, seed=2024), tmp_path / "cohort")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(
+            {"train": {"physics_weight": 1e200, "max_epochs": 2, "hidden_dims": [4]}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # Adam's v overflows
+            code = main(["train", "--config", str(config_path), "--seed", "0",
+                         "--data", str(tmp_path / "cohort"), "--out", str(tmp_path / "run")])
+        assert code == 0, capsys.readouterr().err
+        payload = json.loads((tmp_path / "run" / "results.json").read_text())
+        for name in ("final_train_loss", "best_val_loss"):
+            assert all(np.isfinite(value) for value in payload[name].values())
+        assert payload["final_train_loss"]["mean"] > 1e150
 
     def test_missing_data_directory_is_exit_two(self, tmp_path, capsys):
         code = main(

@@ -211,7 +211,7 @@ class Stubs:
         self.result = result
         self.configs = []
 
-    def cross_validate(self, arrays, train_config, max_workers=1):
+    def cross_validate(self, arrays, train_config):
         self.configs.append(train_config)
         return self.result
 

@@ -33,6 +33,7 @@ from epc_pinn.metrics import (
     fold_report,
     format_metrics_table,
     format_report_table,
+    mean_std,
     nrmse,
     r_squared,
     rmse,
@@ -253,6 +254,43 @@ class TestAggregateFolds:
         assert list(payload["variables"]["x"]) == ["r_squared", "rmse", "nrmse"]
         assert list(payload["variables"]["x"]["r_squared"]) == ["mean", "std"]
         assert payload["variables"]["x"]["r_squared"]["mean"] == pytest.approx(0.85)
+
+
+class TestMeanStd:
+    def test_population_mean_and_std(self):
+        assert mean_std([1.0, 3.0]) == {"mean": 2.0, "std": 1.0}
+
+    def test_overflowing_squares_are_scaled_into_range(self):
+        """The squared deviations of 2.0e159 and 2.1e159 overflow; scaled
+        by an exact power of two they do not."""
+        summary = mean_std([2.0e159, 2.1e159])
+        assert summary["mean"] == pytest.approx(2.05e159, rel=1e-15)
+        assert summary["std"] == pytest.approx(0.05e159, rel=1e-12)
+
+    def test_an_overflowing_sum_is_scaled_into_range(self):
+        summary = mean_std([1.5e308, 1.7e308, -1e308])
+        assert summary["mean"] == pytest.approx(2.2 / 3 * 1e308, rel=1e-15)
+        assert np.isfinite(summary["std"])
+
+    @pytest.mark.parametrize("exponent", [600, 1000, 1023])
+    def test_the_fallback_is_the_plain_result_scaled(self, exponent):
+        """Scaling by a power of two is exact, so where the squares (from
+        2**513) or the sum (at 2**1023) overflow, the summary is the plain
+        one of the unscaled values, scaled by the same power."""
+        values = np.random.default_rng(7).uniform(0.5, 1.0, size=10)
+        expected = {key: float(np.ldexp(value, exponent))
+                    for key, value in mean_std(values).items()}
+        assert mean_std(np.ldexp(values, exponent)) == expected
+
+    @pytest.mark.parametrize("values", [[1e300, 1e300, 1e300], [0.1, 0.2, 0.3], [5.0]])
+    def test_finite_summaries_are_the_plain_ones(self, values):
+        array = np.array(values)
+        assert mean_std(values) == {"mean": float(array.mean()), "std": float(array.std())}
+
+    def test_non_finite_values_stay_non_finite(self):
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(mean_std([1.0, np.nan])["mean"])
+            assert mean_std([1.0, np.inf])["mean"] == np.inf
 
 
 class TestFormatting:

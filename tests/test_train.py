@@ -10,6 +10,8 @@ import json
 import sys
 import threading
 import time
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -223,6 +225,32 @@ class TestTrainFold:
         poisoned.measured_energy[victim] = np.inf
         with pytest.raises(TrainingError, match="fold 3"):
             train_fold(poisoned, np.arange(4), config, fold_index=3)
+
+    def test_a_step_frees_its_arrays_before_the_next_forward(self, arrays, monkeypatch):
+        """Every prediction, forward cache and gradient a step made is dead
+        when the next forward starts, minibatch and validation passes
+        alike, so a fold never holds two steps' arrays at once."""
+        refs, alive = [], []
+
+        def recording_forward(model, inputs):
+            alive.append(sum(ref() is not None for ref in refs))
+            pred, cache = forward(model, inputs)
+            refs.extend([weakref.ref(pred), weakref.ref(cache)])
+            return pred, cache
+
+        def recording_backward(model, cache, output_grad):
+            grads = backward(model, cache, output_grad)
+            refs.extend([weakref.ref(grads), weakref.ref(grads.vector)])
+            return grads
+
+        monkeypatch.setattr(train, "forward", recording_forward)
+        monkeypatch.setattr(train, "backward", recording_backward)
+        fold = train_fold(arrays, np.arange(4), quick_config(max_epochs=3, batch_size=8))
+        n_steps = -(-fold.train_indices.shape[0] // 8)
+        # Each epoch: n_steps minibatch forwards and one validation forward;
+        # then the test rows' forward.
+        assert len(alive) == 3 * (n_steps + 1) + 1
+        assert alive == [0] * len(alive)
 
     def test_too_small_pool_is_config_error(self, arrays):
         with pytest.raises(ConfigError):
@@ -478,15 +506,17 @@ class TestCrossValidate:
         assert len(cross_validate(subset(arrays, 20), quick_config(max_epochs=1)).folds) == 10
 
     def test_a_failed_fold_cancels_the_queued_folds(self, arrays, monkeypatch):
-        """With 2 workers, fold 0 failing at once stops the run while
-        fold 1 still trains: at most the fold that replaced fold 0 starts,
-        never the rest of the queue."""
-        started = []
+        """With 2 workers, fold 0 failing once fold 1 has started stops the
+        run while fold 1 still trains: at most the fold that replaced
+        fold 0 starts, never the rest of the queue."""
+        started, second = [], threading.Event()
 
         def fold(arrays, test_indices, config, fold_index):
             started.append(fold_index)
             if fold_index == 0:
+                assert second.wait(timeout=30)
                 raise TrainingError("fold 0: non-finite gradient")
+            second.set()
             time.sleep(1.0)
 
         monkeypatch.setattr(train, "train_fold", fold)
@@ -495,14 +525,69 @@ class TestCrossValidate:
         assert sorted(started) in ([0, 1], [0, 1, 2])
 
     def test_the_lowest_failed_fold_is_raised(self, arrays, monkeypatch):
+        """Fold 2 fails first, fold 1 while it still ran: fold 1 is raised."""
+        two_failed = threading.Event()
+
         def fold(arrays, test_indices, config, fold_index):
-            if fold_index in (1, 2):
-                raise TrainingError(f"fold {fold_index}: non-finite gradient")
+            if fold_index == 2:
+                two_failed.set()
+                raise TrainingError("fold 2: non-finite gradient")
+            if fold_index == 1:
+                assert two_failed.wait(timeout=30)
+                raise TrainingError("fold 1: non-finite gradient")
             time.sleep(0.05)
 
         monkeypatch.setattr(train, "train_fold", fold)
         with pytest.raises(TrainingError, match="fold 1"):
-            cross_validate(arrays, quick_config(), max_workers=2)
+            cross_validate(arrays, quick_config(), max_workers=3)
+
+    def test_every_fold_trains_once_under_contention(self, arrays, monkeypatch):
+        """Eight workers, more than the cores, drain twenty folds with a
+        shortened switch interval: each fold trains once, in its own slot."""
+        trained = []
+
+        def fold(arrays, test_indices, config, fold_index):
+            trained.append(fold_index)
+            time.sleep(0)
+            metrics = {"r_squared": 0.5, "rmse": 1.0, "nrmse": 0.1}
+            return SimpleNamespace(index=fold_index, report={"x": metrics})
+
+        monkeypatch.setattr(train, "train_fold", fold)
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                trained.clear()
+                result = cross_validate(arrays, quick_config(k_folds=20), max_workers=8)
+                assert sorted(trained) == list(range(20))
+                assert [f.index for f in result.folds] == list(range(20))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads  # every helper was joined
+
+    @pytest.mark.parametrize("cpus, helpers", [(1, 0), (3, 2), (64, 9)])
+    def test_the_default_pool_is_the_usable_cpus_up_to_k_folds(
+        self, arrays, monkeypatch, cpus, helpers
+    ):
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(train.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: (started.append(thread), start(thread)))
+        assert len(cross_validate(arrays, quick_config(max_epochs=1)).folds) == 10
+        assert len(started) == helpers
+
+    def test_without_an_affinity_call_the_pool_is_every_cpu(self, arrays, monkeypatch):
+        started = []
+        start = threading.Thread.start
+        monkeypatch.delattr(train.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(train.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: (started.append(thread), start(thread)))
+        assert len(cross_validate(arrays, quick_config(max_epochs=1)).folds) == 10
+        assert len(started) == 1
 
 
 BLAS_API = train._openblas_thread_api()
@@ -552,25 +637,26 @@ class TestBlasThreadCap:
         assert blas_threads() == 2
 
     def test_interrupt_drops_the_queued_folds(self, arrays, monkeypatch, blas_threads):
-        """Ctrl-C while two folds train: those two finish, no queued fold
-        starts, and the previous thread count comes back."""
-        started, both_running = [], threading.Event()
+        """Ctrl-C while two folds train lands in the calling thread's fold:
+        the helper's fold finishes, no queued fold starts, and the previous
+        thread count comes back."""
+        started, both_running, finished = [], threading.Event(), []
 
         def fold(arrays, test_indices, config, fold_index):
             started.append(fold_index)
             if len(started) == 2:
                 both_running.set()
+            if threading.current_thread() is threading.main_thread():
+                assert both_running.wait(timeout=30)
+                raise KeyboardInterrupt
             time.sleep(0.2)
-
-        def interrupted(futures, return_when):
-            assert both_running.wait(timeout=30)
-            raise KeyboardInterrupt
+            finished.append(fold_index)
 
         monkeypatch.setattr(train, "train_fold", fold)
-        monkeypatch.setattr(train, "wait", interrupted)
         with pytest.raises(KeyboardInterrupt):
             cross_validate(arrays, quick_config(), max_workers=2)
         assert sorted(started) == [0, 1]
+        assert len(finished) == 1
         assert blas_threads() == 2
 
     def test_serial_folds_leave_the_pool_alone(self, arrays, seen, blas_threads):
