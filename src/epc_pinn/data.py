@@ -17,23 +17,25 @@ needs the columns listed, in any order, and every other column is ignored:
 
 Each file is read and decoded whole, then parsed column by column into a
 Table. A file with no double quote, carriage return or NUL and no line
-longer than csv.field_size_limit() holds nothing csv treats specially, so
-its rows come from str.split on newlines and commas; any other file goes
-through csv.reader, the one path that handles quoting. Either way the
-rows are taken in chunks of CHUNK_ROWS. The fast path parses a chunk all
-or nothing: one map of its cell rule per column, the record invariants
-as vector predicates over the columns, and keys new to the file. A chunk
-that fails anywhere goes whole to the one row checker, _check_rows, which
-raises the first problem in row order (on that row: a short row or bad
-cell in schema order, then an invariant, then a duplicate key), so chunk
-boundaries never show; a line csv cannot read is reported only after the
-rows before it pass their checks. A split file's lines are held until
-the parse ends (its text is dropped once split), up to about three times
-the file's size in memory, and the cyclic GC is paused meanwhile: the
-parse makes one list per row and no reference cycles. Each file is read
-by nn.read_text, as every input is: UTF-8, with or without a leading
-byte-order mark; a file that is missing or cannot be read or decoded is a
-DataError naming it (exit 2 on the command line).
+longer than csv.field_size_limit() holds nothing csv treats specially,
+so its rows come from str.split on newlines and commas; any other file
+goes through csv.reader, the one path that handles quoting. Either way
+the rows are taken in chunks of CHUNK_ROWS. A cell rule maps a list of
+cells to a column. The fast path parses a chunk all or nothing: one call
+of its cell rule per column, the record invariants as vector predicates
+over the columns, and keys new to the file. A chunk that fails anywhere
+goes whole to the one row checker, _check_rows, which calls the same
+rules on one cell at a time and raises the first problem in row order
+(on that row: a short row or bad cell in schema order, then an
+invariant, then a duplicate key), so chunk boundaries never show; a line
+csv cannot read is reported only after the rows before it pass their
+checks. A split file's lines are held until the parse ends (its text is
+dropped once split), up to about three times the file's size in memory,
+and the cyclic GC is paused meanwhile: the parse makes one list per row
+and no reference cycles. Each file is read by nn.read_text, as every
+input is: UTF-8, with or without a leading byte-order mark; a file that
+is missing or cannot be read or decoded is a DataError naming it (exit 2
+on the command line).
 
 The cadastre number is the primary key throughout. join_on_cadastre keeps
 the buildings with a land record, a building audit, all five envelope
@@ -47,8 +49,9 @@ that has no audit: the features, the useful area of the heat balance and
 the building type all come from land.csv, through encode_features, the
 one encoder, which predict calls too. BUILDING_RULES is the one statement
 of what a registry building meets; land.csv rows and predict's building
-both run it after their cell rules. The audits supply only targets, and
-where their copies of registry columns disagree the registry wins.
+both run it after the land.csv cell rules, and audit's numbers meet the
+float cell rule. The audits supply only targets, and where their copies
+of registry columns disagree the registry wins.
 
 Scaling is plain min-max per column with a guarded divisor for constant
 columns. A MinMaxScaler only exists fitted: MinMaxScaler.fit makes one
@@ -64,7 +67,6 @@ import csv
 import gc
 import io
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
@@ -109,56 +111,35 @@ CHUNK_ROWS = 4096
 
 
 # ---------------------------------------------------------------------------
-# Cell rules, and the same rules over whole columns
+# Cell rules. Each maps a list of cells to a column, or raises ValueError
+# with its problem; the fast path passes a whole column, the row checker,
+# predict and audit one cell, whose text they add to the problem.
 
 
-def _parse_str(raw: str) -> str:
-    return raw.strip()
+def _strings(cells: list[str]) -> list[str]:
+    return list(map(str.strip, cells))
 
 
-def _parse_float(raw: str) -> float:
+def _integers(cells: list[str]) -> list[int]:
+    """Integers that also have a float value, as every feature needs."""
     try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(f"not a number: {raw!r}") from None
-    if not math.isfinite(value):
-        raise ValueError(f"not finite: {raw!r}")
-    return value
-
-
-def _parse_int(raw: str) -> int:
-    """An integer that also has a float value, as every feature needs."""
-    try:
-        value = int(raw.strip())
-        float(value)
-    except ValueError:
-        raise ValueError(f"not an integer: {raw!r}") from None
-    except OverflowError:
-        raise ValueError(f"too large for a float: {raw!r}") from None
-    return value
-
-
-def _parse_optional_float(raw: str) -> float | None:
-    """An empty cell is an absent value."""
-    return None if raw == "" else _parse_float(raw)
-
-
-def _parse_column(parse: Callable[[str], object], cells: list[str]) -> list | np.ndarray:
-    """A column of cells through the cell rule parse, as one map: a list,
-    or a float64 array for the float rules, where an absent optional value
-    is NaN (no cell parses to NaN). Raises ValueError if any cell breaks
-    the rule; the rule itself then finds and words the first such cell."""
-    if parse is _parse_str:
-        return list(map(str.strip, cells))
-    if parse is _parse_int:
         values = list(map(int, map(str.strip, cells)))
-        try:
-            np.array(values, dtype=float)
-        except OverflowError:
-            raise ValueError("too large for a float") from None
-        return values
-    optional = parse is _parse_optional_float
-    values = np.array(list(map(float, [c or "nan" for c in cells] if optional else cells)))
+    except ValueError:
+        raise ValueError("not an integer") from None
+    try:
+        np.array(values, dtype=float)
+    except OverflowError:
+        raise ValueError("too large for a float") from None
+    return values
+
+
+def _floats(cells: list[str], optional: bool = False) -> np.ndarray:
+    """A float64 array of finite values; where optional, an empty cell is
+    an absent value, NaN (no cell parses to NaN)."""
+    try:
+        values = np.array(list(map(float, [c or "nan" for c in cells] if optional else cells)))
+    except ValueError:
+        raise ValueError("not a number") from None
     broken = ~np.isfinite(values)
     if optional and broken.any():
         broken &= ~_is_in(cells, {""})
@@ -171,10 +152,11 @@ def _parse_column(parse: Callable[[str], object], cells: list[str]) -> list | np
 class Column:
     name: str
     attr: str
-    parse: Callable[[str], object]
+    parse: Callable[[list[str]], list | np.ndarray]
 
 
-def _col(name: str, parse: Callable[[str], object], attr: str | None = None) -> Column:
+def _col(name: str, parse: Callable[[list[str]], list | np.ndarray],
+         attr: str | None = None) -> Column:
     return Column(name=name, attr=attr if attr is not None else name, parse=parse)
 
 
@@ -217,7 +199,7 @@ def _years(c: dict) -> np.ndarray:
 
 
 def _negative_consumption(v: dict) -> str:
-    year = next(y for y in CONSUMPTION_YEARS if v[f"y{y}"] is not None and v[f"y{y}"] < 0)
+    year = next(y for y in CONSUMPTION_YEARS if v[f"y{y}"] < 0)
     return f"building {v['cadastre_number']}: negative consumption {v[f'y{year}']} for {year}"
 
 
@@ -245,7 +227,8 @@ class TableSchema:
     row is checked, its key (the attributes no two rows share) and what to
     derive from the parsed columns. The fast path checks a chunk's columns
     at once; the one row checker, _check_rows, words a failed chunk's first
-    problem row by row."""
+    problem row by row. Both call each column's cell rule, on a column of
+    the chunk or of one cell."""
 
     name: str
     columns: tuple[Column, ...]
@@ -274,13 +257,13 @@ class Table:
 LAND_SCHEMA = TableSchema(
     name="land",
     columns=(
-        _col("cadastre_number", _parse_str),
-        _col("floors", _parse_int),
-        _col("useful_area", _parse_float),
-        _col("apartments", _parse_int),
-        _col("serie", _parse_str),
-        _col("total_area", _parse_float),
-        _col("building_type", _parse_str),
+        _col("cadastre_number", _strings),
+        _col("floors", _integers),
+        _col("useful_area", _floats),
+        _col("apartments", _integers),
+        _col("serie", _strings),
+        _col("total_area", _floats),
+        _col("building_type", _strings),
     ),
     rules=(_KEY_RULE, *BUILDING_RULES),
     key=("cadastre_number",),
@@ -289,9 +272,9 @@ LAND_SCHEMA = TableSchema(
 AUDIT_BUILDINGS_SCHEMA = TableSchema(
     name="audit_buildings",
     columns=(
-        _col("cadastre_number", _parse_str),
-        _col("air_exchange_rate", _parse_float),
-        _col("specific_heat_gains", _parse_float),
+        _col("cadastre_number", _strings),
+        _col("air_exchange_rate", _floats),
+        _col("specific_heat_gains", _floats),
     ),
     rules=(
         _KEY_RULE,
@@ -304,10 +287,10 @@ AUDIT_BUILDINGS_SCHEMA = TableSchema(
 AUDIT_COMPONENTS_SCHEMA = TableSchema(
     name="audit_components",
     columns=(
-        _col("cadastre_number", _parse_str),
-        _col("enclosing_structure", _parse_str),
-        _col("area", _parse_float),
-        _col("structure_heat_loss_coefficient", _parse_float),
+        _col("cadastre_number", _strings),
+        _col("enclosing_structure", _strings),
+        _col("area", _floats),
+        _col("structure_heat_loss_coefficient", _floats),
     ),
     rules=(
         _KEY_RULE,
@@ -323,10 +306,11 @@ AUDIT_COMPONENTS_SCHEMA = TableSchema(
 
 CONSUMPTION_SCHEMA = TableSchema(
     name="consumption",
-    columns=(_col("cadastre_number", _parse_str),)
+    columns=(_col("cadastre_number", _strings),)
     + tuple(
         # Empty cells mean the year is absent.
-        _col(f"total_energy_consumption_{year}", _parse_optional_float, attr=f"y{year}")
+        _col(f"total_energy_consumption_{year}", lambda cells: _floats(cells, optional=True),
+             attr=f"y{year}")
         for year in CONSUMPTION_YEARS
     ),
     rules=(
@@ -342,10 +326,10 @@ CONSUMPTION_SCHEMA = TableSchema(
 MONTHLY_SCHEMA = TableSchema(
     name="consumption_monthly",
     columns=(
-        _col("cadastre_number", _parse_str),
-        _col("year", _parse_int),
-        _col("month", _parse_int),
-        _col("energy_consumption", _parse_float),
+        _col("cadastre_number", _strings),
+        _col("year", _integers),
+        _col("month", _integers),
+        _col("energy_consumption", _floats),
     ),
     rules=(
         _KEY_RULE,
@@ -429,7 +413,7 @@ def _read_table(path: Path, schema: TableSchema, reader) -> Table:
         parts.append(_parse_chunk(path, schema, plan, chunk, index))
     columns = {}
     for c in schema.columns:
-        values = [part[c.attr] for part in parts] or [_parse_column(c.parse, [])]
+        values = [part[c.attr] for part in parts] or [c.parse([])]
         is_array = isinstance(values[0], np.ndarray)
         columns[c.attr] = np.concatenate(values) if is_array else [*itertools.chain(*values)]
     schema.derive(columns)
@@ -442,8 +426,7 @@ def _parse_chunk(path: Path, schema: TableSchema, plan: list, chunk: list, index
     cell, a broken invariant or a repeated key anywhere in the chunk hands
     it to _check_rows, which raises the DataError of its first problem."""
     try:
-        columns = {c.attr: _parse_column(c.parse, list(map(operator.itemgetter(i), chunk)))
-                   for i, c in plan}
+        columns = {c.attr: c.parse(list(map(operator.itemgetter(i), chunk))) for i, c in plan}
     except (IndexError, ValueError):  # a short row, a bad cell
         pass
     else:
@@ -466,20 +449,22 @@ def _check_rows(path: Path, schema: TableSchema, plan: list, rows: list, index: 
     """Raise the DataError of the first problem in rows, which follow the
     rows keyed in index, checked one by one as a row-wise loader would: a
     short row or bad cell in schema order, then the record invariants in
-    order, then a key that index holds for an earlier row. Each row's key
+    order, then a key that index holds for an earlier row. Each cell is
+    parsed once, as a column of one cell, which the invariants then check;
+    a bad cell's message is its rule's problem and the cell. Each row's key
     is added to index. Every row-level DataError is worded here."""
     for row_num, row in enumerate(rows, start=len(index) + 2):
-        where, values = f"{path} row {row_num}", {}
+        where, one_row = f"{path} row {row_num}", {}
         for i, column in plan:
             if i >= len(row):
                 raise DataError(f"{where}: short row, no value for column {column.name!r}")
             try:
-                values[column.attr] = column.parse(row[i])
+                one_row[column.attr] = column.parse([row[i]])
             except ValueError as exc:
-                raise DataError(f"{where}, column {column.name!r}: {exc}") from None
-        one_row = {column.attr: _parse_column(column.parse, [row[i]]) for i, column in plan}
+                raise DataError(f"{where}, column {column.name!r}: {exc}: {row[i]!r}") from None
         for rule, message in schema.rules:
             if rule(one_row)[0]:
+                values = {attr: cells[0] for attr, cells in one_row.items()}
                 raise DataError(f"{where}: {message(values)}")
         [key] = _keys(schema.key, one_row)
         first = index.setdefault(key, row_num - 2)
@@ -586,19 +571,20 @@ def outside_training_range(fields: dict, features: np.ndarray, scaler: MinMaxSca
 
 def parse_building(payload: dict, source: str | Path) -> dict:
     """The FEATURE_FIELDS of one building given as a JSON object, each
-    parsed with its land.csv cell rule, then checked against
-    BUILDING_RULES. Raises DataError naming a missing, non-numeric,
-    non-finite or out-of-range field."""
+    parsed by its land.csv cell rule as a column of one cell, then checked
+    against BUILDING_RULES. Raises DataError naming a missing,
+    non-numeric, non-finite or out-of-range field."""
     parsers = {column.name: column.parse for column in LAND_SCHEMA.columns}
-    fields = {}
+    one_row = {}
     for name in FEATURE_FIELDS:
         if name not in payload:
             raise DataError(f"{source}: missing field {name!r}")
+        raw = str(payload[name])
         try:
-            fields[name] = parsers[name](str(payload[name]))
+            one_row[name] = parsers[name]([raw])
         except ValueError as exc:
-            raise DataError(f"{source}, field {name!r}: {exc}") from None
-    one_row = {name: [value] for name, value in fields.items()}
+            raise DataError(f"{source}, field {name!r}: {exc}: {raw!r}") from None
+    fields = {name: cells[0] for name, cells in one_row.items()}
     for rule, message in BUILDING_RULES:
         if rule(one_row)[0]:
             raise DataError(f"{source}: {message(fields)}")
@@ -608,10 +594,11 @@ def parse_building(payload: dict, source: str | Path) -> dict:
 def parse_json_float(value: object, where: str) -> float:
     """A JSON value through the float cell rule of the cohort files;
     raises DataError naming where."""
+    raw = str(value)
     try:
-        return _parse_float(str(value))
+        return _floats([raw])[0]
     except ValueError as exc:
-        raise DataError(f"{where}: {exc}") from None
+        raise DataError(f"{where}: {exc}: {raw!r}") from None
 
 
 @dataclass(eq=False)
@@ -828,7 +815,7 @@ class MinMaxScaler(JsonConfig):
 # Splits
 
 
-def kfold_split(n: int, k: int = 10, seed: int = 0) -> list[np.ndarray]:
+def kfold_split(n: int, k: int, seed: int) -> list[np.ndarray]:
     """Shuffled partition of range(n) into k folds with sizes within 1."""
     if k < 2:
         raise ConfigError(f"need at least 2 folds, got {k}")
@@ -839,7 +826,7 @@ def kfold_split(n: int, k: int = 10, seed: int = 0) -> list[np.ndarray]:
 
 
 def train_val_split(
-    indices: np.ndarray, val_fraction: float = 0.15, seed: int = 0
+    indices: np.ndarray, val_fraction: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Hold out a validation share of the given indices (at least 1, at
     most all but 1); returns (train, validation)."""

@@ -361,17 +361,15 @@ class CrossValidationResult:
     aggregate: dict  # aggregate_folds of the fold reports
 
 
-def cross_validate(
-    arrays: TrainingArrays, config: TrainConfig, max_workers: int | None = None
-) -> CrossValidationResult:
+def cross_validate(arrays: TrainingArrays, config: TrainConfig) -> CrossValidationResult:
     """Check every fold's test rows are scorable, train all folds on
-    max_workers workers (the calling thread and max_workers - 1 helper
+    min(k_folds, usable CPUs) workers (the calling thread and helper
     threads taking folds from one queue) and aggregate their reports.
 
     More than one worker runs OpenBLAS single-threaded; one leaves its
     pool alone. After a failure or an interrupt no queued fold starts,
     and the interrupt or the lowest failed fold is raised. Every result
-    depends only on the data and the config seed, never on max_workers.
+    depends only on the data and the config seed, never on the workers.
     """
     # Each test fold needs two rows, or its R^2 is undefined.
     if arrays.n < 2 * config.k_folds:
@@ -382,9 +380,9 @@ def cross_validate(
     for i, test_indices in enumerate(folds):
         check_scorable(arrays.targets[test_indices], arrays.measured_energy[test_indices],
                        f"fold {i}")
-    if max_workers is None:  # the CPUs the process may run on, which taskset narrows
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        max_workers = min(config.k_folds, cpus or 1)
+    # The CPUs the process may run on, which taskset narrows.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(config.k_folds, cpus or 1)
     queue, results, failures = deque(enumerate(folds)), [None] * len(folds), {}
 
     def drain() -> None:
@@ -397,7 +395,7 @@ def cross_validate(
                     failures[i] = exc
                     queue.clear()
 
-    helpers = [threading.Thread(target=drain) for _ in range(max_workers - 1)]
+    helpers = [threading.Thread(target=drain) for _ in range(workers - 1)]
     with _single_threaded_blas() if helpers else nullcontext():
         for helper in helpers:
             helper.start()

@@ -1,9 +1,12 @@
-"""Shared fixtures: physics constants and small generated cohorts.
+"""Shared fixtures: physics constants, small generated cohorts and the
+CPUs that cross-validation sees.
 
 Hypothesis runs derandomized by default (the "deterministic" profile), so
 every run of the suite checks the same examples; pass
 --hypothesis-profile=default for random ones.
 """
+
+import os
 
 import pytest
 
@@ -34,3 +37,13 @@ def clean_cohort_dir(tmp_path_factory):
         out,
     )
     return out
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """Sets the number n of CPUs the process may run on, as
+    train.cross_validate reads it, which then trains on min(k_folds, n)
+    workers."""
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    return set_cpus

@@ -950,11 +950,11 @@ class TestKfoldSplit:
 
     def test_too_few_folds_is_config_error(self):
         with pytest.raises(ConfigError):
-            kfold_split(10, 1)
+            kfold_split(10, 1, seed=0)
 
     def test_fewer_samples_than_folds_is_config_error(self):
         with pytest.raises(ConfigError):
-            kfold_split(5, 10)
+            kfold_split(5, 10, seed=0)
 
 
 class TestTrainValSplit:
@@ -1047,10 +1047,51 @@ def _reference_problem(schema, v):
     return None
 
 
+def _reference_str(raw):
+    return raw.strip()
+
+
+def _reference_int(raw):
+    try:
+        value = int(raw.strip())
+        float(value)
+    except ValueError:
+        raise ValueError(f"not an integer: {raw!r}") from None
+    except OverflowError:
+        raise ValueError(f"too large for a float: {raw!r}") from None
+    return value
+
+
+def _reference_float(raw):
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ValueError(f"not a number: {raw!r}") from None
+    if not np.isfinite(value):
+        raise ValueError(f"not finite: {raw!r}")
+    return value
+
+
+def _reference_optional_float(raw):
+    return None if raw == "" else _reference_float(raw)
+
+
+def _reference_rule(attr):
+    """The cell rule of a schema attribute, as a scalar function of one
+    cell that raises ValueError("<problem>: '<cell>'")."""
+    if attr in ("cadastre_number", "serie", "building_type", "enclosing_structure"):
+        return _reference_str
+    if attr in ("floors", "apartments", "year", "month"):
+        return _reference_int
+    if attr in (f"y{year}" for year in CONSUMPTION_YEARS):
+        return _reference_optional_float
+    return _reference_float
+
+
 def _reference_load(path, schema):
     """load_dataset as a csv.DictReader loop, record by record: the same
-    checks in the same order. Returns the columns (floats as hex, absent
-    values as None) and the key index."""
+    checks in the same order, with the scalar cell rules above. Returns the
+    columns (floats as hex, absent values as None) and the key index."""
     columns = {c.attr: [] for c in schema.columns}
     index = {}
     with open(path, newline="", encoding="utf-8-sig") as handle:
@@ -1070,7 +1111,7 @@ def _reference_load(path, schema):
                         f"column {column.name!r}"
                     )
                 try:
-                    values[column.attr] = column.parse(raw)
+                    values[column.attr] = _reference_rule(column.attr)(raw)
                 except ValueError as exc:
                     raise DataError(
                         f"{path} row {row_num}, column {column.name!r}: {exc}"
@@ -1320,6 +1361,54 @@ def test_integer_cell_without_a_float_value_is_a_bad_cell(tmp_path):
     assert str(err.value).startswith(
         f"{path} row 3, column 'floors': too large for a float: '999"
     )
+
+
+def test_a_column_rule_is_its_cell_rule_over_every_cell():
+    """Each column rule accepts a column exactly when it accepts each of its
+    cells alone, with equal values (floats by hex, an absent value as NaN).
+    A rejected cell alone raises the rule's problem, which with the cell
+    appended is the reference rule's message."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rules = (  # each column rule with the reference rule of one cell
+        (data._strings, _reference_str),
+        (data._integers, _reference_int),
+        (data._floats, _reference_float),
+        (lambda cells: data._floats(cells, optional=True), _reference_optional_float),
+    )
+    edge_cells = ["", " ", " 2.5 ", "-0", "2.0", " 7 ", "nan", "inf", "-inf", "1e400",
+                  "9" * 401, "1_000", "0x10", "1,5", "x", "٣", "\xa04\xa0"]
+
+    def cell_outcome(rule, reference, cell):
+        try:
+            expected = "value", _comparable([reference(cell)])[0]
+        except ValueError as exc:
+            expected = "error", str(exc)
+        try:
+            [value] = rule([cell])
+        except ValueError as exc:
+            assert ("error", f"{exc}: {cell!r}") == expected
+        else:
+            assert ("value", _comparable([value])[0]) == expected
+        return expected
+
+    cells = st.one_of(st.sampled_from(edge_cells), st.integers(-10**20, 10**20).map(str),
+                      st.floats().map(repr), st.text(max_size=4))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(st.lists(cells, max_size=6))
+    @hypothesis.example(edge_cells)
+    def check(column):
+        for rule, reference in rules:
+            outcomes = [cell_outcome(rule, reference, cell) for cell in column]
+            try:
+                values = rule(column)
+            except ValueError:
+                assert any(kind == "error" for kind, _ in outcomes)
+            else:
+                assert [("value", value) for value in _comparable(values)] == outcomes
+
+    check()
 
 
 def _building_cells(st):

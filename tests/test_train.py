@@ -481,10 +481,12 @@ class TestCrossValidate:
         b = results_payload(cross_validate(arrays, config), config)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
-    def test_parallel_folds_change_nothing(self, arrays):
+    def test_parallel_folds_change_nothing(self, arrays, usable_cpus):
         config = quick_config(max_epochs=3)
-        serial = results_payload(cross_validate(arrays, config, max_workers=1), config)
-        threaded = results_payload(cross_validate(arrays, config, max_workers=4), config)
+        usable_cpus(1)
+        serial = results_payload(cross_validate(arrays, config), config)
+        usable_cpus(4)
+        threaded = results_payload(cross_validate(arrays, config), config)
         assert json.dumps(serial, sort_keys=True) == json.dumps(threaded, sort_keys=True)
 
     def test_too_few_samples_is_config_error(self, arrays):
@@ -492,20 +494,21 @@ class TestCrossValidate:
             cross_validate(subset(arrays, 5), quick_config())
 
     def test_fewer_than_two_rows_per_fold_fails_before_training(
-        self, arrays, monkeypatch
+        self, arrays, monkeypatch, usable_cpus
     ):
         """n=15 with 10 folds leaves single-row test folds, whose R^2 is
         undefined; the run must stop before any fold trains."""
         calls = []
         monkeypatch.setattr(train, "train_fold", lambda *a: calls.append(a))
+        usable_cpus(2)
         with pytest.raises(ConfigError, match="2 \\* k_folds"):
-            cross_validate(subset(arrays, 15), quick_config(), max_workers=2)
+            cross_validate(subset(arrays, 15), quick_config())
         assert calls == []
         # 2 * k_folds rows are enough.
         monkeypatch.undo()
         assert len(cross_validate(subset(arrays, 20), quick_config(max_epochs=1)).folds) == 10
 
-    def test_a_failed_fold_cancels_the_queued_folds(self, arrays, monkeypatch):
+    def test_a_failed_fold_cancels_the_queued_folds(self, arrays, monkeypatch, usable_cpus):
         """With 2 workers, fold 0 failing once fold 1 has started stops the
         run while fold 1 still trains: at most the fold that replaced
         fold 0 starts, never the rest of the queue."""
@@ -520,11 +523,12 @@ class TestCrossValidate:
             time.sleep(1.0)
 
         monkeypatch.setattr(train, "train_fold", fold)
+        usable_cpus(2)
         with pytest.raises(TrainingError, match="fold 0"):
-            cross_validate(arrays, quick_config(), max_workers=2)
+            cross_validate(arrays, quick_config())
         assert sorted(started) in ([0, 1], [0, 1, 2])
 
-    def test_the_lowest_failed_fold_is_raised(self, arrays, monkeypatch):
+    def test_the_lowest_failed_fold_is_raised(self, arrays, monkeypatch, usable_cpus):
         """Fold 2 fails first, fold 1 while it still ran: fold 1 is raised."""
         two_failed = threading.Event()
 
@@ -538,10 +542,11 @@ class TestCrossValidate:
             time.sleep(0.05)
 
         monkeypatch.setattr(train, "train_fold", fold)
+        usable_cpus(3)
         with pytest.raises(TrainingError, match="fold 1"):
-            cross_validate(arrays, quick_config(), max_workers=3)
+            cross_validate(arrays, quick_config())
 
-    def test_every_fold_trains_once_under_contention(self, arrays, monkeypatch):
+    def test_every_fold_trains_once_under_contention(self, arrays, monkeypatch, usable_cpus):
         """Eight workers, more than the cores, drain twenty folds with a
         shortened switch interval: each fold trains once, in its own slot."""
         trained = []
@@ -553,13 +558,14 @@ class TestCrossValidate:
             return SimpleNamespace(index=fold_index, report={"x": metrics})
 
         monkeypatch.setattr(train, "train_fold", fold)
+        usable_cpus(8)
         threads = threading.active_count()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(20):
                 trained.clear()
-                result = cross_validate(arrays, quick_config(k_folds=20), max_workers=8)
+                result = cross_validate(arrays, quick_config(k_folds=20))
                 assert sorted(trained) == list(range(20))
                 assert [f.index for f in result.folds] == list(range(20))
         finally:
@@ -568,12 +574,11 @@ class TestCrossValidate:
 
     @pytest.mark.parametrize("cpus, helpers", [(1, 0), (3, 2), (64, 9)])
     def test_the_default_pool_is_the_usable_cpus_up_to_k_folds(
-        self, arrays, monkeypatch, cpus, helpers
+        self, arrays, monkeypatch, usable_cpus, cpus, helpers
     ):
         started = []
         start = threading.Thread.start
-        monkeypatch.setattr(train.os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                            raising=False)
+        usable_cpus(cpus)
         monkeypatch.setattr(threading.Thread, "start",
                             lambda thread: (started.append(thread), start(thread)))
         assert len(cross_validate(arrays, quick_config(max_epochs=1)).folds) == 10
@@ -619,24 +624,28 @@ class TestBlasThreadCap:
         monkeypatch.setattr(train, "train_fold", recording)
         return counts
 
-    def test_parallel_folds_see_one_thread(self, arrays, seen, blas_threads):
-        cross_validate(arrays, quick_config(max_epochs=1), max_workers=2)
+    def test_parallel_folds_see_one_thread(self, arrays, seen, blas_threads, usable_cpus):
+        usable_cpus(2)
+        cross_validate(arrays, quick_config(max_epochs=1))
         assert seen == [1] * 10
         assert blas_threads() == 2
 
     def test_count_is_restored_when_a_fold_raises(
-        self, arrays, monkeypatch, blas_threads
+        self, arrays, monkeypatch, blas_threads, usable_cpus
     ):
         def failing(arrays, test_indices, config, fold_index):
             assert blas_threads() == 1
             raise TrainingError(f"fold {fold_index}: non-finite gradient")
 
         monkeypatch.setattr(train, "train_fold", failing)
+        usable_cpus(2)
         with pytest.raises(TrainingError, match="fold 0"):
-            cross_validate(arrays, quick_config(), max_workers=2)
+            cross_validate(arrays, quick_config())
         assert blas_threads() == 2
 
-    def test_interrupt_drops_the_queued_folds(self, arrays, monkeypatch, blas_threads):
+    def test_interrupt_drops_the_queued_folds(
+        self, arrays, monkeypatch, blas_threads, usable_cpus
+    ):
         """Ctrl-C while two folds train lands in the calling thread's fold:
         the helper's fold finishes, no queued fold starts, and the previous
         thread count comes back."""
@@ -653,14 +662,16 @@ class TestBlasThreadCap:
             finished.append(fold_index)
 
         monkeypatch.setattr(train, "train_fold", fold)
+        usable_cpus(2)
         with pytest.raises(KeyboardInterrupt):
-            cross_validate(arrays, quick_config(), max_workers=2)
+            cross_validate(arrays, quick_config())
         assert sorted(started) == [0, 1]
         assert len(finished) == 1
         assert blas_threads() == 2
 
-    def test_serial_folds_leave_the_pool_alone(self, arrays, seen, blas_threads):
-        cross_validate(arrays, quick_config(max_epochs=1), max_workers=1)
+    def test_serial_folds_leave_the_pool_alone(self, arrays, seen, blas_threads, usable_cpus):
+        usable_cpus(1)
+        cross_validate(arrays, quick_config(max_epochs=1))
         assert seen == [2] * 10
         assert blas_threads() == 2
 
@@ -691,10 +702,14 @@ class TestBlasThreadCap:
         assert inside == [1] * 4000
         assert blas_threads() == 2
 
-    def test_missing_thread_control_is_a_no_op(self, arrays, monkeypatch, blas_threads):
+    def test_missing_thread_control_is_a_no_op(
+        self, arrays, monkeypatch, blas_threads, usable_cpus
+    ):
         monkeypatch.setattr(train, "_openblas_thread_api", lambda: None)
         config = quick_config(max_epochs=1)
-        threaded = results_payload(cross_validate(arrays, config, max_workers=2), config)
+        usable_cpus(2)
+        threaded = results_payload(cross_validate(arrays, config), config)
+        usable_cpus(1)
         serial = results_payload(cross_validate(arrays, config), config)
         assert threaded == serial
         assert blas_threads() == 2
