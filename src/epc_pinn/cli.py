@@ -23,7 +23,10 @@ by its path, an --out directory that is or lies under a file, or an --out
 file that is a directory or lies under a file, before any cohort or
 checkpoint is read; 2 data problems, a cohort whose scored truth takes one
 value, checkpoint physics constants and train ones that overflow the loss
-included; 3 runtime failures.
+included; 3 runtime failures. train loads the cohort, runs
+train.cross_validate and saves the outputs: cross_validate itself checks
+the cohort and the constants before any fold trains, so train runs no
+check of its own in between.
 train runs min(k_folds, CPUs the process may use) folds at once, so
 taskset limits it; results are identical for any count. While parallel
 folds train, OpenBLAS runs single-threaded, and its previous thread
@@ -67,7 +70,6 @@ from .physics import (
 from .train import (
     FoldCheckpoint,
     TrainConfig,
-    check_loss_is_finite,
     cross_validate,
     predict_physical,
     reconstruct_energy,
@@ -181,8 +183,6 @@ def cmd_train(args) -> int:
     out_dir = _out_dir(args, config)
 
     arrays, dropped = _load_cohort(data_dir)
-    train_config.constants.check_building_types(arrays.building_types)
-    check_loss_is_finite(arrays, train_config)
     result = cross_validate(arrays, train_config)
 
     paths = save_run_outputs(result, train_config, out_dir)
@@ -225,7 +225,7 @@ def _predict_states(path, model, fold, features, names) -> np.ndarray:
 
 def _check_checkpoint_types(constants: PhysicsConstants, building_types, path) -> None:
     try:
-        constants.check_building_types(building_types)
+        constants.time_constants_of(building_types)
     except ConfigError as exc:
         raise DataError(f"checkpoint {path}: {exc}") from None
 

@@ -13,9 +13,10 @@ from the caller, train.TrainConfig.
 Every weight and bias is a view into one contiguous float64 vector laid
 out (W0, b0, W1, b1, ...), and backward writes into views of one gradient
 vector with that layout. Adam is thus one fused in-place update over whole
-vectors, with the textbook per-element operations in their order, and the
-early-stop snapshot (into one reused buffer) and checkpoint encoding are
-single vector copies.
+vectors, with the textbook per-element operations in their order; a
+gradient that overflows its second moment is a TrainingError, where the
+step would otherwise silently be 0. The early-stop snapshot (into one
+reused buffer) and checkpoint encoding are single vector copies.
 
 Checkpoints are JSON: layer sizes and activation in the clear, the flat
 parameter vector as base64-encoded little-endian float64 bytes, plus an
@@ -238,9 +239,12 @@ def adam_step(
 ) -> None:
     """One in-place Adam update of every model parameter.
 
-    Raises TrainingError if any gradient or any updated parameter is
-    non-finite; the context string (e.g. which epoch and batch) is carried
-    into the message.
+    Raises TrainingError if any gradient is non-finite, if the second
+    moment v (or v over its bias correction) overflows the float range,
+    which would silently freeze the parameter at a step of 0, or if any
+    updated parameter is non-finite; no numpy warning is raised. The
+    context string (e.g. which epoch and batch) is carried into the
+    message.
     """
     if state.m is None:
         state.attach(model)
@@ -261,9 +265,15 @@ def adam_step(
     #   p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
     m *= ADAM_BETA1
     m += np.multiply(g, 1.0 - ADAM_BETA1, out=step)
-    v *= ADAM_BETA2
-    v += np.multiply(np.multiply(g, 1.0 - ADAM_BETA2, out=step), g, out=step)
-    np.sqrt(np.divide(v, bc2, out=denom), out=denom)
+    try:
+        with np.errstate(over="raise"):
+            v *= ADAM_BETA2
+            v += np.multiply(np.multiply(g, 1.0 - ADAM_BETA2, out=step), g, out=step)
+            np.sqrt(np.divide(v, bc2, out=denom), out=denom)
+    except FloatingPointError:
+        largest = float(g[np.argmax(np.abs(g))])
+        raise TrainingError(f"gradient entry {largest:.3g} overflows Adam's second moment"
+                            f"{where}") from None
     denom += ADAM_EPSILON
     np.divide(m, bc1, out=step)
     step *= state.learning_rate

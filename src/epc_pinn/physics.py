@@ -22,7 +22,9 @@ Every envelope state is a row of an (n, 12) array, laid out as below.
 energy_consumption_batch evaluates the balance of n buildings, with exact
 analytic gradients of the consumption with respect to all twelve
 parameters for the training loss; energy_consumption is the same balance
-over checked inputs, for scoring. Every operation here is a pure function.
+over checked inputs, for scoring. PhysicsConstants.time_constants_of is
+the one lookup of the time constants of n building types, and
+time_constant_for its scalar rule. Every operation here is a pure function.
 """
 
 from __future__ import annotations
@@ -112,11 +114,12 @@ class PhysicsConstants(JsonConfig):
                 f"unknown building type {str(building_type)!r}; known types: {known}"
             ) from None
 
-    def check_building_types(self, building_types) -> None:
-        """time_constant_for's ConfigError for the first building type, in
-        sorted order, that has no time constant."""
-        for building_type in sorted(set(map(str, building_types))):
-            self.time_constant_for(building_type)
+    def time_constants_of(self, building_types) -> np.ndarray:
+        """Each building's time constant, float64 (n,); time_constant_for's
+        ConfigError names the first building type, in sorted order, that
+        has none."""
+        known = {t: self.time_constant_for(t) for t in sorted(set(building_types))}
+        return np.array([known[t] for t in building_types], dtype=float)
 
 
 def _by_component(values: np.ndarray) -> dict[str, float]:
@@ -317,17 +320,18 @@ def energy_consumption(
     """energy_consumption_batch of buildings that meet its invariants.
 
     The states must pass check_states and every useful area be >= 0 (a
-    DomainError otherwise); each building type is looked up in consts (a
-    ConfigError names an unknown one). A vanishing total heat loss is a
-    degenerate building: the usage factor is 1 and the consumption 0. A
-    balance that overflows the float range is a DomainError.
+    DomainError otherwise); consts.time_constants_of gives the building
+    types' time constants (a ConfigError names an unknown type). A
+    vanishing total heat loss is a degenerate building: the usage factor
+    is 1 and the consumption 0. A balance that overflows the float range
+    is a DomainError.
     """
     check_states(states)
     useful_area = np.asarray(useful_area, dtype=float)
     if (negative := useful_area < 0).any():
         first = float(useful_area[np.argmax(negative)])
         raise DomainError(f"useful_area must be >= 0, got {first}")
-    taus = np.array([consts.time_constant_for(t) for t in building_types], dtype=float)
+    taus = consts.time_constants_of(building_types)
     with np.errstate(all="ignore"):
         batch = energy_consumption_batch(states, useful_area, taus, consts)
     if not all(np.isfinite(v).all() for v in vars(batch).values() if v is not None):

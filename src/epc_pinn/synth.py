@@ -289,9 +289,9 @@ def generate_cohort(config: GeneratorConfig, out_dir: str | Path) -> dict[str, P
     per_floor = footprint / apartment_area
     states = np.column_stack([areas, u_values, air, gains])
 
-    taus = [config.constants.time_constant_for(p.building_type) for p in config.series]
+    taus = config.constants.time_constants_of([p.building_type for p in config.series])
     true_energy = energy_consumption_batch(
-        states, useful_area, np.array(taus, dtype=float)[serie], config.constants
+        states, useful_area, taus[serie], config.constants
     ).energy_consumption
     measured = true_energy[:, None] * (1.0 + config.consumption_noise * consumption_eps)
     measured = np.where(measured > 0.0, measured, 0.0)  # as max(0.0, x): NaN gives 0.0

@@ -10,15 +10,22 @@ the fold's test predictions are made and scored. A fold records its
 training indices, which alone fit the scalers, and which sample indices
 fed parameter updates, so leakage is checkable after the fact.
 
-Before any fold trains, every fold's test rows are checked to be
-scorable: a target or the measured energy that takes one value there
-would leave its R^2 undefined. The fold reports and their aggregate are
-the metrics dicts that results.json holds; the final-training and
-best-validation loss summaries are computed when the payload is built.
+cross_validate is the one gate of a training run, for the train command
+and for library callers alike. Before any fold trains it checks that
+every building type has a time constant, that the loss is finite at the
+cohort's audit targets, that every fold has two test rows and that every
+fold's test rows are scorable: a target or the measured energy that takes
+one value there would leave its R^2 undefined. The fold reports and their
+aggregate are the metrics dicts that results.json holds; the
+final-training and best-validation loss summaries are computed when the
+payload is built.
 
-The loss inputs are derived once per fold, training rows then validation
-rows. Each epoch runs one forward pass per batch, then one over the
-validation rows, whose loss is computed without gradient.
+One helper, _loss_over, derives the per-row loss inputs (scaled targets,
+useful areas, time constants, scaled measured energy) from a set of rows
+and two scalers, so the gate scores the very loss a fold trains on. A
+fold derives them once, training rows then validation rows. Each epoch
+runs one forward pass per batch, then one over the validation rows, whose
+loss is computed without gradient.
 
 Everything is deterministic given the config seed: the fold partition,
 the per-fold splits, initialization and batch shuffling all derive their
@@ -167,28 +174,62 @@ def reconstruct_energy(
     consts: PhysicsConstants,
 ) -> np.ndarray:
     """Annual energy for clamped physical state rows, (n,)."""
-    taus = np.array([consts.time_constant_for(t) for t in building_types])
+    taus = consts.time_constants_of(building_types)
     return energy_consumption_batch(
         states_physical, np.asarray(useful_area, dtype=float), taus, consts
     ).energy_consumption
 
 
-def check_loss_is_finite(arrays: TrainingArrays, config: TrainConfig) -> None:
-    """Raise DataError naming the first building if the loss, with its
-    gradient, is not finite at the cohort's audit targets under scalers
-    fitted on the whole cohort; no numpy warning is raised."""
+def _loss_over(arrays: TrainingArrays, rows: np.ndarray, target_scaler: MinMaxScaler,
+               energy_scaler: MinMaxScaler, config: TrainConfig):
+    """The training loss over arrays' rows. Their scaled targets, useful
+    areas, time constants and scaled measured energy are derived once; the
+    returned loss_at(pred, part, with_gradient) is enhanced_loss of the
+    scaled predictions pred for part of those rows (all by default).
+    time_constants_of's ConfigError names an unknown building type."""
+    z = target_scaler.transform(arrays.targets[rows])
+    areas = arrays.useful_area[rows]
+    taus = config.constants.time_constants_of(arrays.building_types)[rows]
+    measured = energy_scaler.transform(arrays.measured_energy[rows])
+
+    def loss_at(pred, part=slice(None), with_gradient=True):
+        return enhanced_loss(pred, z[part], areas[part], taus[part], measured[part], target_scaler,
+                             energy_scaler, config.constants, config.physics_weight, with_gradient)
+
+    return loss_at
+
+
+def _checked_folds(arrays: TrainingArrays, config: TrainConfig) -> list[np.ndarray]:
+    """The k test folds of arrays, once the gate of every training run
+    holds, checked in this order:
+
+    - every building type has a time constant (time_constants_of's
+      ConfigError names the first unknown type in sorted order);
+    - the loss, with its gradient, is finite at the cohort's audit targets
+      under scalers fitted on the whole cohort (a DataError names the
+      first building; no numpy warning is raised);
+    - there are two rows per fold (ConfigError), or a test fold's R^2 is
+      undefined;
+    - every fold's test rows are scorable (check_scorable).
+    """
     target_scaler = MinMaxScaler.fit(arrays.targets)
-    energy_scaler = MinMaxScaler.fit(arrays.measured_energy)
-    z = target_scaler.transform(arrays.targets)
-    measured = energy_scaler.transform(arrays.measured_energy)
-    taus = np.array([config.constants.time_constant_for(t) for t in arrays.building_types])
+    loss_at = _loss_over(arrays, np.arange(arrays.n), target_scaler,
+                         MinMaxScaler.fit(arrays.measured_energy), config)
     try:
         with np.errstate(all="ignore"):
-            enhanced_loss(z, z, arrays.useful_area, taus, measured, target_scaler,
-                          energy_scaler, config.constants, config.physics_weight)
+            loss_at(target_scaler.transform(arrays.targets))
     except TrainingError as exc:
         raise DataError(f"the training loss at the audit targets is not finite for building "
                         f"{arrays.cadastre_numbers[exc.row]}") from None
+    if arrays.n < 2 * config.k_folds:
+        raise ConfigError(
+            f"need at least 2 * k_folds = {2 * config.k_folds} samples, got {arrays.n}"
+        )
+    folds = kfold_split(arrays.n, config.k_folds, seed=config.seed)
+    for i, test_indices in enumerate(folds):
+        check_scorable(arrays.targets[test_indices], arrays.measured_energy[test_indices],
+                       f"fold {i}")
+    return folds
 
 
 def train_fold(
@@ -219,28 +260,10 @@ def train_fold(
                           MinMaxScaler.fit(arrays.targets[train_idx]),
                           MinMaxScaler.fit(arrays.measured_energy[train_idx]), config.constants)
 
-    building_types = np.array(arrays.building_types)
     n_train = train_idx.shape[0]
     fit_idx = np.concatenate([train_idx, val_idx])
     x_fit = fold.input_scaler.transform(arrays.features[fit_idx])
-    z_fit = fold.target_scaler.transform(arrays.targets[fit_idx])
-    areas = arrays.useful_area[fit_idx]
-    taus = np.array([config.constants.time_constant_for(t) for t in building_types[fit_idx]])
-    measured = fold.energy_scaler.transform(arrays.measured_energy[fit_idx])
-
-    def loss_at(pred, rows, with_gradient=True):
-        return enhanced_loss(
-            predictions_scaled=pred,
-            targets_scaled=z_fit[rows],
-            useful_area=areas[rows],
-            time_constants=taus[rows],
-            measured_scaled=measured[rows],
-            target_scaler=fold.target_scaler,
-            energy_scaler=fold.energy_scaler,
-            consts=config.constants,
-            physics_weight=config.physics_weight,
-            with_gradient=with_gradient,
-        )
+    loss_at = _loss_over(arrays, fit_idx, fold.target_scaler, fold.energy_scaler, config)
 
     model = init_model((arrays.features.shape[1], *config.hidden_dims, STATE_DIM), init_seed)
     optimizer = AdamState(learning_rate=config.learning_rate)
@@ -287,7 +310,8 @@ def train_fold(
 
     predictions = predict_physical(model, fold, arrays.features[test_indices])
     energy = reconstruct_energy(predictions, arrays.useful_area[test_indices],
-                                list(building_types[test_indices]), config.constants)
+                                [arrays.building_types[i] for i in test_indices],
+                                config.constants)
     report = fold_report(arrays.targets[test_indices], predictions,
                          arrays.measured_energy[test_indices], energy)
     return FoldResult(
@@ -362,24 +386,20 @@ class CrossValidationResult:
 
 
 def cross_validate(arrays: TrainingArrays, config: TrainConfig) -> CrossValidationResult:
-    """Check every fold's test rows are scorable, train all folds on
-    min(k_folds, usable CPUs) workers (the calling thread and helper
-    threads taking folds from one queue) and aggregate their reports.
+    """Check the cohort, train all folds on min(k_folds, usable CPUs)
+    workers (the calling thread and helper threads taking folds from one
+    queue) and aggregate their reports.
+
+    Before any fold starts, _checked_folds runs the checks of every
+    training run; the train command runs none of its own between loading
+    the cohort and this call.
 
     More than one worker runs OpenBLAS single-threaded; one leaves its
     pool alone. After a failure or an interrupt no queued fold starts,
     and the interrupt or the lowest failed fold is raised. Every result
     depends only on the data and the config seed, never on the workers.
     """
-    # Each test fold needs two rows, or its R^2 is undefined.
-    if arrays.n < 2 * config.k_folds:
-        raise ConfigError(
-            f"need at least 2 * k_folds = {2 * config.k_folds} samples, got {arrays.n}"
-        )
-    folds = kfold_split(arrays.n, config.k_folds, seed=config.seed)
-    for i, test_indices in enumerate(folds):
-        check_scorable(arrays.targets[test_indices], arrays.measured_energy[test_indices],
-                       f"fold {i}")
+    folds = _checked_folds(arrays, config)
     # The CPUs the process may run on, which taskset narrows.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(config.k_folds, cpus or 1)

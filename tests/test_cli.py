@@ -307,7 +307,7 @@ class TestTrain:
         the balance itself overflows. Either way no fold trains, the first
         building is named, nothing is written and no numpy warning is raised."""
         runs = []
-        monkeypatch.setattr(cli, "cross_validate", lambda *args, **kwargs: runs.append(args))
+        monkeypatch.setattr(train, "train_fold", lambda *args, **kwargs: runs.append(args))
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({
             "physics": {"hours_per_day": hours},
@@ -408,23 +408,24 @@ class TestTrain:
         assert one[2] == three[2]
         assert blas_threads() == untouched
 
-    def test_a_huge_physics_weight_writes_finite_loss_summaries(self, tmp_path, capsys):
-        """At physics_weight 1e200 the fold losses reach about 1e198, whose
-        squared spread overflows a plain standard deviation; the run still
-        exits 0 with finite summaries instead of failing to write JSON."""
+    @pytest.mark.filterwarnings("error")
+    def test_a_huge_physics_weight_is_exit_three_naming_the_fold(self, tmp_path, capsys):
+        """At physics_weight 1e200 the first gradients reach about 1e199,
+        whose square overflows Adam's second moment: the step of that
+        parameter would be 0 and the fold would train on frozen weights.
+        The run exits 3 naming the fold, writes no results.json and raises
+        no numpy warning."""
         generate_cohort(GeneratorConfig(n_buildings=256, seed=2024), tmp_path / "cohort")
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(
             {"train": {"physics_weight": 1e200, "max_epochs": 2, "hidden_dims": [4]}}))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # Adam's v overflows
-            code = main(["train", "--config", str(config_path), "--seed", "0",
-                         "--data", str(tmp_path / "cohort"), "--out", str(tmp_path / "run")])
-        assert code == 0, capsys.readouterr().err
-        payload = json.loads((tmp_path / "run" / "results.json").read_text())
-        for name in ("final_train_loss", "best_val_loss"):
-            assert all(np.isfinite(value) for value in payload[name].values())
-        assert payload["final_train_loss"]["mean"] > 1e150
+        code = main(["train", "--config", str(config_path), "--seed", "0",
+                     "--data", str(tmp_path / "cohort"), "--out", str(tmp_path / "run")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"{PROG}: error: fold 0: gradient entry ")
+        assert err.endswith(" overflows Adam's second moment (epoch 0)\n")
+        assert not (tmp_path / "run" / "results.json").exists()
 
     def test_missing_data_directory_is_exit_two(self, tmp_path, capsys):
         code = main(

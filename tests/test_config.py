@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from epc_pinn import cli, config, data, synth
+from epc_pinn import cli, config, data, synth, train
 from epc_pinn.cli import main
 from epc_pinn.config import from_json
 from epc_pinn.data import MinMaxScaler
@@ -205,13 +205,16 @@ def checkpoint_payload(canned_result, tmp_path_factory):
 
 class Stubs:
     """cli.cross_validate and synth.generate_cohort replaced: the configs
-    they receive are recorded, and nothing trains or allocates."""
+    they receive are recorded, and nothing trains or allocates. The
+    cross_validate stub runs the real gate first, so a config that the gate
+    rejects is never recorded."""
 
     def __init__(self, result):
         self.result = result
         self.configs = []
 
     def cross_validate(self, arrays, train_config):
+        train._checked_folds(arrays, train_config)
         self.configs.append(train_config)
         return self.result
 

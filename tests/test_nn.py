@@ -313,6 +313,31 @@ class TestAdam:
         with pytest.raises(TrainingError, match="epoch 3"):
             adam_step(model, grads, AdamState(learning_rate=0.001), context="epoch 3")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", [1e200, -2e154])
+    def test_second_moment_overflow_is_training_error_with_context(self, entry):
+        """The square of 1e200 overflows v itself; that of -2e154 fits in
+        v but not in v over its first bias correction. Either would give
+        the parameter a step of 0 and freeze it, so it raises, naming the
+        entry and the context, with no numpy warning."""
+        model = one_parameter_model()
+        grads = unit_gradients(model)
+        grads.weights[0][0, 0] = entry
+        with pytest.raises(TrainingError) as caught:
+            adam_step(model, grads, AdamState(learning_rate=0.001), context="epoch 4")
+        assert str(caught.value) == (
+            f"gradient entry {entry:.3g} overflows Adam's second moment (epoch 4)")
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_gradient_of_1e154_still_steps(self):
+        """v over its bias correction is 1e308 at a gradient of 1e154,
+        still finite, so the first step keeps its closed form lr."""
+        model = one_parameter_model()
+        grads = unit_gradients(model)
+        grads.weights[0][0, 0] = 1e154
+        adam_step(model, grads, AdamState(learning_rate=0.001))
+        assert model.weights[0][0, 0] == pytest.approx(-0.001, rel=1e-12)
+
     def test_gradient_layout_mismatch_is_dimension_error(self):
         model = init_model((2, 3, 1), seed=0)
         bad = Gradients(layer_dims=(2, 3), vector=np.zeros(9))

@@ -85,6 +85,24 @@ class TestPhysicsConstants:
         with pytest.raises(ConfigError, match="heavy"):
             constants.time_constant_for("medium")
 
+    def test_time_constants_of_every_building(self, constants):
+        taus = constants.time_constants_of(["light", "heavy", "light", "heavy"])
+        assert taus.dtype == np.float64
+        assert taus.tolist() == [1.0, 3.0, 1.0, 3.0]
+        empty = constants.time_constants_of([])
+        assert empty.dtype == np.float64 and empty.shape == (0,)
+
+    def test_time_constants_of_names_the_sorted_first_unknown_type(self, constants):
+        with pytest.raises(ConfigError) as caught:
+            constants.time_constants_of(["wood", "heavy", "medium", "wood"])
+        assert str(caught.value) == "unknown building type 'medium'; known types: heavy, light"
+
+    def test_time_constants_of_names_a_numpy_string_plainly(self):
+        constants = PhysicsConstants(time_constants={"heavy": 3.0})
+        with pytest.raises(ConfigError) as caught:
+            constants.time_constants_of([np.str_("heavy"), np.str_("light")])
+        assert str(caught.value) == "unknown building type 'light'; known types: heavy"
+
     def test_nonpositive_delta_t_rejected(self):
         with pytest.raises(ConfigError):
             PhysicsConstants(delta_t=0.0)

@@ -23,7 +23,7 @@ from epc_pinn.data import (
     load_cohort,
     train_val_split,
 )
-from epc_pinn.errors import ConfigError, TrainingError
+from epc_pinn.errors import ConfigError, DataError, TrainingError
 from epc_pinn.loss import enhanced_loss
 from epc_pinn.metrics import REPORT_VARIABLES
 from epc_pinn.nn import (
@@ -593,6 +593,39 @@ class TestCrossValidate:
                             lambda thread: (started.append(thread), start(thread)))
         assert len(cross_validate(arrays, quick_config(max_epochs=1)).folds) == 10
         assert len(started) == 1
+
+
+class TestTheGate:
+    """cross_validate, called as a library, runs the train command's checks
+    before any fold starts, with the command's error text."""
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        folds = []
+        monkeypatch.setattr(train, "train_fold", lambda *args: folds.append(args))
+        return folds
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("hours", [1e300, 1e306])
+    def test_a_loss_that_overflows_is_a_data_error_naming_the_first_building(
+        self, arrays, started, hours
+    ):
+        """At 1e300 the balance is finite and the square of the scaled
+        residual is not; at 1e306 the balance itself overflows."""
+        config = quick_config(constants=PhysicsConstants(hours_per_day=hours))
+        with pytest.raises(DataError) as caught:
+            cross_validate(arrays, config)
+        assert str(caught.value) == ("the training loss at the audit targets is not finite "
+                                     f"for building {arrays.cadastre_numbers[0]}")
+        assert started == []
+
+    def test_a_missing_time_constant_is_a_config_error_naming_the_type(self, arrays, started):
+        assert "light" in arrays.building_types
+        config = quick_config(constants=PhysicsConstants(time_constants={"heavy": 3.0}))
+        with pytest.raises(ConfigError) as caught:
+            cross_validate(arrays, config)
+        assert str(caught.value) == "unknown building type 'light'; known types: heavy"
+        assert started == []
 
 
 BLAS_API = train._openblas_thread_api()
