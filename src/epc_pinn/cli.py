@@ -8,13 +8,13 @@ Subcommands:
     audit      energy decomposition of a fully specified envelope
     evaluate   score a checkpoint against a CSV cohort
 
-A JSON config file (--config) holds at most the top-level keys "seed" and
-"n" (integers) and "data" and "out" (strings), which the flags override,
-and the objects "generate", "train" and "physics"; config.from_json checks
-every value against its setting's type and rejects unknown keys. The seed,
-the cohort size and the physics constants are set at the top level only,
-so a section naming "seed", "constants" or "n_buildings" is an unknown key
-whichever command runs, but only the section a command uses is built.
+A JSON config file (--config) holds at most the objects "generate",
+"train" and "physics"; config.from_json checks every value against its
+setting's type and rejects unknown keys. The seed, the cohort size and
+the directories are flags only, and the physics constants come from
+"physics" only, so a top-level "seed" or a section naming "seed",
+"constants" or "n_buildings" is an unknown key whichever command runs,
+but only the section a command uses is built.
 Every JSON input is read by nn.read_json; a checkpoint's extra payload is
 read back by config.from_json as one train.FoldCheckpoint, whose scalers
 and constants predict and evaluate use.
@@ -28,9 +28,9 @@ train.cross_validate and saves the outputs: cross_validate itself checks
 the cohort and the constants before any fold trains, so train runs no
 check of its own in between.
 train runs min(k_folds, CPUs the process may use) folds at once, so
-taskset limits it; results are identical for any count. While parallel
-folds train, OpenBLAS runs single-threaded, and its previous thread
-count is restored afterwards.
+taskset limits it; results are identical for any count. While the folds
+train, OpenBLAS runs single-threaded, and its previous thread count is
+restored afterwards.
 """
 
 from __future__ import annotations
@@ -90,22 +90,19 @@ class _Parser(argparse.ArgumentParser):
 class ConfigFile:
     """The top level of a --config file; a command builds the section it uses."""
 
-    seed: int | None = None
-    n: int | None = None
-    data: str | None = None
-    out: str | None = None
     generate: dict[str, Any] = field(default_factory=dict)
     train: dict[str, Any] = field(default_factory=dict)
     physics: PhysicsConstants = field(default_factory=PhysicsConstants)
 
 
-# Each section's dataclass, and the top-level settings merged into it.
+# Each section's dataclass, and the settings merged into it from the flags
+# and the physics section.
 _SECTIONS = {"generate": (synth.GeneratorConfig, ("constants", "seed", "n_buildings")),
              "train": (TrainConfig, ("constants", "seed"))}
 
 
 def _load_config(args) -> ConfigFile:
-    payload = read_json(args.config, "config") if getattr(args, "config", None) else {}
+    payload = read_json(args.config, "config") if args.config else {}
     config = from_json(ConfigFile, payload)
     for name, (cls, merged) in _SECTIONS.items():
         settable = {f.name for f in dataclasses.fields(cls)} - set(merged)
@@ -114,22 +111,9 @@ def _load_config(args) -> ConfigFile:
     return config
 
 
-def _setting(args, config: ConfigFile, name: str, default=None):
-    value = getattr(args, name, None)
-    if value is None:
-        value = getattr(config, name)
-    return default if value is None else value
-
-
-def _required(args, config: ConfigFile, name: str):
-    value = _setting(args, config, name)
-    if value is None:
-        raise ConfigError(f"--{name} is required (or a top-level \"{name}\" in --config)")
-    return value
-
-
 def _section(name: str, config: ConfigFile, **settings):
-    """The config's name section, built with the top-level settings merged in."""
+    """The config's name section, built with the physics constants and the
+    flag settings merged in."""
     cls, _ = _SECTIONS[name]
     return from_json(cls, {**getattr(config, name), "constants": config.physics, **settings}, name)
 
@@ -147,20 +131,14 @@ def _check_out(path: Path, kind: str) -> Path:
     return path
 
 
-def _out_dir(args, config: ConfigFile) -> Path:
-    return _check_out(Path(_setting(args, config, "out", ".")), "directory")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
 def cmd_generate(args) -> int:
     config = _load_config(args)
-    seed = _required(args, config, "seed")
-    n = _setting(args, config, "n", 256)
-    generator_config = _section("generate", config, seed=seed, n_buildings=n)
-    out_dir = _out_dir(args, config)
+    generator_config = _section("generate", config, seed=args.seed, n_buildings=args.n)
+    out_dir = _check_out(Path(args.out), "directory")
     paths = synth.generate_cohort(generator_config, out_dir)
     for name in sorted(paths):
         print(f"{name}: {paths[name]}")
@@ -177,12 +155,10 @@ def _load_cohort(data_dir: str | Path) -> tuple[data.TrainingArrays, list[tuple[
 
 def cmd_train(args) -> int:
     config = _load_config(args)
-    seed = _required(args, config, "seed")
-    data_dir = _required(args, config, "data")
-    train_config = _section("train", config, seed=seed)
-    out_dir = _out_dir(args, config)
+    train_config = _section("train", config, seed=args.seed)
+    out_dir = _check_out(Path(args.out), "directory")
 
-    arrays, dropped = _load_cohort(data_dir)
+    arrays, dropped = _load_cohort(args.data)
     result = cross_validate(arrays, train_config)
 
     paths = save_run_outputs(result, train_config, out_dir)
@@ -294,7 +270,8 @@ def _state_from_payload(payload: dict, path) -> tuple[np.ndarray, float, str]:
 
     state = np.concatenate([five("areas"), five("u_values"),
                             [number("air_exchange_rate"), number("specific_heat_gains")]])
-    return state, number("useful_area"), str(payload["building_type"])
+    building_type = data._strings([str(payload["building_type"])])[0]  # land.csv's rule
+    return state, number("useful_area"), building_type
 
 
 def cmd_audit(args) -> int:
@@ -357,16 +334,16 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("generate", help="write a synthetic cohort as CSV files")
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int, help="generator seed (required)")
-    p.add_argument("--n", type=int, help="number of buildings")
-    p.add_argument("--out", help="output directory (default .)")
+    p.add_argument("--seed", type=int, required=True, help="generator seed")
+    p.add_argument("--n", type=int, default=256, help="number of buildings (default 256)")
+    p.add_argument("--out", default=".", help="output directory (default .)")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", help="cross-validated training on a CSV cohort")
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int, help="training seed (required)")
-    p.add_argument("--data", help="directory with the cohort CSV files")
-    p.add_argument("--out", help="output directory (default .)")
+    p.add_argument("--seed", type=int, required=True, help="training seed")
+    p.add_argument("--data", required=True, help="directory with the cohort CSV files")
+    p.add_argument("--out", default=".", help="output directory (default .)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="virtual audit of one building")

@@ -3,13 +3,13 @@
 from_json checks each value against its field's type before the dataclass
 and its __post_init__ range rules see it: an int is a JSON integer (not a
 bool, not 2.0); a float is an int or a float, not a bool, with a finite
-float value, and an int is kept as given; a str is a string; X | None is
-null or an X; tuple[T, ...] and list[T] are a list of T, of the exact
-length for a fixed-length tuple; dict[str, T] is an object of T; a
-dataclass is an object, read recursively, or a built instance; Any is any
-value. Unknown keys and missing keys without a default are rejected.
-Every rejection is a ConfigError naming the dotted key path, e.g.
-train.hidden_dims[0].
+float value, and an int is kept as given; a str is a string;
+tuple[T, ...] and list[T] are a list of T, of the exact length for a
+fixed-length tuple; dict[str, T] is an object of T; a dataclass is an
+object, read recursively, or a built instance; Any is any value. No
+other type is read, X | None included. Unknown keys and missing keys
+without a default are rejected. Every rejection is a ConfigError naming
+the dotted key path, e.g. train.hidden_dims[0].
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import dataclasses
 import functools
 import math
 import reprlib
-import types
 import typing
 
 from .errors import ConfigError
@@ -83,9 +82,6 @@ def _value(tp, value, where: str):
     if dataclasses.is_dataclass(tp):
         return from_json(tp, value, where)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin in (typing.Union, types.UnionType):
-        [inner] = [a for a in args if a is not type(None)]
-        return None if value is None else _value(inner, value, where)
     if origin in (tuple, list):
         if not isinstance(value, (list, tuple)):
             _reject(where, "a list", value)

@@ -31,7 +31,8 @@ Everything is deterministic given the config seed: the fold partition,
 the per-fold splits, initialization and batch shuffling all derive their
 seeds from (seed, fold index, stream index). Folds train on min(k_folds,
 CPUs the process may use) workers, the calling thread among them, so
-taskset limits them; results are identical for any count.
+taskset limits them; results are identical for any count. While they
+train, OpenBLAS runs on one thread, however many workers there are.
 
 A FoldResult carries its FoldCheckpoint, built once when the scalers are
 fitted: the fold index, the three scalers and the physics constants. Its
@@ -49,7 +50,7 @@ import glob
 import os
 import threading
 from collections import deque
-from contextlib import contextmanager, nullcontext, suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -394,8 +395,8 @@ def cross_validate(arrays: TrainingArrays, config: TrainConfig) -> CrossValidati
     training run; the train command runs none of its own between loading
     the cohort and this call.
 
-    More than one worker runs OpenBLAS single-threaded; one leaves its
-    pool alone. After a failure or an interrupt no queued fold starts,
+    The folds run OpenBLAS single-threaded, however many workers there
+    are. After a failure or an interrupt no queued fold starts,
     and the interrupt or the lowest failed fold is raised. Every result
     depends only on the data and the config seed, never on the workers.
     """
@@ -416,7 +417,7 @@ def cross_validate(arrays: TrainingArrays, config: TrainConfig) -> CrossValidati
                     queue.clear()
 
     helpers = [threading.Thread(target=drain) for _ in range(workers - 1)]
-    with _single_threaded_blas() if helpers else nullcontext():
+    with _single_threaded_blas():
         for helper in helpers:
             helper.start()
         try:

@@ -221,33 +221,19 @@ class TestGenerate:
         assert code == 1
         assert "--seed" in capsys.readouterr().err
 
-    def test_settings_can_come_from_the_config_file(self, tmp_path, capsys):
-        config_path = tmp_path / "config.json"
-        config_path.write_text(
-            json.dumps(
-                {
-                    "seed": 5,
-                    "n": 6,
-                    "out": str(tmp_path / "cohort"),
-                    "generate": {"consumption_noise": 0.0, "audit_noise": 0.0},
-                }
-            )
-        )
-        assert main(["generate", "--config", str(config_path)]) == 0
-        assert (tmp_path / "cohort" / "land.csv").exists()
-
     def test_invalid_config_json_is_exit_two_with_location(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
-        config_path.write_text('{"seed": 5,,}')
-        code = main(["generate", "--config", str(config_path)])
+        config_path.write_text('{"generate": {},,}')
+        code = main(["generate", "--seed", "5", "--config", str(config_path)])
         assert code == 2
         err = capsys.readouterr().err
         assert "line 1" in err and "column" in err
 
     def test_unknown_generator_setting_is_exit_one(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({"seed": 5, "generate": {"towers": 3}}))
-        assert main(["generate", "--config", str(config_path)]) == 1
+        config_path.write_text(json.dumps({"generate": {"towers": 3}}))
+        assert main(["generate", "--seed", "5", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == f"{PROG}: error: unknown key(s): generate.towers\n"
 
 
 class TestTrain:
@@ -370,9 +356,9 @@ class TestTrain:
     def test_the_fold_pool_follows_the_usable_cpus(
         self, clean_cohort_dir, tmp_path, monkeypatch, blas_threads
     ):
-        """On one CPU no thread starts and every fold sees the OpenBLAS pool
-        untouched; on three, two helper threads join the calling one, every
-        fold sees one OpenBLAS thread, and results.json is byte-identical."""
+        """On one CPU no thread starts; on three, two helper threads join
+        the calling one. Either way every fold sees one OpenBLAS thread, the
+        previous count comes back, and results.json is byte-identical."""
         config_path = tmp_path / "config.json"
         config_path.write_text(
             json.dumps({"train": {"hidden_dims": [8, 8], "max_epochs": 2}})
@@ -401,12 +387,15 @@ class TestTrain:
                          "--data", str(clean_cohort_dir), "--out", str(out)]) == 0
             return len(started), list(seen), (out / "results.json").read_bytes()
 
-        untouched = blas_threads()
-        one, three = train_on(1), train_on(3)
-        assert one[:2] == (0, [untouched] * 10)
-        assert three[:2] == (2, [1 if untouched else None] * 10)
+        before = blas_threads()
+        capped = [1 if before else None] * 10
+        one = train_on(1)
+        assert blas_threads() == before
+        three = train_on(3)
+        assert one[:2] == (0, capped)
+        assert three[:2] == (2, capped)
         assert one[2] == three[2]
-        assert blas_threads() == untouched
+        assert blas_threads() == before
 
     @pytest.mark.filterwarnings("error")
     def test_a_huge_physics_weight_is_exit_three_naming_the_fold(self, tmp_path, capsys):
@@ -434,6 +423,19 @@ class TestTrain:
         )
         assert code == 2
         assert "nowhere" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("missing", ["--seed", "--data"])
+    def test_missing_seed_or_data_is_exit_one_before_any_read(self, tmp_path, capsys, missing):
+        """The flags are checked before the config, the cohort or --out is
+        touched: reading the missing config file would be exit 2."""
+        flags = {"--seed": "1", "--data": str(tmp_path / "nowhere"),
+                 "--config": str(tmp_path / "missing.json"), "--out": str(tmp_path / "out")}
+        del flags[missing]
+        code = main(["train", *[word for flag in flags.items() for word in flag]])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"{PROG}: error: the following arguments are required: {missing}\n")
+        assert not (tmp_path / "out").exists()
 
     def test_corrupt_csv_is_exit_two_naming_the_row(
         self, clean_cohort_dir, tmp_path, capsys
@@ -802,6 +804,19 @@ class TestAudit:
         envelope.write_text(json.dumps(payload))
         assert main(["audit", "--envelope", str(envelope)]) == 0
         assert "3101.99" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("padded", [" light", "light\t", " light "])
+    def test_building_type_follows_the_land_csv_string_rule(self, tmp_path, capsys, padded):
+        """The building type is stripped as land.csv cells and predict's
+        fields are: a padded type audits as the plain one."""
+        outputs = []
+        for building_type in ("light", padded):
+            envelope = tmp_path / "envelope.json"
+            envelope.write_text(json.dumps(envelope_payload(building_type=building_type)))
+            assert main(["audit", "--envelope", str(envelope)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[1] == outputs[0]
+        assert "3101.99" in outputs[0].out
 
     def test_physics_override_through_config(self, tmp_path, capsys):
         """bridge_fraction 0 removes the 130.64 line from the balance."""

@@ -83,9 +83,6 @@ class TestTypeRules:
                 "x.name: expected a string, got 5")
 
     def test_optional_is_null_or_the_type(self):
-        assert from_json(cli.ConfigFile, {"seed": None}).seed is None
-        assert from_json(cli.ConfigFile, {"seed": 8}).seed == 8
-        rejects(cli.ConfigFile, {"seed": 1.5}, "x.seed: expected an integer, got 1.5")
         rejects(TrainConfig, {"batch_size": None}, "x.batch_size: expected an integer, got None")
 
     def test_variable_tuple_checks_each_entry(self):
@@ -240,18 +237,19 @@ def run(argv, config_payload, work: Path) -> int:
 
 
 def argv_for(command, cohort, out):
-    """The argv of a config-reading command; audit's envelope goes beside out."""
+    """The argv of a config-reading command, with the seed (and cohort size)
+    it requires; audit's envelope goes beside out."""
     if command == "audit":
         envelope = out.parent / "envelope.json"
         envelope.write_text(json.dumps(ENVELOPE))
         return ["audit", "--envelope", str(envelope)]
     return {
-        "generate": ["generate", "--out", str(out)],
-        "train": ["train", "--data", str(cohort), "--out", str(out)],
+        "generate": ["generate", "--seed", "1", "--n", "3", "--out", str(out)],
+        "train": ["train", "--seed", "1", "--data", str(cohort), "--out", str(out)],
     }[command]
 
 
-BASE = {"seed": 1, "n": 3, "train": {"k_folds": 2}}
+BASE = {"train": {"k_folds": 2}}
 SERIE = json.loads(json.dumps(DEFAULT_SERIES[0].to_dict()))
 
 # (command, config override, the whole error message): each must be exit 1
@@ -264,19 +262,21 @@ LEAKS = [
      "physics.time_constants: expected an object, got 'x'"),
     ("train", {"physics": {"w_to_kw": 0}}, "physics: w_to_kw must be positive, got 0"),
     ("generate", {"generate": {"years": 5}}, "unknown key(s): generate.years"),
-    ("train", {"seed": "abc"}, "seed: expected an integer, got 'abc'"),
-    ("generate", {"n": "abc"}, "n: expected an integer, got 'abc'"),
-    ("generate", {"out": 5}, "out: expected a string, got 5"),
-    ("train", {"data": 5}, "data: expected a string, got 5"),
+    # the seed, the cohort size and the directories are flags only
+    ("train", {"seed": 1}, "unknown key(s): seed"),
+    ("generate", {"n": 3}, "unknown key(s): n"),
+    ("generate", {"out": "elsewhere"}, "unknown key(s): out"),
+    ("train", {"data": "elsewhere"}, "unknown key(s): data"),
     ("train", {"train": {"k_folds": 2.5}}, "train.k_folds: expected an integer, got 2.5"),
     ("train", {"train": {"max_epochs": True}}, "train.max_epochs: expected an integer, got True"),
     ("train", {"train": {"hidden_dims": [8.5]}},
      "train.hidden_dims[0]: expected an integer, got 8.5"),
     ("audit", {"physics": {"near_one_epsilon": -1}},
      "physics: near_one_epsilon must be positive, got -1"),
-    ("train", {"seed": 1.7}, "seed: expected an integer, got 1.7"),
-    ("generate", {"n": 5.5}, "n: expected an integer, got 5.5"),
-    ("generate", {"n": True}, "n: expected an integer, got True"),
+    ("audit", {"seed": 1}, "unknown key(s): seed"),
+    ("audit", {"n": 3, "out": "elsewhere"}, "unknown key(s): n, out"),
+    ("generate", {"seed": 1, "n": 3, "data": "elsewhere", "out": "elsewhere"},
+     "unknown key(s): data, n, out, seed"),
     ("generate", {"generate": {"years": [2017.5]}}, "unknown key(s): generate.years"),
     ("train", {"tarin": {"k_folds": 3}}, "unknown key(s): tarin"),
     ("generate", {"generate": {"storey_height": float("nan")}},
@@ -296,7 +296,7 @@ LEAKS = [
     ("generate", {"generate": {"years": [2017, 2018, 2017]}}, "unknown key(s): generate.years"),
     ("train", {"train": {"min_lr": 0.5}},
      "train: min_lr must be in [0, learning_rate 0.001], got 0.5"),
-    # the seed, the cohort size and the physics constants are set at the top level only
+    # the seed, the cohort size and the physics constants are set outside the sections
     ("generate", {"generate": {"seed": 2}}, "unknown key(s): generate.seed"),
     ("generate", {"generate": {"n_buildings": 5}}, "unknown key(s): generate.n_buildings"),
     ("generate", {"generate": {"constants": {}}}, "unknown key(s): generate.constants"),
@@ -387,11 +387,14 @@ class TestReadmeConfig:
         section = text[text.index("\n## Config files"):]
         section = section[: section.index("\n## ", 1)]
         example = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+        command = re.search(r"^epc-pinn train (.*)$", section, re.M).group(1).split()
+        seed = dict(zip(command[::2], command[1::2]))["--seed"]
         out = tmp_path / "out"
-        code = run(["train", "--data", str(clean_cohort_dir), "--out", str(out)], example, tmp_path)
+        code = run(["train", "--seed", seed, "--data", str(clean_cohort_dir), "--out", str(out)],
+                   example, tmp_path)
         assert code == 0
         train = {k: tuple(v) if isinstance(v, list) else v for k, v in example["train"].items()}
-        expected = TrainConfig(seed=example["seed"], **train,
+        expected = TrainConfig(seed=int(seed), **train,
                                constants=PhysicsConstants(**example["physics"]))
         assert stubs.configs[-1] == expected
         assert (out / "results.json").exists()
@@ -405,8 +408,9 @@ def field_names(cls):
     return [f.name for f in dataclasses.fields(cls)]
 
 
+# The flags-only run settings stay paths: any value there is an unknown key.
 CONFIG_PATHS = (
-    [(name,) for name in field_names(cli.ConfigFile)]
+    [(name,) for name in ("seed", "n", "data", "out", *field_names(cli.ConfigFile))]
     + [("train", name) for name in field_names(TrainConfig)]
     + [("generate", name) for name in field_names(GeneratorConfig)]
     + [("generate", "series", 0, name) for name in field_names(SerieProfile)]
@@ -419,8 +423,6 @@ READERS = {"generate": ("generate",), "train": ("train",)}
 ALL_READERS = ("generate", "train", "audit")
 
 BASE_CONFIG = {
-    "seed": 1,
-    "n": 3,
     "generate": {"series": [DEFAULT_SERIES[0].to_dict()]},
     "train": {"k_folds": 2, "hidden_dims": [4]},
     "physics": {},

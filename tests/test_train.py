@@ -633,8 +633,8 @@ BLAS_API = train._openblas_thread_api()
 
 @pytest.mark.skipif(BLAS_API is None, reason="numpy's OpenBLAS thread control not found")
 class TestBlasThreadCap:
-    """Parallel folds run OpenBLAS on one thread; the serial path leaves
-    the pool alone, and the previous count always comes back."""
+    """Folds run OpenBLAS on one thread, in parallel and serially alike,
+    and the previous count always comes back."""
 
     @pytest.fixture
     def blas_threads(self):
@@ -702,10 +702,10 @@ class TestBlasThreadCap:
         assert len(finished) == 1
         assert blas_threads() == 2
 
-    def test_serial_folds_leave_the_pool_alone(self, arrays, seen, blas_threads, usable_cpus):
+    def test_serial_folds_see_one_thread(self, arrays, seen, blas_threads, usable_cpus):
         usable_cpus(1)
         cross_validate(arrays, quick_config(max_epochs=1))
-        assert seen == [2] * 10
+        assert seen == [1] * 10
         assert blas_threads() == 2
 
     def test_concurrent_caps_keep_the_count(self, blas_threads):
