@@ -185,6 +185,9 @@ def _checkpoint_bundle(path: str | Path) -> tuple[MlpModel, FoldCheckpoint]:
             raise DataError(f"checkpoint {path}: {name} has {columns} columns, the model {width}")
         if width != expected:
             raise DataError(f"checkpoint {path}: the model has {width} {side}, expected {expected}")
+    columns = fold.energy_scaler.divisor.size
+    if columns != 1:
+        raise DataError(f"checkpoint {path}: energy_scaler has {columns} columns, expected 1")
     return model, fold
 
 

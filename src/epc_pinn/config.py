@@ -1,4 +1,5 @@
-"""The one constructor of the config dataclasses from parsed JSON.
+"""The one constructor of the config dataclasses from parsed JSON, and so
+the only reader of what their base, JsonConfig, writes with to_dict.
 
 from_json checks each value against its field's type before the dataclass
 and its __post_init__ range rules see it: an int is a JSON integer (not a
@@ -99,9 +100,7 @@ def _value(tp, value, where: str):
 
 
 class JsonConfig:
-    """Base of the config dataclasses: to_dict, and from_dict by from_json."""
+    """Base of the config dataclasses: to_dict; from_json reads it back."""
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-    from_dict = classmethod(from_json)

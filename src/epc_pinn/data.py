@@ -15,6 +15,10 @@ needs the columns listed, in any order, and every other column is ignored:
                            .. _2020; without it, consumption_monthly.csv:
                            cadastre_number, year, month, energy_consumption
 
+A cohort directory holds each file as <schema.name>.csv, after its
+TableSchema. A column is keyed by its CSV header wherever it is held, in
+aggregate_consumption's total_energy_consumption_<year> output too.
+
 Each file is read and decoded whole, then parsed column by column into a
 Table. A file with no double quote, carriage return or NUL and no line
 longer than csv.field_size_limit() holds nothing csv treats specially,
@@ -47,10 +51,11 @@ targets for finite, non-negative values in one pass.
 The registry is the one source of model inputs, as it is for a building
 that has no audit: the features, the useful area of the heat balance and
 the building type all come from land.csv, through encode_features, the
-one encoder, which predict calls too. BUILDING_RULES is the one statement
-of what a registry building meets; land.csv rows and predict's building
-both run it after the land.csv cell rules, and audit's numbers meet the
-float cell rule. The audits supply only targets, and where their copies
+one encoder, which predict calls too; FEATURE_NAMES derives from the
+FEATURE_FIELDS it takes. BUILDING_RULES is the one statement of what a
+registry building meets; land.csv rows and predict's building both run
+it after the land.csv cell rules, and audit's numbers meet the float
+cell rule. The audits supply only targets, and where their copies
 of registry columns disagree the registry wins.
 
 Scaling is plain min-max per column with a guarded divisor for constant
@@ -89,22 +94,12 @@ _BUILDING_TYPE_CODE = {"light": 0.0, "heavy": 1.0}
 
 CONSUMPTION_YEARS: tuple[int, ...] = (2017, 2018, 2019, 2020)
 
-# Feature vector layout: 5 scalars then the serie one-hot block.
-FEATURE_NAMES: tuple[str, ...] = (
-    "useful_area",
-    "total_area",
-    "floors",
-    "apartments",
-    "building_type",
-) + tuple(f"serie={s}" for s in SERIES)
+# The land.csv columns that encode_features takes, in its argument order.
+FEATURE_FIELDS: tuple[str, ...] = (
+    "useful_area", "total_area", "floors", "apartments", "building_type", "serie")
+# Feature vector layout: the 5 scalar fields then the serie one-hot block.
+FEATURE_NAMES: tuple[str, ...] = FEATURE_FIELDS[:-1] + tuple(f"serie={s}" for s in SERIES)
 N_FEATURES = len(FEATURE_NAMES)
-
-# Standard file names inside a data directory.
-LAND_FILE = "land.csv"
-AUDIT_BUILDINGS_FILE = "audit_buildings.csv"
-AUDIT_COMPONENTS_FILE = "audit_components.csv"
-CONSUMPTION_FILE = "consumption.csv"
-MONTHLY_FILE = "consumption_monthly.csv"
 
 # Rows that load_dataset parses per step; bounds the raw cells held at once.
 CHUNK_ROWS = 4096
@@ -151,13 +146,7 @@ def _floats(cells: list[str], optional: bool = False) -> np.ndarray:
 @dataclass(frozen=True)
 class Column:
     name: str
-    attr: str
     parse: Callable[[list[str]], list | np.ndarray]
-
-
-def _col(name: str, parse: Callable[[list[str]], list | np.ndarray],
-         attr: str | None = None) -> Column:
-    return Column(name=name, attr=attr if attr is not None else name, parse=parse)
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +162,14 @@ _KEY_RULE = (lambda c: _is_in(c["cadastre_number"], {""}),
              lambda v: "cadastre_number must be nonempty")
 
 
-def _at_least(attr: str, bound: int, name: str | None = None):
-    return (lambda c: np.asarray(c[attr]) < bound,
-            lambda v: f"{name or attr} must be >= {bound}, got {v[attr]}")
+def _at_least(name: str, bound: int, label: str | None = None):
+    return (lambda c: np.asarray(c[name]) < bound,
+            lambda v: f"{label or name} must be >= {bound}, got {v[name]}")
 
 
-def _positive(attr: str):
-    return (lambda c: np.asarray(c[attr]) <= 0,
-            lambda v: f"{attr!r} must be positive, got {v[attr]}")
+def _positive(name: str):
+    return (lambda c: np.asarray(c[name]) <= 0,
+            lambda v: f"{name!r} must be positive, got {v[name]}")
 
 
 # What every registry building meets, in the order it is checked: a land.csv
@@ -193,14 +182,19 @@ BUILDING_RULES = (
 )
 
 
+def _annual(year: int) -> str:
+    """The consumption.csv column of a year's total."""
+    return f"total_energy_consumption_{year}"
+
+
 def _years(c: dict) -> np.ndarray:
     """The annual totals as an (n, years) matrix, NaN where absent."""
-    return np.column_stack([c[f"y{year}"] for year in CONSUMPTION_YEARS])
+    return np.column_stack([c[_annual(year)] for year in CONSUMPTION_YEARS])
 
 
 def _negative_consumption(v: dict) -> str:
-    year = next(y for y in CONSUMPTION_YEARS if v[f"y{y}"] < 0)
-    return f"building {v['cadastre_number']}: negative consumption {v[f'y{year}']} for {year}"
+    year = next(y for y in CONSUMPTION_YEARS if v[_annual(y)] < 0)
+    return f"building {v['cadastre_number']}: negative consumption {v[_annual(year)]} for {year}"
 
 
 def _row_means(totals: np.ndarray) -> np.ndarray:
@@ -223,12 +217,12 @@ def _row_means(totals: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TableSchema:
-    """The columns of one CSV file, its record invariants in the order a
-    row is checked, its key (the attributes no two rows share) and what to
-    derive from the parsed columns. The fast path checks a chunk's columns
-    at once; the one row checker, _check_rows, words a failed chunk's first
-    problem row by row. Both call each column's cell rule, on a column of
-    the chunk or of one cell."""
+    """The columns of one CSV file, <name>.csv in a cohort directory, its
+    record invariants in the order a row is checked, its key (the columns
+    no two rows share) and what to derive from the parsed columns. The
+    fast path checks a chunk's columns at once; the one row checker,
+    _check_rows, words a failed chunk's first problem row by row. Both
+    call each column's cell rule, on a column of the chunk or of one cell."""
 
     name: str
     columns: tuple[Column, ...]
@@ -239,10 +233,10 @@ class TableSchema:
 
 @dataclass(eq=False)
 class Table:
-    """One parsed CSV file: each schema attribute (and derived column) to
-    its values in row order, float64 arrays for the float rules and lists
-    otherwise, and each key to its 0-based row (file row number - 2, blank
-    lines not counted)."""
+    """One parsed CSV file: each column's header (and each derived
+    column's name) to its values in row order, float64 arrays for the
+    float rules and lists otherwise, and each key to its 0-based row (file
+    row number - 2, blank lines not counted)."""
 
     columns: dict[str, list | np.ndarray]
     index: dict[object, int]
@@ -250,20 +244,20 @@ class Table:
     def __len__(self) -> int:
         return len(next(iter(self.columns.values())))
 
-    def __getitem__(self, attr: str):
-        return self.columns[attr]
+    def __getitem__(self, name: str):
+        return self.columns[name]
 
 
 LAND_SCHEMA = TableSchema(
     name="land",
     columns=(
-        _col("cadastre_number", _strings),
-        _col("floors", _integers),
-        _col("useful_area", _floats),
-        _col("apartments", _integers),
-        _col("serie", _strings),
-        _col("total_area", _floats),
-        _col("building_type", _strings),
+        Column("cadastre_number", _strings),
+        Column("floors", _integers),
+        Column("useful_area", _floats),
+        Column("apartments", _integers),
+        Column("serie", _strings),
+        Column("total_area", _floats),
+        Column("building_type", _strings),
     ),
     rules=(_KEY_RULE, *BUILDING_RULES),
     key=("cadastre_number",),
@@ -272,9 +266,9 @@ LAND_SCHEMA = TableSchema(
 AUDIT_BUILDINGS_SCHEMA = TableSchema(
     name="audit_buildings",
     columns=(
-        _col("cadastre_number", _strings),
-        _col("air_exchange_rate", _floats),
-        _col("specific_heat_gains", _floats),
+        Column("cadastre_number", _strings),
+        Column("air_exchange_rate", _floats),
+        Column("specific_heat_gains", _floats),
     ),
     rules=(
         _KEY_RULE,
@@ -287,10 +281,10 @@ AUDIT_BUILDINGS_SCHEMA = TableSchema(
 AUDIT_COMPONENTS_SCHEMA = TableSchema(
     name="audit_components",
     columns=(
-        _col("cadastre_number", _strings),
-        _col("enclosing_structure", _strings),
-        _col("area", _floats),
-        _col("structure_heat_loss_coefficient", _floats),
+        Column("cadastre_number", _strings),
+        Column("enclosing_structure", _strings),
+        Column("area", _floats),
+        Column("structure_heat_loss_coefficient", _floats),
     ),
     rules=(
         _KEY_RULE,
@@ -306,13 +300,10 @@ AUDIT_COMPONENTS_SCHEMA = TableSchema(
 
 CONSUMPTION_SCHEMA = TableSchema(
     name="consumption",
-    columns=(_col("cadastre_number", _strings),)
-    + tuple(
-        # Empty cells mean the year is absent.
-        _col(f"total_energy_consumption_{year}", lambda cells: _floats(cells, optional=True),
-             attr=f"y{year}")
-        for year in CONSUMPTION_YEARS
-    ),
+    columns=(Column("cadastre_number", _strings),)
+    # Empty cells mean the year is absent.
+    + tuple(Column(_annual(year), lambda cells: _floats(cells, optional=True))
+            for year in CONSUMPTION_YEARS),
     rules=(
         _KEY_RULE,
         (lambda c: np.isnan(_years(c)).all(axis=1),
@@ -326,10 +317,10 @@ CONSUMPTION_SCHEMA = TableSchema(
 MONTHLY_SCHEMA = TableSchema(
     name="consumption_monthly",
     columns=(
-        _col("cadastre_number", _strings),
-        _col("year", _integers),
-        _col("month", _integers),
-        _col("energy_consumption", _floats),
+        Column("cadastre_number", _strings),
+        Column("year", _integers),
+        Column("month", _integers),
+        Column("energy_consumption", _floats),
     ),
     rules=(
         _KEY_RULE,
@@ -413,9 +404,9 @@ def _read_table(path: Path, schema: TableSchema, reader) -> Table:
         parts.append(_parse_chunk(path, schema, plan, chunk, index))
     columns = {}
     for c in schema.columns:
-        values = [part[c.attr] for part in parts] or [c.parse([])]
+        values = [part[c.name] for part in parts] or [c.parse([])]
         is_array = isinstance(values[0], np.ndarray)
-        columns[c.attr] = np.concatenate(values) if is_array else [*itertools.chain(*values)]
+        columns[c.name] = np.concatenate(values) if is_array else [*itertools.chain(*values)]
     schema.derive(columns)
     return Table(columns, index)
 
@@ -426,7 +417,7 @@ def _parse_chunk(path: Path, schema: TableSchema, plan: list, chunk: list, index
     cell, a broken invariant or a repeated key anywhere in the chunk hands
     it to _check_rows, which raises the DataError of its first problem."""
     try:
-        columns = {c.attr: c.parse(list(map(operator.itemgetter(i), chunk))) for i, c in plan}
+        columns = {c.name: c.parse(list(map(operator.itemgetter(i), chunk))) for i, c in plan}
     except (IndexError, ValueError):  # a short row, a bad cell
         pass
     else:
@@ -442,7 +433,7 @@ def _parse_chunk(path: Path, schema: TableSchema, plan: list, chunk: list, index
 def _keys(key: tuple[str, ...], columns: dict) -> list:
     if len(key) == 1:
         return columns[key[0]]
-    return list(zip(*(columns[attr] for attr in key)))
+    return list(zip(*(columns[name] for name in key)))
 
 
 def _check_rows(path: Path, schema: TableSchema, plan: list, rows: list, index: dict) -> None:
@@ -459,12 +450,12 @@ def _check_rows(path: Path, schema: TableSchema, plan: list, rows: list, index: 
             if i >= len(row):
                 raise DataError(f"{where}: short row, no value for column {column.name!r}")
             try:
-                one_row[column.attr] = column.parse([row[i]])
+                one_row[column.name] = column.parse([row[i]])
             except ValueError as exc:
                 raise DataError(f"{where}, column {column.name!r}: {exc}: {row[i]!r}") from None
         for rule, message in schema.rules:
             if rule(one_row)[0]:
-                values = {attr: cells[0] for attr, cells in one_row.items()}
+                values = {name: cells[0] for name, cells in one_row.items()}
                 raise DataError(f"{where}: {message(values)}")
         [key] = _keys(schema.key, one_row)
         first = index.setdefault(key, row_num - 2)
@@ -474,7 +465,8 @@ def _check_rows(path: Path, schema: TableSchema, plan: list, rows: list, index: 
 
 def aggregate_consumption(monthly: Table) -> Table:
     """Collapse monthly rows into a consumption table sorted by cadastre
-    number: one y<year> column per year in the file, each the plain sum of
+    number: one total_energy_consumption_<year> column per year in the
+    file, as consumption.csv names it, each the plain sum of
     that year's months in file order (NaN where a building has none), and
     mean_annual, the mean of a building's years in the order they first
     appear. Buildings with no rows simply yield no row."""
@@ -487,7 +479,7 @@ def aggregate_consumption(monthly: Table) -> Table:
     totals = [per_building[number] for number in numbers]
     columns = {"cadastre_number": numbers}
     for year in sorted(set().union(*totals)):
-        columns[f"y{year}"] = np.array([t.get(year, np.nan) for t in totals], dtype=float)
+        columns[_annual(year)] = np.array([t.get(year, np.nan) for t in totals], dtype=float)
     in_order = np.full((len(numbers), len(columns) - 1), np.nan)
     for row, t in zip(in_order, totals):
         row[: len(t)] = list(t.values())
@@ -497,11 +489,6 @@ def aggregate_consumption(monthly: Table) -> Table:
 
 # ---------------------------------------------------------------------------
 # Feature encoding and joining
-
-# The land.csv columns that encode_features takes, in its argument order.
-FEATURE_FIELDS: tuple[str, ...] = (
-    "useful_area", "total_area", "floors", "apartments", "building_type", "serie")
-
 
 def _encoding_problem(building_type: str, serie: str) -> str | None:
     """Why encode_features rejects these values, or None if it does not."""
@@ -677,25 +664,23 @@ def join_on_cadastre(
 
 
 def load_cohort(data_dir: str | Path) -> tuple[JoinedCohort, list[tuple[str, str]]]:
-    """Load the standard file layout from a directory and join.
+    """Load each schema's <schema.name>.csv from a directory and join.
 
     Annual totals come from consumption.csv when present, otherwise they
     are aggregated from consumption_monthly.csv.
     """
     data_dir = Path(data_dir)
-    land = load_dataset(data_dir / LAND_FILE, LAND_SCHEMA)
-    audit_buildings = load_dataset(data_dir / AUDIT_BUILDINGS_FILE, AUDIT_BUILDINGS_SCHEMA)
-    audit_components = load_dataset(data_dir / AUDIT_COMPONENTS_FILE, AUDIT_COMPONENTS_SCHEMA)
-    annual_path = data_dir / CONSUMPTION_FILE
-    monthly_path = data_dir / MONTHLY_FILE
+    land, audit_buildings, audit_components = (
+        load_dataset(data_dir / f"{schema.name}.csv", schema)
+        for schema in (LAND_SCHEMA, AUDIT_BUILDINGS_SCHEMA, AUDIT_COMPONENTS_SCHEMA))
+    annual_path, monthly_path = (
+        data_dir / f"{schema.name}.csv" for schema in (CONSUMPTION_SCHEMA, MONTHLY_SCHEMA))
     if annual_path.exists():
         consumption = load_dataset(annual_path, CONSUMPTION_SCHEMA)
     elif monthly_path.exists():
         consumption = aggregate_consumption(load_dataset(monthly_path, MONTHLY_SCHEMA))
     else:
-        raise DataError(
-            f"no consumption data: neither {annual_path} nor {monthly_path} exists"
-        )
+        raise DataError(f"no consumption data: neither {annual_path} nor {monthly_path} exists")
     return join_on_cadastre(land, audit_buildings, audit_components, consumption)
 
 

@@ -4,8 +4,10 @@ Metrics are computed in physical units after inverse scaling, per fold on
 that fold's test set, then aggregated as mean plus population standard
 deviation across folds. The report row order is fixed: the five areas,
 the five U-values, air exchange rate, specific heat gains, and last the
-reconstructed annual energy consumption. Reports are the plain dicts that
-results.json and evaluate --out hold, and the two table formatters read.
+reconstructed annual energy consumption, named area_<c> and u_<c> after
+physics.COMPONENTS (c lower-cased, "/" as "_"). Reports are the plain
+dicts that results.json and evaluate --out hold, and the two table
+formatters read.
 
 One kernel, _score_rows, scores every variable at once: each variable is
 one row of a C-contiguous (variables, n) matrix and every sum and mean
@@ -24,23 +26,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, UndefinedMetricError, UsageError
-from .physics import STATE_DIM
+from .physics import COMPONENTS, STATE_DIM
 
-# Fixed report order: 12 envelope quantities then the energy row.
-TARGET_VARIABLES: tuple[str, ...] = (
-    "area_basement_slab",
-    "area_roof_attic",
-    "area_walls",
-    "area_doors",
-    "area_windows",
-    "u_basement_slab",
-    "u_roof_attic",
-    "u_walls",
-    "u_doors",
-    "u_windows",
-    "air_exchange_rate",
-    "specific_heat_gains",
-)
+# Fixed report order: the 12 envelope quantities in state order, then the energy row.
+TARGET_VARIABLES: tuple[str, ...] = tuple(
+    f"{kind}_{name.lower().replace('/', '_')}" for kind in ("area", "u") for name in COMPONENTS
+) + ("air_exchange_rate", "specific_heat_gains")
 ENERGY_VARIABLE = "energy_consumption"
 REPORT_VARIABLES: tuple[str, ...] = TARGET_VARIABLES + (ENERGY_VARIABLE,)
 

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import JsonConfig
-from .data import CONSUMPTION_YEARS
+from .data import CONSUMPTION_SCHEMA, CONSUMPTION_YEARS, MONTHLY_SCHEMA
 from .errors import ConfigError, DataError, DomainError
 from .nn import atomic_write
 from .physics import (
@@ -402,9 +402,9 @@ def generate_cohort(config: GeneratorConfig, out_dir: str | Path) -> dict[str, P
             "total_structure_heat_loss_coefficient", "total_area",
             "total_energy_consumption",
         ],
-        "consumption": ["cadastre_number"]
-        + [f"total_energy_consumption_{y}" for y in CONSUMPTION_YEARS],
-        "consumption_monthly": ["cadastre_number", "year", "month", "energy_consumption"],
+        # the consumption files hold the loader's columns and no other
+        **{schema.name: [column.name for column in schema.columns]
+           for schema in (CONSUMPTION_SCHEMA, MONTHLY_SCHEMA)},
     }
     paths = {name: out_dir / f"{name}.csv" for name in headers}
     for name, path in paths.items():

@@ -926,6 +926,34 @@ class TestEvaluate:
         assert "energy_consumption" in payload
         assert "r_squared" in payload["energy_consumption"]
 
+    def test_reports_name_the_thirteen_variables_in_order(
+        self, trained_run, clean_cohort_dir, tmp_path, capsys
+    ):
+        """results.json (the aggregate and every fold) and evaluate --out
+        hold these thirteen names, as keys that every JSON output sorts,
+        and report.txt and evaluate's table list them in this order,
+        whatever the program derives them from."""
+        names = [
+            "area_basement_slab", "area_roof_attic", "area_walls", "area_doors", "area_windows",
+            "u_basement_slab", "u_roof_attic", "u_walls", "u_doors", "u_windows",
+            "air_exchange_rate", "specific_heat_gains", "energy_consumption",
+        ]
+
+        def rows(table: str) -> list[str]:
+            lines = table.splitlines()
+            return [line.split()[0] for line in lines[2:lines.index("")]]
+
+        metrics_path = tmp_path / "metrics.json"
+        code = main(["evaluate", "--checkpoint", str(trained_run / "fold_00.json"),
+                     "--data", str(clean_cohort_dir), "--out", str(metrics_path)])
+        assert code == 0
+        assert rows(capsys.readouterr().out) == names
+        assert list(json.loads(metrics_path.read_text())) == sorted(names)
+        assert rows((trained_run / "report.txt").read_text()) == names
+        results = json.loads((trained_run / "results.json").read_text())
+        assert list(results["aggregate"]["variables"]) == sorted(names)
+        assert [list(fold["metrics"]) for fold in results["folds"]] == [sorted(names)] * 10
+
     def test_missing_checkpoint_is_exit_two(self, clean_cohort_dir, tmp_path):
         code = main(
             ["evaluate", "--checkpoint", str(tmp_path / "absent.json"),
@@ -1081,6 +1109,9 @@ class TestEvaluate:
         ("target_scaler", lambda s: s.update(data_min=s["data_min"] + [0.0],
                                              data_max=s["data_max"] + [1.0]),
          "target_scaler has 13 columns, the model 12"),
+        ("energy_scaler", lambda s: s.update(data_min=s["data_min"] + [0.0],
+                                             data_max=s["data_max"] + [1.0]),
+         "energy_scaler has 2 columns, expected 1"),
         ("input_scaler", lambda s: s["data_max"].__setitem__(0, "0"),
          "extra.input_scaler.data_max[0]: expected a finite number, got '0'"),
         ("target_scaler", lambda s: s["data_min"].__setitem__(3, True),
@@ -1088,14 +1119,15 @@ class TestEvaluate:
         (None, lambda e: e.update(fold=True), "extra.fold: expected an integer, got True"),
         (None, lambda e: e.pop("energy_scaler"), "missing key(s): extra.energy_scaler"),
         (None, lambda e: e.update(note="x"), "unknown key(s): extra.note"),
-    ], ids=["nan", "swapped", "narrow", "wide", "string", "true", "true-fold",
+    ], ids=["nan", "swapped", "narrow", "wide", "wide-energy", "string", "true", "true-fold",
             "no-energy-scaler", "unknown-key"])
     def test_bad_checkpoint_scaler_is_exit_two_naming_the_checkpoint(
         self, trained_run, clean_cohort_dir, tmp_path, capsys, key, corrupt, problem
     ):
         """A non-finite, non-numeric or boolean bound, swapped bounds, a
-        scaler narrower or wider than the model's layer sizes, or an extra
-        payload of the wrong shape is a checkpoint problem."""
+        scaler narrower or wider than the model's layer sizes, an energy
+        scaler of more than one column, or an extra payload of the wrong
+        shape is a checkpoint problem."""
         payload = json.loads((trained_run / "fold_00.json").read_text())
         corrupt(payload["extra"][key] if key else payload["extra"])
         checkpoint = tmp_path / "fold_00.json"

@@ -144,7 +144,7 @@ class TestNewRangeRules:
 
 
 class TestRoundTripKeepsTypes:
-    """from_dict(c).to_dict() == c, with an int-valued float still an int,
+    """from_json(cls, c).to_dict() == c, with an int-valued float still an int,
     so a config's results.json serializes exactly as it was given."""
 
     @pytest.mark.parametrize("built", [
@@ -159,7 +159,7 @@ class TestRoundTripKeepsTypes:
     ], ids=["train", "physics", "generate", "serie", "scaler", "history"])
     def test_round_trip(self, built):
         payload = built.to_dict()
-        restored = type(built).from_dict(payload).to_dict()
+        restored = from_json(type(built), payload).to_dict()
         assert restored == payload
         assert json.dumps(restored, sort_keys=True) == json.dumps(payload, sort_keys=True)
 
@@ -175,7 +175,7 @@ class TestRoundTripKeepsTypes:
             scheduler_patience=1, early_stop_patience=3))
         for fold in result.folds:
             history = fold.history
-            restored = TrainHistory.from_dict(history.to_dict())
+            restored = from_json(TrainHistory, history.to_dict())
             assert restored == history
             assert (json.dumps(restored.to_dict(), sort_keys=True)
                     == json.dumps(history.to_dict(), sort_keys=True))
@@ -252,68 +252,108 @@ def argv_for(command, cohort, out):
 BASE = {"train": {"k_folds": 2}}
 SERIE = json.loads(json.dumps(DEFAULT_SERIES[0].to_dict()))
 
-# (command, config override, the whole error message): each must be exit 1
-# naming its key, before any fold trains or any file is written.
+# (test id, command, config override, the whole error message): each must be
+# exit 1 naming its key, before any fold trains or any file is written. An id
+# is written out, never derived from the row's place or message, so editing or
+# deleting a row renames no other. A new row's id is its command and the
+# override's dotted key paths, plus the value where two rows share both.
 LEAKS = [
-    ("train", {"train": {"hidden_dims": 5}}, "train.hidden_dims: expected a list, got 5"),
-    ("train", {"train": {"batch_size": 1.5}}, "train.batch_size: expected an integer, got 1.5"),
-    ("train", {"physics": {"delta_t": "x"}}, "physics.delta_t: expected a finite number, got 'x'"),
-    ("train", {"physics": {"time_constants": "x"}},
+    ("train.hidden_dims-0",
+     "train", {"train": {"hidden_dims": 5}}, "train.hidden_dims: expected a list, got 5"),
+    ("train.batch_size-1",
+     "train", {"train": {"batch_size": 1.5}}, "train.batch_size: expected an integer, got 1.5"),
+    ("physics.delta_t-2",
+     "train", {"physics": {"delta_t": "x"}}, "physics.delta_t: expected a finite number, got 'x'"),
+    ("physics.time_constants-3",
+     "train", {"physics": {"time_constants": "x"}},
      "physics.time_constants: expected an object, got 'x'"),
-    ("train", {"physics": {"w_to_kw": 0}}, "physics: w_to_kw must be positive, got 0"),
-    ("generate", {"generate": {"years": 5}}, "unknown key(s): generate.years"),
+    ("physics-4",
+     "train", {"physics": {"w_to_kw": 0}}, "physics: w_to_kw must be positive, got 0"),
+    ("unknown key(s)-5",
+     "generate", {"generate": {"years": 5}}, "unknown key(s): generate.years"),
     # the seed, the cohort size and the directories are flags only
-    ("train", {"seed": 1}, "unknown key(s): seed"),
-    ("generate", {"n": 3}, "unknown key(s): n"),
-    ("generate", {"out": "elsewhere"}, "unknown key(s): out"),
-    ("train", {"data": "elsewhere"}, "unknown key(s): data"),
-    ("train", {"train": {"k_folds": 2.5}}, "train.k_folds: expected an integer, got 2.5"),
-    ("train", {"train": {"max_epochs": True}}, "train.max_epochs: expected an integer, got True"),
-    ("train", {"train": {"hidden_dims": [8.5]}},
+    ("unknown key(s)-6",
+     "train", {"seed": 1}, "unknown key(s): seed"),
+    ("unknown key(s)-7",
+     "generate", {"n": 3}, "unknown key(s): n"),
+    ("unknown key(s)-8",
+     "generate", {"out": "elsewhere"}, "unknown key(s): out"),
+    ("unknown key(s)-9",
+     "train", {"data": "elsewhere"}, "unknown key(s): data"),
+    ("train.k_folds-10",
+     "train", {"train": {"k_folds": 2.5}}, "train.k_folds: expected an integer, got 2.5"),
+    ("train.max_epochs-11",
+     "train", {"train": {"max_epochs": True}}, "train.max_epochs: expected an integer, got True"),
+    ("train.hidden_dims[0]-12",
+     "train", {"train": {"hidden_dims": [8.5]}},
      "train.hidden_dims[0]: expected an integer, got 8.5"),
-    ("audit", {"physics": {"near_one_epsilon": -1}},
+    ("physics-13",
+     "audit", {"physics": {"near_one_epsilon": -1}},
      "physics: near_one_epsilon must be positive, got -1"),
-    ("audit", {"seed": 1}, "unknown key(s): seed"),
-    ("audit", {"n": 3, "out": "elsewhere"}, "unknown key(s): n, out"),
-    ("generate", {"seed": 1, "n": 3, "data": "elsewhere", "out": "elsewhere"},
+    ("unknown key(s)-14",
+     "audit", {"seed": 1}, "unknown key(s): seed"),
+    ("unknown key(s)-15",
+     "audit", {"n": 3, "out": "elsewhere"}, "unknown key(s): n, out"),
+    ("unknown key(s)-16",
+     "generate", {"seed": 1, "n": 3, "data": "elsewhere", "out": "elsewhere"},
      "unknown key(s): data, n, out, seed"),
-    ("generate", {"generate": {"years": [2017.5]}}, "unknown key(s): generate.years"),
-    ("train", {"tarin": {"k_folds": 3}}, "unknown key(s): tarin"),
-    ("generate", {"generate": {"storey_height": float("nan")}},
+    ("unknown key(s)-17",
+     "generate", {"generate": {"years": [2017.5]}}, "unknown key(s): generate.years"),
+    ("unknown key(s)-18",
+     "train", {"tarin": {"k_folds": 3}}, "unknown key(s): tarin"),
+    ("generate.storey_height-19",
+     "generate", {"generate": {"storey_height": float("nan")}},
      "generate.storey_height: expected a finite number, got nan"),
-    ("audit", {"physics": {"vent_coefficient": -5}},
+    ("physics-20",
+     "audit", {"physics": {"vent_coefficient": -5}},
      "physics: vent_coefficient must be >= 0, got -5"),
-    ("generate", {"generate": {"series": [{**SERIE, "floors": [1, 2**63 - 1]}]}},
+    ("generate.series[0]-21",
+     "generate", {"generate": {"series": [{**SERIE, "floors": [1, 2**63 - 1]}]}},
      "generate.series[0]: bad range for serie_01.floors: (1, 9223372036854775807)"),
-    ("generate", {"generate": {"series": [{**SERIE, "window_fraction": [0.1, 0.95],
+    ("generate.series[0]-22",
+     "generate", {"generate": {"series": [{**SERIE, "window_fraction": [0.1, 0.95],
                                            "door_fraction": [0.01, 0.05]}]}},
      "generate.series[0]: serie serie_01: window_fraction[1] + door_fraction[1] must be < 1 "
      "(walls keep the rest), got 0.95 + 0.05"),
-    ("generate", {"physics": {"time_constants": {"heavy": 3.0}}},
+    ("generate-23",
+     "generate", {"physics": {"time_constants": {"heavy": 3.0}}},
      "generate: series[1].building_type: unknown building type 'light'; known types: heavy"),
-    ("train", {"physics": {"time_constants": {"heavy": 3.0}}},
+    ("unknown building type 'light'; known types-24",
+     "train", {"physics": {"time_constants": {"heavy": 3.0}}},
      "unknown building type 'light'; known types: heavy"),
-    ("generate", {"generate": {"years": [2017, 2018, 2017]}}, "unknown key(s): generate.years"),
-    ("train", {"train": {"min_lr": 0.5}},
+    ("unknown key(s)-25",
+     "generate", {"generate": {"years": [2017, 2018, 2017]}}, "unknown key(s): generate.years"),
+    ("train-26",
+     "train", {"train": {"min_lr": 0.5}},
      "train: min_lr must be in [0, learning_rate 0.001], got 0.5"),
     # the seed, the cohort size and the physics constants are set outside the sections
-    ("generate", {"generate": {"seed": 2}}, "unknown key(s): generate.seed"),
-    ("generate", {"generate": {"n_buildings": 5}}, "unknown key(s): generate.n_buildings"),
-    ("generate", {"generate": {"constants": {}}}, "unknown key(s): generate.constants"),
-    ("train", {"train": {"seed": 2}}, "unknown key(s): train.seed"),
-    ("train", {"train": {"constants": {"delta_t": 20}}}, "unknown key(s): train.constants"),
-    ("train", {"train": {"batch_size": None}}, "train.batch_size: expected an integer, got None"),
+    ("unknown key(s)-27",
+     "generate", {"generate": {"seed": 2}}, "unknown key(s): generate.seed"),
+    ("unknown key(s)-28",
+     "generate", {"generate": {"n_buildings": 5}}, "unknown key(s): generate.n_buildings"),
+    ("unknown key(s)-29",
+     "generate", {"generate": {"constants": {}}}, "unknown key(s): generate.constants"),
+    ("unknown key(s)-30",
+     "train", {"train": {"seed": 2}}, "unknown key(s): train.seed"),
+    ("unknown key(s)-31",
+     "train", {"train": {"constants": {"delta_t": 20}}}, "unknown key(s): train.constants"),
+    ("train.batch_size-32",
+     "train", {"train": {"batch_size": None}}, "train.batch_size: expected an integer, got None"),
     # every section's keys are checked, whichever section the command builds
-    ("train", {"generate": {"bogus": 1}}, "unknown key(s): generate.bogus"),
-    ("generate", {"train": {"bogus": 1}}, "unknown key(s): train.bogus"),
-    ("audit", {"train": {"bogus": 1}}, "unknown key(s): train.bogus"),
-    ("audit", {"generate": {"n_buildings": 5}}, "unknown key(s): generate.n_buildings"),
+    ("unknown key(s)-33",
+     "train", {"generate": {"bogus": 1}}, "unknown key(s): generate.bogus"),
+    ("unknown key(s)-34",
+     "generate", {"train": {"bogus": 1}}, "unknown key(s): train.bogus"),
+    ("unknown key(s)-35",
+     "audit", {"train": {"bogus": 1}}, "unknown key(s): train.bogus"),
+    ("unknown key(s)-36",
+     "audit", {"generate": {"n_buildings": 5}}, "unknown key(s): generate.n_buildings"),
 ]
 
 
 class TestConfigLeaks:
-    @pytest.mark.parametrize("command, override, message", LEAKS,
-                             ids=[m.split(":")[0] + f"-{i}" for i, (_, _, m) in enumerate(LEAKS)])
+    @pytest.mark.parametrize("command, override, message", [row[1:] for row in LEAKS],
+                             ids=[row[0] for row in LEAKS])
     def test_exit_one_naming_the_key(
         self, stubs, clean_cohort_dir, tmp_path, capsys, command, override, message
     ):
@@ -325,6 +365,10 @@ class TestConfigLeaks:
         assert capsys.readouterr().err == f"epc-pinn: error: {message}\n"
         assert len(stubs.configs) == calls
         assert not out.exists()
+
+    def test_leak_ids_are_unique(self):
+        """pytest would suffix a repeated id, renaming the rows that share it."""
+        assert len({row[0] for row in LEAKS}) == len(LEAKS)
 
     def test_an_unused_section_is_not_built(self, tmp_path, capsys):
         """Physics constants for heavy buildings only suit a heavy

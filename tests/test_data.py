@@ -284,7 +284,8 @@ class TestLoadDataset:
         path = tmp_path / "consumption.csv"
         write(path, CONSUMPTION_HEADER, ["01000000001,,1200.0,,800.0"])
         consumption = load_dataset(path, CONSUMPTION_SCHEMA)
-        totals = {year: consumption[f"y{year}"][0] for year in CONSUMPTION_YEARS}
+        totals = {year: consumption[f"total_energy_consumption_{year}"][0]
+                  for year in CONSUMPTION_YEARS}
         assert {year: v for year, v in totals.items() if not np.isnan(v)} == {
             2018: 1200.0, 2020: 800.0}
         assert consumption["mean_annual"][0] == pytest.approx(1000.0)
@@ -422,8 +423,9 @@ class TestAggregateConsumption:
         rows = [("01000000001", 2018, month, 100.0) for month in range(1, 13)]
         consumption = aggregate_consumption(monthly_table(tmp_path / "m.csv", rows))
         assert len(consumption) == 1
-        assert [name for name in consumption.columns if name.startswith("y")] == ["y2018"]
-        assert consumption["y2018"][0] == pytest.approx(1200.0)
+        years = [name for name in consumption.columns if name.startswith("total_energy")]
+        assert years == ["total_energy_consumption_2018"]
+        assert consumption["total_energy_consumption_2018"][0] == pytest.approx(1200.0)
         assert consumption["mean_annual"][0] == pytest.approx(1200.0)
 
     def test_mean_across_years(self, tmp_path):
@@ -434,8 +436,8 @@ class TestAggregateConsumption:
             ("01000000001", 2018, 1, 3000.0),
         ]
         consumption = aggregate_consumption(monthly_table(tmp_path / "m.csv", rows))
-        assert consumption["y2017"][0] == pytest.approx(1000.0)
-        assert consumption["y2018"][0] == pytest.approx(3000.0)
+        assert consumption["total_energy_consumption_2017"][0] == pytest.approx(1000.0)
+        assert consumption["total_energy_consumption_2018"][0] == pytest.approx(3000.0)
         assert consumption["mean_annual"][0] == pytest.approx(2000.0)
 
     def test_years_average_in_their_order_of_appearance(self, tmp_path):
@@ -1033,7 +1035,8 @@ def _reference_problem(schema, v):
             if v[name] < 0:
                 return f"{name} must be >= 0, got {v[name]}"
     elif schema is CONSUMPTION_SCHEMA:
-        totals = {y: v[f"y{y}"] for y in CONSUMPTION_YEARS if v[f"y{y}"] is not None}
+        totals = {y: v[f"total_energy_consumption_{y}"] for y in CONSUMPTION_YEARS
+                  if v[f"total_energy_consumption_{y}"] is not None}
         if not totals:
             return f"building {v['cadastre_number']}: no annual consumption present"
         for year, total in totals.items():
@@ -1076,14 +1079,14 @@ def _reference_optional_float(raw):
     return None if raw == "" else _reference_float(raw)
 
 
-def _reference_rule(attr):
-    """The cell rule of a schema attribute, as a scalar function of one
+def _reference_rule(name):
+    """The cell rule of a schema column, as a scalar function of one
     cell that raises ValueError("<problem>: '<cell>'")."""
-    if attr in ("cadastre_number", "serie", "building_type", "enclosing_structure"):
+    if name in ("cadastre_number", "serie", "building_type", "enclosing_structure"):
         return _reference_str
-    if attr in ("floors", "apartments", "year", "month"):
+    if name in ("floors", "apartments", "year", "month"):
         return _reference_int
-    if attr in (f"y{year}" for year in CONSUMPTION_YEARS):
+    if name in (f"total_energy_consumption_{year}" for year in CONSUMPTION_YEARS):
         return _reference_optional_float
     return _reference_float
 
@@ -1092,7 +1095,7 @@ def _reference_load(path, schema):
     """load_dataset as a csv.DictReader loop, record by record: the same
     checks in the same order, with the scalar cell rules above. Returns the
     columns (floats as hex, absent values as None) and the key index."""
-    columns = {c.attr: [] for c in schema.columns}
+    columns = {c.name: [] for c in schema.columns}
     index = {}
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
@@ -1111,7 +1114,7 @@ def _reference_load(path, schema):
                         f"column {column.name!r}"
                     )
                 try:
-                    values[column.attr] = _reference_rule(column.attr)(raw)
+                    values[column.name] = _reference_rule(column.name)(raw)
                 except ValueError as exc:
                     raise DataError(
                         f"{path} row {row_num}, column {column.name!r}: {exc}"
@@ -1120,7 +1123,7 @@ def _reference_load(path, schema):
             if problem is not None:
                 raise DataError(f"{path} row {row_num}: {problem}")
             if schema.key:
-                key = tuple(values[attr] for attr in schema.key)
+                key = tuple(values[name] for name in schema.key)
                 key = key[0] if len(key) == 1 else key
                 if key in index:
                     raise DataError(
@@ -1128,14 +1131,14 @@ def _reference_load(path, schema):
                         f"(first seen at row {index[key] + 2})"
                     )
                 index[key] = row_num - 2
-            for attr, value in values.items():
-                columns[attr].append(value)
+            for name, value in values.items():
+                columns[name].append(value)
     if schema is CONSUMPTION_SCHEMA:
-        years = zip(*(columns[f"y{year}"] for year in CONSUMPTION_YEARS))
+        years = zip(*(columns[f"total_energy_consumption_{year}"] for year in CONSUMPTION_YEARS))
         columns["mean_annual"] = [
             float(np.mean([t for t in totals if t is not None])) for totals in years
         ]
-    return {attr: _comparable(values) for attr, values in columns.items()}, index
+    return {name: _comparable(values) for name, values in columns.items()}, index
 
 
 def _comparable(values):
@@ -1155,7 +1158,7 @@ def _outcome(path, schema, chunk_rows):
     except DataError as exc:
         return "error", str(exc)
     assert all(len(values) == len(loaded) for values in loaded.columns.values())
-    columns = {attr: _comparable(values) for attr, values in loaded.columns.items()}
+    columns = {name: _comparable(values) for name, values in loaded.columns.items()}
     return "table", (columns, loaded.index)
 
 

@@ -1,17 +1,7 @@
-"""The package's public names and the README's library example."""
+"""The README's library example."""
 
 import shutil
 from pathlib import Path
-
-import epc_pinn
-
-
-def test_every_exported_name_resolves():
-    """Each name in epc_pinn.__all__ is an attribute of the package, so a
-    stale export fails here rather than at a star import."""
-    missing = [name for name in epc_pinn.__all__ if not hasattr(epc_pinn, name)]
-    assert missing == []
-    assert len(set(epc_pinn.__all__)) == len(epc_pinn.__all__)
 
 
 def test_readme_library_use_runs(clean_cohort_dir, tmp_path, monkeypatch, capsys):

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from epc_pinn.config import from_json
 from epc_pinn.errors import ConfigError, DimensionError, DomainError
 from epc_pinn.physics import (
     AIR_EXCHANGE_INDEX,
@@ -112,7 +113,7 @@ class TestPhysicsConstants:
             PhysicsConstants(bridge_fraction=1.0)
 
     def test_dict_roundtrip(self, constants):
-        restored = PhysicsConstants.from_dict(constants.to_dict())
+        restored = from_json(PhysicsConstants, constants.to_dict())
         assert restored.to_dict() == constants.to_dict()
 
 

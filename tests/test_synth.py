@@ -16,6 +16,7 @@ import pytest
 from epc_pinn import synth
 from epc_pinn.cli import main
 
+from epc_pinn.config import from_json
 from epc_pinn.data import (
     CONSUMPTION_SCHEMA,
     MONTHLY_SCHEMA,
@@ -70,20 +71,20 @@ class TestSerieProfiles:
 
     def test_dict_roundtrip(self):
         profile = DEFAULT_SERIES[4]
-        restored = SerieProfile.from_dict(profile.to_dict())
+        restored = from_json(SerieProfile, profile.to_dict())
         assert restored == profile
 
     def test_bad_u_means_is_config_error(self):
         payload = DEFAULT_SERIES[0].to_dict()
         payload["u_means"] = [0.5, 0.5, 0.5]
         with pytest.raises(ConfigError):
-            SerieProfile.from_dict(payload)
+            from_json(SerieProfile, payload)
 
     def test_unknown_building_type_is_config_error(self):
         payload = DEFAULT_SERIES[0].to_dict()
         payload["building_type"] = "straw"
         with pytest.raises(ConfigError):
-            SerieProfile.from_dict(payload)
+            from_json(SerieProfile, payload)
 
     def test_floors_bound_must_leave_room_for_the_exclusive_draw_bound(self, tmp_path):
         """floors are drawn with rng.integers(low, high + 1), so high + 1 must
@@ -93,9 +94,9 @@ class TestSerieProfiles:
         for high in (MAX_FLOORS + 1, 2**63, 10**30):
             payload["floors"] = [1, high]
             with pytest.raises(ConfigError, match=rf"serie_01.floors: \(1, {high}\)"):
-                SerieProfile.from_dict(payload)
+                from_json(SerieProfile, payload)
         payload["floors"] = [MAX_FLOORS, MAX_FLOORS]
-        config = GeneratorConfig(n_buildings=2, seed=3, series=(SerieProfile.from_dict(payload),))
+        config = GeneratorConfig(n_buildings=2, seed=3, series=(from_json(SerieProfile, payload),))
         paths = generate_cohort(config, tmp_path)
         land = paths["land"].read_text().splitlines()[1].split(",")
         assert int(land[1]) == MAX_FLOORS
@@ -106,9 +107,9 @@ class TestSerieProfiles:
         payload["window_fraction"] = [0.5, 0.9]
         payload["door_fraction"] = [0.01, 0.1]
         with pytest.raises(ConfigError, match=r"window_fraction\[1\] \+ door_fraction\[1\]"):
-            SerieProfile.from_dict(payload)
+            from_json(SerieProfile, payload)
         payload["door_fraction"] = [0.01, 0.09]
-        SerieProfile.from_dict(payload)
+        from_json(SerieProfile, payload)
 
 
 class TestGeneratorConfig:
@@ -138,7 +139,7 @@ class TestGeneratorConfig:
 
     def test_dict_roundtrip(self):
         config = GeneratorConfig(n_buildings=5, seed=3, audit_noise=0.01)
-        restored = GeneratorConfig.from_dict(config.to_dict())
+        restored = from_json(GeneratorConfig, config.to_dict())
         assert restored.to_dict() == config.to_dict()
 
     def test_month_weights_sum_to_one(self):
@@ -228,7 +229,7 @@ class TestGenerateCohort:
             load_dataset(clean_cohort_dir / "consumption_monthly.csv", MONTHLY_SCHEMA)
         )
         assert len(monthly) == len(annual)
-        years = [name for name in monthly.columns if name.startswith("y")]
+        years = [name for name in monthly.columns if name.startswith("total_energy")]
         assert years
         for i, number in enumerate(monthly["cadastre_number"]):
             for year in years:

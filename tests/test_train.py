@@ -16,6 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from epc_pinn.config import from_json
 from epc_pinn.data import (
     MinMaxScaler,
     TrainingArrays,
@@ -108,12 +109,12 @@ class TestTrainConfig:
 
     def test_dict_roundtrip(self):
         config = TrainConfig(k_folds=5, batch_size=32, hidden_dims=(64, 64), seed=9)
-        restored = TrainConfig.from_dict(config.to_dict())
+        restored = from_json(TrainConfig, config.to_dict())
         assert restored.to_dict() == config.to_dict()
 
     def test_unknown_key_is_config_error(self):
         with pytest.raises(ConfigError):
-            TrainConfig.from_dict({"momentum": 0.9})
+            from_json(TrainConfig, {"momentum": 0.9})
 
 
 class TestTrainFold:
