@@ -15,18 +15,18 @@ the directories are flags only, and the physics constants come from
 "physics" only, so a top-level "seed" or a section naming "seed",
 "constants" or "n_buildings" is an unknown key whichever command runs,
 but only the section a command uses is built.
-Every JSON input is read by nn.read_json; a checkpoint's extra payload is
-read back by config.from_json as one train.FoldCheckpoint, whose scalers
-and constants predict and evaluate use.
+Every JSON input is read by nn.read_json. predict and evaluate read their
+checkpoint with train.load_checkpoint, which checks it and returns the
+network with the train.FoldCheckpoint whose scalers and constants they use.
 Exit codes: 0 success; 1 usage or configuration, naming a bad config key
 by its path, an --out directory that is or lies under a file, or an --out
-file that is a directory or lies under a file, before any cohort or
-checkpoint is read; 2 data problems, a cohort whose scored truth takes one
-value, checkpoint physics constants and train ones that overflow the loss
-included; 3 runtime failures. train loads the cohort, runs
-train.cross_validate and saves the outputs: cross_validate itself checks
-the cohort and the constants before any fold trains, so train runs no
-check of its own in between.
+file that is a directory, lies under a file or is one of the command's
+input files, before any cohort or checkpoint is read; 2 data problems, a
+cohort whose scored truth takes one value, checkpoint physics constants
+and train ones that overflow the loss included; 3 runtime failures.
+train loads the cohort, runs train.cross_validate and saves the outputs:
+cross_validate itself checks the cohort and the constants before any
+fold trains, so train runs no check of its own in between.
 train runs min(k_folds, CPUs the process may use) folds at once, so
 taskset limits it; results are identical for any count. While the folds
 train, OpenBLAS runs single-threaded, and its previous thread count is
@@ -40,6 +40,7 @@ import dataclasses
 import json
 import os
 import sys
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -57,20 +58,19 @@ from .errors import (
     UndefinedMetricError,
 )
 from .metrics import check_scorable, fold_report, format_metrics_table, format_report_table
-from .nn import MlpModel, atomic_write, load_checkpoint, read_json, write_json
+from .nn import atomic_write, read_json, write_json
 from .physics import (
     AREA_SLICE,
     COMPONENTS,
-    STATE_DIM,
     U_SLICE,
     PhysicsConstants,
     energy_consumption,
     state_dict,
 )
 from .train import (
-    FoldCheckpoint,
     TrainConfig,
     cross_validate,
+    load_checkpoint,
     predict_physical,
     reconstruct_energy,
     save_run_outputs,
@@ -118,14 +118,18 @@ def _section(name: str, config: ConfigFile, **settings):
     return from_json(cls, {**getattr(config, name), "constants": config.physics, **settings}, name)
 
 
-def _check_out(path: Path, kind: str) -> Path:
+def _check_out(path: Path, kind: str, inputs=()) -> Path:
     """path, an output directory or file, which must not lie under a file;
-    an output file must not be a directory. A missing directory is left to
-    the write."""
+    an output file must not be a directory, nor the same file as one of
+    the command's inputs. A missing directory is left to the write."""
     existing = next(p for p in (path, *path.parents) if os.path.lexists(p))
     if kind == "file" and existing == path:
         if path.is_dir():
             raise ConfigError(f"output file {path} is a directory")
+        for source in inputs:
+            with suppress(OSError):  # a missing input is its reader's error
+                if os.path.samefile(path, source):
+                    raise ConfigError(f"output file {path} is the input file {source}")
     elif not existing.is_dir():
         raise ConfigError(f"output {kind} {path}: {existing} is not a directory")
     return path
@@ -171,26 +175,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _checkpoint_bundle(path: str | Path) -> tuple[MlpModel, FoldCheckpoint]:
-    model, extra = load_checkpoint(path)
-    try:
-        fold = from_json(FoldCheckpoint, extra, "extra")
-    except ConfigError as exc:
-        raise DataError(f"checkpoint {path}: {exc}") from None
-    layers = {"input_scaler": (model.layer_dims[0], data.N_FEATURES, "inputs"),
-              "target_scaler": (model.layer_dims[-1], STATE_DIM, "outputs")}
-    for name, (width, expected, side) in layers.items():
-        columns = getattr(fold, name).divisor.size
-        if columns != width:
-            raise DataError(f"checkpoint {path}: {name} has {columns} columns, the model {width}")
-        if width != expected:
-            raise DataError(f"checkpoint {path}: the model has {width} {side}, expected {expected}")
-    columns = fold.energy_scaler.divisor.size
-    if columns != 1:
-        raise DataError(f"checkpoint {path}: energy_scaler has {columns} columns, expected 1")
-    return model, fold
-
-
 def _predict_states(path, model, fold, features, names) -> np.ndarray:
     """predict_physical; a non-finite state is a DataError naming the first such building."""
     with np.errstate(all="ignore"):
@@ -219,8 +203,8 @@ def _balance(path, state, useful_area, building_type, constants):
 
 def cmd_predict(args) -> int:
     if args.out:
-        _check_out(Path(args.out), "file")
-    model, fold = _checkpoint_bundle(args.checkpoint)
+        _check_out(Path(args.out), "file", (args.checkpoint, args.building))
+    model, fold = load_checkpoint(args.checkpoint)
     building = read_json(args.building, "building")
     fields = data.parse_building(building, args.building)
     features = data.encode_features(**{name: [value] for name, value in fields.items()})
@@ -300,8 +284,8 @@ def cmd_audit(args) -> int:
 
 def cmd_evaluate(args) -> int:
     if args.out:
-        _check_out(Path(args.out), "file")
-    model, fold = _checkpoint_bundle(args.checkpoint)
+        _check_out(Path(args.out), "file", (args.checkpoint, *data.cohort_paths(args.data)))
+    model, fold = load_checkpoint(args.checkpoint)
     arrays, dropped = _load_cohort(args.data)
     check_scorable(arrays.targets, arrays.measured_energy, args.data)
     _check_checkpoint_types(fold.constants, arrays.building_types, args.checkpoint)

@@ -80,7 +80,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .config import JsonConfig
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, DomainError
 from .nn import read_text
 from .physics import COMPONENTS, check_states, u_value
 
@@ -663,18 +663,24 @@ def join_on_cadastre(
     return joined, [(numbers[j], reasons[j]) for j in sorted(reasons)]
 
 
+COHORT_SCHEMAS = (LAND_SCHEMA, AUDIT_BUILDINGS_SCHEMA, AUDIT_COMPONENTS_SCHEMA,
+                  CONSUMPTION_SCHEMA, MONTHLY_SCHEMA)
+
+
+def cohort_paths(data_dir: str | Path) -> list[Path]:
+    """The <schema.name>.csv file of each of COHORT_SCHEMAS in data_dir."""
+    return [Path(data_dir) / f"{schema.name}.csv" for schema in COHORT_SCHEMAS]
+
+
 def load_cohort(data_dir: str | Path) -> tuple[JoinedCohort, list[tuple[str, str]]]:
     """Load each schema's <schema.name>.csv from a directory and join.
 
     Annual totals come from consumption.csv when present, otherwise they
     are aggregated from consumption_monthly.csv.
     """
-    data_dir = Path(data_dir)
-    land, audit_buildings, audit_components = (
-        load_dataset(data_dir / f"{schema.name}.csv", schema)
-        for schema in (LAND_SCHEMA, AUDIT_BUILDINGS_SCHEMA, AUDIT_COMPONENTS_SCHEMA))
-    annual_path, monthly_path = (
-        data_dir / f"{schema.name}.csv" for schema in (CONSUMPTION_SCHEMA, MONTHLY_SCHEMA))
+    paths = cohort_paths(data_dir)
+    land, audit_buildings, audit_components = map(load_dataset, paths[:3], COHORT_SCHEMAS[:3])
+    annual_path, monthly_path = paths[3:]
     if annual_path.exists():
         consumption = load_dataset(annual_path, CONSUMPTION_SCHEMA)
     elif monthly_path.exists():
@@ -709,7 +715,7 @@ def build_matrices(joined: JoinedCohort) -> TrainingArrays:
     the targets from the audits. The twelve targets of all buildings are
     checked at once (zero areas were dropped by the join); only a failing
     check takes the per-building path, which raises the DomainError of the
-    first bad building in sorted order."""
+    first bad building in sorted order, prefixed "building <number>: "."""
     if len(joined) == 0:
         raise DataError("no samples to assemble")
     land_rows, picked = joined.land_rows, joined.land_rows.tolist()
@@ -727,8 +733,11 @@ def build_matrices(joined: JoinedCohort) -> TrainingArrays:
     bad = ~(coefficients >= 0).all(axis=1) | ~(np.isfinite(targets) & (targets >= 0)).all(axis=1)
     if bad.any():  # the per-building path: u_value, then check_states
         j = int(np.argmax(bad))
-        u_values = [u_value(c, a) for c, a in zip(coefficients[j].tolist(), areas[j].tolist())]
-        check_states(np.concatenate([areas[j], u_values, rates[j]])[None])
+        try:
+            u_values = [u_value(c, a) for c, a in zip(coefficients[j].tolist(), areas[j].tolist())]
+            check_states(np.concatenate([areas[j], u_values, rates[j]])[None])
+        except DomainError as exc:
+            raise DomainError(f"building {joined.cadastre_numbers[j]}: {exc}") from None
     return TrainingArrays(
         cadastre_numbers=joined.cadastre_numbers,
         features=encode_features(**registry),

@@ -70,7 +70,7 @@ def enhanced_loss(
     through energy_scaler. The target scaler has the 12 columns, the
     energy scaler one column. Raises TrainingError
     naming the first offending row if the value (or the gradient) is
-    non-finite.
+    non-finite; no numpy warning is raised.
     """
     pred = np.asarray(predictions_scaled, dtype=float)
     targets = np.asarray(targets_scaled, dtype=float)
@@ -90,30 +90,31 @@ def enhanced_loss(
             f"got {useful_area.shape}, {taus.shape} and {measured_scaled.shape}"
         )
 
-    mse_z = mse(pred, targets)
-    raw_physical = target_scaler.inverse_transform(pred)
-    physical = np.maximum(raw_physical, 0.0)
-    batch = energy_consumption_batch(
-        physical, useful_area, taus, consts, with_gradient=with_gradient
-    )
-    diff = energy_scaler.transform(batch.energy_consumption) - measured_scaled
-    mse_y = float(np.mean(diff**2))
-    total = mse_z + physics_weight * mse_y
-
-    gradient = None
-    if with_gradient:
-        grad_z = 2.0 * (pred - targets) / pred.size
-        energy_slope = 1.0 / energy_scaler.divisor[0]
-        target_slopes = target_scaler.divisor  # (12,): d(physical)/d(scaled)
-        grad_y = (
-            (2.0 / n)
-            * diff[:, None]
-            * energy_slope
-            * batch.gradient
-            * (raw_physical > 0)  # zero subgradient where the floor bites
-            * target_slopes[None, :]
+    with np.errstate(all="ignore"):  # a non-finite result raises TrainingError below
+        mse_z = mse(pred, targets)
+        raw_physical = target_scaler.inverse_transform(pred)
+        physical = np.maximum(raw_physical, 0.0)
+        batch = energy_consumption_batch(
+            physical, useful_area, taus, consts, with_gradient=with_gradient
         )
-        gradient = grad_z + physics_weight * grad_y
+        diff = energy_scaler.transform(batch.energy_consumption) - measured_scaled
+        mse_y = float(np.mean(diff**2))
+        total = mse_z + physics_weight * mse_y
+
+        gradient = None
+        if with_gradient:
+            grad_z = 2.0 * (pred - targets) / pred.size
+            energy_slope = 1.0 / energy_scaler.divisor[0]
+            target_slopes = target_scaler.divisor  # (12,): d(physical)/d(scaled)
+            grad_y = (
+                (2.0 / n)
+                * diff[:, None]
+                * energy_slope
+                * batch.gradient
+                * (raw_physical > 0)  # zero subgradient where the floor bites
+                * target_slopes[None, :]
+            )
+            gradient = grad_z + physics_weight * grad_y
 
     if not (np.isfinite(total) and (gradient is None or np.all(np.isfinite(gradient)))):
         checked = (batch.energy_consumption[:, None], diff[:, None], pred, gradient)

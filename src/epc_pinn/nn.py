@@ -16,45 +16,32 @@ vector with that layout. Adam is thus one fused in-place update over whole
 vectors, with the textbook per-element operations in their order; a
 gradient that overflows its second moment is a TrainingError, where the
 step would otherwise silently be 0. The early-stop snapshot (into one
-reused buffer) and checkpoint encoding are single vector copies.
+reused buffer) and a checkpoint's parameters (train owns the format) are
+single vector copies.
 
-Checkpoints are JSON: layer sizes and activation in the clear, the flat
-parameter vector as base64-encoded little-endian float64 bytes, plus an
-extra JSON object for callers, which load_checkpoint returns unread.
-write_json writes them, as every JSON output, atomically (temporary file,
-then rename). Loading reads the top level through config.from_json, so a
-malformed field is named by its key, then checks the fixed format values,
-the parameter byte count and the parameters' finiteness. Every input
-file, CSV or JSON, is read by read_text (read_json adds the JSON decode),
-with one wording for a file that is missing, unreadable or not UTF-8.
+The file helpers live here too: write_json writes every JSON output
+atomically, and read_text reads every input file, CSV or JSON, with one
+wording for a file that is missing, unreadable or not UTF-8.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
-from .config import from_json
 from .errors import ConfigError, DataError, DimensionError, TrainingError, UsageError
 
 ACTIVATION = "relu"  # of every hidden layer; checkpoints record it
 
-CHECKPOINT_FORMAT_VERSION = 1
-CHECKPOINT_DTYPE = "<f8"  # little-endian float64, fixed for portability
-# The values every checkpoint holds, and loading requires.
-_FIXED = {"format_version": CHECKPOINT_FORMAT_VERSION, "dtype": CHECKPOINT_DTYPE,
-          "activation": ACTIVATION}
 
-
-def _parameter_total(layer_dims: tuple[int, ...]) -> int:
+def parameter_total(layer_dims: tuple[int, ...]) -> int:
     """Length of the flat parameter vector of a network with these dims."""
     return sum(i * o + o for i, o in zip(layer_dims[:-1], layer_dims[1:]))
 
@@ -70,9 +57,9 @@ class _FlatLayers:
     biases: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.vector.shape != (_parameter_total(self.layer_dims),):
+        if self.vector.shape != (parameter_total(self.layer_dims),):
             raise DimensionError(
-                f"layers {self.layer_dims} need {_parameter_total(self.layer_dims)} "
+                f"layers {self.layer_dims} need {parameter_total(self.layer_dims)} "
                 f"values, got shape {self.vector.shape}"
             )
         self.weights, self.biases, start = [], [], 0
@@ -119,7 +106,7 @@ def init_model(layer_dims: tuple[int, ...] | list[int], seed: int) -> MlpModel:
     if any(d < 1 for d in dims):
         raise ConfigError(f"layer dims must all be >= 1, got {dims}")
     rng = np.random.default_rng(seed)
-    model = MlpModel(layer_dims=dims, vector=np.zeros(_parameter_total(dims)))
+    model = MlpModel(layer_dims=dims, vector=np.zeros(parameter_total(dims)))
     for w in model.weights:
         limit = np.sqrt(1.0 / w.shape[0])
         w[...] = rng.uniform(-limit, limit, size=w.shape)
@@ -377,53 +364,3 @@ def read_json(path: str | Path, what: str) -> dict:
     if not isinstance(payload, dict):
         raise DataError(f"{path}: expected a JSON object at the top level")
     return payload
-
-
-def save_checkpoint(model: MlpModel, path: str | Path, extra: dict | None = None) -> None:
-    """Serialize the model (and an optional extra payload) to JSON."""
-    write_json(path, {
-        **_FIXED,
-        "layer_dims": list(model.layer_dims),
-        "parameters_b64": base64.b64encode(
-            model.vector.astype(CHECKPOINT_DTYPE).tobytes()
-        ).decode("ascii"),
-        "extra": extra if extra is not None else {},
-    })
-
-
-@dataclass
-class _CheckpointFile:
-    """The top level of a checkpoint file, as save_checkpoint writes it."""
-
-    format_version: int
-    layer_dims: tuple[int, ...]
-    activation: str
-    dtype: str
-    parameters_b64: str
-    extra: dict[str, Any] = field(default_factory=dict)
-
-
-def load_checkpoint(path: str | Path) -> tuple[MlpModel, dict]:
-    """Rebuild a model from save_checkpoint output; returns (model, extra)."""
-    try:
-        payload = from_json(_CheckpointFile, read_json(path, "checkpoint"))
-    except ConfigError as exc:
-        raise DataError(f"checkpoint {path}: {exc}") from None
-    for key in ("format_version", "dtype", "activation"):
-        if getattr(payload, key) != _FIXED[key]:
-            raise DataError(f"checkpoint {path} has unsupported {key} {getattr(payload, key)!r}")
-    dims = payload.layer_dims
-    if len(dims) < 2 or min(dims) < 1:
-        raise DataError(f"checkpoint {path} has invalid layer_dims {list(dims)!r}")
-    try:
-        raw = base64.b64decode(payload.parameters_b64, validate=True)
-    except ValueError as exc:
-        raise DataError(f"checkpoint {path} has corrupt parameter encoding") from exc
-    needed = _parameter_total(dims) * np.dtype(CHECKPOINT_DTYPE).itemsize
-    if len(raw) != needed:
-        raise DataError(f"checkpoint {path} holds {len(raw)} bytes of parameters, "
-                        f"model needs {needed}")
-    flat = np.frombuffer(raw, dtype=CHECKPOINT_DTYPE).astype(float)
-    if not np.isfinite(flat).all():
-        raise DataError(f"checkpoint {path} holds non-finite parameters")
-    return MlpModel(layer_dims=dims, vector=flat), payload.extra

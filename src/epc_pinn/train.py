@@ -38,12 +38,16 @@ A FoldResult carries its FoldCheckpoint, built once when the scalers are
 fitted: the fold index, the three scalers and the physics constants. Its
 TrainHistory is built once, complete, after the best snapshot is restored.
 save_run_outputs writes results.json, with each fold's history,
-report.txt and one checkpoint per fold, whose extra payload is the fold's
-FoldCheckpoint, written by to_dict and read back by config.from_json.
+report.txt and one checkpoint per fold, in the format that only this
+module reads and writes: JSON with the layer sizes in the clear, the flat
+parameters as base64 little-endian float64 bytes and the FoldCheckpoint
+as "extra". load_checkpoint reads it with config.from_json in one pass,
+so a malformed field is named by its key path, and checks every width.
 """
 
 from __future__ import annotations
 
+import base64
 import ctypes
 import functools
 import glob
@@ -56,8 +60,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import JsonConfig
-from .data import MinMaxScaler, TrainingArrays, kfold_split, train_val_split
+from .config import JsonConfig, from_json
+from .data import N_FEATURES, MinMaxScaler, TrainingArrays, kfold_split, train_val_split
 from .errors import ConfigError, DataError, TrainingError
 from .loss import enhanced_loss
 from .metrics import (
@@ -68,15 +72,17 @@ from .metrics import (
     mean_std,
 )
 from .nn import (
+    ACTIVATION,
     AdamState,
     EarlyStopState,
     MlpModel,
     adam_step,
+    atomic_write,
     backward,
     forward,
     init_model,
-    atomic_write,
-    save_checkpoint,
+    parameter_total,
+    read_json,
     write_json,
 )
 from .physics import STATE_DIM, PhysicsConstants, energy_consumption_batch
@@ -142,6 +148,69 @@ class FoldCheckpoint(JsonConfig):
     target_scaler: MinMaxScaler
     energy_scaler: MinMaxScaler
     constants: PhysicsConstants
+
+
+CHECKPOINT_DTYPE = "<f8"  # little-endian float64, fixed for portability
+# The values every checkpoint holds, and loading requires.
+_FIXED = {"format_version": 1, "dtype": CHECKPOINT_DTYPE, "activation": ACTIVATION}
+
+
+@dataclass
+class _CheckpointFile:
+    """A checkpoint file, as save_checkpoint writes it."""
+
+    format_version: int
+    layer_dims: tuple[int, ...]
+    activation: str
+    dtype: str
+    parameters_b64: str
+    extra: FoldCheckpoint
+
+
+def save_checkpoint(model: MlpModel, path: str | Path, fold: FoldCheckpoint) -> None:
+    """Write the network and its fold's FoldCheckpoint as one JSON file."""
+    encoded = base64.b64encode(model.vector.astype(CHECKPOINT_DTYPE).tobytes()).decode("ascii")
+    write_json(path, {**_FIXED, "layer_dims": list(model.layer_dims),
+                      "parameters_b64": encoded, "extra": fold.to_dict()})
+
+
+def load_checkpoint(path: str | Path) -> tuple[MlpModel, FoldCheckpoint]:
+    """The network and FoldCheckpoint of a save_checkpoint file. Checked in
+    order, each fault a DataError naming the file: the fields' types, the
+    fixed values, layer dims, parameter encoding, byte count, finiteness,
+    then the widths of the scalers, the network and the energy scaler."""
+    try:
+        payload = from_json(_CheckpointFile, read_json(path, "checkpoint"))
+    except ConfigError as exc:
+        raise DataError(f"checkpoint {path}: {exc}") from None
+    for key in ("format_version", "dtype", "activation"):
+        if getattr(payload, key) != _FIXED[key]:
+            raise DataError(f"checkpoint {path} has unsupported {key} {getattr(payload, key)!r}")
+    dims = payload.layer_dims
+    if len(dims) < 2 or min(dims) < 1:
+        raise DataError(f"checkpoint {path} has invalid layer_dims {list(dims)!r}")
+    try:
+        raw = base64.b64decode(payload.parameters_b64, validate=True)
+    except ValueError as exc:
+        raise DataError(f"checkpoint {path} has corrupt parameter encoding") from exc
+    needed = parameter_total(dims) * np.dtype(CHECKPOINT_DTYPE).itemsize
+    if len(raw) != needed:
+        raise DataError(f"checkpoint {path} holds {len(raw)} bytes of parameters, "
+                        f"model needs {needed}")
+    flat = np.frombuffer(raw, dtype=CHECKPOINT_DTYPE).astype(float)
+    if not np.isfinite(flat).all():
+        raise DataError(f"checkpoint {path} holds non-finite parameters")
+    fold = payload.extra
+    for name, width, expected, side in (("input_scaler", dims[0], N_FEATURES, "inputs"),
+                                        ("target_scaler", dims[-1], STATE_DIM, "outputs")):
+        columns = getattr(fold, name).divisor.size
+        if columns != width:
+            raise DataError(f"checkpoint {path}: {name} has {columns} columns, the model {width}")
+        if width != expected:
+            raise DataError(f"checkpoint {path}: the model has {width} {side}, expected {expected}")
+    if (columns := fold.energy_scaler.divisor.size) != 1:
+        raise DataError(f"checkpoint {path}: energy_scaler has {columns} columns, expected 1")
+    return MlpModel(layer_dims=dims, vector=flat), fold
 
 
 @dataclass(eq=False)
@@ -217,8 +286,7 @@ def _checked_folds(arrays: TrainingArrays, config: TrainConfig) -> list[np.ndarr
     loss_at = _loss_over(arrays, np.arange(arrays.n), target_scaler,
                          MinMaxScaler.fit(arrays.measured_energy), config)
     try:
-        with np.errstate(all="ignore"):
-            loss_at(target_scaler.transform(arrays.targets))
+        loss_at(target_scaler.transform(arrays.targets))
     except TrainingError as exc:
         raise DataError(f"the training loss at the audit targets is not finite for building "
                         f"{arrays.cadastre_numbers[exc.row]}") from None
@@ -474,5 +542,5 @@ def save_run_outputs(
     for r in result.folds:
         name = f"fold_{r.checkpoint.fold:02d}"
         paths[name] = out_dir / f"{name}.json"
-        save_checkpoint(r.model, paths[name], extra=r.checkpoint.to_dict())
+        save_checkpoint(r.model, paths[name], r.checkpoint)
     return paths

@@ -177,6 +177,21 @@ def checkpoint_call(command, checkpoint, cohort, tmp_path):
             "--out", str(out)], out
 
 
+def read_checkpoint(path):
+    """A checkpoint file's JSON, and its network, decoded by hand."""
+    payload = json.loads(Path(path).read_text())
+    vector = np.frombuffer(base64.b64decode(payload["parameters_b64"]), "<f8").copy()
+    return payload, nn.MlpModel(tuple(payload["layer_dims"]), vector)
+
+
+def write_checkpoint(path, payload, model):
+    """Write a checkpoint's JSON payload with model's dims and parameters,
+    whatever they hold."""
+    encoded = base64.b64encode(model.vector.astype("<f8").tobytes()).decode("ascii")
+    payload = {**payload, "layer_dims": list(model.layer_dims), "parameters_b64": encoded}
+    Path(path).write_text(json.dumps(payload))
+
+
 def envelope_payload(**overrides):
     """The physics worked example: one 100 m2 U 0.5 component, gains 20."""
     payload = {
@@ -949,7 +964,7 @@ class TestEvaluate:
         assert code == 0
         assert rows(capsys.readouterr().out) == names
         assert list(json.loads(metrics_path.read_text())) == sorted(names)
-        assert rows((trained_run / "report.txt").read_text()) == names
+        assert rows((trained_run / "report.txt").read_text(encoding="utf-8")) == names
         results = json.loads((trained_run / "results.json").read_text())
         assert list(results["aggregate"]["variables"]) == sorted(names)
         assert [list(fold["metrics"]) for fold in results["folds"]] == [sorted(names)] * 10
@@ -1070,32 +1085,45 @@ class TestEvaluate:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
-    @pytest.mark.parametrize("under", [False, True], ids=["directory", "under-file"])
+    @pytest.mark.parametrize("case", ["directory", "under-file", "checkpoint", "input"])
     def test_out_that_is_a_directory_or_under_a_file_is_exit_one_before_any_read(
-        self, trained_run, clean_cohort_dir, tmp_path, monkeypatch, capsys, command, under
+        self, trained_run, clean_cohort_dir, tmp_path, monkeypatch, capsys, command, case
     ):
+        """An --out that is a directory, lies under a file, or is one of the
+        command's input files, named another way (the checkpoint, predict's
+        building or evaluate's land.csv), is refused before any read and
+        leaves that path as it was."""
         def no_read(*args):
             raise AssertionError("an input was read")
 
         monkeypatch.setattr(cli, "load_checkpoint", no_read)
         monkeypatch.setattr(data, "load_cohort", no_read)
+        cohort = tmp_path / "cohort"
+        shutil.copytree(clean_cohort_dir, cohort)
+        checkpoint = tmp_path / "inputs" / "fold_00.json"
+        checkpoint.parent.mkdir()
+        shutil.copyfile(trained_run / "fold_00.json", checkpoint)
+        argv, _ = checkpoint_call(command, checkpoint, cohort, tmp_path)
         existing = tmp_path / "existing"
-        if under:
-            existing.write_text("keep")
-            out = existing / "x.json"
-        else:
+        if case == "directory":
             existing.mkdir()
-            out = existing
-        argv, _ = checkpoint_call(command, trained_run / "fold_00.json", clean_cohort_dir,
-                                  tmp_path)
+            out, problem = existing, " is a directory"
+        elif case == "under-file":
+            existing.write_text("keep")
+            out, problem = existing / "x.json", f": {existing} is not a directory"
+        else:
+            inputs = {"predict": tmp_path / "building.json", "evaluate": cohort / "land.csv"}
+            existing = checkpoint if case == "checkpoint" else inputs[command]
+            out = existing.parent / ".." / existing.parent.name / existing.name
+            problem = f" is the input file {existing}"
+        before = None if existing.is_dir() else existing.read_bytes()
         argv[argv.index("--out") + 1] = str(out)
         assert main(argv) == 1
-        problem = f": {existing} is not a directory" if under else " is a directory"
         assert capsys.readouterr().err == f"{PROG}: error: output file {out}{problem}\n"
-        if under:
-            assert existing.read_text() == "keep"
-        else:
+        if before is None:
             assert list(existing.iterdir()) == []
+        else:
+            assert existing.read_bytes() == before
 
     @pytest.mark.parametrize("key, corrupt, problem", [
         ("input_scaler", lambda s: s["data_max"].__setitem__(0, float("nan")),
@@ -1146,10 +1174,11 @@ class TestEvaluate:
     ):
         """A network that agrees with its scalers but does not take the 17
         features or give the 12 envelope quantities."""
-        extra = json.loads((trained_run / "fold_00.json").read_text())["extra"]
+        payload = json.loads((trained_run / "fold_00.json").read_text())
+        extra = payload["extra"]
         extra[scaler] = {bound: values[:-1] for bound, values in extra[scaler].items()}
         checkpoint = tmp_path / "narrow.json"
-        nn.save_checkpoint(nn.init_model(dims, seed=0), checkpoint, extra)
+        write_checkpoint(checkpoint, payload, nn.init_model(dims, seed=0))
         argv, out = checkpoint_call(command, checkpoint, clean_cohort_dir, tmp_path)
         assert main(argv) == 2
         assert f"checkpoint {checkpoint}: the model has {problem}" in capsys.readouterr().err
@@ -1160,10 +1189,10 @@ class TestEvaluate:
     def test_non_finite_checkpoint_parameter_is_exit_two(
         self, trained_run, clean_cohort_dir, tmp_path, capsys, command
     ):
-        model, extra = nn.load_checkpoint(trained_run / "fold_00.json")
+        payload, model = read_checkpoint(trained_run / "fold_00.json")
         model.vector[5] = np.nan
         checkpoint = tmp_path / "nan.json"
-        nn.save_checkpoint(model, checkpoint, extra)
+        write_checkpoint(checkpoint, payload, model)
         argv, out = checkpoint_call(command, checkpoint, clean_cohort_dir, tmp_path)
         assert main(argv) == 2
         assert f"checkpoint {checkpoint} holds non-finite parameters" in capsys.readouterr().err
@@ -1176,10 +1205,10 @@ class TestEvaluate:
     ):
         """Parameters scaled by 1e200 are finite but overflow in the forward
         pass of every building; no numpy warning is raised on the way."""
-        model, extra = nn.load_checkpoint(trained_run / "fold_00.json")
+        payload, model = read_checkpoint(trained_run / "fold_00.json")
         model.vector *= 1e200
         checkpoint = tmp_path / "huge.json"
-        nn.save_checkpoint(model, checkpoint, extra)
+        write_checkpoint(checkpoint, payload, model)
         argv, out = checkpoint_call(command, checkpoint, clean_cohort_dir, tmp_path)
         assert main(argv) == 2
         with open(clean_cohort_dir / "land.csv", newline="") as handle:
@@ -1200,10 +1229,10 @@ class TestEvaluate:
         but their squared errors overflow the metrics. Either way the
         command names the checkpoint (predict: the building file), writes
         no --out and raises no numpy warning."""
-        model, extra = nn.load_checkpoint(trained_run / "fold_00.json")
-        extra["constants"]["hours_per_day"] = hours
+        payload = json.loads((trained_run / "fold_00.json").read_text())
+        payload["extra"]["constants"]["hours_per_day"] = hours
         checkpoint = tmp_path / "hours.json"
-        nn.save_checkpoint(model, checkpoint, extra)
+        checkpoint.write_text(json.dumps(payload))
         argv, out = checkpoint_call(command, checkpoint, clean_cohort_dir, tmp_path)
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -1220,6 +1249,32 @@ class TestEvaluate:
             assert err.startswith(f"{PROG}: error: checkpoint {checkpoint}: "
                                   "energy_consumption: r_squared is not finite")
         assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_non_finite_audit_target_is_exit_two_naming_the_building(
+    trained_run, clean_cohort_dir, tmp_path, capsys, command
+):
+    """A Walls row of area 1e-10 and coefficient 1e300 gives a U-value of
+    infinity: train and evaluate name its building, and write nothing."""
+    cohort = tmp_path / "cohort"
+    shutil.copytree(clean_cohort_dir, cohort)
+    with open(cohort / "audit_components.csv", newline="", encoding="utf-8") as handle:
+        header, *rows = csv.reader(handle)
+    row = next(r for r in rows if r[header.index("enclosing_structure")] == "Walls")
+    row[header.index("area")], row[header.index("structure_heat_loss_coefficient")] = \
+        "1e-10", "1e300"
+    with open(cohort / "audit_components.csv", "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerows([header, *rows])
+    out = tmp_path / "out"
+    argv = {"train": ["train", "--seed", "1", "--data", str(cohort), "--out", str(out)],
+            "evaluate": ["evaluate", "--checkpoint", str(trained_run / "fold_00.json"),
+                         "--data", str(cohort), "--out", str(out)]}[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"{PROG}: error: building {row[0]}: "
+                                       "envelope state contains non-finite values\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("junk", [None, ("north", "", "1e400")], ids=["deleted", "junk"])

@@ -618,7 +618,7 @@ class TestJoinOnCadastre:
     def test_bad_targets_raise_for_the_first_building_in_sorted_order(self, tmp_path):
         """The one-pass check over all targets hands a failure to the
         per-building path, which raises for the first bad building by
-        cadastre number, whatever the input order."""
+        cadastre number, whatever the input order, and names it."""
         numbers = ["01000000003", "01000000002", "01000000001"]
         tables = [
             table(tmp_path / "land.csv", LAND_SCHEMA, [make_land(n) for n in numbers]),
@@ -638,18 +638,20 @@ class TestJoinOnCadastre:
         def build():
             return build_matrices(join_on_cadastre(*tables)[0])
 
-        with pytest.raises(DomainError, match="non-finite"):
+        with pytest.raises(DomainError, match="^building 01000000002: .*non-finite"):
             build()
         components["area"][5] = 200.0
-        with pytest.raises(DomainError, match=r"entry 10 is negative \(-1.0\)"):
+        with pytest.raises(DomainError,
+                           match=r"^building 01000000003: .*entry 10 is negative \(-1.0\)"):
             build()
         audits["air_exchange_rate"][0] = 0.8
         components["structure_heat_loss_coefficient"][12] = -5e-324  # 01: U rounds to -0.0
-        with pytest.raises(DomainError, match="heat loss coefficient must be >= 0"):
+        with pytest.raises(DomainError,
+                           match="^building 01000000001: .*heat loss coefficient must be >= 0"):
             build()
         components["structure_heat_loss_coefficient"][12] = 100.0
         components["area"][13] = -200.0  # 01: negative area
-        with pytest.raises(DomainError, match="area must be positive"):
+        with pytest.raises(DomainError, match="^building 01000000001: area must be positive"):
             build()
 
     def test_targets_match_the_per_building_quotients(self, tmp_path):

@@ -215,10 +215,11 @@ class TestEnhancedLoss:
             evaluate(batch, batch["targets_scaled"], measured=measured)
 
 
+@pytest.mark.filterwarnings("error")
 def test_value_without_gradient_is_bitwise_the_same():
     """with_gradient=False returns the same total, mse_z and mse_y bit for
     bit, and raises the same TrainingError (same row) on non-finite
-    predictions or measured energy."""
+    predictions or measured energy, with no numpy warning."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 

@@ -1,5 +1,5 @@
 """Unit tests for the dense network, backprop, Adam, the plateau tracker
-and checkpointing.
+and the fold checkpoint file that train writes and reads.
 
 The backward pass is verified against central finite differences, Adam
 against its closed-form first steps (constant gradient keeps both bias
@@ -10,6 +10,7 @@ and early stop against hand-counted call traces.
 import numpy as np
 import pytest
 
+from epc_pinn.data import N_FEATURES, MinMaxScaler
 from epc_pinn.errors import ConfigError, DataError, DimensionError, TrainingError, UsageError
 from epc_pinn.nn import (
     AdamState,
@@ -19,10 +20,19 @@ from epc_pinn.nn import (
     backward,
     forward,
     init_model,
-    load_checkpoint,
-    save_checkpoint,
     write_json,
 )
+from epc_pinn.physics import STATE_DIM, PhysicsConstants
+from epc_pinn.train import FoldCheckpoint, load_checkpoint, save_checkpoint
+
+
+def fold_checkpoint(seed=0, fold=0):
+    """A FoldCheckpoint whose scalers fit a network of N_FEATURES inputs
+    and STATE_DIM outputs, fitted on random rows."""
+    rng = np.random.default_rng(seed)
+    return FoldCheckpoint(fold, MinMaxScaler.fit(rng.normal(size=(5, N_FEATURES))),
+                          MinMaxScaler.fit(rng.normal(size=(5, STATE_DIM))),
+                          MinMaxScaler.fit(rng.normal(size=5)), PhysicsConstants())
 
 
 def mse_output_grad(pred, y):
@@ -404,7 +414,7 @@ class TestFlatLayout:
 
     def test_loaded_parameters_are_views(self, tmp_path):
         path = tmp_path / "model.json"
-        save_checkpoint(init_model((4, 6, 6, 3), seed=2), path)
+        save_checkpoint(init_model((N_FEATURES, 6, 6, STATE_DIM), seed=2), path, fold_checkpoint())
         restored, _ = load_checkpoint(path)
         self.assert_views_tile_the_vector(restored, restored.arrays())
 
@@ -599,22 +609,52 @@ class TestEarlyStop:
 
 class TestCheckpoint:
     def test_roundtrip_is_exact(self, tmp_path):
-        model = init_model((4, 6, 3), seed=12)
+        model = init_model((N_FEATURES, 6, STATE_DIM), seed=12)
         path = tmp_path / "model.json"
-        save_checkpoint(model, path, extra={"note": "x", "values": [1, 2.5]})
-        restored, extra = load_checkpoint(path)
+        save_checkpoint(model, path, fold_checkpoint(seed=3, fold=4))
+        restored, fold = load_checkpoint(path)
         assert restored.layer_dims == model.layer_dims
         assert '"activation": "relu"' in path.read_text()
         for a, b in zip(model.arrays(), restored.arrays()):
             assert np.array_equal(a, b)
-        assert extra == {"note": "x", "values": [1, 2.5]}
+        assert fold == fold_checkpoint(seed=3, fold=4)
+
+    def test_roundtrip_is_exact_for_any_widths_and_scalers(self, tmp_path):
+        """For random hidden widths, parameters and scaler bounds, the
+        network and FoldCheckpoint read back equal to the bit."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        bounds = st.floats(-1e307, 1e307)  # hi - lo stays finite
+
+        @hypothesis.given(
+            hidden=st.lists(st.integers(1, 8), max_size=3),
+            seed=st.integers(0, 2**32 - 1),
+            scalers=st.tuples(*(st.lists(st.tuples(bounds, bounds), min_size=k, max_size=k)
+                                for k in (N_FEATURES, STATE_DIM, 1))),
+            fold_index=st.integers(0, 99),
+        )
+        def check(hidden, seed, scalers, fold_index):
+            model = init_model((N_FEATURES, *hidden, STATE_DIM), seed=seed)
+            rng = np.random.default_rng(seed)
+            model.vector[...] = rng.normal(size=model.vector.size) * 10.0 ** rng.uniform(
+                -300, 300, size=model.vector.size)
+            fitted = [MinMaxScaler.fit(np.array(pairs).T) for pairs in scalers]
+            fold = FoldCheckpoint(fold_index, *fitted, PhysicsConstants())
+            path = tmp_path / "model.json"
+            save_checkpoint(model, path, fold)
+            restored, restored_fold = load_checkpoint(path)
+            assert restored.layer_dims == model.layer_dims
+            assert restored.vector.tobytes() == model.vector.tobytes()
+            assert restored_fold == fold
+
+        check()
 
     def test_restored_model_predicts_identically(self, tmp_path):
-        model = init_model((5, 8, 2), seed=13)
-        x = np.random.default_rng(14).normal(size=(6, 5))
+        model = init_model((N_FEATURES, 8, STATE_DIM), seed=13)
+        x = np.random.default_rng(14).normal(size=(6, N_FEATURES))
         expected, _ = forward(model, x)
         path = tmp_path / "model.json"
-        save_checkpoint(model, path)
+        save_checkpoint(model, path, fold_checkpoint())
         restored, _ = load_checkpoint(path)
         out, _ = forward(restored, x)
         assert np.array_equal(out, expected)
@@ -631,10 +671,22 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="layer_dims"):
             load_checkpoint(path)
 
-    def test_unsupported_version_is_data_error(self, tmp_path):
-        model = init_model((2, 2), seed=0)
+    def test_missing_extra_is_data_error(self, tmp_path):
+        import json
+
         path = tmp_path / "model.json"
-        save_checkpoint(model, path)
+        save_checkpoint(init_model((N_FEATURES, STATE_DIM), seed=0), path, fold_checkpoint())
+        payload = json.loads(path.read_text())
+        del payload["extra"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError) as raised:
+            load_checkpoint(path)
+        assert str(raised.value) == f"checkpoint {path}: missing key(s): extra"
+
+    def test_unsupported_version_is_data_error(self, tmp_path):
+        model = init_model((N_FEATURES, STATE_DIM), seed=0)
+        path = tmp_path / "model.json"
+        save_checkpoint(model, path, fold_checkpoint())
         payload = path.read_text().replace('"format_version": 1', '"format_version": 99')
         path.write_text(payload)
         with pytest.raises(DataError, match="version"):
@@ -658,29 +710,12 @@ class TestCheckpoint:
         import json
 
         path = tmp_path / "model.json"
-        save_checkpoint(init_model((2, 2), seed=0), path)
+        save_checkpoint(init_model((N_FEATURES, STATE_DIM), seed=0), path, fold_checkpoint())
         payload = json.loads(path.read_text())
         payload[field] = value
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match=message):
             load_checkpoint(path)
-
-    def test_failed_write_leaves_no_partial_file(self, tmp_path):
-        """Serialization that raises midway leaves neither a partial
-        checkpoint nor a temporary file, and an existing checkpoint keeps
-        its bytes."""
-        path = tmp_path / "model.json"
-        model = init_model((3, 2), seed=0)
-        unserializable = {"a": 1, "b": object()}
-        with pytest.raises(TypeError):
-            save_checkpoint(model, path, extra=unserializable)
-        assert list(tmp_path.iterdir()) == []
-        save_checkpoint(model, path)
-        before = path.read_bytes()
-        with pytest.raises(TypeError):
-            save_checkpoint(init_model((3, 2), seed=1), path, extra=unserializable)
-        assert list(tmp_path.iterdir()) == [path]
-        assert path.read_bytes() == before
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_json_value_raises_and_writes_nothing(self, tmp_path, value):
@@ -702,9 +737,9 @@ class TestCheckpoint:
         import base64
         import json
 
-        model = init_model((2, 2), seed=0)
+        model = init_model((N_FEATURES, STATE_DIM), seed=0)
         path = tmp_path / "model.json"
-        save_checkpoint(model, path)
+        save_checkpoint(model, path, fold_checkpoint())
         payload = json.loads(path.read_text())
         raw = base64.b64decode(payload["parameters_b64"])
         payload["parameters_b64"] = base64.b64encode(raw[:-8]).decode("ascii")

@@ -156,6 +156,7 @@ def _in_float_range(value) -> bool:
         return False
 
 
+@np.errstate(all="ignore")  # every value written is checked, as in synth.generate_cohort
 def _reference_building(config, index):
     rng = np.random.default_rng([config.seed, index])
     profile = config.series[int(rng.integers(len(config.series)))]

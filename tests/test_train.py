@@ -34,11 +34,10 @@ from epc_pinn.nn import (
     backward,
     forward,
     init_model,
-    load_checkpoint,
 )
 from epc_pinn.physics import COMPONENTS, PhysicsConstants
 from epc_pinn.synth import GeneratorConfig, generate_cohort, reference_energy
-from epc_pinn import cli, train
+from epc_pinn import train
 from epc_pinn.train import (
     TrainConfig,
     cross_validate,
@@ -772,7 +771,7 @@ class TestSaveRunOutputs:
         result = cross_validate(arrays, config)
         save_run_outputs(result, config, tmp_path)
         for i, r in enumerate(result.folds):
-            model, fold = cli._checkpoint_bundle(tmp_path / f"fold_{i:02d}.json")
+            model, fold = train.load_checkpoint(tmp_path / f"fold_{i:02d}.json")
             assert fold == r.checkpoint
             assert fold.fold == i
             assert model.layer_dims == (17, 16, 16, 12)
@@ -791,7 +790,7 @@ class TestSaveRunOutputs:
                     "data_max": [float(v) for v in scaler.data_max]}
 
         for i, r in enumerate(result.folds):
-            _, extra = load_checkpoint(tmp_path / f"fold_{i:02d}.json")
+            extra = json.loads((tmp_path / f"fold_{i:02d}.json").read_text())["extra"]
             expected = {
                 "fold": i,
                 "input_scaler": bounds(r.checkpoint.input_scaler),
