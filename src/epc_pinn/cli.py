@@ -8,6 +8,10 @@ Subcommands:
     audit      energy decomposition of a fully specified envelope
     evaluate   score a checkpoint against a CSV cohort
 
+The COMMANDS table is the one statement of each command's help and flags.
+A call that names a command builds only that command's parser, which acts
+as build_parser()'s full parser does; any other call builds the full one.
+
 A JSON config file (--config) holds at most the objects "generate",
 "train" and "physics"; config.from_json checks every value against its
 setting's type and rejects unknown keys. The seed, the cohort size and
@@ -315,43 +319,59 @@ def cmd_evaluate(args) -> int:
 # Wiring
 
 
+# Each command's help line and flags with their add_argument keywords. Its
+# handler cmd_<name> is looked up at build time, so a wrapper set on it runs.
+COMMANDS = {
+    "generate": ("write a synthetic cohort as CSV files", (
+        ("--config", {"help": "JSON config file"}),
+        ("--seed", {"type": int, "required": True, "help": "generator seed"}),
+        ("--n", {"type": int, "default": 256, "help": "number of buildings (default 256)"}),
+        ("--out", {"default": ".", "help": "output directory (default .)"}),
+    )),
+    "train": ("cross-validated training on a CSV cohort", (
+        ("--config", {"help": "JSON config file"}),
+        ("--seed", {"type": int, "required": True, "help": "training seed"}),
+        ("--data", {"required": True, "help": "directory with the cohort CSV files"}),
+        ("--out", {"default": ".", "help": "output directory (default .)"}),
+    )),
+    "predict": ("virtual audit of one building", (
+        ("--checkpoint", {"required": True, "help": "trained model checkpoint"}),
+        ("--building", {"required": True, "help": "JSON file with the building's input features"}),
+        ("--out", {"help": "write the prediction JSON here instead of stdout"}),
+    )),
+    "audit": ("energy decomposition of a full envelope", (
+        ("--config", {"help": "JSON config file (physics overrides)"}),
+        ("--envelope", {"required": True,
+                        "help": "JSON file with areas, U-values, rates and building type"}),
+    )),
+    "evaluate": ("score a checkpoint against a cohort", (
+        ("--checkpoint", {"required": True, "help": "trained model checkpoint"}),
+        ("--data", {"required": True, "help": "directory with the cohort CSV files"}),
+        ("--out", {"help": "write the metrics JSON here as well"}),
+    )),
+}
+
+
+def _add_command(parser: _Parser, name: str) -> _Parser:
+    for flag, keywords in COMMANDS[name][1]:
+        parser.add_argument(flag, **keywords)
+    parser.set_defaults(func=globals()[f"cmd_{name}"], command=name)
+    return parser
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog=PROG, description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="write a synthetic cohort as CSV files")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int, required=True, help="generator seed")
-    p.add_argument("--n", type=int, default=256, help="number of buildings (default 256)")
-    p.add_argument("--out", default=".", help="output directory (default .)")
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("train", help="cross-validated training on a CSV cohort")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int, required=True, help="training seed")
-    p.add_argument("--data", required=True, help="directory with the cohort CSV files")
-    p.add_argument("--out", default=".", help="output directory (default .)")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("predict", help="virtual audit of one building")
-    p.add_argument("--checkpoint", required=True, help="trained model checkpoint")
-    p.add_argument("--building", required=True,
-                   help="JSON file with the building's input features")
-    p.add_argument("--out", help="write the prediction JSON here instead of stdout")
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("audit", help="energy decomposition of a full envelope")
-    p.add_argument("--config", help="JSON config file (physics overrides)")
-    p.add_argument("--envelope", required=True,
-                   help="JSON file with areas, U-values, rates and building type")
-    p.set_defaults(func=cmd_audit)
-
-    p = sub.add_parser("evaluate", help="score a checkpoint against a cohort")
-    p.add_argument("--checkpoint", required=True, help="trained model checkpoint")
-    p.add_argument("--data", required=True, help="directory with the cohort CSV files")
-    p.add_argument("--out", help="write the metrics JSON here as well")
-    p.set_defaults(func=cmd_evaluate)
+    for name, (help_line, _) in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_line), name)
     return parser
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as build_parser() would; a named command builds its parser alone."""
+    if argv and argv[0] in COMMANDS:
+        return _add_command(_Parser(prog=f"{PROG} {argv[0]}"), argv[0]).parse_args(argv[1:])
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -360,9 +380,8 @@ def main(argv=None) -> int:
     reconfigure = getattr(sys.stdout, "reconfigure", None)
     if reconfigure is not None:
         reconfigure(errors="backslashreplace")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
     except ConfigError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)

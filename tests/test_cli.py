@@ -14,6 +14,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ import pytest
 from epc_pinn import cli, data, nn, train
 from epc_pinn.cli import PROG, main
 from epc_pinn.data import BUILDING_TYPES, SERIES
+from epc_pinn.errors import ConfigError
 from epc_pinn.physics import COMPONENTS, PhysicsConstants
 from epc_pinn.synth import GeneratorConfig, generate_cohort, reference_energy
 
@@ -1367,6 +1369,105 @@ class TestArgumentHandling:
 
     def test_unknown_flag_is_exit_one(self, capsys):
         assert main(["generate", "--seed", "1", "--explode"]) == 1
+
+
+class TestOneCommandParser:
+    """A call that names a command builds that command's parser alone; it
+    parses, helps and fails exactly as the full parser of build_parser()."""
+
+    COMMANDS = ["generate", "train", "predict", "audit", "evaluate"]
+    FULL = {
+        "generate": ["--config", "c.json", "--seed", "3", "--n", "10", "--out", "o"],
+        "train": ["--config", "c.json", "--seed", "3", "--data", "d", "--out", "o"],
+        "predict": ["--checkpoint", "f.json", "--building", "b.json", "--out", "p.json"],
+        "audit": ["--config", "c.json", "--envelope", "e.json"],
+        "evaluate": ["--checkpoint", "f.json", "--data", "d", "--out", "m.json"],
+    }
+
+    @staticmethod
+    def full_parse(argv):
+        return cli.build_parser().parse_args(argv)
+
+    @pytest.fixture
+    def parsers_built(self, monkeypatch):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting)
+        return built
+
+    def test_the_table_states_the_commands_in_order(self):
+        assert list(cli.COMMANDS) == self.COMMANDS
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_full_argv_parses_to_the_same_namespace(self, command):
+        argv = [command, *self.FULL[command]]
+        expected = vars(self.full_parse(argv))
+        assert vars(cli.parse_args(argv)) == expected
+        assert expected["command"] == command
+        assert expected["func"] is getattr(cli, f"cmd_{command}")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_is_the_full_parsers_and_exit_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as full:
+            self.full_parse([command, "-h"])
+        expected = capsys.readouterr().out
+        with pytest.raises(SystemExit) as one:
+            main([command, "-h"])
+        assert (one.value.code, full.value.code) == (0, 0)
+        assert capsys.readouterr().out == expected
+        assert expected.startswith(f"usage: {PROG} {command} [-h]")
+
+    @pytest.mark.parametrize("case", ["missing", "unknown", "positional", "seed", "abbreviated"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_bad_argv_is_the_same_exit_one_message(self, command, case, capsys):
+        full = self.FULL[command]
+        argv = [command, *{"missing": [], "unknown": [*full, "--explode"],
+                           "positional": [*full, "extra"], "seed": [*full, "--seed", "x"],
+                           "abbreviated": ["--check", "g.json", *full[2:]]}[case]]
+        try:
+            self.full_parse(argv)
+        except ConfigError as exc:
+            expected = f"{PROG}: error: {exc}\n"
+        else:  # predict and evaluate take --check for --checkpoint
+            assert (command, case) in {("predict", "abbreviated"), ("evaluate", "abbreviated")}
+            assert vars(cli.parse_args(argv)) == vars(self.full_parse(argv))
+            assert cli.parse_args(argv).checkpoint == "g.json"
+            return
+        assert main(argv) == 1
+        assert capsys.readouterr().err == expected
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_named_command_builds_one_parser(self, command, parsers_built, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "-h"])
+        assert parsers_built == [f"{PROG} {command}"]
+        parsers_built.clear()
+        assert main([command, *self.FULL[command][:2], "--explode"]) == 1
+        assert parsers_built == [f"{PROG} {command}"]
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["--help"], ["calibrate"]])
+    def test_anything_else_builds_the_full_tree(self, argv, parsers_built, capsys):
+        with suppress(SystemExit):
+            main(argv)
+        assert parsers_built == [PROG, *(f"{PROG} {command}" for command in self.COMMANDS)]
+
+    def test_no_command_is_exit_one_naming_the_command_argument(self, capsys):
+        assert main([]) == 1
+        assert capsys.readouterr().err == (
+            f"{PROG}: error: the following arguments are required: command\n")
+
+    def test_an_unknown_command_is_exit_one_naming_every_command_in_order(self, capsys):
+        assert main(["calibrate"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{PROG}: error: argument command: invalid choice: 'calibrate'")
+        choices = err[err.index("(choose from"):]
+        positions = [choices.find(name) for name in self.COMMANDS]
+        assert -1 not in positions and positions == sorted(positions)
 
 
 class TestLocale:
